@@ -55,6 +55,7 @@ from .transport import (
     TransportProblem,
     expected_distance,
     verify_coupling,
+    verify_transport_certificate,
     wasserstein1,
 )
 from .curvature import (
@@ -107,7 +108,7 @@ __all__ = [
     "distance_matrix", "transition_distribution",
     # transport
     "Coupling", "TransportProblem", "expected_distance", "verify_coupling",
-    "wasserstein1",
+    "verify_transport_certificate", "wasserstein1",
     # curvature
     "CouplingCell", "DownstepCoupling", "DropWitness", "GlobalReport",
     "PairFrame", "PairReport", "PairWitness", "build_downstep_coupling",

@@ -170,6 +170,4 @@ def build_named(name: str) -> Matroid:
     except KeyError:
         known = ", ".join(CATALOG_NAMES)
         raise ParseError(f"unknown catalog name {name!r} (known: {known})") from None
-    m = build_matroid(spec)
-    m.origin = f"named:{name}"
-    return m
+    return build_matroid(spec, origin=f"named:{name}")

@@ -21,7 +21,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CurvatroidError, InvalidRank, NotAdjacent, NotABasis, ValidationResult
+from .errors import (
+    CurvatroidError,
+    InvalidRank,
+    NotABasis,
+    NotAdjacent,
+    ParseError,
+    ValidationResult,
+)
 from .matroid import Mask, Matroid, basis_sort_key, bits
 from .transport import Coupling, TransportProblem, wasserstein1
 from .walk import BasisGraph, basis_graph
@@ -446,7 +453,10 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count for pair fan-out, capped by CURVATROID_THREADS."""
     cap = os.environ.get("CURVATROID_THREADS")
-    limit = max(1, int(cap)) if cap else None
+    try:
+        limit = max(1, int(cap)) if cap else None
+    except ValueError:
+        raise ParseError(f"CURVATROID_THREADS must be an integer, got {cap!r}") from None
     if workers is None:
         workers = limit or 1
     if limit is not None:
@@ -464,8 +474,11 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
     collapse=False). A single-basis family has no pairs; by convention it
     reports curvature 1 with the degenerate flag set. With audit_all_pairs
     the minimum of 1 - W1/d over all basis pairs (any distance) is computed
-    as well and must agree with the adjacent-pair minimum.
+    as well and must agree with the adjacent-pair minimum; the audit needs
+    exact=True.
     """
+    if audit_all_pairs and not exact:
+        raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
     if not pairs:
@@ -511,7 +524,7 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
         argmin = pairs[kappas.index(kappa)]  # first minimal pair, canonical order
 
     audited = False
-    if audit_all_pairs and exact:
+    if audit_all_pairs:
         order = m.sorted_bases()
         worst = None
         for i, x in enumerate(order):

@@ -233,13 +233,13 @@ def _guard_enumeration(n: int, k: int) -> None:
         raise TooLarge(f"C({n},{k}) = {comb(n, k)} exceeds the enumeration limit")
 
 
-def _build_uniform(spec: UniformSpec) -> Matroid:
+def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
     n, k = spec.n, spec.k
     if not (1 <= k <= n):
         raise InvalidRank(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
     _guard_enumeration(n, k)
     bases = [sum(1 << i for i in combo) for combo in combinations(range(n), k)]
-    return Matroid(_default_labels(n), bases, f"uniform(n={n},k={k})")
+    return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})")
 
 
 class _UnionFind:
@@ -263,7 +263,7 @@ class _UnionFind:
         return True
 
 
-def _build_graphic(spec: GraphicSpec) -> Matroid:
+def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     v = spec.vertex_count
     if v < 1:
         raise DegenerateGraph("graph needs at least one vertex")
@@ -299,7 +299,7 @@ def _build_graphic(spec: GraphicSpec) -> Matroid:
             bases.append(sum(1 << i for i in combo))
     # k = v - components guarantees acyclic k-subsets are maximum forests,
     # and at least one exists (greedy over the whole edge set)
-    return Matroid(labels, bases, f"graphic(vertices={v},edges={n})")
+    return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})")
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -326,7 +326,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _build_linear(spec: LinearSpec) -> Matroid:
+def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     rows = spec.matrix
     if not rows or not rows[0]:
         raise EmptyBasisFamily("empty matrix")
@@ -345,10 +345,10 @@ def _build_linear(spec: LinearSpec) -> Matroid:
         sub = [[row[c] for c in combo] for row in rows]
         if matrix_rank(sub) == k:
             bases.append(sum(1 << c for c in combo))
-    return Matroid(labels, bases, f"linear({len(rows)}x{width})")
+    return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})")
 
 
-def _build_explicit(spec: ExplicitSpec) -> Matroid:
+def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:
     ground = tuple(spec.ground)
     if not spec.bases:
         raise EmptyBasisFamily("no bases given")
@@ -369,23 +369,25 @@ def _build_explicit(spec: ExplicitSpec) -> Matroid:
                 raise UnknownElement(f"repeated element {lab!r} in a basis")
             mask |= bit
         masks.append(mask)
-    return Matroid(ground, masks, "explicit")
+    return Matroid(ground, masks, origin or "explicit")
 
 
-def build_matroid(spec: MatroidSpec) -> Matroid:
+def build_matroid(spec: MatroidSpec, origin: str | None = None) -> Matroid:
     """Build the matroid described by a construction spec.
 
     Explicit families are taken verbatim (shape-checked only); run
-    validate_exchange_axiom separately when the input is untrusted.
+    validate_exchange_axiom separately when the input is untrusted. The
+    origin defaults to a description of the construction; a named spec
+    always reports its catalog name.
     """
     if isinstance(spec, UniformSpec):
-        return _build_uniform(spec)
+        return _build_uniform(spec, origin)
     if isinstance(spec, GraphicSpec):
-        return _build_graphic(spec)
+        return _build_graphic(spec, origin)
     if isinstance(spec, LinearSpec):
-        return _build_linear(spec)
+        return _build_linear(spec, origin)
     if isinstance(spec, ExplicitSpec):
-        return _build_explicit(spec)
+        return _build_explicit(spec, origin)
     if isinstance(spec, NamedSpec):
         from . import catalog
 

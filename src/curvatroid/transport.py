@@ -1,26 +1,41 @@
 """Exact 1-Wasserstein distance between basis distributions.
 
-Both marginals are scaled by the least common multiple of their mass
-denominators, the resulting integer transportation problem is solved by
-successive shortest augmenting paths (Dijkstra with potentials, all-integer
-arithmetic), and the optimum is divided back. Costs are exchange-graph
-distances, so by the triangle inequality the shared mass min(mu, nu) can be
-fixed in place and only the residuals routed; that reduction is on by
-default and can be disabled for cross-checking.
+Both marginals are scaled once to integers over the least common multiple of
+their mass denominators. Costs are exchange-graph distances, so by the
+triangle inequality the shared mass min(mu, nu) can be fixed in place and
+only the residuals routed; that reduction is on by default and can be
+disabled for cross-checking.
 
-Tie-breaking is deterministic: nodes are scanned in canonical support order
-and shortest-path ties resolve to the lowest (row, column) indices, so equal
-inputs always produce the identical coupling.
+The integer transportation problem is solved by a primal-dual method that
+works in phases (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9.8).
+Each phase runs one Dijkstra on reduced costs from every source with supply
+left, stops at the first sink still short of its demand, and raises the
+node potentials by min(distance, that sink's distance). It then augments
+along tight residual arcs (reduced cost zero) by depth-first search with
+current-arc pointers that persist through the phase, until every source is
+spent or finds no tight path. A path the search misses only costs one more
+phase.
+
+Every solve is checked by an integer optimality certificate: the potentials
+give a dual (u, v) of the transportation LP, and verify_transport_certificate
+confirms the flow's marginals, dual feasibility u_i + v_j <= c_ij on every
+cell, and equal primal and dual objectives. Weak duality then proves the
+flow optimal without trusting the solver; a failure raises CurvatroidError.
+
+The solver scans nodes in canonical support order and keeps no state
+between calls, so equal inputs always produce the identical coupling and
+concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Callable, Mapping
 
-from .errors import UnbalancedMarginals, ValidationResult
+from .errors import CurvatroidError, UnbalancedMarginals, ValidationResult
 from .matroid import Mask, basis_sort_key
 from .walk import Distribution
 
@@ -103,102 +118,170 @@ def expected_distance(c: Coupling, dist: Callable[[Mask, Mask], int]) -> Fractio
 _INF = float("inf")
 
 
-def _solve_integer_transport(supply: list[int], demand: list[int],
-                             cost: list[list[int]]) -> tuple[int, dict[tuple[int, int], int]]:
+def _solve_integer_transport(
+        supply: list[int], demand: list[int], cost: list[list[int]],
+) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
     """Min-cost flow for the balanced transportation problem, all integers.
 
-    Successive shortest augmenting paths with Johnson potentials; each
-    augmentation saturates a source or a sink, so there are at most
-    (rows + cols) rounds. Nodes: 0..m-1 sources, m..m+n-1 sinks.
+    Returns the flow {(row, col): units} and the dual (u, v) read off the
+    final potentials, u_i = -pot(row i) and v_j = pot(col j). Reduced costs
+    c_ij + pot(row i) - pot(col j) stay nonnegative throughout, so every
+    arc carrying flow is tight; that is complementary slackness, which
+    verify_transport_certificate checks. Nodes: 0..m-1 rows, m..m+n-1 cols.
+    Costs must be nonnegative, so zero potentials start dual feasible.
     """
     m, n = len(supply), len(demand)
-    remaining_supply = supply[:]
-    remaining_demand = demand[:]
-    flow: dict[tuple[int, int], int] = {}
-    pot = [0] * (m + n)  # potentials keep reduced costs nonnegative
-    total = 0
-    pending = sum(remaining_supply)
-    if pending != sum(remaining_demand):
+    pending = sum(supply)
+    if pending != sum(demand):
         raise UnbalancedMarginals(
-            f"supplies {pending} != demands {sum(remaining_demand)} after scaling")
+            f"supplies {pending} != demands {sum(demand)} after scaling")
+    left = supply[:]
+    need = demand[:]
+    into = [[0] * m for _ in range(n)]  # into[j][i]: flow on cell (i, j)
+    pot = [0] * (m + n)
     while pending:
-        # Dijkstra over the residual bipartite graph from all live sources
-        dist = [_INF] * (m + n)
-        parent = [-1] * (m + n)
+        # Dijkstra from every live source until the first deficit sink;
+        # backward arcs (col -> row along positive flow) are tight
+        dist: list[float] = [_INF] * (m + n)
         done = [False] * (m + n)
+        heap = []
         for i in range(m):
-            if remaining_supply[i]:
+            if left[i]:
                 dist[i] = 0
-        while True:
-            v = -1
-            best = _INF
-            for w in range(m + n):
-                if not done[w] and dist[w] < best:
-                    best = dist[w]
-                    v = w
-            if v < 0:
-                break
+                heap.append((0, i))
+        reach = -1
+        while heap:
+            d, v = heappop(heap)
+            if done[v]:
+                continue
             done[v] = True
-            if v < m:  # source: forward arcs to every sink
-                dv = dist[v]
-                base = pot[v]
-                row = cost[v]
-                for j in range(n):
-                    w = m + j
-                    if done[w]:
-                        continue
-                    nd = dv + row[j] + base - pot[w]
+            if v < m:
+                base = d + pot[v]
+                w = m
+                for c in cost[v]:
+                    nd = base + c - pot[w]
                     if nd < dist[w]:
                         dist[w] = nd
-                        parent[w] = v
-            else:  # sink: residual arcs back along positive flow
-                j = v - m
-                dv = dist[v]
-                base = pot[v]
-                for i in range(m):
-                    if done[i] or not flow.get((i, j)):
-                        continue
-                    nd = dv - cost[i][j] - pot[i] + base
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        parent[i] = v
-        # nearest deficit sink; ties resolve to the lowest column index
-        sink = -1
-        best = _INF
-        for j in range(n):
-            if remaining_demand[j] and dist[m + j] < best:
-                best = dist[m + j]
-                sink = m + j
-        if sink < 0:
-            raise UnbalancedMarginals("no augmenting path; marginals inconsistent")
-        # walk back to a source, find bottleneck
-        path = []
-        v = sink
-        while parent[v] >= 0:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(remaining_supply[v], remaining_demand[sink - m])
-        for a, b in path:
-            if a >= m:  # residual arc sink->source: limited by its flow
-                bottleneck = min(bottleneck, flow[(b, a - m)])
-        for a, b in path:
-            if a < m:
-                key = (a, b - m)
-                flow[key] = flow.get(key, 0) + bottleneck
-                total += bottleneck * cost[a][b - m]
+                        heappush(heap, (nd, w))
+                    w += 1
+            elif need[v - m]:
+                reach = d
+                break
             else:
-                key = (b, a - m)
-                flow[key] -= bottleneck
-                total -= bottleneck * cost[b][a - m]
-                if not flow[key]:
-                    del flow[key]
-        remaining_supply[v] -= bottleneck
-        remaining_demand[sink - m] -= bottleneck
-        pending -= bottleneck
-        for w in range(m + n):
-            if dist[w] < _INF:
-                pot[w] += int(dist[w])
-    return total, flow
+                for i, f in enumerate(into[v - m]):
+                    if f and d < dist[i]:
+                        dist[i] = d
+                        heappush(heap, (d, i))
+        if reach < 0:
+            raise UnbalancedMarginals("no augmenting path; marginals inconsistent")
+        for v in range(m + n):
+            pot[v] += dist[v] if done[v] else reach
+
+        # blocking flow along tight arcs; a node whose arcs run out is dead
+        # for the rest of the phase
+        tight: list[list[int] | None] = [None] * m
+        ptr = [0] * (m + n)
+        dead = [False] * (m + n)
+        on_path = [False] * (m + n)
+
+        def send(v: int, limit: int) -> int:
+            """Push up to limit units from node v to deficit sinks."""
+            on_path[v] = True
+            sent = 0
+            k = ptr[v]
+            if v < m:
+                arcs = tight[v]
+                if arcs is None:
+                    pv = pot[v]
+                    arcs = tight[v] = [m + j for j, c in enumerate(cost[v])
+                                       if c + pv == pot[m + j]]
+                while k < len(arcs):
+                    w = arcs[k]
+                    if not (dead[w] or on_path[w]):
+                        q = send(w, limit - sent)
+                        into[w - m][v] += q
+                        sent += q
+                        if sent == limit:
+                            break
+                    k += 1
+            else:
+                j = v - m
+                if need[j]:
+                    sent = min(limit, need[j])
+                    need[j] -= sent
+                col = into[j]
+                while sent < limit and k < m:
+                    if col[k] and not (dead[k] or on_path[k]):
+                        q = send(k, min(limit - sent, col[k]))
+                        col[k] -= q
+                        sent += q
+                        if sent == limit:
+                            break
+                    k += 1
+            ptr[v] = k
+            on_path[v] = False
+            if sent < limit:
+                dead[v] = True
+            return sent
+
+        for s in range(m):
+            if left[s] and not dead[s]:
+                q = send(s, left[s])
+                left[s] -= q
+                pending -= q
+
+    flow = {(i, j): f for j, col in enumerate(into) for i, f in enumerate(col) if f}
+    return flow, [-p for p in pot[:m]], pot[m:]
+
+
+def verify_transport_certificate(supply: list[int], demand: list[int],
+                                 cost: list[list[int]],
+                                 flow: Mapping[tuple[int, int], int],
+                                 u: list[int], v: list[int]) -> ValidationResult:
+    """Check in integers that flow is optimal, with (u, v) as the proof.
+
+    The flow must be nonnegative with row sums supply and column sums
+    demand; the dual must satisfy u_i + v_j <= c_ij on every cell; and the
+    objectives must agree, sum(flow * c) == sum(supply * u) + sum(demand * v).
+    By weak duality the flow is then a minimum-cost transport plan. Failure
+    names the first violated condition in the witness.
+    """
+    m, n = len(supply), len(demand)
+    if len(u) != m or len(v) != n:
+        return ValidationResult.failed(
+            f"dual has {len(u)} x {len(v)} entries for a {m} x {n} problem")
+    rows = [0] * m
+    cols = [0] * n
+    primal = 0
+    for (i, j), f in flow.items():
+        if not (0 <= i < m and 0 <= j < n) or f < 0:
+            return ValidationResult.failed(f"bad flow entry {f} on cell ({i}, {j})",
+                                           witness=("cell", i, j))
+        rows[i] += f
+        cols[j] += f
+        primal += f * cost[i][j]
+    for i in range(m):
+        if rows[i] != supply[i]:
+            return ValidationResult.failed(
+                f"row {i} ships {rows[i]} != supply {supply[i]}", witness=("row", i))
+    for j in range(n):
+        if cols[j] != demand[j]:
+            return ValidationResult.failed(
+                f"column {j} receives {cols[j]} != demand {demand[j]}",
+                witness=("column", j))
+    for i in range(m):
+        ui = u[i]
+        for j, (vj, c) in enumerate(zip(v, cost[i])):
+            if ui + vj > c:
+                return ValidationResult.failed(
+                    f"dual infeasible on cell ({i}, {j}): {ui} + {vj} > {c}",
+                    witness=("dual", i, j))
+    dual = (sum(s * ui for s, ui in zip(supply, u))
+            + sum(d * vj for d, vj in zip(demand, v)))
+    if primal != dual:
+        return ValidationResult.failed(
+            f"duality gap: primal {primal} != dual {dual}", witness=("gap", primal, dual))
+    return ValidationResult.passed(f"optimal: primal = dual = {primal}")
 
 
 def wasserstein1(p: TransportProblem,
@@ -207,19 +290,21 @@ def wasserstein1(p: TransportProblem,
 
     The value is zero iff the marginals are equal (costs are graph
     distances, which vanish only on the diagonal), in which case the
-    coupling is the identity.
+    coupling is the identity. The integer problem actually solved is
+    certified on every call; a failed certificate raises CurvatroidError.
     """
-    mu, nu = p.mu, p.nu
-    total_mu = sum(mu.masses.values())
-    total_nu = sum(nu.masses.values())
+    mu, nu = p.mu.masses, p.nu.masses
+    scale = lcm(*(q.denominator for q in mu.values()),
+                *(q.denominator for q in nu.values()))
+    supply_of = {x: q.numerator * (scale // q.denominator) for x, q in mu.items()}
+    demand_of = {y: q.numerator * (scale // q.denominator) for y, q in nu.items()}
+    total_mu, total_nu = sum(supply_of.values()), sum(demand_of.values())
     if total_mu != total_nu:
-        raise UnbalancedMarginals(f"marginal totals differ: {total_mu} != {total_nu}")
+        raise UnbalancedMarginals(f"marginal totals differ: {Fraction(total_mu, scale)} "
+                                  f"!= {Fraction(total_nu, scale)}")
 
     col_index = {y: j for j, y in enumerate(p.col_keys)}
-    masses: dict[tuple[Mask, Mask], Fraction] = {}
-    residual_mu: dict[Mask, Fraction] = dict(mu.masses)
-    residual_nu: dict[Mask, Fraction] = dict(nu.masses)
-
+    units: dict[tuple[Mask, Mask], int] = {}
     if fix_common_mass:
         # shared mass never moves under a metric cost (triangle inequality);
         # requires zero diagonal, which graph distances guarantee
@@ -227,28 +312,27 @@ def wasserstein1(p: TransportProblem,
             j = col_index.get(x)
             if j is None or p.cost[i][j] != 0:
                 continue
-            q = min(residual_mu[x], residual_nu[x])
-            if q > 0:
-                masses[(x, x)] = q
-                residual_mu[x] -= q
-                residual_nu[x] -= q
+            q = min(supply_of[x], demand_of[x])
+            if q:
+                units[(x, x)] = q
+                supply_of[x] -= q
+                demand_of[x] -= q
 
-    rows = [x for x in p.row_keys if residual_mu.get(x, 0) > 0]
-    cols = [y for y in p.col_keys if residual_nu.get(y, 0) > 0]
-    value = Fraction(0)
+    rows = [i for i, x in enumerate(p.row_keys) if supply_of[x]]
+    cols = [j for j, y in enumerate(p.col_keys) if demand_of[y]]
+    scaled_value = 0
     if rows:
-        row_pos = {x: i for i, x in enumerate(p.row_keys)}
-        denoms = [residual_mu[x].denominator for x in rows]
-        denoms += [residual_nu[y].denominator for y in cols]
-        scale = lcm(*denoms)
-        supply = [int(residual_mu[x] * scale) for x in rows]
-        demand = [int(residual_nu[y] * scale) for y in cols]
-        cost = [[p.cost[row_pos[x]][col_index[y]] for y in cols] for x in rows]
-        scaled_value, flow = _solve_integer_transport(supply, demand, cost)
-        value = Fraction(scaled_value, scale)
-        for (i, j), f in flow.items():
-            if f:
-                key = (rows[i], cols[j])
-                masses[key] = masses.get(key, Fraction(0)) + Fraction(f, scale)
+        supply = [supply_of[p.row_keys[i]] for i in rows]
+        demand = [demand_of[p.col_keys[j]] for j in cols]
+        cost = [[p.cost[i][j] for j in cols] for i in rows]
+        flow, u, v = _solve_integer_transport(supply, demand, cost)
+        check = verify_transport_certificate(supply, demand, cost, flow, u, v)
+        if not check:
+            raise CurvatroidError(f"transport certificate failed: {check.detail}")
+        for (a, b), f in flow.items():
+            key = (p.row_keys[rows[a]], p.col_keys[cols[b]])
+            units[key] = units.get(key, 0) + f
+            scaled_value += f * cost[a][b]
 
-    return value, Coupling(masses)
+    masses = {key: Fraction(f, scale) for key, f in units.items()}
+    return Fraction(scaled_value, scale), Coupling(masses)

@@ -307,6 +307,11 @@ def test_audit_all_pairs():
         assert audited.kappa_exact == plain.kappa_exact
 
 
+def test_audit_without_exact_values_is_rejected():
+    with pytest.raises(cv.CurvatroidError, match="exact"):
+        cv.global_curvature(cv.build_named("k4"), exact=False, audit_all_pairs=True)
+
+
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("CURVATROID_THREADS", raising=False)
     assert cv.resolve_workers(None) == 1
@@ -315,3 +320,6 @@ def test_resolve_workers(monkeypatch):
     assert cv.resolve_workers(None) == 2
     assert cv.resolve_workers(8) == 2
     assert cv.resolve_workers(1) == 1
+    monkeypatch.setenv("CURVATROID_THREADS", "abc")
+    with pytest.raises(cv.ParseError, match="CURVATROID_THREADS"):
+        cv.resolve_workers(None)

@@ -320,6 +320,14 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_bad_thread_count_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("CURVATROID_THREADS", "abc")
+    code, out, err = run_cli(capsys, "curvature", "--input", "named:k4", "--exact")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "CURVATROID_THREADS" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_decimal_flag(capsys):
     code, out, _ = run_cli(capsys, "pair", "--input", "named:k4",
                            "--s", "ab,cd,da", "--t", "bd,cd,da", "--decimal")

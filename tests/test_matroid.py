@@ -195,6 +195,13 @@ def test_origin_hash():
     assert lin.origin_hash() != cv.build_named("k4").origin_hash()
 
 
+def test_origin_is_set_at_construction():
+    assert cv.build_matroid(cv.UniformSpec(n=4, k=2)).origin == "uniform(n=4,k=2)"
+    assert cv.build_matroid(cv.UniformSpec(n=4, k=2), origin="mine").origin == "mine"
+    for name in cv.CATALOG_NAMES:
+        assert cv.build_named(name).origin == f"named:{name}"
+
+
 # ── exchange structure ──────────────────────────────────────────────────────
 
 

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import curvatroid as cv
+from curvatroid import transport
+from curvatroid.cli import main
 from oracles import min_cost_by_vertices, network_simplex_value
 
 F = Fraction
@@ -192,6 +195,36 @@ def test_solver_matches_vertex_enumeration_and_simplex():
         assert value == network_simplex_value(supply, demand, grid), trial
 
 
+def workload_shaped_problem(rng: random.Random, rows: int, cols: int):
+    """Rank-4 subsets of 8 elements as points, cost min(3, |x - y|): a
+    metric with values in {0, 1, 2, 3} and many ties, on overlapping
+    supports, like the kernels of an adjacent basis pair."""
+    points = [sum(1 << i for i in c) for c in combinations(range(8), 4)]
+    pool = rng.sample(points, max(rows, cols) + rng.randint(0, min(rows, cols)))
+
+    def spread(keys):
+        weights = [rng.randint(1, 12) for _ in keys]
+        return cv.Distribution({x: F(w, sum(weights)) for x, w in zip(keys, weights)})
+
+    mu = spread(rng.sample(pool, rows))
+    nu = spread(rng.sample(pool, cols))
+    return mu, nu, lambda x, y: min(3, (x & ~y).bit_count())
+
+
+def test_solver_matches_simplex_on_workload_shaped_problems():
+    rng = random.Random(2509)
+    shapes = [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(40)] + [(31, 31)]
+    for trial, (rows, cols) in enumerate(shapes):
+        mu, nu, dist = workload_shaped_problem(rng, rows, cols)
+        problem = cv.TransportProblem.from_distance(mu, nu, dist)
+        value, coupling = cv.wasserstein1(problem)
+        assert cv.verify_coupling(coupling, mu, nu).ok, trial
+        assert cv.expected_distance(coupling, dist) == value, trial
+        supply = [mu.mass(x) for x in problem.row_keys]
+        demand = [nu.mass(y) for y in problem.col_keys]
+        assert value == network_simplex_value(supply, demand, problem.cost), trial
+
+
 def test_fix_common_mass_is_value_neutral(test_set):
     m = test_set["k4"]
     g = cv.basis_graph(m)
@@ -213,3 +246,47 @@ def test_solver_is_deterministic():
     second_value, second = cv.wasserstein1(problem)
     assert first_value == second_value
     assert dict(first.masses) == dict(second.masses)
+
+
+# ── optimality certificate ──────────────────────────────────────────────────
+
+
+def certified_example():
+    """Supplies (2, 1), demands (1, 2): the optimum ships 1 + 3 + 1 = 5, and
+    the dual u = (0, -2), v = (1, 3) is tight on every cell used."""
+    return [2, 1], [1, 2], [[1, 3], [2, 1]], {(0, 0): 1, (0, 1): 1, (1, 1): 1}, [0, -2], [1, 3]
+
+
+def test_certificate_accepts_an_optimal_pair():
+    assert cv.verify_transport_certificate(*certified_example()).ok
+
+
+def test_certificate_rejects_tampering():
+    supply, demand, cost, flow, u, v = certified_example()
+    verify = cv.verify_transport_certificate
+
+    result = verify(supply, demand, cost, flow, [1, -2], v)  # u_0 + v_0 = 2 > 1
+    assert not result.ok and result.witness == ("dual", 0, 0)
+
+    off_by_one = dict(flow)
+    off_by_one[(1, 1)] += 1
+    result = verify(supply, demand, cost, off_by_one, u, v)
+    assert not result.ok and result.witness == ("row", 1)
+
+    result = verify(supply, demand, cost, flow, [-1, -2], v)  # feasible, gap 2
+    assert not result.ok and result.witness == ("gap", 5, 3)
+
+
+def test_failed_certificate_stops_the_solve(monkeypatch, capsys):
+    solve = transport._solve_integer_transport
+
+    def loose_dual(supply, demand, cost):
+        flow, u, v = solve(supply, demand, cost)
+        return flow, [x - 1 for x in u], v
+
+    monkeypatch.setattr(transport, "_solve_integer_transport", loose_dual)
+    problem = kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"])
+    with pytest.raises(cv.CurvatroidError, match="certificate"):
+        cv.wasserstein1(problem)
+    code = main(["pair", "--input", "named:k4", "--s", "ab,cd,da", "--t", "bd,cd,da"])
+    assert code == 1 and "duality gap" in capsys.readouterr().err

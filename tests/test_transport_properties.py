@@ -1,0 +1,44 @@
+"""Property check of the transport solver against networkx min-cost flow."""
+
+from fractions import Fraction
+
+import pytest
+
+import curvatroid as cv
+from oracles import network_simplex_value
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def transport_problems(draw):
+    """Marginals with unrelated denominators and costs in 0..6; rows and
+    columns have disjoint keys, so nothing is fixed on a diagonal."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    weights = st.integers(1, 9)
+    row_w = draw(st.lists(weights, min_size=rows, max_size=rows))
+    col_w = draw(st.lists(weights, min_size=cols, max_size=cols))
+    cost = draw(st.lists(st.lists(st.integers(0, 6), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    mu = cv.Distribution({i: Fraction(w, sum(row_w)) for i, w in enumerate(row_w)})
+    nu = cv.Distribution({100 + j: Fraction(w, sum(col_w)) for j, w in enumerate(col_w)})
+    return mu, nu, cost
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(transport_problems())
+def test_solver_matches_network_simplex(case):
+    mu, nu, cost = case
+
+    def dist(x, y):
+        return cost[x][y - 100]
+
+    problem = cv.TransportProblem.from_distance(mu, nu, dist)
+    value, coupling = cv.wasserstein1(problem, fix_common_mass=False)
+    assert cv.verify_coupling(coupling, mu, nu).ok
+    assert cv.expected_distance(coupling, dist) == value
+    supply = [mu.mass(x) for x in problem.row_keys]
+    demand = [nu.mass(y) for y in problem.col_keys]
+    assert value == network_simplex_value(supply, demand, problem.cost)
