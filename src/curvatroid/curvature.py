@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     ValidationResult,
 )
-from .matroid import Mask, Matroid, basis_sort_key, bits
+from .matroid import Mask, Matroid, bits
 from .transport import Coupling, TransportProblem, wasserstein1
 from .walk import BasisGraph, basis_graph
 
@@ -435,19 +435,20 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask, exact: bool = True) -> Pai
                       expected, kappa)
 
 
-def _pair_key(pair: tuple[Mask, Mask]) -> tuple:
-    return (basis_sort_key(pair[0]), basis_sort_key(pair[1]))
-
-
 def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
-    """Adjacent pairs, each oriented and listed in canonical order."""
+    """Adjacent pairs, each oriented and listed in canonical order.
+
+    Pairs are compared by the positions of their bases in m.sorted_bases(),
+    which is the same order as comparing basis_sort_key tuples.
+    """
+    order = m.sorted_bases()
+    position = {b: i for i, b in enumerate(order)}
     pairs = []
     for x, y in m.adjacent_basis_pairs():
-        if basis_sort_key(x) > basis_sort_key(y):
-            x, y = y, x
-        pairs.append((x, y))
-    pairs.sort(key=_pair_key)
-    return pairs
+        i, j = position[x], position[y]
+        pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return [(order[i], order[j]) for i, j in pairs]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -469,61 +470,71 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
                      audit_all_pairs: bool = False) -> GlobalReport:
     """Minimum pair curvature over every adjacent pair, plus global bounds.
 
+    Every pair gets its frame and witness, so the matroid-consistency checks
+    run on every pair. The per-pair bounds are then looked up by the pair's
+    signature, the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
+    crossing drops u, and computed only for a signature not seen before. The
+    signature and the rank determine both bounds: each is 1/k plus a sum of
+    per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
+    - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
+    disjoint from its own (k-1)-set) and symmetrically for #onlyT.
+
     When a pair's lower and upper bounds agree the sandwiched value is
     already exact and the transport solve is skipped (disable with
     collapse=False). A single-basis family has no pairs; by convention it
     reports curvature 1 with the degenerate flag set. With audit_all_pairs
     the minimum of 1 - W1/d over all basis pairs (any distance) is computed
     as well and must agree with the adjacent-pair minimum; the audit needs
-    exact=True.
+    exact=True and passes vacuously when there is only one basis.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
-    if not pairs:
-        return GlobalReport(Fraction(1) if exact else None, None, theorem_lb,
-                            None, None, 0, degenerate=True)
 
-    g = basis_graph(m)
     frames = []
-    lb_min = ub_min = None
     bounds = []
+    memo: dict[tuple[tuple[int, int, int], ...], tuple[Fraction, Fraction]] = {}
     for x, y in pairs:
         frame = make_pair_frame(m, x, y)
         witness = compute_pair_witness(m, frame)
-        lb = downstep_lb_pair(m, frame, witness)
-        ub = theorem_ub_pair(m, frame, witness)
+        signature = tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
+                                 for e in witness.entries))
+        bound = memo.get(signature)
+        if bound is None:
+            bound = memo[signature] = (downstep_lb_pair(m, frame, witness),
+                                       theorem_ub_pair(m, frame, witness))
         frames.append(frame)
-        bounds.append((lb, ub))
-        if lb_min is None or lb < lb_min:
-            lb_min = lb
-        if ub_min is None or ub < ub_min:
-            ub_min = ub
+        bounds.append(bound)
+    lb_min = min((lb for lb, _ in memo.values()), default=None)
+    ub_min = min((ub for _, ub in memo.values()), default=None)
+    if not exact:
+        return GlobalReport(None, None, theorem_lb, lb_min, ub_min, len(pairs),
+                            degenerate=not pairs)
 
-    kappa = None
-    argmin = None
-    if exact:
-        workers = resolve_workers(workers)
+    g = basis_graph(m)
+    workers = resolve_workers(workers)
 
-        def pair_kappa(i: int) -> Fraction:
-            lb, ub = bounds[i]
-            if collapse and lb == ub:
-                return lb
-            return exact_pair_curvature(m, frames[i])
+    def pair_kappa(i: int) -> Fraction:
+        lb, ub = bounds[i]
+        if collapse and lb == ub:
+            return lb
+        return exact_pair_curvature(m, frames[i])
 
-        if workers > 1:
-            for b in m.sorted_bases():  # warm caches so threads only read
-                g.kernel(b)
-                g.row(b)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                kappas = list(pool.map(pair_kappa, range(len(pairs))))
-        else:
-            kappas = [pair_kappa(i) for i in range(len(pairs))]
+    if workers > 1:
+        for b in m.sorted_bases():  # warm caches so threads only read
+            g.kernel(b)
+            g.row(b)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            kappas = list(pool.map(pair_kappa, range(len(pairs))))
+    else:
+        kappas = [pair_kappa(i) for i in range(len(pairs))]
+    if pairs:
         kappa = min(kappas)
         argmin = pairs[kappas.index(kappa)]  # first minimal pair, canonical order
+    else:
+        kappa, argmin = Fraction(1), None
 
-    audited = False
     if audit_all_pairs:
         order = m.sorted_bases()
         worst = None
@@ -536,10 +547,9 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
                 ratio = 1 - Fraction(value, d)
                 if worst is None or ratio < worst:
                     worst = ratio
-        if worst != kappa:
+        if worst is not None and worst != kappa:
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")
-        audited = True
 
     return GlobalReport(kappa, argmin, theorem_lb, lb_min, ub_min, len(pairs),
-                        degenerate=False, audited=audited)
+                        degenerate=not pairs, audited=audit_all_pairs)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -302,28 +302,48 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})")
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by exact fraction Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    height, width = len(m), len(m[0])
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: same row space, integers."""
+    out = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
+def _integer_rank(m: list[list[int]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination.
+
+    Swaps and replaces entries of m but never writes into a row list, so a
+    shallow copy of m keeps the caller's rows intact.
+
+    After each pivot step every remaining entry is a minor of the input, so
+    the division by the previous pivot is exact and entries stay integers.
+    """
+    height = len(m)
     rank = 0
-    for col in range(width):
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
         pivot = next((r for r in range(rank, height) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(height):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, height):
+            row = m[r]
+            f = row[col]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         rank += 1
         if rank == height:
             break
     return rank
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of a rational matrix, by integer Bareiss elimination."""
+    return _integer_rank(_integer_rows(rows))
 
 
 def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
@@ -336,14 +356,14 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     labels = spec.labels if spec.labels is not None else tuple(f"v{i}" for i in range(width))
     if len(labels) != width:
         raise RankMismatch("label count does not match the column count")
-    k = matrix_rank(rows)
+    scaled = _integer_rows(rows)
+    k = _integer_rank(list(scaled))
     if k == 0:
         raise EmptyBasisFamily("zero matrix has no independent columns")
     _guard_enumeration(width, k)
     bases = []
     for combo in combinations(range(width), k):
-        sub = [[row[c] for c in combo] for row in rows]
-        if matrix_rank(sub) == k:
+        if _integer_rank([[row[c] for c in combo] for row in scaled]) == k:
             bases.append(sum(1 << c for c in combo))
     return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})")
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: optimal transport by
 brute-force enumeration of the transportation polytope's vertices, distances
-by a plain dict-based BFS, and adjacency by the quadratic definition.
+by a plain dict-based BFS, adjacency by the quadratic definition, rank by
+Gaussian elimination over fractions, and pair order by comparing sorted
+index tuples.
 """
 
 from __future__ import annotations
@@ -123,3 +125,37 @@ def quadratic_adjacent_pairs(bases):
             if (x ^ y).bit_count() == 2:
                 out.add((x, y))
     return out
+
+
+def fraction_matrix_rank(rows) -> int:
+    """Rank by exact Gauss-Jordan elimination over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    height, width = len(m), len(m[0])
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, height) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(height):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == height:
+            break
+    return rank
+
+
+def sorted_index_pairs(pairs):
+    """Orient and sort basis-mask pairs by their sorted index tuples."""
+
+    def key(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    oriented = [(x, y) if key(x) <= key(y) else (y, x) for x, y in pairs]
+    return sorted(oriented, key=lambda p: (key(p[0]), key(p[1])))

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
+from curvatroid import curvature, walk
+from oracles import sorted_index_pairs
 
 F = Fraction
 
@@ -282,6 +284,18 @@ def test_degenerate_single_basis():
     bounds_only = cv.global_curvature(cv.build_matroid(cv.UniformSpec(n=2, k=2)),
                                       exact=False)
     assert bounds_only.degenerate and bounds_only.kappa_exact is None
+    # no basis pairs of any distance: the all-pairs audit passes vacuously
+    audited = cv.global_curvature(cv.build_matroid(cv.UniformSpec(n=3, k=3)),
+                                  audit_all_pairs=True)
+    assert audited.degenerate and audited.audited and audited.kappa_exact == 1
+
+
+def test_audit_of_family_without_adjacent_pairs_fails():
+    m = cv.build_matroid(cv.ExplicitSpec(ground=("a", "b", "c", "d"),
+                                         bases=(("a", "b"), ("c", "d"))))
+    assert cv.global_curvature(m).degenerate
+    with pytest.raises(cv.CurvatroidError, match="disconnected"):
+        cv.global_curvature(m, audit_all_pairs=True)
 
 
 def test_collapse_and_workers_do_not_change_results():
@@ -297,6 +311,59 @@ def test_bounds_only_mode():
     assert report.kappa_exact is None and report.argmin_pair is None
     assert report.downstep_lb == F(1, 3)
     assert report.pair_count == 54
+
+
+def bound_test_set(test_set):
+    """The conftest set plus K6 and u(5,12), where many pairs share one
+    crossing-drop signature."""
+    out = dict(test_set)
+    out["k6"] = cv.build_named("k6")
+    out["u(5,12)"] = cv.build_matroid(cv.UniformSpec(n=12, k=5))
+    return out
+
+
+def test_bounds_are_computed_once_per_signature(test_set, monkeypatch):
+    """Pairs sharing a crossing-drop signature share both bounds, and
+    global_curvature computes them once per signature; its reported minima
+    equal the minima of the un-memoised per-pair functions."""
+    lb_pair = curvature.downstep_lb_pair
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lb_pair(*args)
+
+    monkeypatch.setattr(curvature, "downstep_lb_pair", counted)
+    for name, m in bound_test_set(test_set).items():
+        by_signature = {}
+        for x, y in cv.canonical_pairs(m):
+            frame = cv.make_pair_frame(m, x, y)
+            witness = cv.compute_pair_witness(m, frame)
+            signature = tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
+                                     for e in witness.entries))
+            bounds = (lb_pair(m, frame), cv.theorem_ub_pair(m, frame))
+            assert by_signature.setdefault(signature, bounds) == bounds, name
+        calls.clear()
+        report = cv.global_curvature(m, exact=False)
+        assert len(calls) == len(by_signature), name
+        assert report.downstep_lb == min(
+            (lb for lb, _ in by_signature.values()), default=None), name
+        assert report.theorem_ub == min(
+            (ub for _, ub in by_signature.values()), default=None), name
+
+
+def test_canonical_pair_order_matches_sorted_index_tuples(test_set):
+    for name, m in bound_test_set(test_set).items():
+        pairs = cv.canonical_pairs(m)
+        assert pairs == sorted_index_pairs(m.adjacent_basis_pairs()), name
+
+
+def test_bounds_only_builds_no_exchange_graph():
+    m = cv.build_named("k4")
+    cv.global_curvature(m, exact=False)
+    assert m not in walk._graphs
+    cv.global_curvature(m)
+    assert m in walk._graphs
 
 
 def test_audit_all_pairs():

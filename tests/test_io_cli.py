@@ -280,6 +280,15 @@ def test_cli_curvature_exact_vs_default(capsys):
     assert cv.parse_rational(obj["downstepLBGlobal"]) <= F(-1, 21)
 
 
+def test_cli_all_pairs_audit_on_single_basis(capsys, tmp_path):
+    path = write_json(tmp_path, "one.json", {"type": "uniform", "n": 3, "k": 3})
+    code, out, _ = run_cli(capsys, "curvature", "--input", path, "--all-pairs")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["degenerate"] is True and obj["audited"] is True
+    assert obj["kappaExact"] == "1" and obj["pairCount"] == 0
+
+
 def test_cli_bases_and_pairs(capsys):
     code, out, _ = run_cli(capsys, "bases", "--input", "named:fano")
     assert code == 0
