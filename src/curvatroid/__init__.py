@@ -16,6 +16,7 @@ from .errors import (
     InvalidBasisArgument,
     InvalidRank,
     NotABasis,
+    NotAMatroid,
     NotAdjacent,
     ParseError,
     RankMismatch,
@@ -45,9 +46,7 @@ from .catalog import CATALOG_NAMES, DISTINGUISHED_PAIRS, build_named
 from .walk import (
     BasisGraph,
     Distribution,
-    basis_distance,
     basis_graph,
-    distance_matrix,
     transition_distribution,
 )
 from .transport import (
@@ -77,7 +76,6 @@ from .curvature import (
     global_curvature,
     make_pair_frame,
     proposition_distance_check,
-    resolve_workers,
     theorem_lb_global,
     theorem_ub_pair,
     theorem_ub_values,
@@ -96,7 +94,7 @@ __all__ = [
     # errors
     "BadRational", "CurvatroidError", "DegenerateGraph", "ElementNotInBasis",
     "EmptyBasisFamily", "InvalidBasisArgument", "InvalidRank", "NotABasis",
-    "NotAdjacent", "ParseError", "RankMismatch", "TooLarge",
+    "NotAMatroid", "NotAdjacent", "ParseError", "RankMismatch", "TooLarge",
     "UnbalancedMarginals", "UnknownElement", "UnknownType", "ValidationResult",
     # matroids
     "ENUMERATION_LIMIT", "ExplicitSpec", "GraphicSpec", "LinearSpec", "Mask",
@@ -104,8 +102,7 @@ __all__ = [
     "bits", "build_matroid", "matrix_rank", "validate_exchange_axiom",
     "CATALOG_NAMES", "DISTINGUISHED_PAIRS", "build_named",
     # walk
-    "BasisGraph", "Distribution", "basis_distance", "basis_graph",
-    "distance_matrix", "transition_distribution",
+    "BasisGraph", "Distribution", "basis_graph", "transition_distribution",
     # transport
     "Coupling", "TransportProblem", "expected_distance", "verify_coupling",
     "verify_transport_certificate", "wasserstein1",
@@ -115,7 +112,7 @@ __all__ = [
     "canonical_pairs", "compute_pair_report", "compute_pair_witness",
     "downstep_coupling_table", "downstep_lb_pair", "downstep_lb_via_coupling",
     "exact_pair_curvature", "global_curvature", "make_pair_frame",
-    "proposition_distance_check", "resolve_workers", "theorem_lb_global",
+    "proposition_distance_check", "theorem_lb_global",
     "theorem_ub_pair", "theorem_ub_values",
     # file input and serialization
     "approx_decimal", "format_rational", "load_input", "parse_matroid_file",

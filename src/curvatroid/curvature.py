@@ -16,22 +16,25 @@ Every quantity is an exact fraction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     CurvatroidError,
+    ElementNotInBasis,
     InvalidRank,
     NotABasis,
     NotAdjacent,
-    ParseError,
     ValidationResult,
 )
 from .matroid import Mask, Matroid, bits
 from .transport import Coupling, TransportProblem, wasserstein1
-from .walk import BasisGraph, basis_graph
+from .walk import basis_graph
+
+
+def _exchange_distance(x: Mask, y: Mask) -> int:
+    """Exchange-graph distance |X - Y| between two bases of a matroid."""
+    return (x & ~y).bit_count()
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
@@ -108,13 +111,21 @@ def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
     For non-crossing drops the two neighborhoods coincide; a violation means
     the family is not a matroid.
     """
+    s_basis, t_basis = frame.s_basis, frame.t_basis
+    if s_basis not in m.bases or t_basis not in m.bases:
+        raise NotABasis("pair frame names a set that is not a basis")
+    both = s_basis & t_basis
+    table = m._completion_table()
     t_bit = 1 << frame.t_elem
     s_bit = 1 << frame.s_elem
     crossing = []
     entries = []
     for u in frame.shared:
-        ns = m.exchange_neighborhood(frame.s_basis, u)
-        nt = m.exchange_neighborhood(frame.t_basis, u)
+        u_bit = 1 << u
+        if not both & u_bit:
+            raise ElementNotInBasis(f"shared element {m.labels[u]!r} not in both bases")
+        ns = table[s_basis ^ u_bit]
+        nt = table[t_basis ^ u_bit]
         if ns & t_bit:
             if not nt & s_bit:
                 raise CurvatroidError("exchange symmetry violated; not a matroid")
@@ -245,9 +256,10 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     residual mass is filled by the product rule. Every outcome pair sits at
     distance at most two; the expected distance does not depend on the
     residual filling because the only distance-one residual column is
-    marginal-forced.
+    marginal-forced. Distances are |X - Y|, so the family must pass the
+    matroid gate first.
     """
-    g = basis_graph(m)
+    m.require_matroid()
     k = m.rank
     s_bit = 1 << frame.s_elem
     t_bit = 1 << frame.t_elem
@@ -255,7 +267,7 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     cells: list[CouplingCell] = []
 
     def emit(drop_s, drop_t, add_s, add_t, x, y, mass):
-        d = 0 if x == y else g.distance(x, y)
+        d = (x & ~y).bit_count()
         if d > 2:
             raise CurvatroidError("coupling produced a pair beyond distance two")
         cells.append(CouplingCell(drop_s, drop_t, add_s, add_t, x, y, mass, d))
@@ -337,7 +349,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     """1 - W1 between the two one-step distributions."""
     g = basis_graph(m)
     problem = TransportProblem.from_distance(
-        g.kernel(frame.s_basis), g.kernel(frame.t_basis), g.distance)
+        g.kernel(frame.s_basis), g.kernel(frame.t_basis), _exchange_distance)
     value, _ = wasserstein1(problem)
     return 1 - value
 
@@ -422,7 +434,12 @@ class GlobalReport:
 
 
 def compute_pair_report(m: Matroid, s: Mask, t: Mask, exact: bool = True) -> PairReport:
-    """All per-pair quantities for one adjacent pair."""
+    """All per-pair quantities for one adjacent pair.
+
+    The matroid gate runs first, so a non-matroid fails on the exchange
+    axiom's witness rather than on a later consistency check.
+    """
+    m.require_matroid()
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
     lb = downstep_lb_pair(m, frame, witness)
@@ -451,22 +468,7 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
     return [(order[i], order[j]) for i, j in pairs]
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for pair fan-out, capped by CURVATROID_THREADS."""
-    cap = os.environ.get("CURVATROID_THREADS")
-    try:
-        limit = max(1, int(cap)) if cap else None
-    except ValueError:
-        raise ParseError(f"CURVATROID_THREADS must be an integer, got {cap!r}") from None
-    if workers is None:
-        workers = limit or 1
-    if limit is not None:
-        workers = min(workers, limit)
-    return max(1, workers)
-
-
 def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
-                     workers: int | None = None,
                      audit_all_pairs: bool = False) -> GlobalReport:
     """Minimum pair curvature over every adjacent pair, plus global bounds.
 
@@ -485,10 +487,12 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
     reports curvature 1 with the degenerate flag set. With audit_all_pairs
     the minimum of 1 - W1/d over all basis pairs (any distance) is computed
     as well and must agree with the adjacent-pair minimum; the audit needs
-    exact=True and passes vacuously when there is only one basis.
+    exact=True and passes vacuously when there is only one basis. Exact runs
+    pass the matroid gate before the sweep; bounds-only runs never run it.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
+    g = basis_graph(m) if exact else None
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
 
@@ -512,23 +516,8 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
         return GlobalReport(None, None, theorem_lb, lb_min, ub_min, len(pairs),
                             degenerate=not pairs)
 
-    g = basis_graph(m)
-    workers = resolve_workers(workers)
-
-    def pair_kappa(i: int) -> Fraction:
-        lb, ub = bounds[i]
-        if collapse and lb == ub:
-            return lb
-        return exact_pair_curvature(m, frames[i])
-
-    if workers > 1:
-        for b in m.sorted_bases():  # warm caches so threads only read
-            g.kernel(b)
-            g.row(b)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            kappas = list(pool.map(pair_kappa, range(len(pairs))))
-    else:
-        kappas = [pair_kappa(i) for i in range(len(pairs))]
+    kappas = [lb if collapse and lb == ub else exact_pair_curvature(m, frame)
+              for frame, (lb, ub) in zip(frames, bounds)]
     if pairs:
         kappa = min(kappas)
         argmin = pairs[kappas.index(kappa)]  # first minimal pair, canonical order
@@ -540,9 +529,9 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
         worst = None
         for i, x in enumerate(order):
             for y in order[i + 1:]:
-                d = g.distance(x, y)
+                d = _exchange_distance(x, y)
                 problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
-                                                         g.distance)
+                                                         _exchange_distance)
                 value, _ = wasserstein1(problem)
                 ratio = 1 - Fraction(value, d)
                 if worst is None or ratio < worst:

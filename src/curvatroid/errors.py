@@ -29,6 +29,10 @@ class NotABasis(CurvatroidError):
     """A set that is not a member of the basis family."""
 
 
+class NotAMatroid(CurvatroidError):
+    """A basis family that violates the basis exchange axiom."""
+
+
 class ElementNotInBasis(CurvatroidError):
     """Asked to drop an element from a basis that does not contain it."""
 

@@ -23,6 +23,7 @@ from .errors import (
     EmptyBasisFamily,
     InvalidRank,
     NotABasis,
+    NotAMatroid,
     RankMismatch,
     TooLarge,
     UnknownElement,
@@ -92,12 +93,16 @@ class Matroid:
 
     Instances are immutable once built; use build_matroid() rather than the
     constructor so the family is validated for shape (nonempty, equal ranks).
+    known_matroid marks a family that satisfies the exchange axiom by
+    theorem (uniform, graphic and linear constructions); any other family is
+    checked once, by require_matroid, before its first distance is used.
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index",
-                 "_completions", "_sorted", "_hash", "__weakref__")
+                 "_completions", "_sorted", "_hash", "_exchange", "__weakref__")
 
-    def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str):
+    def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
+                 known_matroid: bool = False):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise UnknownElement("duplicate ground labels")
@@ -120,6 +125,8 @@ class Matroid:
         self._completions: dict[Mask, Mask] | None = None
         self._sorted: list[Mask] | None = None
         self._hash: str | None = None
+        self._exchange: ValidationResult | None = (
+            ValidationResult.passed("matroid by construction") if known_matroid else None)
 
     # -- ground set -----------------------------------------------------
 
@@ -200,6 +207,20 @@ class Matroid:
                 for y in xs[i + 1:]:
                     yield bx, sub | (1 << y)
 
+    def require_matroid(self) -> None:
+        """Raise NotAMatroid, naming the witness, unless the family satisfies
+        the basis exchange axiom.
+
+        In a matroid the exchange-graph distance between bases X and Y is
+        |X - Y|, so every distance computation calls this first. An explicit
+        family runs validate_exchange_axiom on the first call only; the
+        result is cached on the instance.
+        """
+        if self._exchange is None:
+            self._exchange = validate_exchange_axiom(self)
+        if not self._exchange.ok:
+            raise NotAMatroid(f"not a matroid: {self._exchange.detail}")
+
     # -- identity ---------------------------------------------------------
 
     def origin_hash(self) -> str:
@@ -239,7 +260,8 @@ def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
         raise InvalidRank(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
     _guard_enumeration(n, k)
     bases = [sum(1 << i for i in combo) for combo in combinations(range(n), k)]
-    return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})")
+    return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})",
+                   known_matroid=True)
 
 
 class _UnionFind:
@@ -299,7 +321,8 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
             bases.append(sum(1 << i for i in combo))
     # k = v - components guarantees acyclic k-subsets are maximum forests,
     # and at least one exists (greedy over the whole edge set)
-    return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})")
+    return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
+                   known_matroid=True)
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -365,7 +388,8 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     for combo in combinations(range(width), k):
         if _integer_rank([[row[c] for c in combo] for row in scaled]) == k:
             bases.append(sum(1 << c for c in combo))
-    return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})")
+    return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})",
+                   known_matroid=True)
 
 
 def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:
@@ -395,8 +419,9 @@ def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:
 def build_matroid(spec: MatroidSpec, origin: str | None = None) -> Matroid:
     """Build the matroid described by a construction spec.
 
-    Explicit families are taken verbatim (shape-checked only); run
-    validate_exchange_axiom separately when the input is untrusted. The
+    Explicit families are taken verbatim (shape-checked only); their
+    exchange axiom is checked once, at the first distance computation
+    (Matroid.require_matroid), or on demand by validate_exchange_axiom. The
     origin defaults to a description of the construction; a named spec
     always reports its catalog name.
     """
@@ -431,7 +456,7 @@ def validate_exchange_axiom(m: Matroid) -> ValidationResult:
     order = m.sorted_bases()
     for b1 in order:
         # completion masks for each single-element removal of b1
-        removals = [(low, table[b1 ^ low]) for low in _bit_list(b1)]
+        removals = [(1 << u, table[b1 ^ (1 << u)]) for u in bits(b1)]
         for b2 in order:
             if b1 == b2:
                 continue
@@ -451,12 +476,3 @@ def validate_exchange_axiom(m: Matroid) -> ValidationResult:
         f"exchange axiom holds for all {len(order)} bases "
         f"(equal rank {m.rank}, nonempty by construction)"
     )
-
-
-def _bit_list(mask: Mask) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out

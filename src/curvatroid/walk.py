@@ -1,22 +1,22 @@
-"""The down-up basis-exchange walk and the basis exchange graph.
+"""The down-up basis-exchange walk and the metric of the basis exchange graph.
 
 One walk step from a basis S: drop an element u of S uniformly, then replace
 S - u by a uniform choice among all bases containing it. All masses are
 exact fractions. The exchange graph (bases adjacent when they differ by one
-exchange) carries the metric used by the transport layer; distances come
-from BFS, with every served row checked against the symmetric-difference
-formula d(X, Y) = |X - Y| before use, so the fast formula is verified for
-the matroid at hand rather than assumed.
+exchange) carries the metric used by the transport layer. In a matroid its
+shortest-path distance is d(X, Y) = |X - Y|, so distances are popcounts and
+no graph is built; basis_graph gates the family through
+Matroid.require_matroid, which checks an explicit family against the
+exchange axiom once and rejects a non-matroid with the validator's witness.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NotABasis
 from .matroid import Mask, Matroid, basis_sort_key, bits
@@ -76,32 +76,16 @@ def transition_distribution(m: Matroid, s: Mask) -> Distribution:
 
 
 class BasisGraph:
-    """Exchange graph on the basis family with verified distance service.
+    """Kernel cache and exchange-graph metric of a matroid's down-up walk.
 
-    Rows of the distance table are produced by BFS and compared against the
-    symmetric-difference formula. After `verify_budget` distinct sources
-    check out clean, later rows are served by the formula directly; a
-    mismatch (possible only for families violating the exchange axiom)
-    permanently disables the formula and keeps serving BFS rows.
+    The constructor runs the matroid gate (Matroid.require_matroid), so the
+    basis-graph distance it serves is the formula |X - Y|.
     """
 
-    def __init__(self, m: Matroid, verify_budget: int = 64):
+    def __init__(self, m: Matroid):
+        m.require_matroid()
         self.matroid = m
-        self.order = m.sorted_bases()
-        self.index = {b: i for i, b in enumerate(self.order)}
-        self.adj: list[list[int]] = [[] for _ in self.order]
-        for x, y in m.adjacent_basis_pairs():
-            xi, yi = self.index[x], self.index[y]
-            self.adj[xi].append(yi)
-            self.adj[yi].append(xi)
-        self.verify_budget = verify_budget
-        self._rows: dict[int, list[int]] = {}
-        self._verified = 0
-        self._formula_ok = True
         self._kernels: dict[Mask, Distribution] = {}
-
-    def __len__(self) -> int:
-        return len(self.order)
 
     def kernel(self, s: Mask) -> Distribution:
         """Cached transition distribution."""
@@ -111,86 +95,21 @@ class BasisGraph:
             self._kernels[s] = dist
         return dist
 
-    # -- distances --------------------------------------------------------
-
-    def _bfs_row(self, src: int) -> list[int]:
-        row = [-1] * len(self.order)
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            dnext = row[v] + 1
-            for w in self.adj[v]:
-                if row[w] < 0:
-                    row[w] = dnext
-                    queue.append(w)
-        return row
-
-    def _formula_row(self, src: int) -> list[int]:
-        x = self.order[src]
-        return [(x & ~y).bit_count() for y in self.order]
-
-    def row(self, x: Mask) -> list[int]:
-        """Distances from basis x to every basis, in canonical order."""
-        src = self._vertex(x)
-        row = self._rows.get(src)
-        if row is not None:
-            return row
-        if self._formula_ok and self._verified >= self.verify_budget:
-            row = self._formula_row(src)
-        else:
-            row = self._bfs_row(src)
-            if self._formula_ok:
-                if row == self._formula_row(src):
-                    self._verified += 1
-                else:
-                    self._formula_ok = False
-        self._rows[src] = row
-        return row
-
-    def _vertex(self, x: Mask) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise NotABasis(f"mask {x} is not a vertex of the basis graph") from None
-
     def distance(self, x: Mask, y: Mask) -> int:
-        d = self.row(x)[self._vertex(y)]
-        if d < 0:
-            raise NotABasis(
-                "basis graph is disconnected (family violates the exchange axiom)"
-            )
-        return d
-
-    def verify_distance_formula(self) -> bool:
-        """Exhaustively compare BFS against |X - Y| from every source."""
-        for src in range(len(self.order)):
-            if self._bfs_row(src) != self._formula_row(src):
-                return False
-        return True
+        """Exchange-graph distance between two bases: |X - Y|."""
+        bases = self.matroid.bases
+        if x not in bases or y not in bases:
+            raise NotABasis("distance is defined between bases only")
+        return (x & ~y).bit_count()
 
 
 _graphs: "weakref.WeakKeyDictionary[Matroid, BasisGraph]" = weakref.WeakKeyDictionary()
 
 
 def basis_graph(m: Matroid) -> BasisGraph:
-    """Per-matroid cached exchange graph."""
+    """Per-matroid cached BasisGraph; raises NotAMatroid for a non-matroid."""
     g = _graphs.get(m)
     if g is None:
         g = BasisGraph(m)
         _graphs[m] = g
     return g
-
-
-def basis_distance(g: BasisGraph, x: Mask, y: Mask) -> int:
-    """Shortest-path distance between two bases in the exchange graph."""
-    return g.distance(x, y)
-
-
-def distance_matrix(g: BasisGraph, sources: Iterable[Mask]) -> dict[Mask, dict[Mask, int]]:
-    """Exact distances from each source to every basis."""
-    out = {}
-    for x in sources:
-        row = g.row(x)
-        out[x] = {y: row[i] for i, y in enumerate(g.order)}
-    return out

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import curvatroid as cv
 from curvatroid.catalog import rank3_counterexample_linear_spec
-from oracles import min_cost_by_vertices
+from oracles import bfs_distances, min_cost_by_vertices, quadratic_adjacent_pairs
 
 F = Fraction
 
@@ -171,17 +171,22 @@ def test_criterion_10_transport_and_distance_oracles(sweep):
             oracled += 1
     assert oracled >= 30
 
-    # BFS distance equals the symmetric-difference count on every basis pair
+    # the served distance equals BFS on the exchange graph, and the
+    # symmetric-difference count, on every basis pair
     for name, data in sweep.items():
         m = data.matroid
         if m.n > 10:
             continue
         g = cv.basis_graph(m)
+        adj = {b: [] for b in m.bases}
+        for x, y in quadratic_adjacent_pairs(m.bases):
+            adj[x].append(y)
+            adj[y].append(x)
         order = m.sorted_bases()
         for x in order:
-            row = cv.distance_matrix(g, [x])[x]
+            row = bfs_distances(adj, x)
             for y in order:
-                assert row[y] == (x & ~y).bit_count(), name
+                assert g.distance(x, y) == row[y] == (x & ~y).bit_count(), name
 
 
 def test_criterion_11_rank3_representations_agree():

@@ -90,6 +90,19 @@ def test_witness_no_crossing():
     assert witness.entries == ()
 
 
+def test_witness_rejects_inconsistent_frame():
+    # frames built by hand rather than by make_pair_frame
+    m = u42()
+    a, b, c, d = (m.element_index(x) for x in "abcd")
+    ab, ac = m.mask_from_labels(["a", "b"]), m.mask_from_labels(["a", "c"])
+    with pytest.raises(cv.NotABasis):
+        cv.compute_pair_witness(m, cv.PairFrame(ab | 1 << d, ac, b, c, (a,)))
+    with pytest.raises(cv.NotABasis):
+        cv.compute_pair_witness(m, cv.PairFrame(ab, ac | 1 << d, b, c, (a,)))
+    with pytest.raises(cv.ElementNotInBasis):
+        cv.compute_pair_witness(m, cv.PairFrame(ab, ac, b, c, (d,)))
+
+
 # ── closed-form bounds ──────────────────────────────────────────────────────
 
 
@@ -293,16 +306,17 @@ def test_degenerate_single_basis():
 def test_audit_of_family_without_adjacent_pairs_fails():
     m = cv.build_matroid(cv.ExplicitSpec(ground=("a", "b", "c", "d"),
                                          bases=(("a", "b"), ("c", "d"))))
-    assert cv.global_curvature(m).degenerate
-    with pytest.raises(cv.CurvatroidError, match="disconnected"):
-        cv.global_curvature(m, audit_all_pairs=True)
+    assert cv.global_curvature(m, exact=False).degenerate
+    # exact values need distances, and {ab, cd} fails the exchange gate
+    for audit in (False, True):
+        with pytest.raises(cv.NotAMatroid, match="exchange fails"):
+            cv.global_curvature(m, audit_all_pairs=audit)
 
 
-def test_collapse_and_workers_do_not_change_results():
+def test_collapse_does_not_change_results():
     m = cv.build_named("k4")
     base = cv.global_curvature(m)
     assert cv.global_curvature(m, collapse=False) == base
-    assert cv.global_curvature(m, workers=2) == base
 
 
 def test_bounds_only_mode():
@@ -378,15 +392,3 @@ def test_audit_without_exact_values_is_rejected():
     with pytest.raises(cv.CurvatroidError, match="exact"):
         cv.global_curvature(cv.build_named("k4"), exact=False, audit_all_pairs=True)
 
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("CURVATROID_THREADS", raising=False)
-    assert cv.resolve_workers(None) == 1
-    assert cv.resolve_workers(4) == 4
-    monkeypatch.setenv("CURVATROID_THREADS", "2")
-    assert cv.resolve_workers(None) == 2
-    assert cv.resolve_workers(8) == 2
-    assert cv.resolve_workers(1) == 1
-    monkeypatch.setenv("CURVATROID_THREADS", "abc")
-    with pytest.raises(cv.ParseError, match="CURVATROID_THREADS"):
-        cv.resolve_workers(None)

@@ -16,9 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from curvatroid.catalog import DISTINGUISHED_PAIRS
 from curvatroid.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+# one adjacent pair per catalog entry for the single-pair commands
+PAIRS = {
+    **DISTINGUISHED_PAIRS,
+    "vamos": (("c1", "c2", "d1", "d2"), ("a1", "c1", "c2", "d1")),
+    "fano": (("1", "2", "4"), ("1", "2", "5")),
+}
 
 CASES = (
     [("curvature", name, ()) for name in
@@ -26,6 +34,8 @@ CASES = (
     + [("curvature", name, ("--exact",)) for name in
        ("vamos", "fano", "k4", "rank3-counterexample")]
     + [("pairs", name, ()) for name in ("k4", "fano")]
+    + [(command, name, ()) for command in ("pair", "coupling") for name in PAIRS]
+    + [("validate", "fano", ())]
 )
 FORMATS = ("json", "csv")
 
@@ -36,9 +46,13 @@ def golden_name(command: str, name: str, flags: tuple[str, ...], fmt: str) -> st
 
 
 def render(command: str, name: str, flags: tuple[str, ...], fmt: str) -> bytes:
+    argv = [command, "--input", f"named:{name}", *flags, "--format", fmt]
+    if command in ("pair", "coupling"):
+        s, t = PAIRS[name]
+        argv += ["--s", ",".join(s), "--t", ",".join(t)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, "--input", f"named:{name}", *flags, "--format", fmt])
+        code = main(argv)
     assert code == 0
     return out.getvalue().encode("utf-8")
 

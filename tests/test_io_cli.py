@@ -329,12 +329,24 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_cli_bad_thread_count_is_a_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("CURVATROID_THREADS", "abc")
-    code, out, err = run_cli(capsys, "curvature", "--input", "named:k4", "--exact")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "CURVATROID_THREADS" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+def test_cli_non_matroid_fails_on_every_distance_path(capsys, tmp_path):
+    # ab - ac and de - df are adjacent pairs whose witnesses check out, but
+    # nothing exchanges ab towards de: only the matroid gate catches it
+    path = write_json(tmp_path, "split.json",
+                      {"type": "explicit", "ground": list("abcdef"),
+                       "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]})
+    witness = "'a' dropped from ('a', 'b')"
+    pair = ("--s", "a,b", "--t", "a,c")
+    for argv in (("curvature", "--exact"), ("curvature", "--all-pairs"),
+                 ("pair", *pair), ("coupling", *pair)):
+        code, out, err = run_cli(capsys, argv[0], "--input", path, *argv[1:])
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: not a matroid") and witness in err, argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+    code, out, _ = run_cli(capsys, "curvature", "--input", path)
+    assert code == 0 and json.loads(out)["pairCount"] == 2
+    code, out, _ = run_cli(capsys, "validate", "--input", path)
+    assert code == 1 and witness in json.loads(out)["detail"]
 
 
 def test_cli_decimal_flag(capsys):

@@ -6,17 +6,30 @@ from types import MappingProxyType
 import pytest
 
 import curvatroid as cv
-from oracles import bfs_distances
+from curvatroid import matroid
+from oracles import bfs_distances, quadratic_adjacent_pairs
 
 F = Fraction
 
 
 def adjacency_of(m: cv.Matroid) -> dict[int, list[int]]:
+    """Exchange-graph adjacency by the quadratic definition."""
     adj: dict[int, list[int]] = {b: [] for b in m.bases}
-    for x, y in m.adjacent_basis_pairs():
+    for x, y in quadratic_adjacent_pairs(m.bases):
         adj[x].append(y)
         adj[y].append(x)
     return adj
+
+
+def assert_distances_match_bfs(m: cv.Matroid, name: str) -> None:
+    """basis_graph(m).distance against BFS and |X - Y| on every basis pair."""
+    g = cv.basis_graph(m)
+    adj = adjacency_of(m)
+    for src in m.sorted_bases():
+        want = bfs_distances(adj, src)
+        assert set(want) == m.bases, name  # the exchange graph is connected
+        for dst in m.sorted_bases():
+            assert g.distance(src, dst) == want[dst] == (src & ~dst).bit_count(), name
 
 
 # ── transition kernel ───────────────────────────────────────────────────────
@@ -67,7 +80,7 @@ def test_kernel_sums_to_one_and_support_radius(test_set):
             p = cv.transition_distribution(m, s)
             assert sum(mass for _, mass in p.items_sorted()) == 1
             for b in p.support():
-                assert cv.basis_distance(g, s, b) <= 1, name
+                assert g.distance(s, b) <= 1, name
 
 
 def test_kernel_symmetric_and_doubly_stochastic():
@@ -107,60 +120,101 @@ def test_distance_u42():
     g = cv.basis_graph(m)
     ab = m.mask_from_labels(["a", "b"])
     cd = m.mask_from_labels(["c", "d"])
-    assert cv.basis_distance(g, ab, ab) == 0
-    assert cv.basis_distance(g, ab, cd) == 2
-    table = cv.distance_matrix(g, m.bases)
-    assert max(max(row.values()) for row in table.values()) == 2
+    assert g.distance(ab, ab) == 0
+    assert g.distance(ab, cd) == 2
+    assert max(g.distance(x, y) for x in m.bases for y in m.bases) == 2
 
 
 def test_distance_matches_bfs_oracle():
     for name in ("k4", "fano", "vamos", "rank3-counterexample"):
-        m = cv.build_named(name)
-        g = cv.basis_graph(m)
-        adj = adjacency_of(m)
-        for src in m.sorted_bases():
-            want = bfs_distances(adj, src)
-            for dst in m.sorted_bases():
-                assert cv.basis_distance(g, src, dst) == want[dst], name
+        assert_distances_match_bfs(cv.build_named(name), name)
 
 
 def test_distance_matrix_consistency():
+    # one full row: BFS reaches every basis, each at the served distance
     m = cv.build_named("k4")
     g = cv.basis_graph(m)
     src = m.mask_from_labels(["ab", "bc", "cd"])
-    row = cv.distance_matrix(g, [src])[src]
-    assert set(row) == m.bases
-    assert all(row[dst] == cv.basis_distance(g, src, dst) for dst in m.bases)
+    want = bfs_distances(adjacency_of(m), src)
+    assert set(want) == m.bases
+    assert {dst: g.distance(src, dst) for dst in m.bases} == want
 
 
 def test_distance_formula_verified(test_set):
     for name, m in test_set.items():
         if m.n > 10:
             continue
-        assert cv.basis_graph(m).verify_distance_formula(), name
+        assert_distances_match_bfs(m, name)
 
 
 def test_distance_is_a_metric():
     for name in ("u(4,2)", "k4", "fano"):
         m = (cv.build_matroid(cv.UniformSpec(n=4, k=2)) if name == "u(4,2)"
              else cv.build_named(name))
-        g = cv.basis_graph(m)
+        d = cv.basis_graph(m).distance
         order = m.sorted_bases()
-        d = cv.distance_matrix(g, order)
         for x in order:
             for y in order:
-                assert (d[x][y] == 0) == (x == y)
-                assert d[x][y] == d[y][x]
+                assert (d(x, y) == 0) == (x == y)
+                assert d(x, y) == d(y, x)
                 for z in order:
-                    assert d[x][z] <= d[x][y] + d[y][z], name
+                    assert d(x, z) <= d(x, y) + d(y, z), name
 
 
 def test_distance_rejects_non_basis():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     g = cv.basis_graph(m)
+    ab = m.mask_from_labels(["a", "b"])
+    abc = m.mask_from_labels(["a", "b", "c"])
     with pytest.raises(cv.NotABasis):
-        cv.basis_distance(g, m.mask_from_labels(["a", "b"]),
-                          m.mask_from_labels(["a", "b", "c"]))
+        g.distance(ab, abc)
+    with pytest.raises(cv.NotABasis):
+        g.distance(abc, ab)
+
+
+def explicit(ground: str, *bases: str) -> cv.Matroid:
+    return cv.build_matroid(cv.ExplicitSpec(ground=tuple(ground),
+                                            bases=tuple(tuple(b) for b in bases)))
+
+
+def test_basis_graph_rejects_non_matroid():
+    # ab - ac and de - df are adjacent, but nothing exchanges ab towards de
+    m = explicit("abcdef", "ab", "ac", "de", "df")
+    with pytest.raises(cv.NotAMatroid, match=r"'a' dropped from \('a', 'b'\)"):
+        cv.basis_graph(m)
+    with pytest.raises(cv.NotAMatroid):
+        cv.exact_pair_curvature(m, cv.make_pair_frame(
+            m, m.mask_from_labels("ab"), m.mask_from_labels("ac")))
+    with pytest.raises(cv.NotAMatroid):
+        cv.downstep_coupling_table(m, cv.make_pair_frame(
+            m, m.mask_from_labels("ab"), m.mask_from_labels("ac")))
+    # the bounds need no distance and still run
+    assert cv.global_curvature(m, exact=False).pair_count == 2
+
+
+def test_exchange_axiom_is_checked_once_and_only_for_explicit_families(monkeypatch):
+    calls = []
+    validate = matroid.validate_exchange_axiom
+
+    def counted(m):
+        calls.append(m.origin)
+        return validate(m)
+
+    monkeypatch.setattr(matroid, "validate_exchange_axiom", counted)
+    for m in (cv.build_matroid(cv.UniformSpec(n=5, k=2)), cv.build_named("k4"),
+              cv.build_matroid(cv.LinearSpec(matrix=((F(1), F(0), F(1)),
+                                                     (F(0), F(1), F(1)))))):
+        cv.global_curvature(m)
+        cv.basis_graph(m).distance(*m.sorted_bases()[:2])
+    assert calls == []
+    for m in (cv.build_named("fano"), explicit("abcdef", "ab", "ac", "de", "df")):
+        for _ in range(3):
+            try:
+                m.require_matroid()
+            except cv.NotAMatroid:
+                pass
+        assert calls == [m.origin]
+        calls.clear()
 
 
 def test_rank3_one_sided_adds_sit_at_distance_two():
@@ -181,8 +235,7 @@ def test_rank3_one_sided_adds_sit_at_distance_two():
             for y in cv.bits(m.exchange_neighborhood(t_mask, entry.drop)):
                 if y == frame.s_elem or y == x:
                     continue
-                assert cv.basis_distance(g, hole_s | (1 << x),
-                                         hole_t | (1 << y)) == 2
+                assert g.distance(hole_s | (1 << x), hole_t | (1 << y)) == 2
                 checked += 1
     # two crossing drops; 5 one-sided adds each; 6 partners each (the
     # 7-element completion set minus the excluded s)
