@@ -50,10 +50,7 @@ from .walk import (
     transition_distribution,
 )
 from .transport import (
-    Coupling,
     TransportProblem,
-    expected_distance,
-    verify_coupling,
     verify_transport_certificate,
     wasserstein1,
 )
@@ -65,13 +62,11 @@ from .curvature import (
     PairFrame,
     PairReport,
     PairWitness,
-    build_downstep_coupling,
     canonical_pairs,
     compute_pair_report,
     compute_pair_witness,
     downstep_coupling_table,
     downstep_lb_pair,
-    downstep_lb_via_coupling,
     exact_pair_curvature,
     global_curvature,
     make_pair_frame,
@@ -104,15 +99,13 @@ __all__ = [
     # walk
     "BasisGraph", "Distribution", "basis_graph", "transition_distribution",
     # transport
-    "Coupling", "TransportProblem", "expected_distance", "verify_coupling",
-    "verify_transport_certificate", "wasserstein1",
+    "TransportProblem", "verify_transport_certificate", "wasserstein1",
     # curvature
     "CouplingCell", "DownstepCoupling", "DropWitness", "GlobalReport",
-    "PairFrame", "PairReport", "PairWitness", "build_downstep_coupling",
-    "canonical_pairs", "compute_pair_report", "compute_pair_witness",
-    "downstep_coupling_table", "downstep_lb_pair", "downstep_lb_via_coupling",
-    "exact_pair_curvature", "global_curvature", "make_pair_frame",
-    "proposition_distance_check", "theorem_lb_global",
+    "PairFrame", "PairReport", "PairWitness", "canonical_pairs",
+    "compute_pair_report", "compute_pair_witness", "downstep_coupling_table",
+    "downstep_lb_pair", "exact_pair_curvature", "global_curvature",
+    "make_pair_frame", "proposition_distance_check", "theorem_lb_global",
     "theorem_ub_pair", "theorem_ub_values",
     # file input and serialization
     "approx_decimal", "format_rational", "load_input", "parse_matroid_file",

@@ -28,7 +28,7 @@ from .errors import (
     ValidationResult,
 )
 from .matroid import Mask, Matroid, bits
-from .transport import Coupling, TransportProblem, wasserstein1
+from .transport import TransportProblem, wasserstein1
 from .walk import basis_graph
 
 
@@ -233,18 +233,8 @@ class DownstepCoupling:
     frame: PairFrame
     cells: tuple[CouplingCell, ...]
 
-    def coupling(self) -> Coupling:
-        masses: dict[tuple[Mask, Mask], Fraction] = {}
-        for c in self.cells:
-            key = (c.x, c.y)
-            masses[key] = masses.get(key, Fraction(0)) + c.mass
-        return Coupling(masses)
-
     def expected_distance(self) -> Fraction:
         return sum((c.mass * c.distance for c in self.cells), Fraction(0))
-
-    def mass_multiset(self) -> list[Fraction]:
-        return sorted((c.mass for c in self.cells), reverse=True)
 
 
 def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
@@ -328,20 +318,6 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     return DownstepCoupling(frame, tuple(cells))
 
 
-def build_downstep_coupling(m: Matroid, frame: PairFrame) -> Coupling:
-    """The down-step coupling as an aggregated joint distribution."""
-    return downstep_coupling_table(m, frame).coupling()
-
-
-def downstep_lb_via_coupling(m: Matroid, frame: PairFrame) -> Fraction:
-    """1 minus the constructed coupling's expected distance.
-
-    Must equal downstep_lb_pair exactly; a difference signals a bug in one
-    of the two routes.
-    """
-    return 1 - downstep_coupling_table(m, frame).expected_distance()
-
-
 # ── exact curvature ─────────────────────────────────────────────────────────
 
 
@@ -350,8 +326,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     g = basis_graph(m)
     problem = TransportProblem.from_distance(
         g.kernel(frame.s_basis), g.kernel(frame.t_basis), _exchange_distance)
-    value, _ = wasserstein1(problem)
-    return 1 - value
+    return 1 - wasserstein1(problem)
 
 
 def proposition_distance_check(m: Matroid, frame: PairFrame, u: int,
@@ -418,7 +393,7 @@ class PairReport:
     ub_reverse: Fraction
     theorem_ub: Fraction
     coupling_expected_distance: Fraction
-    kappa_exact: Fraction | None
+    kappa_exact: Fraction
 
 
 @dataclass(frozen=True)
@@ -433,7 +408,7 @@ class GlobalReport:
     audited: bool = False
 
 
-def compute_pair_report(m: Matroid, s: Mask, t: Mask, exact: bool = True) -> PairReport:
+def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     """All per-pair quantities for one adjacent pair.
 
     The matroid gate runs first, so a non-matroid fails on the exchange
@@ -447,9 +422,8 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask, exact: bool = True) -> Pai
     expected = downstep_coupling_table(m, frame).expected_distance()
     if lb != 1 - expected:
         raise CurvatroidError("down-step bound disagrees with its coupling")
-    kappa = exact_pair_curvature(m, frame) if exact else None
     return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
-                      expected, kappa)
+                      expected, exact_pair_curvature(m, frame))
 
 
 def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
@@ -468,7 +442,7 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
     return [(order[i], order[j]) for i, j in pairs]
 
 
-def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
+def global_curvature(m: Matroid, exact: bool = True,
                      audit_all_pairs: bool = False) -> GlobalReport:
     """Minimum pair curvature over every adjacent pair, plus global bounds.
 
@@ -482,9 +456,9 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
     disjoint from its own (k-1)-set) and symmetrically for #onlyT.
 
     When a pair's lower and upper bounds agree the sandwiched value is
-    already exact and the transport solve is skipped (disable with
-    collapse=False). A single-basis family has no pairs; by convention it
-    reports curvature 1 with the degenerate flag set. With audit_all_pairs
+    already exact and the transport solve is skipped. A single-basis family
+    has no pairs; by convention it reports curvature 1 with the degenerate
+    flag set. With audit_all_pairs
     the minimum of 1 - W1/d over all basis pairs (any distance) is computed
     as well and must agree with the adjacent-pair minimum; the audit needs
     exact=True and passes vacuously when there is only one basis. Exact runs
@@ -516,7 +490,7 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
         return GlobalReport(None, None, theorem_lb, lb_min, ub_min, len(pairs),
                             degenerate=not pairs)
 
-    kappas = [lb if collapse and lb == ub else exact_pair_curvature(m, frame)
+    kappas = [lb if lb == ub else exact_pair_curvature(m, frame)
               for frame, (lb, ub) in zip(frames, bounds)]
     if pairs:
         kappa = min(kappas)
@@ -532,8 +506,7 @@ def global_curvature(m: Matroid, exact: bool = True, collapse: bool = True,
                 d = _exchange_distance(x, y)
                 problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
                                                          _exchange_distance)
-                value, _ = wasserstein1(problem)
-                ratio = 1 - Fraction(value, d)
+                ratio = 1 - wasserstein1(problem) / d
                 if worst is None or ratio < worst:
                     worst = ratio
         if worst is not None and worst != kappa:

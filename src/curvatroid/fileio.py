@@ -59,6 +59,8 @@ def parse_rational(value: Any) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise BadRational(f"zero denominator: {value!r}") from None
+    except ValueError:  # past the interpreter's integer digit limit
+        raise BadRational(f"rational of {len(text)} characters is too long") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -168,6 +170,8 @@ def parse_matroid_file(path: str) -> MatroidSpec:
         raise ParseError(f"{path} is not valid UTF-8") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} line {e.lineno}: {e.msg}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"{path}: a number is too long to read") from None
     return parse_matroid_obj(obj)
 
 

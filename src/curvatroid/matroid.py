@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -250,8 +250,19 @@ def _default_labels(n: int) -> tuple[str, ...]:
 
 
 def _guard_enumeration(n: int, k: int) -> None:
-    if comb(n, k) > ENUMERATION_LIMIT:
-        raise TooLarge(f"C({n},{k}) = {comb(n, k)} exceeds the enumeration limit")
+    """Raise TooLarge when C(n, k) exceeds ENUMERATION_LIMIT.
+
+    The binomial is multiplied out over min(k, n - k) factors, and the
+    partial products C(n - r + i, i) only grow, so the loop stops as soon
+    as one passes the limit instead of computing a huge C(n, k) in full.
+    """
+    r = min(k, n - k)
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (n - r + i) // i
+        if count > ENUMERATION_LIMIT:
+            raise TooLarge(f"C({n},{k}) exceeds the enumeration limit of "
+                           f"{ENUMERATION_LIMIT} subsets")
 
 
 def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
@@ -299,28 +310,31 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     if len(set(labels)) != len(labels):
         raise UnknownElement("duplicate edge labels")
 
-    uf = _UnionFind(v)
-    for a, b, _ in spec.edges:
-        uf.union(a, b)
-    components = len({uf.find(i) for i in range(v)})
-    k = v - components
+    # the rank v - components counts the unions that merge two components;
+    # an untouched vertex is its own component and merges nothing, so the
+    # union-find covers the touched vertices only and memory follows the
+    # edge list
+    touched = sorted({a for a, _, _ in spec.edges} | {b for _, b, _ in spec.edges})
+    index = {x: i for i, x in enumerate(touched)}
+    ends = [(index[a], index[b]) for a, b, _ in spec.edges]
+    uf = _UnionFind(len(touched))
+    k = sum(uf.union(a, b) for a, b in ends)
     if k == 0:
         raise DegenerateGraph("no non-loop edges: spanning forests are empty")
 
     n = len(spec.edges)
     _guard_enumeration(n, k)
     bases = []
-    ends = [(a, b) for a, b, _ in spec.edges]
     for combo in combinations(range(n), k):
-        uf = _UnionFind(v)
+        uf = _UnionFind(len(touched))
         for i in combo:
             a, b = ends[i]
             if not uf.union(a, b):
                 break
         else:
             bases.append(sum(1 << i for i in combo))
-    # k = v - components guarantees acyclic k-subsets are maximum forests,
-    # and at least one exists (greedy over the whole edge set)
+    # k is the size of the greedy spanning forest above, so acyclic k-subsets
+    # are maximum forests, and at least one exists
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
                    known_matroid=True)
 

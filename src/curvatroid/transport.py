@@ -2,9 +2,8 @@
 
 Both marginals are scaled once to integers over the least common multiple of
 their mass denominators. Costs are exchange-graph distances, so by the
-triangle inequality the shared mass min(mu, nu) can be fixed in place and
-only the residuals routed; that reduction is on by default and can be
-disabled for cross-checking.
+triangle inequality the shared mass min(mu, nu) is fixed in place and only
+the residuals are routed.
 
 The integer transportation problem is solved by a primal-dual method that
 works in phases (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9.8).
@@ -23,8 +22,7 @@ cell, and equal primal and dual objectives. Weak duality then proves the
 flow optimal without trusting the solver; a failure raises CurvatroidError.
 
 The solver scans nodes in canonical support order and keeps no state
-between calls, so equal inputs always produce the identical coupling and
-concurrent calls are safe.
+between calls, so it is deterministic and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from math import lcm
 from typing import Callable, Mapping
 
 from .errors import CurvatroidError, UnbalancedMarginals, ValidationResult
-from .matroid import Mask, basis_sort_key
+from .matroid import Mask
 from .walk import Distribution
 
 
@@ -57,60 +55,6 @@ class TransportProblem:
         cols = tuple(nu.support())
         cost = tuple(tuple(dist(x, y) for y in cols) for x in rows)
         return cls(mu, nu, rows, cols, cost)
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Joint distribution over basis pairs; keys (x, y), masses positive."""
-
-    masses: Mapping[tuple[Mask, Mask], Fraction]
-
-    def items_sorted(self) -> list[tuple[tuple[Mask, Mask], Fraction]]:
-        keys = sorted(self.masses,
-                      key=lambda p: (basis_sort_key(p[0]), basis_sort_key(p[1])))
-        return [(p, self.masses[p]) for p in keys]
-
-    def row_marginal(self) -> dict[Mask, Fraction]:
-        out: dict[Mask, Fraction] = {}
-        for (x, _), q in self.masses.items():
-            out[x] = out.get(x, Fraction(0)) + q
-        return out
-
-    def col_marginal(self) -> dict[Mask, Fraction]:
-        out: dict[Mask, Fraction] = {}
-        for (_, y), q in self.masses.items():
-            out[y] = out.get(y, Fraction(0)) + q
-        return out
-
-
-def verify_coupling(c: Coupling, mu: Distribution, nu: Distribution) -> ValidationResult:
-    """Exact marginal check; failure names the first violated marginal."""
-    for q in c.masses.values():
-        if q < 0:
-            return ValidationResult.failed("negative mass in coupling")
-    rows = c.row_marginal()
-    for b in sorted(set(rows) | set(mu.masses), key=basis_sort_key):
-        if rows.get(b, Fraction(0)) != mu.mass(b):
-            return ValidationResult.failed(
-                f"row marginal mismatch at {b}: {rows.get(b, Fraction(0))} != {mu.mass(b)}",
-                witness=("row", b),
-            )
-    cols = c.col_marginal()
-    for b in sorted(set(cols) | set(nu.masses), key=basis_sort_key):
-        if cols.get(b, Fraction(0)) != nu.mass(b):
-            return ValidationResult.failed(
-                f"column marginal mismatch at {b}: {cols.get(b, Fraction(0))} != {nu.mass(b)}",
-                witness=("column", b),
-            )
-    return ValidationResult.passed("marginals match exactly")
-
-
-def expected_distance(c: Coupling, dist: Callable[[Mask, Mask], int]) -> Fraction:
-    """Sum of mass times distance over the coupling."""
-    total = Fraction(0)
-    for (x, y), q in c.masses.items():
-        total += q * dist(x, y)
-    return total
 
 
 # ── integer min-cost transportation ─────────────────────────────────────────
@@ -284,14 +228,15 @@ def verify_transport_certificate(supply: list[int], demand: list[int],
     return ValidationResult.passed(f"optimal: primal = dual = {primal}")
 
 
-def wasserstein1(p: TransportProblem,
-                 fix_common_mass: bool = True) -> tuple[Fraction, Coupling]:
-    """Exact optimal transport value and an optimal coupling.
+def wasserstein1(p: TransportProblem) -> Fraction:
+    """Exact optimal transport value.
 
-    The value is zero iff the marginals are equal (costs are graph
-    distances, which vanish only on the diagonal), in which case the
-    coupling is the identity. The integer problem actually solved is
-    certified on every call; a failed certificate raises CurvatroidError.
+    Shared mass min(mu, nu) on a zero-cost diagonal cell stays in place and
+    only the residuals are routed, which a metric cost allows by the
+    triangle inequality. Graph distances vanish only on the diagonal, so the
+    value is zero iff the marginals are equal. The integer problem actually
+    solved is certified on every call; a failed certificate raises
+    CurvatroidError.
     """
     mu, nu = p.mu.masses, p.nu.masses
     scale = lcm(*(q.denominator for q in mu.values()),
@@ -304,35 +249,22 @@ def wasserstein1(p: TransportProblem,
                                   f"!= {Fraction(total_nu, scale)}")
 
     col_index = {y: j for j, y in enumerate(p.col_keys)}
-    units: dict[tuple[Mask, Mask], int] = {}
-    if fix_common_mass:
-        # shared mass never moves under a metric cost (triangle inequality);
-        # requires zero diagonal, which graph distances guarantee
-        for i, x in enumerate(p.row_keys):
-            j = col_index.get(x)
-            if j is None or p.cost[i][j] != 0:
-                continue
+    for i, x in enumerate(p.row_keys):
+        j = col_index.get(x)
+        if j is not None and p.cost[i][j] == 0:
             q = min(supply_of[x], demand_of[x])
-            if q:
-                units[(x, x)] = q
-                supply_of[x] -= q
-                demand_of[x] -= q
+            supply_of[x] -= q
+            demand_of[x] -= q
 
     rows = [i for i, x in enumerate(p.row_keys) if supply_of[x]]
+    if not rows:
+        return Fraction(0)
     cols = [j for j, y in enumerate(p.col_keys) if demand_of[y]]
-    scaled_value = 0
-    if rows:
-        supply = [supply_of[p.row_keys[i]] for i in rows]
-        demand = [demand_of[p.col_keys[j]] for j in cols]
-        cost = [[p.cost[i][j] for j in cols] for i in rows]
-        flow, u, v = _solve_integer_transport(supply, demand, cost)
-        check = verify_transport_certificate(supply, demand, cost, flow, u, v)
-        if not check:
-            raise CurvatroidError(f"transport certificate failed: {check.detail}")
-        for (a, b), f in flow.items():
-            key = (p.row_keys[rows[a]], p.col_keys[cols[b]])
-            units[key] = units.get(key, 0) + f
-            scaled_value += f * cost[a][b]
-
-    masses = {key: Fraction(f, scale) for key, f in units.items()}
-    return Fraction(scaled_value, scale), Coupling(masses)
+    supply = [supply_of[p.row_keys[i]] for i in rows]
+    demand = [demand_of[p.col_keys[j]] for j in cols]
+    cost = [[p.cost[i][j] for j in cols] for i in rows]
+    flow, u, v = _solve_integer_transport(supply, demand, cost)
+    check = verify_transport_certificate(supply, demand, cost, flow, u, v)
+    if not check:
+        raise CurvatroidError(f"transport certificate failed: {check.detail}")
+    return Fraction(sum(f * cost[a][b] for (a, b), f in flow.items()), scale)

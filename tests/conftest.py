@@ -5,7 +5,8 @@ every labeled connected simple graph on 2..4 vertices, and the built-ins
 vamos, fano, k4, and rank3-counterexample. The sweep computes, once per
 session,
 the global curvature report plus per-pair bounds, exact curvature, and the
-down-step coupling for every adjacent pair of every test-set matroid.
+down-step coupling for every adjacent pair of every test-set matroid, with
+the coupling's marginals and expected distance checked by the oracle.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from itertools import combinations
 import pytest
 
 import curvatroid as cv
+from oracles import cell_masses, coupling_cost
 
 PairData = namedtuple(
     "PairData",
-    "x y lb ub_forward ub_reverse kappa expected_distance coupling_ok",
+    "x y lb ub_forward ub_reverse kappa expected_distance coupling_cost",
 )
 SweepResult = namedtuple("SweepResult", "matroid report pairs")
 
@@ -85,9 +87,10 @@ def sweep(test_set) -> dict[str, SweepResult]:
             lb = cv.downstep_lb_pair(m, frame, witness)
             forward, reverse = cv.theorem_ub_values(m, frame, witness)
             table = cv.downstep_coupling_table(m, frame)
-            ok = cv.verify_coupling(table.coupling(), g.kernel(x), g.kernel(y)).ok
+            cost = coupling_cost(cell_masses(table.cells), g.kernel(x).masses,
+                                 g.kernel(y).masses, g.distance)
             kappa = cv.exact_pair_curvature(m, frame)
             pairs.append(PairData(x, y, lb, forward, reverse, kappa,
-                                  table.expected_distance(), ok))
+                                  table.expected_distance(), cost))
         out[name] = SweepResult(m, report, pairs)
     return out

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's own algorithms: optimal transport by
-brute-force enumeration of the transportation polytope's vertices, distances
+brute-force enumeration of the transportation polytope's vertices, coupling
+marginals and expected cost by plain Fraction sums over a dict, distances
 by a plain dict-based BFS, adjacency by the quadratic definition, rank by
 Gaussian elimination over fractions, and pair order by comparing sorted
 index tuples.
@@ -99,6 +100,36 @@ def network_simplex_value(supply, demand, cost):
             g.add_edge(("r", i), ("c", j), weight=cost[i][j])
     value, _ = nx.network_simplex(g)
     return value
+
+
+def coupling_cost(masses, mu, nu, dist):
+    """Expected cost of a coupling of mu and nu, or None if it is not one.
+
+    masses is a plain {(x, y): mass} dict, mu and nu are {point: mass}
+    dicts. A coupling has nonnegative masses whose row sums are exactly mu
+    and whose column sums are exactly nu; zero entries are ignored.
+    """
+    rows, cols = {}, {}
+    for (x, y), q in masses.items():
+        if q < 0:
+            return None
+        rows[x] = rows.get(x, 0) + q
+        cols[y] = cols.get(y, 0) + q
+
+    def nonzero(d):
+        return {key: q for key, q in d.items() if q}
+
+    if nonzero(rows) != nonzero(mu) or nonzero(cols) != nonzero(nu):
+        return None
+    return sum((q * dist(x, y) for (x, y), q in masses.items()), Fraction(0))
+
+
+def cell_masses(cells):
+    """Sum the masses of coupling cells (objects with x, y, mass) per (x, y)."""
+    out = {}
+    for c in cells:
+        out[(c.x, c.y)] = out.get((c.x, c.y), 0) + c.mass
+    return out
 
 
 def bfs_distances(adjacency, source):

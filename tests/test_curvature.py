@@ -6,7 +6,7 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import curvature, walk
-from oracles import sorted_index_pairs
+from oracles import cell_masses, coupling_cost, sorted_index_pairs
 
 F = Fraction
 
@@ -154,7 +154,7 @@ def test_forward_reverse_swap_symmetry(sweep):
 def test_coupling_matches_bound_and_marginals(sweep):
     for name, data in sweep.items():
         for pair in data.pairs:
-            assert pair.coupling_ok, name
+            assert pair.coupling_cost == pair.expected_distance, name
             assert pair.lb == 1 - pair.expected_distance, name
 
 
@@ -174,14 +174,12 @@ def test_coupling_aggregation_merges_duplicate_targets():
     t = m.mask_from_labels(("ab", "cd", "da"))
     frame = cv.make_pair_frame(m, s, t)
     table = cv.downstep_coupling_table(m, frame)
-    aggregated = cv.build_downstep_coupling(m, frame)
-    assert len(table.cells) > len(aggregated.masses)
-    total = {}
-    for cell in table.cells:
-        key = (cell.x, cell.y)
-        total[key] = total.get(key, F(0)) + cell.mass
-    assert total == dict(aggregated.masses)
-    assert cv.downstep_lb_via_coupling(m, frame) == \
+    aggregated = cell_masses(table.cells)
+    assert len(table.cells) > len(aggregated)
+    g = cv.basis_graph(m)
+    assert coupling_cost(aggregated, g.kernel(s).masses, g.kernel(t).masses,
+                         g.distance) == table.expected_distance()
+    assert 1 - table.expected_distance() == \
         cv.downstep_lb_pair(m, frame, cv.compute_pair_witness(m, frame))
 
 
@@ -236,14 +234,6 @@ def test_pair_report_u42():
     assert report.downstep_lb == report.kappa_exact == report.theorem_ub == F(2, 3)
     assert report.coupling_expected_distance == F(1, 3)
     assert report.ub_forward == report.ub_reverse == F(2, 3)
-
-
-def test_pair_report_skips_transport_when_not_exact():
-    m = u42()
-    report = cv.compute_pair_report(m, m.mask_from_labels(["a", "b"]),
-                                    m.mask_from_labels(["a", "c"]), exact=False)
-    assert report.kappa_exact is None
-    assert report.downstep_lb == F(2, 3)
 
 
 def test_global_report_matches_pair_minima(sweep):
@@ -311,12 +301,6 @@ def test_audit_of_family_without_adjacent_pairs_fails():
     for audit in (False, True):
         with pytest.raises(cv.NotAMatroid, match="exchange fails"):
             cv.global_curvature(m, audit_all_pairs=audit)
-
-
-def test_collapse_does_not_change_results():
-    m = cv.build_named("k4")
-    base = cv.global_curvature(m)
-    assert cv.global_curvature(m, collapse=False) == base
 
 
 def test_bounds_only_mode():

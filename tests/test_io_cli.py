@@ -329,6 +329,32 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+HUGE = "9" * 5000  # past the interpreter's default integer digit limit of 4300
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ('{"type": "uniform", "n": 100000, "k": 50000}', 1,
+     "error: C(100000,50000) exceeds the enumeration limit of 2000000 subsets"),
+    ('{"type": "uniform", "n": ' + HUGE + ', "k": 2}', 2,
+     "a number is too long to read"),
+    ('{"type": "linear", "matrix": [["' + HUGE + '/7", "1"]]}', 2,
+     "error: rational of 5002 characters is too long"),
+    ('{"type": "graphic", "vertices": 1000000000000, "edges": [[0, 1, "a"]]}', 0, ""),
+], ids=["too-many-subsets", "huge-integer", "huge-rational", "huge-vertex-count"])
+def test_cli_contract_on_huge_inputs(capsys, tmp_path, text, code, message):
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, "bases", "--input", str(path))
+    assert got == code
+    assert "Traceback" not in out + err
+    if code:
+        # one error line that never prints the huge number
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        assert message in err and len(err) < 200
+    else:
+        assert json.loads(out)["rank"] == 1 and err == ""
+
+
 def test_cli_non_matroid_fails_on_every_distance_path(capsys, tmp_path):
     # ab - ac and de - df are adjacent pairs whose witnesses check out, but
     # nothing exchanges ab towards de: only the matroid gate catches it

@@ -1,4 +1,4 @@
-"""Exact optimal transport: solver, couplings, and verification."""
+"""Exact optimal transport: solver values, oracles, and the certificate."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 import curvatroid as cv
 from curvatroid import transport
 from curvatroid.cli import main
-from oracles import min_cost_by_vertices, network_simplex_value
+from oracles import coupling_cost, min_cost_by_vertices, network_simplex_value
 
 F = Fraction
 
@@ -21,15 +21,13 @@ def kernel_problem(m: cv.Matroid, s_labels, t_labels) -> cv.TransportProblem:
     return cv.TransportProblem.from_distance(mu, nu, g.distance)
 
 
-def product_coupling(mu: cv.Distribution, nu: cv.Distribution) -> cv.Coupling:
-    return cv.Coupling({(x, y): p * q
-                        for x, p in mu.masses.items()
-                        for y, q in nu.masses.items()})
+def product_coupling(mu: cv.Distribution, nu: cv.Distribution) -> dict:
+    return {(x, y): p * q for x, p in mu.masses.items() for y, q in nu.masses.items()}
 
 
-def perturb(c: cv.Coupling, rng: random.Random) -> cv.Coupling:
+def perturb(c: dict, rng: random.Random) -> dict:
     """One random 2x2-cycle move; marginals are preserved exactly."""
-    masses = dict(c.masses)
+    masses = dict(c)
     keys = list(masses)
     rows = sorted({x for x, _ in keys})
     cols = sorted({y for _, y in keys})
@@ -46,7 +44,7 @@ def perturb(c: cv.Coupling, rng: random.Random) -> cv.Coupling:
                           ((x1, y2), 1), ((x2, y1), 1)):
             masses[key] = masses.get(key, F(0)) + sign * delta
         break
-    return cv.Coupling({k: q for k, q in masses.items() if q > 0})
+    return {k: q for k, q in masses.items() if q > 0}
 
 
 # ── solved examples ─────────────────────────────────────────────────────────
@@ -55,20 +53,16 @@ def perturb(c: cv.Coupling, rng: random.Random) -> cv.Coupling:
 def test_u42_adjacent_pair_value():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     problem = kernel_problem(m, ["a", "b"], ["a", "c"])
-    value, coupling = cv.wasserstein1(problem)
-    assert value == F(1, 3)
-    assert cv.verify_coupling(coupling, problem.mu, problem.nu).ok
-    g = cv.basis_graph(m)
-    assert cv.expected_distance(coupling, g.distance) == value
+    assert cv.wasserstein1(problem) == F(1, 3)
 
 
 def test_equal_marginals_give_zero_and_identity():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     g = cv.basis_graph(m)
     mu = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
-    value, coupling = cv.wasserstein1(cv.TransportProblem.from_distance(mu, mu, g.distance))
-    assert value == 0
-    assert dict(coupling.masses) == {(b, b): q for b, q in mu.masses.items()}
+    assert cv.wasserstein1(cv.TransportProblem.from_distance(mu, mu, g.distance)) == 0
+    identity = {(b, b): q for b, q in mu.masses.items()}
+    assert coupling_cost(identity, mu.masses, mu.masses, g.distance) == 0
 
 
 def test_point_masses_move_the_graph_distance():
@@ -78,9 +72,8 @@ def test_point_masses_move_the_graph_distance():
     y = m.mask_from_labels(["ac", "bd", "da"])
     mu = cv.Distribution({x: F(1)})
     nu = cv.Distribution({y: F(1)})
-    value, coupling = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
+    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
     assert value == g.distance(x, y) > 0
-    assert dict(coupling.masses) == {(x, y): F(1)}
 
 
 def test_value_zero_iff_equal_marginals(test_set):
@@ -90,7 +83,7 @@ def test_value_zero_iff_equal_marginals(test_set):
     base = cv.transition_distribution(m, order[0])
     for other in order[:4]:
         nu = cv.transition_distribution(m, other)
-        value, _ = cv.wasserstein1(cv.TransportProblem.from_distance(base, nu, g.distance))
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(base, nu, g.distance))
         assert (value == 0) == (base == nu)
 
 
@@ -98,11 +91,9 @@ def test_scale_invariance():
     problem = kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"])
     m = cv.build_named("k4")
     g = cv.basis_graph(m)
-    value, _ = cv.wasserstein1(problem)
     scaled = cv.TransportProblem.from_distance(problem.mu, problem.nu,
                                                lambda x, y: 7 * g.distance(x, y))
-    scaled_value, _ = cv.wasserstein1(scaled)
-    assert scaled_value == 7 * value
+    assert cv.wasserstein1(scaled) == 7 * cv.wasserstein1(problem)
 
 
 def test_unbalanced_marginals_rejected():
@@ -115,28 +106,36 @@ def test_unbalanced_marginals_rejected():
         cv.wasserstein1(cv.TransportProblem.from_distance(mu, half, g.distance))
 
 
-# ── coupling verification ───────────────────────────────────────────────────
+# ── the coupling oracle ─────────────────────────────────────────────────────
 
 
-def test_verify_coupling_accepts_and_rejects():
-    problem = kernel_problem(cv.build_matroid(cv.UniformSpec(n=4, k=2)),
-                             ["a", "b"], ["a", "c"])
-    mu, nu = problem.mu, problem.nu
-    _, optimal = cv.wasserstein1(problem)
-    assert cv.verify_coupling(optimal, mu, nu).ok
-    assert cv.verify_coupling(product_coupling(mu, nu), mu, nu).ok
+def test_coupling_check_accepts_and_rejects():
+    m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
+    g = cv.basis_graph(m)
+    problem = kernel_problem(m, ["a", "b"], ["a", "c"])
+    mu, nu = problem.mu.masses, problem.nu.masses
+    product = product_coupling(problem.mu, problem.nu)
+    want = sum((q * g.distance(x, y) for (x, y), q in product.items()), F(0))
+    assert coupling_cost(product, mu, nu, g.distance) == want > cv.wasserstein1(problem)
 
-    tweaked = dict(optimal.masses)
-    key = next(iter(tweaked))
+    key = next(iter(product))
+    tweaked = dict(product)
     tweaked[key] += F(1, 10**6)
-    result = cv.verify_coupling(cv.Coupling(tweaked), mu, nu)
-    assert not result.ok
-    kind, where = result.witness
-    assert kind in ("row", "column")
+    assert coupling_cost(tweaked, mu, nu, g.distance) is None
 
-    negative = dict(optimal.masses)
-    negative[key] -= 2 * negative[key]
-    assert not cv.verify_coupling(cv.Coupling(negative), mu, nu).ok
+    moved = perturb(product, random.Random(1))
+    assert moved != product
+    assert coupling_cost(moved, mu, nu, g.distance) is not None
+
+    # a 2x2 cycle pushed past the mass on hand keeps both marginals exact
+    # but leaves a negative cell
+    (x1, y1), (x2, y2) = sorted(product)[0], sorted(product)[-1]
+    assert x1 != x2 and y1 != y2
+    delta = product[(x1, y1)] + F(1, 100)
+    negative = dict(product)
+    for cell, sign in (((x1, y1), -1), ((x2, y2), -1), ((x1, y2), 1), ((x2, y1), 1)):
+        negative[cell] += sign * delta
+    assert coupling_cost(negative, mu, nu, g.distance) is None
 
 
 def test_random_couplings_never_beat_the_optimum():
@@ -152,12 +151,12 @@ def test_random_couplings_never_beat_the_optimum():
         def dist(x, y):
             return problem.cost[row_of[x]][col_of[y]]
 
-        value, _ = cv.wasserstein1(problem)
+        value = cv.wasserstein1(problem)
         coupling = product_coupling(problem.mu, problem.nu)
         for _ in range(50):
             coupling = perturb(coupling, rng)
-            assert cv.verify_coupling(coupling, problem.mu, problem.nu).ok
-            assert cv.expected_distance(coupling, dist) >= value
+            cost = coupling_cost(coupling, problem.mu.masses, problem.nu.masses, dist)
+            assert cost is not None and cost >= value
 
 
 # ── cross-checks against independent solvers ────────────────────────────────
@@ -184,10 +183,7 @@ def test_solver_matches_vertex_enumeration_and_simplex():
         size = rng.randint(2, 4)
         mu, nu, cost = random_problem(rng, size)
         problem = cv.TransportProblem.from_distance(mu, nu, lambda x, y: cost[(x, y)])
-        value, coupling = cv.wasserstein1(problem, fix_common_mass=False)
-        assert cv.verify_coupling(coupling, mu, nu).ok, trial
-        assert cv.expected_distance(coupling, lambda x, y: cost[(x, y)]) == value
-
+        value = cv.wasserstein1(problem)
         supply = [mu.mass(r) for r in problem.row_keys]
         demand = [nu.mass(c) for c in problem.col_keys]
         grid = [[cost[(r, c)] for c in problem.col_keys] for r in problem.row_keys]
@@ -217,15 +213,15 @@ def test_solver_matches_simplex_on_workload_shaped_problems():
     for trial, (rows, cols) in enumerate(shapes):
         mu, nu, dist = workload_shaped_problem(rng, rows, cols)
         problem = cv.TransportProblem.from_distance(mu, nu, dist)
-        value, coupling = cv.wasserstein1(problem)
-        assert cv.verify_coupling(coupling, mu, nu).ok, trial
-        assert cv.expected_distance(coupling, dist) == value, trial
+        value = cv.wasserstein1(problem)
         supply = [mu.mass(x) for x in problem.row_keys]
         demand = [nu.mass(y) for y in problem.col_keys]
         assert value == network_simplex_value(supply, demand, problem.cost), trial
 
 
 def test_fix_common_mass_is_value_neutral(test_set):
+    # the solver routes only the residuals; networkx solves the full kernel
+    # problem, shared mass included
     m = test_set["k4"]
     g = cv.basis_graph(m)
     pairs = list(m.adjacent_basis_pairs())[:6]
@@ -233,19 +229,22 @@ def test_fix_common_mass_is_value_neutral(test_set):
         problem = cv.TransportProblem.from_distance(
             cv.transition_distribution(m, s), cv.transition_distribution(m, t),
             g.distance)
-        fixed, c1 = cv.wasserstein1(problem, fix_common_mass=True)
-        free, c2 = cv.wasserstein1(problem, fix_common_mass=False)
-        assert fixed == free
-        assert cv.verify_coupling(c1, problem.mu, problem.nu).ok
-        assert cv.verify_coupling(c2, problem.mu, problem.nu).ok
+        assert set(problem.row_keys) & set(problem.col_keys)
+        supply = [problem.mu.mass(x) for x in problem.row_keys]
+        demand = [problem.nu.mass(y) for y in problem.col_keys]
+        assert cv.wasserstein1(problem) == network_simplex_value(supply, demand,
+                                                                 problem.cost)
 
 
 def test_solver_is_deterministic():
     problem = kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"])
-    first_value, first = cv.wasserstein1(problem)
-    second_value, second = cv.wasserstein1(problem)
-    assert first_value == second_value
-    assert dict(first.masses) == dict(second.masses)
+    value = cv.wasserstein1(problem)
+    assert cv.wasserstein1(problem) == value
+    # the same problem with both supports listed in reverse order
+    reversed_problem = cv.TransportProblem(
+        problem.mu, problem.nu, problem.row_keys[::-1], problem.col_keys[::-1],
+        tuple(row[::-1] for row in problem.cost[::-1]))
+    assert cv.wasserstein1(reversed_problem) == value
 
 
 # ── optimality certificate ──────────────────────────────────────────────────

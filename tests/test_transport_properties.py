@@ -36,9 +36,7 @@ def test_solver_matches_network_simplex(case):
         return cost[x][y - 100]
 
     problem = cv.TransportProblem.from_distance(mu, nu, dist)
-    value, coupling = cv.wasserstein1(problem, fix_common_mass=False)
-    assert cv.verify_coupling(coupling, mu, nu).ok
-    assert cv.expected_distance(coupling, dist) == value
+    value = cv.wasserstein1(problem)
     supply = [mu.mass(x) for x in problem.row_keys]
     demand = [nu.mass(y) for y in problem.col_keys]
     assert value == network_simplex_value(supply, demand, problem.cost)
