@@ -172,6 +172,8 @@ def parse_matroid_file(path: str) -> MatroidSpec:
         raise ParseError(f"{path} line {e.lineno}: {e.msg}") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         raise ParseError(f"{path}: a number is too long to read") from None
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise ParseError(f"{path}: nesting is too deep to read") from None
     return parse_matroid_obj(obj)
 
 

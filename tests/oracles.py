@@ -3,9 +3,9 @@
 These deliberately avoid the library's own algorithms: optimal transport by
 brute-force enumeration of the transportation polytope's vertices, coupling
 marginals and expected cost by plain Fraction sums over a dict, distances
-by a plain dict-based BFS, adjacency by the quadratic definition, rank by
-Gaussian elimination over fractions, and pair order by comparing sorted
-index tuples.
+by a plain dict-based BFS, adjacency and the basis exchange axiom by the
+quadratic definitions, rank by Gaussian elimination over fractions, and
+pair order by comparing sorted index tuples.
 """
 
 from __future__ import annotations
@@ -158,6 +158,41 @@ def quadratic_adjacent_pairs(bases):
     return out
 
 
+def index_tuple(mask):
+    """Sorted indices of the set bits of mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def failing_exchange_triples(bases):
+    """Every failing (B1, B2, u) of the basis exchange axiom, in order.
+
+    The definition over every ordered pair of bases, O(|B|^2 k^2): B1 and
+    B2 in sorted-index-tuple order, then u ascending. A triple fails when
+    u is in B1 - B2 and no y in B2 - B1 makes (B1 - u) + y a basis.
+    """
+    family = set(bases)
+    order = sorted(family, key=index_tuple)
+    for b1 in order:
+        for b2 in order:
+            for u in index_tuple(b1 & ~b2):
+                if is_failing_triple(family, (b1, b2, u)):
+                    yield b1, b2, u
+
+
+def is_failing_triple(bases, triple):
+    """Whether (B1, B2, u) is a genuine counterexample to the exchange axiom."""
+    b1, b2, u = triple
+    if b1 not in bases or b2 not in bases or not (b1 & ~b2) >> u & 1:
+        return False
+    rest = b1 & ~(1 << u)
+    return not any(rest | 1 << y in bases for y in index_tuple(b2 & ~b1))
+
+
+def quadratic_exchange_check(bases):
+    """The first failing triple of failing_exchange_triples, or None."""
+    return next(failing_exchange_triples(bases), None)
+
+
 def fraction_matrix_rank(rows) -> int:
     """Rank by exact Gauss-Jordan elimination over Fraction."""
     m = [[Fraction(x) for x in r] for r in rows]
@@ -185,8 +220,5 @@ def fraction_matrix_rank(rows) -> int:
 def sorted_index_pairs(pairs):
     """Orient and sort basis-mask pairs by their sorted index tuples."""
 
-    def key(mask):
-        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    oriented = [(x, y) if key(x) <= key(y) else (y, x) for x, y in pairs]
-    return sorted(oriented, key=lambda p: (key(p[0]), key(p[1])))
+    oriented = [(x, y) if index_tuple(x) <= index_tuple(y) else (y, x) for x, y in pairs]
+    return sorted(oriented, key=lambda p: (index_tuple(p[0]), index_tuple(p[1])))

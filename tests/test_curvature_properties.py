@@ -1,0 +1,57 @@
+"""Property check of the curvature sandwich on random small matroids.
+
+Each example is a uniform, graphic or linear matroid on at most 7 elements.
+On every adjacent pair the exact curvature must lie between the larger of
+the two lower bounds (the global theorem bound and the pair's down-step
+bound) and the pair's theorem upper bound, and the exact global report must
+be the minimum of the per-pair values.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import curvatroid as cv
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def small_specs(draw):
+    kind = draw(st.sampled_from(("uniform", "graphic", "linear")))
+    if kind == "uniform":
+        n = draw(st.integers(2, 7))
+        return cv.UniformSpec(n=n, k=draw(st.integers(1, n - 1)))
+    if kind == "graphic":
+        v = draw(st.integers(2, 5))
+        ends = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)),
+                             min_size=1, max_size=7))
+        hypothesis.assume(any(a != b for a, b in ends))
+        return cv.GraphicSpec(vertex_count=v,
+                              edges=tuple((a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 7))
+    matrix = draw(st.lists(st.lists(st.integers(-2, 2).map(Fraction),
+                                    min_size=width, max_size=width),
+                           min_size=height, max_size=height))
+    hypothesis.assume(any(any(row) for row in matrix))
+    return cv.LinearSpec(matrix=tuple(map(tuple, matrix)))
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+def test_exact_curvature_is_sandwiched_on_every_pair(spec):
+    m = cv.build_matroid(spec)
+    hypothesis.assume(m.rank < m.n)
+    global_lb = cv.theorem_lb_global(m.rank, m.n)
+    kappas = []
+    for x, y in cv.canonical_pairs(m):
+        frame = cv.make_pair_frame(m, x, y)
+        witness = cv.compute_pair_witness(m, frame)
+        kappa = cv.exact_pair_curvature(m, frame)
+        lb = max(global_lb, cv.downstep_lb_pair(m, frame, witness))
+        assert lb <= kappa <= cv.theorem_ub_pair(m, frame, witness), (spec, x, y)
+        kappas.append(kappa)
+    report = cv.global_curvature(m, exact=True)
+    assert report.kappa_exact == min(kappas, default=Fraction(1))

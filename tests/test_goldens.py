@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,15 @@ PAIRS = {
     "fano": (("1", "2", "4"), ("1", "2", "5")),
 }
 
+# explicit non-matroids for the validate witness goldens, written to a
+# temporary file per render (the report's origin is "explicit", not the path)
+FILES = {
+    "split": {"type": "explicit", "ground": list("abcdef"),
+              "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]},
+    "two-triangles": {"type": "explicit", "ground": list("abcdef"),
+                      "bases": [["a", "b", "c"], ["d", "e", "f"]]},
+}
+
 CASES = (
     [("curvature", name, ()) for name in
      ("vamos", "fano", "k4", "k6", "rank3-counterexample")]
@@ -36,24 +47,37 @@ CASES = (
     + [("pairs", name, ()) for name in ("k4", "fano")]
     + [(command, name, ()) for command in ("pair", "coupling") for name in PAIRS]
     + [("validate", "fano", ())]
+    + [("bases", name, ()) for name in ("vamos", "fano", "k4", "rank3-counterexample")]
+    + [("catalog", "", ())]
+    + [("validate", name, ()) for name in FILES]
 )
 FORMATS = ("json", "csv")
 
 
 def golden_name(command: str, name: str, flags: tuple[str, ...], fmt: str) -> str:
     parts = [command, *(f.lstrip("-") for f in flags), name]
-    return "-".join(parts) + "." + fmt
+    return "-".join(p for p in parts if p) + "." + fmt
 
 
 def render(command: str, name: str, flags: tuple[str, ...], fmt: str) -> bytes:
-    argv = [command, "--input", f"named:{name}", *flags, "--format", fmt]
-    if command in ("pair", "coupling"):
-        s, t = PAIRS[name]
-        argv += ["--s", ",".join(s), "--t", ",".join(t)]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "catalog":
+            source = []
+        elif name in FILES:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(FILES[name]), encoding="utf-8")
+            source = ["--input", str(path)]
+        else:
+            source = ["--input", f"named:{name}"]
+        argv = [command, *source, *flags, "--format", fmt]
+        if command in ("pair", "coupling"):
+            s, t = PAIRS[name]
+            argv += ["--s", ",".join(s), "--t", ",".join(t)]
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    # every FILES entry fails the exchange axiom, so validate exits 1
+    assert code == (1 if name in FILES else 0)
     return out.getvalue().encode("utf-8")
 
 

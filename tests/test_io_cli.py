@@ -340,7 +340,9 @@ HUGE = "9" * 5000  # past the interpreter's default integer digit limit of 4300
     ('{"type": "linear", "matrix": [["' + HUGE + '/7", "1"]]}', 2,
      "error: rational of 5002 characters is too long"),
     ('{"type": "graphic", "vertices": 1000000000000, "edges": [[0, 1, "a"]]}', 0, ""),
-], ids=["too-many-subsets", "huge-integer", "huge-rational", "huge-vertex-count"])
+    ("[" * 200_000 + "]" * 200_000, 2, "nesting is too deep to read"),
+], ids=["too-many-subsets", "huge-integer", "huge-rational", "huge-vertex-count",
+        "deep-nesting"])
 def test_cli_contract_on_huge_inputs(capsys, tmp_path, text, code, message):
     path = tmp_path / "huge.json"
     path.write_text(text, encoding="utf-8")
