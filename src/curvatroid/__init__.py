@@ -70,7 +70,6 @@ from .curvature import (
     exact_pair_curvature,
     global_curvature,
     make_pair_frame,
-    proposition_distance_check,
     theorem_lb_global,
     theorem_ub_pair,
     theorem_ub_values,
@@ -105,7 +104,7 @@ __all__ = [
     "PairFrame", "PairReport", "PairWitness", "canonical_pairs",
     "compute_pair_report", "compute_pair_witness", "downstep_coupling_table",
     "downstep_lb_pair", "exact_pair_curvature", "global_curvature",
-    "make_pair_frame", "proposition_distance_check", "theorem_lb_global",
+    "make_pair_frame", "theorem_lb_global",
     "theorem_ub_pair", "theorem_ub_values",
     # file input and serialization
     "approx_decimal", "format_rational", "load_input", "parse_matroid_file",

@@ -25,7 +25,6 @@ from .errors import (
     InvalidRank,
     NotABasis,
     NotAdjacent,
-    ValidationResult,
 )
 from .matroid import Mask, Matroid, bits
 from .transport import TransportProblem, wasserstein1
@@ -327,58 +326,6 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     problem = TransportProblem.from_distance(
         g.kernel(frame.s_basis), g.kernel(frame.t_basis), _exchange_distance)
     return 1 - wasserstein1(problem)
-
-
-def proposition_distance_check(m: Matroid, frame: PairFrame, u: int,
-                               a: int | None = None) -> ValidationResult:
-    """Verify that an S-only add lands far from T's one-step range.
-
-    For a crossing drop u and a in (N(S-u) - t) \\ N(T-u), the basis S-u+a
-    must be at distance >= 2 from every neighbor of T except T-u+s, T-t+s
-    and T-t+a (those that are bases). With a=None every such a is checked;
-    a vacuous pass is reported when there are none.
-    """
-    witness = compute_pair_witness(m, frame)
-    try:
-        idx = witness.crossing_drops.index(u)
-    except ValueError:
-        raise CurvatroidError(f"{m.labels[u]!r} is not a crossing drop") from None
-    adds_mask = witness.entries[idx].s_only_adds
-    if a is None:
-        adds = list(bits(adds_mask))
-        if not adds:
-            return ValidationResult.passed("no one-sided adds: vacuous")
-    else:
-        if not adds_mask & (1 << a):
-            raise CurvatroidError(f"{m.labels[a]!r} is not a one-sided add for this drop")
-        adds = [a]
-
-    g = basis_graph(m)
-    t = frame.t_basis
-    neighbors = []
-    for x in bits(t):
-        for y in bits(m.exchange_neighborhood(t, x)):
-            if y != x:
-                neighbors.append((t ^ (1 << x)) | (1 << y))
-    u_bit = 1 << u
-    s_bit = 1 << frame.s_elem
-    t_bit = 1 << frame.t_elem
-    for cand in adds:
-        probe = (frame.s_basis ^ u_bit) | (1 << cand)
-        exceptions = {(t ^ u_bit) | s_bit, (t ^ t_bit) | s_bit}
-        with_a = (t ^ t_bit) | (1 << cand)
-        if with_a in m.bases:
-            exceptions.add(with_a)
-        for z in neighbors:
-            if z in exceptions:
-                continue
-            if g.distance(probe, z) < 2:
-                return ValidationResult.failed(
-                    f"{m.labels_of(probe)} is near neighbor {m.labels_of(z)}",
-                    witness=(probe, z),
-                )
-    return ValidationResult.passed(f"checked {len(adds)} add(s) against "
-                                   f"{len(neighbors)} neighbors")
 
 
 # ── reports ─────────────────────────────────────────────────────────────────

@@ -38,7 +38,6 @@ from .matroid import (
     UniformSpec,
     build_matroid,
 )
-from .walk import Distribution
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -317,11 +316,6 @@ def pairs_to_obj(m: Matroid, pairs: list[tuple[Mask, Mask]]) -> dict:
     obj["pairCount"] = len(pairs)
     obj["pairs"] = [{"S": _labels(m, x), "T": _labels(m, y)} for x, y in pairs]
     return obj
-
-
-def distribution_to_obj(m: Matroid, dist: Distribution) -> list[dict]:
-    return [{"basis": _labels(m, b), "mass": format_rational(dist.mass(b))}
-            for b in dist.support()]
 
 
 def catalog_to_obj() -> dict:

@@ -33,6 +33,7 @@ from .errors import (
 Mask = int
 
 ENUMERATION_LIMIT = 2_000_000  # max C(n, k) a construction will filter
+WORK_LIMIT = 50_000_000  # max estimated steps of a construction (_guard_enumeration)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -249,12 +250,17 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-def _guard_enumeration(n: int, k: int) -> None:
-    """Raise TooLarge when C(n, k) exceeds ENUMERATION_LIMIT.
+def _guard_enumeration(n: int, k: int, rank_steps: int = 0) -> None:
+    """Raise TooLarge when C(n, k) exceeds ENUMERATION_LIMIT, or when the
+    estimated work C(n, k) * (k * ceil(n / 64) + rank_steps) exceeds
+    WORK_LIMIT.
 
-    The binomial is multiplied out over min(k, n - k) factors, and the
-    partial products C(n - r + i, i) only grow, so the loop stops as soon
-    as one passes the limit instead of computing a huge C(n, k) in full.
+    Every enumerated subset sets k bits of an n-bit mask, ceil(n / 64)
+    machine words wide, and rank_steps is any further per-subset test (the
+    linear construction's rank). The binomial is multiplied out over
+    min(k, n - k) factors, and the partial products C(n - r + i, i) only
+    grow, so the loop stops as soon as one passes the limit instead of
+    computing a huge C(n, k) in full.
     """
     r = min(k, n - k)
     count = 1
@@ -263,6 +269,9 @@ def _guard_enumeration(n: int, k: int) -> None:
         if count > ENUMERATION_LIMIT:
             raise TooLarge(f"C({n},{k}) exceeds the enumeration limit of "
                            f"{ENUMERATION_LIMIT} subsets")
+    if count * (k * -(-n // 64) + rank_steps) > WORK_LIMIT:
+        raise TooLarge(f"enumerating C({n},{k}) subsets exceeds the work limit of "
+                       f"{WORK_LIMIT} steps")
 
 
 def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
@@ -393,11 +402,15 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     labels = spec.labels if spec.labels is not None else tuple(f"v{i}" for i in range(width))
     if len(labels) != width:
         raise RankMismatch("label count does not match the column count")
+    if len(rows) * width * min(len(rows), width) > WORK_LIMIT:
+        raise TooLarge(f"ranking a {len(rows)} x {width} matrix exceeds the work "
+                       f"limit of {WORK_LIMIT} steps")
     scaled = _integer_rows(rows)
     k = _integer_rank(list(scaled))
     if k == 0:
         raise EmptyBasisFamily("zero matrix has no independent columns")
-    _guard_enumeration(width, k)
+    # ranking one height x k submatrix takes about height * k * k steps
+    _guard_enumeration(width, k, len(scaled) * k * k)
     bases = []
     for combo in combinations(range(width), k):
         if _integer_rank([[row[c] for c in combo] for row in scaled]) == k:

@@ -1,9 +1,10 @@
 """Exact 1-Wasserstein distance between basis distributions.
 
-Both marginals are scaled once to integers over the least common multiple of
-their mass denominators. Costs are exchange-graph distances, so by the
-triangle inequality the shared mass min(mu, nu) is fixed in place and only
-the residuals are routed.
+Both marginals carry integer weights over a denominator; they are scaled
+once to the least common multiple of the two denominators. Costs are
+exchange-graph distances, so by the triangle inequality the shared mass
+min(mu, nu) is fixed in place before any cost is evaluated, and the problem
+keeps only the residual rows and columns, in ascending mask order.
 
 The integer transportation problem is solved by a primal-dual method that
 works in phases (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9.8).
@@ -21,8 +22,8 @@ confirms the flow's marginals, dual feasibility u_i + v_j <= c_ij on every
 cell, and equal primal and dual objectives. Weak duality then proves the
 flow optimal without trusting the solver; a failure raises CurvatroidError.
 
-The solver scans nodes in canonical support order and keeps no state
-between calls, so it is deterministic and concurrent calls are safe.
+The solver scans nodes in the problem's row and column order and keeps no
+state between calls, so it is deterministic and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -40,21 +41,49 @@ from .walk import Distribution
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Marginals plus an integer cost matrix over their canonical supports."""
+    """The residual integer transportation problem between two distributions.
 
-    mu: Distribution
-    nu: Distribution
+    row_keys and col_keys are the residual supports in ascending mask order;
+    supply[i] and demand[j] are their residual weights over the common
+    denominator scale, and cost[i][j] = dist(row_keys[i], col_keys[j]).
+    """
+
     row_keys: tuple[Mask, ...]
     col_keys: tuple[Mask, ...]
-    cost: tuple[tuple[int, ...], ...]  # cost[i][j], nonnegative
+    supply: tuple[int, ...]
+    demand: tuple[int, ...]
+    cost: tuple[tuple[int, ...], ...]  # nonnegative
+    scale: int
 
     @classmethod
     def from_distance(cls, mu: Distribution, nu: Distribution,
                       dist: Callable[[Mask, Mask], int]) -> "TransportProblem":
-        rows = tuple(mu.support())
-        cols = tuple(nu.support())
-        cost = tuple(tuple(dist(x, y) for y in cols) for x in rows)
-        return cls(mu, nu, rows, cols, cost)
+        """Scale both marginals to one denominator, fix the shared mass
+        min(mu, nu) in place, and evaluate dist on the residual cells only.
+
+        dist must be a metric on the supports (zero on the diagonal, with the
+        triangle inequality), which is what makes fixing the shared mass
+        value-neutral. Raises UnbalancedMarginals when the totals differ.
+        """
+        scale = lcm(mu.denominator, nu.denominator)
+        a, b = scale // mu.denominator, scale // nu.denominator
+        supply_of = {x: w * a for x, w in mu.weights.items()}
+        demand_of = {y: w * b for y, w in nu.weights.items()}
+        total_mu, total_nu = sum(supply_of.values()), sum(demand_of.values())
+        if total_mu != total_nu:
+            raise UnbalancedMarginals(f"marginal totals differ: {Fraction(total_mu, scale)} "
+                                      f"!= {Fraction(total_nu, scale)}")
+        for x in supply_of.keys() & demand_of.keys():
+            q = min(supply_of[x], demand_of[x])
+            supply_of[x] -= q
+            demand_of[x] -= q
+        rows = tuple(sorted(x for x, w in supply_of.items() if w))
+        cols = tuple(sorted(y for y, w in demand_of.items() if w))
+        return cls(rows, cols,
+                   tuple(supply_of[x] for x in rows),
+                   tuple(demand_of[y] for y in cols),
+                   tuple(tuple([dist(x, y) for y in cols]) for x in rows),
+                   scale)
 
 
 # ── integer min-cost transportation ─────────────────────────────────────────
@@ -229,42 +258,17 @@ def verify_transport_certificate(supply: list[int], demand: list[int],
 
 
 def wasserstein1(p: TransportProblem) -> Fraction:
-    """Exact optimal transport value.
+    """Exact optimal transport value of a residual problem.
 
-    Shared mass min(mu, nu) on a zero-cost diagonal cell stays in place and
-    only the residuals are routed, which a metric cost allows by the
-    triangle inequality. Graph distances vanish only on the diagonal, so the
-    value is zero iff the marginals are equal. The integer problem actually
-    solved is certified on every call; a failed certificate raises
-    CurvatroidError.
+    TransportProblem.from_distance has already fixed the shared mass, which
+    a metric cost allows by the triangle inequality; graph distances vanish
+    only on the diagonal, so the value is zero iff the marginals are equal.
+    The integer problem is certified on every call; a failed certificate
+    raises CurvatroidError.
     """
-    mu, nu = p.mu.masses, p.nu.masses
-    scale = lcm(*(q.denominator for q in mu.values()),
-                *(q.denominator for q in nu.values()))
-    supply_of = {x: q.numerator * (scale // q.denominator) for x, q in mu.items()}
-    demand_of = {y: q.numerator * (scale // q.denominator) for y, q in nu.items()}
-    total_mu, total_nu = sum(supply_of.values()), sum(demand_of.values())
-    if total_mu != total_nu:
-        raise UnbalancedMarginals(f"marginal totals differ: {Fraction(total_mu, scale)} "
-                                  f"!= {Fraction(total_nu, scale)}")
-
-    col_index = {y: j for j, y in enumerate(p.col_keys)}
-    for i, x in enumerate(p.row_keys):
-        j = col_index.get(x)
-        if j is not None and p.cost[i][j] == 0:
-            q = min(supply_of[x], demand_of[x])
-            supply_of[x] -= q
-            demand_of[x] -= q
-
-    rows = [i for i, x in enumerate(p.row_keys) if supply_of[x]]
-    if not rows:
-        return Fraction(0)
-    cols = [j for j, y in enumerate(p.col_keys) if demand_of[y]]
-    supply = [supply_of[p.row_keys[i]] for i in rows]
-    demand = [demand_of[p.col_keys[j]] for j in cols]
-    cost = [[p.cost[i][j] for j in cols] for i in rows]
-    flow, u, v = _solve_integer_transport(supply, demand, cost)
-    check = verify_transport_certificate(supply, demand, cost, flow, u, v)
+    supply, demand = list(p.supply), list(p.demand)
+    flow, u, v = _solve_integer_transport(supply, demand, p.cost)
+    check = verify_transport_certificate(supply, demand, p.cost, flow, u, v)
     if not check:
         raise CurvatroidError(f"transport certificate failed: {check.detail}")
-    return Fraction(sum(f * cost[a][b] for (a, b), f in flow.items()), scale)
+    return Fraction(sum(f * p.cost[a][b] for (a, b), f in flow.items()), p.scale)

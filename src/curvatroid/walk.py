@@ -1,13 +1,15 @@
 """The down-up basis-exchange walk and the metric of the basis exchange graph.
 
 One walk step from a basis S: drop an element u of S uniformly, then replace
-S - u by a uniform choice among all bases containing it. All masses are
-exact fractions. The exchange graph (bases adjacent when they differ by one
-exchange) carries the metric used by the transport layer. In a matroid its
-shortest-path distance is d(X, Y) = |X - Y|, so distances are popcounts and
-no graph is built; basis_graph gates the family through
-Matroid.require_matroid, which checks an explicit family against the
-exchange axiom once and rejects a non-matroid with the validator's witness.
+S - u by a uniform choice among all bases containing it. A kernel row holds
+positive integer weights over one common denominator, so every mass is
+exact without Fraction arithmetic. The exchange graph (bases adjacent when
+they differ by one exchange) carries the metric used by the transport
+layer. In a matroid its shortest-path distance is d(X, Y) = |X - Y|, so
+distances are popcounts and no graph is built; basis_graph gates the family
+through Matroid.require_matroid, which checks an explicit family against
+the exchange axiom once and rejects a non-matroid with the validator's
+witness.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -24,55 +27,68 @@ from .matroid import Mask, Matroid, basis_sort_key, bits
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability distribution over bases (masks), masses exact and positive."""
+    """Probability distribution over bases (masks): positive integer weights
+    over a common denominator, so the mass of b is weights[b] / denominator.
 
-    masses: Mapping[Mask, Fraction]
+    The weights need not be in lowest terms; equality compares masses.
+    """
+
+    weights: Mapping[Mask, int]
+    denominator: int
 
     def __post_init__(self):
-        frozen = MappingProxyType(dict(self.masses))
-        object.__setattr__(self, "masses", frozen)
-        total = Fraction(0)
-        for b, q in frozen.items():
-            if q <= 0:
-                raise ValueError(f"nonpositive mass {q} on {b}")
-            total += q
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
+        frozen = MappingProxyType(dict(self.weights))
+        object.__setattr__(self, "weights", frozen)
+        total = 0
+        for b, w in frozen.items():
+            if w <= 0:
+                raise ValueError(f"nonpositive weight {w} on {b}")
+            total += w
+        if total != self.denominator or total <= 0:
+            raise ValueError(f"weights sum to {total}, not the denominator "
+                             f"{self.denominator}")
+
+    @property
+    def masses(self) -> dict[Mask, Fraction]:
+        """Every support entry with its exact mass."""
+        return {b: Fraction(w, self.denominator) for b, w in self.weights.items()}
 
     def mass(self, b: Mask) -> Fraction:
-        return self.masses.get(b, Fraction(0))
+        return Fraction(self.weights.get(b, 0), self.denominator)
 
     def support(self) -> list[Mask]:
         """Support in canonical order."""
-        return sorted(self.masses, key=basis_sort_key)
-
-    def items_sorted(self) -> list[tuple[Mask, Fraction]]:
-        return [(b, self.masses[b]) for b in self.support()]
+        return sorted(self.weights, key=basis_sort_key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return dict(self.masses) == dict(other.masses)
+        return self.masses == other.masses
 
 
 def transition_distribution(m: Matroid, s: Mask) -> Distribution:
     """One-step distribution of the down-up walk started at basis s.
 
+    Read off the completion table: dropping u leaves the hole s - u, whose
+    completions each get mass 1 / (k |N(s - u)|). Over the common
+    denominator k * lcm_u |N(s - u)| every mass is an integer weight.
     Multiple (drop, add) routes to the same target are summed into a single
     support entry; the result always puts positive mass on s itself.
     """
     if s not in m.bases:
         raise NotABasis("walk must start at a basis")
-    k = m.rank
-    out: dict[Mask, Fraction] = {}
-    for u in bits(s):
-        sub = s ^ (1 << u)
-        completions = m.exchange_neighborhood(s, u)
-        step = Fraction(1, k * completions.bit_count())
-        for x in bits(completions):
-            target = sub | (1 << x)
-            out[target] = out.get(target, Fraction(0)) + step
-    return Distribution(out)
+    table = m._completion_table()
+    holes = [(s ^ (1 << u), table[s ^ (1 << u)]) for u in bits(s)]
+    scale = lcm(*(comps.bit_count() for _, comps in holes))
+    out: dict[Mask, int] = {}
+    for sub, comps in holes:
+        w = scale // comps.bit_count()
+        while comps:
+            low = comps & -comps
+            target = sub | low
+            out[target] = out.get(target, 0) + w
+            comps ^= low
+    return Distribution(out, m.rank * scale)
 
 
 class BasisGraph:

@@ -1,17 +1,23 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's own algorithms: optimal transport by
-brute-force enumeration of the transportation polytope's vertices, coupling
-marginals and expected cost by plain Fraction sums over a dict, distances
-by a plain dict-based BFS, adjacency and the basis exchange axiom by the
-quadratic definitions, rank by Gaussian elimination over fractions, and
-pair order by comparing sorted index tuples.
+brute-force enumeration of the transportation polytope's vertices, on the
+full (unreduced) problem, coupling marginals and expected cost by plain
+Fraction sums over a dict, the walk kernel by Fraction sums over its
+definition, distances by a plain dict-based BFS, adjacency and the basis
+exchange axiom by the quadratic definitions, rank by Gaussian elimination
+over fractions, and pair order by comparing sorted index tuples. The
+test-only helpers at the end (the distance proposition, the distribution
+rendering) use the public library API.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+
+import curvatroid as cv
 
 
 def transport_vertices(supply, demand):
@@ -222,3 +228,104 @@ def sorted_index_pairs(pairs):
 
     oriented = [(x, y) if index_tuple(x) <= index_tuple(y) else (y, x) for x, y in pairs]
     return sorted(oriented, key=lambda p: (index_tuple(p[0]), index_tuple(p[1])))
+
+
+FullProblem = namedtuple("FullProblem", "row_keys col_keys supply demand cost")
+
+
+def set_difference_size(x, y):
+    """|X - Y| for two masks, from their index tuples."""
+    return len(set(index_tuple(x)) - set(index_tuple(y)))
+
+
+def full_transport_problem(mu, nu, dist=set_difference_size):
+    """The unreduced transportation problem between two distributions.
+
+    Rows and columns are the full supports in sorted-index-tuple order, with
+    Fraction masses and cost dist(x, y) (default |X - Y|); no shared mass
+    is fixed, so the optimum of this problem is W1 by definition.
+    """
+    rows = sorted(mu.masses, key=index_tuple)
+    cols = sorted(nu.masses, key=index_tuple)
+    return FullProblem(rows, cols, [mu.mass(x) for x in rows],
+                       [nu.mass(y) for y in cols],
+                       [[dist(x, y) for y in cols] for x in rows])
+
+
+def fraction_kernel(m, s):
+    """The down-up walk's row at basis s, {basis: Fraction}, by definition.
+
+    Drop each element u of s with probability 1/k, then move to each basis
+    containing s - u with probability 1 / #(bases containing s - u); the
+    bases are found by scanning the whole family.
+    """
+    k = m.rank
+    out = {}
+    for u in index_tuple(s):
+        hole = s & ~(1 << u)
+        targets = [b for b in m.bases if b & hole == hole]
+        for b in targets:
+            out[b] = out.get(b, Fraction(0)) + Fraction(1, k * len(targets))
+    return out
+
+
+def items_sorted(dist):
+    """(basis, Fraction mass) for the support of a distribution, in order."""
+    return [(b, dist.mass(b)) for b in dist.support()]
+
+
+def distribution_to_obj(m, dist):
+    """A distribution as report rows: labels and "p/q" mass per basis."""
+    return [{"basis": list(m.labels_of(b)), "mass": str(dist.mass(b))}
+            for b in dist.support()]
+
+
+def proposition_distance_check(m, frame, u, a=None):
+    """Verify that an S-only add lands far from T's one-step range.
+
+    For a crossing drop u and a in (N(S-u) - t) \\ N(T-u), the basis S-u+a
+    must be at distance >= 2 from every neighbor of T except T-u+s, T-t+s
+    and T-t+a (those that are bases). With a=None every such a is checked;
+    a vacuous pass is reported when there are none.
+    """
+    witness = cv.compute_pair_witness(m, frame)
+    try:
+        idx = witness.crossing_drops.index(u)
+    except ValueError:
+        raise cv.CurvatroidError(f"{m.labels[u]!r} is not a crossing drop") from None
+    adds_mask = witness.entries[idx].s_only_adds
+    if a is None:
+        adds = list(cv.bits(adds_mask))
+        if not adds:
+            return cv.ValidationResult.passed("no one-sided adds: vacuous")
+    else:
+        if not adds_mask & (1 << a):
+            raise cv.CurvatroidError(f"{m.labels[a]!r} is not a one-sided add for this drop")
+        adds = [a]
+
+    g = cv.basis_graph(m)
+    t = frame.t_basis
+    neighbors = []
+    for x in cv.bits(t):
+        for y in cv.bits(m.exchange_neighborhood(t, x)):
+            if y != x:
+                neighbors.append((t ^ (1 << x)) | (1 << y))
+    u_bit = 1 << u
+    s_bit = 1 << frame.s_elem
+    t_bit = 1 << frame.t_elem
+    for cand in adds:
+        probe = (frame.s_basis ^ u_bit) | (1 << cand)
+        exceptions = {(t ^ u_bit) | s_bit, (t ^ t_bit) | s_bit}
+        with_a = (t ^ t_bit) | (1 << cand)
+        if with_a in m.bases:
+            exceptions.add(with_a)
+        for z in neighbors:
+            if z in exceptions:
+                continue
+            if g.distance(probe, z) < 2:
+                return cv.ValidationResult.failed(
+                    f"{m.labels_of(probe)} is near neighbor {m.labels_of(z)}",
+                    witness=(probe, z),
+                )
+    return cv.ValidationResult.passed(f"checked {len(adds)} add(s) against "
+                                      f"{len(neighbors)} neighbors")

@@ -6,7 +6,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import curvature, walk
-from oracles import cell_masses, coupling_cost, sorted_index_pairs
+from oracles import (cell_masses, coupling_cost, proposition_distance_check,
+                     sorted_index_pairs)
 
 F = Fraction
 
@@ -192,21 +193,21 @@ def test_proposition_rank3():
     frame = cv.make_pair_frame(m, s, t)
     witness = cv.compute_pair_witness(m, frame)
     for entry in witness.entries:
-        result = cv.proposition_distance_check(m, frame, entry.drop)
+        result = proposition_distance_check(m, frame, entry.drop)
         assert result.ok and "5 add(s)" in result.detail
         for a in cv.bits(entry.s_only_adds):
-            assert cv.proposition_distance_check(m, frame, entry.drop, a).ok
+            assert proposition_distance_check(m, frame, entry.drop, a).ok
 
 
 def test_proposition_vacuous_and_errors():
     m = u42()
     frame = frame_of(m, ("a", "b"), ("a", "c"))
-    result = cv.proposition_distance_check(m, frame, m.element_index("a"))
+    result = proposition_distance_check(m, frame, m.element_index("a"))
     assert result.ok and "vacuous" in result.detail
     with pytest.raises(cv.CurvatroidError):
-        cv.proposition_distance_check(m, frame, m.element_index("b"))
+        proposition_distance_check(m, frame, m.element_index("b"))
     with pytest.raises(cv.CurvatroidError):
-        cv.proposition_distance_check(m, frame, m.element_index("a"),
+        proposition_distance_check(m, frame, m.element_index("a"),
                                       m.element_index("d"))
 
 
@@ -214,7 +215,7 @@ def test_proposition_k6_crossing_edge():
     m = cv.build_named("k6")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
     frame = cv.make_pair_frame(m, s, t)
-    assert cv.proposition_distance_check(m, frame, m.element_index("1")).ok
+    assert proposition_distance_check(m, frame, m.element_index("1")).ok
 
 
 # ── exact curvature and reports ─────────────────────────────────────────────

@@ -1,10 +1,14 @@
-"""Property check of the curvature sandwich on random small matroids.
+"""Property checks of the curvature sandwich and the exact W1 route on
+random small matroids.
 
 Each example is a uniform, graphic or linear matroid on at most 7 elements.
 On every adjacent pair the exact curvature must lie between the larger of
 the two lower bounds (the global theorem bound and the pair's down-step
 bound) and the pair's theorem upper bound, and the exact global report must
-be the minimum of the per-pair values.
+be the minimum of the per-pair values. Every integer kernel row must equal
+the Fraction row built from the walk's definition, and W1 between the rows
+of random basis pairs, at any distance, must equal networkx on the full
+unreduced problem.
 """
 
 from fractions import Fraction
@@ -12,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
+from oracles import fraction_kernel, full_transport_problem, network_simplex_value
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,3 +60,21 @@ def test_exact_curvature_is_sandwiched_on_every_pair(spec):
         kappas.append(kappa)
     report = cv.global_curvature(m, exact=True)
     assert report.kappa_exact == min(kappas, default=Fraction(1))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs(), st.data())
+def test_integer_kernels_and_w1_match_the_oracles(spec, data):
+    m = cv.build_matroid(spec)
+    g = cv.basis_graph(m)
+    order = m.sorted_bases()
+    for s in order:
+        assert g.kernel(s).masses == fraction_kernel(m, s), (spec, s)
+    for _ in range(4):
+        x = data.draw(st.sampled_from(order))
+        y = data.draw(st.sampled_from(order))
+        mu, nu = g.kernel(x), g.kernel(y)
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
+        full = full_transport_problem(mu, nu)
+        assert value == network_simplex_value(full.supply, full.demand, full.cost), \
+            (spec, x, y)

@@ -50,6 +50,8 @@ CASES = (
     + [("bases", name, ()) for name in ("vamos", "fano", "k4", "rank3-counterexample")]
     + [("catalog", "", ())]
     + [("validate", name, ()) for name in FILES]
+    # appended last so the generated ids of the cases above stay as they were
+    + [("curvature", name, ("--all-pairs",)) for name in ("k4", "fano")]
 )
 FORMATS = ("json", "csv")
 

@@ -10,6 +10,7 @@ import pytest
 import curvatroid as cv
 from curvatroid import fileio as fio
 from curvatroid.cli import main
+from oracles import distribution_to_obj
 
 F = Fraction
 
@@ -170,7 +171,7 @@ def test_global_report_obj():
 def test_distribution_obj_shape():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     dist = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
-    rows = fio.distribution_to_obj(m, dist)
+    rows = distribution_to_obj(m, dist)
     assert rows[0] == {"basis": ["a", "b"], "mass": "1/3"}
     assert [r["basis"] for r in rows] == sorted((r["basis"] for r in rows),
                                                 key=lambda b: [m.element_index(x) for x in b])
@@ -341,8 +342,10 @@ HUGE = "9" * 5000  # past the interpreter's default integer digit limit of 4300
      "error: rational of 5002 characters is too long"),
     ('{"type": "graphic", "vertices": 1000000000000, "edges": [[0, 1, "a"]]}', 0, ""),
     ("[" * 200_000 + "]" * 200_000, 2, "nesting is too deep to read"),
+    ('{"type": "uniform", "n": 20000, "k": 19999}', 1,
+     "error: enumerating C(20000,19999) subsets exceeds the work limit"),
 ], ids=["too-many-subsets", "huge-integer", "huge-rational", "huge-vertex-count",
-        "deep-nesting"])
+        "deep-nesting", "too-much-work"])
 def test_cli_contract_on_huge_inputs(capsys, tmp_path, text, code, message):
     path = tmp_path / "huge.json"
     path.write_text(text, encoding="utf-8")

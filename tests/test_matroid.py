@@ -133,6 +133,16 @@ def test_explicit_errors():
 def test_enumeration_guard():
     with pytest.raises(cv.TooLarge):
         cv.build_matroid(cv.UniformSpec(n=30, k=15))
+    # few subsets, but each one is a huge mask or a large rank computation
+    with pytest.raises(cv.TooLarge, match="work limit"):
+        cv.build_matroid(cv.UniformSpec(n=10**7, k=10**7))
+    # a 10 x 20 Vandermonde matrix: rank 10, so C(20, 10) ranks of 10 x 10
+    wide = tuple(tuple(Fraction((j + 1) ** i) for j in range(20)) for i in range(10))
+    with pytest.raises(cv.TooLarge, match="work limit"):
+        cv.build_matroid(cv.LinearSpec(matrix=wide))
+    square = ((Fraction(1),) * 400,) * 400
+    with pytest.raises(cv.TooLarge, match="ranking a 400 x 400 matrix"):
+        cv.build_matroid(cv.LinearSpec(matrix=square))
 
 
 def test_named_unknown():

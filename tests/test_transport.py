@@ -3,22 +3,43 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 import curvatroid as cv
 from curvatroid import transport
 from curvatroid.cli import main
-from oracles import coupling_cost, min_cost_by_vertices, network_simplex_value
+from oracles import (FullProblem, coupling_cost, full_transport_problem,
+                     min_cost_by_vertices, network_simplex_value,
+                     set_difference_size)
 
 F = Fraction
 
 
+def kernels(m: cv.Matroid, s_labels, t_labels) -> tuple[cv.Distribution, cv.Distribution]:
+    return (cv.transition_distribution(m, m.mask_from_labels(s_labels)),
+            cv.transition_distribution(m, m.mask_from_labels(t_labels)))
+
+
 def kernel_problem(m: cv.Matroid, s_labels, t_labels) -> cv.TransportProblem:
-    g = cv.basis_graph(m)
-    mu = cv.transition_distribution(m, m.mask_from_labels(s_labels))
-    nu = cv.transition_distribution(m, m.mask_from_labels(t_labels))
-    return cv.TransportProblem.from_distance(mu, nu, g.distance)
+    return cv.TransportProblem.from_distance(*kernels(m, s_labels, t_labels),
+                                             cv.basis_graph(m).distance)
+
+
+def simplex_on_full_problem(full: FullProblem):
+    return network_simplex_value(full.supply, full.demand, full.cost)
+
+
+def as_transport_problem(full: FullProblem) -> cv.TransportProblem:
+    """The unreduced problem in integers over its common denominator, with
+    no shared mass fixed, so wasserstein1 routes every unit."""
+    scale = lcm(*(q.denominator for q in full.supply + full.demand))
+    return cv.TransportProblem(
+        tuple(full.row_keys), tuple(full.col_keys),
+        tuple(int(q * scale) for q in full.supply),
+        tuple(int(q * scale) for q in full.demand),
+        tuple(map(tuple, full.cost)), scale)
 
 
 def product_coupling(mu: cv.Distribution, nu: cv.Distribution) -> dict:
@@ -70,8 +91,8 @@ def test_point_masses_move_the_graph_distance():
     g = cv.basis_graph(m)
     x = m.mask_from_labels(["ab", "bc", "cd"])
     y = m.mask_from_labels(["ac", "bd", "da"])
-    mu = cv.Distribution({x: F(1)})
-    nu = cv.Distribution({y: F(1)})
+    mu = cv.Distribution({x: 1}, 1)
+    nu = cv.Distribution({y: 1}, 1)
     value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
     assert value == g.distance(x, y) > 0
 
@@ -88,20 +109,24 @@ def test_value_zero_iff_equal_marginals(test_set):
 
 
 def test_scale_invariance():
-    problem = kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"])
     m = cv.build_named("k4")
     g = cv.basis_graph(m)
-    scaled = cv.TransportProblem.from_distance(problem.mu, problem.nu,
-                                               lambda x, y: 7 * g.distance(x, y))
-    assert cv.wasserstein1(scaled) == 7 * cv.wasserstein1(problem)
+    mu, nu = kernels(m, ["ab", "bc", "cd"], ["ab", "cd", "da"])
+    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
+    scaled = cv.wasserstein1(cv.TransportProblem.from_distance(
+        mu, nu, lambda x, y: 7 * g.distance(x, y)))
+    assert scaled == 7 * value
+    full = full_transport_problem(mu, nu, lambda x, y: 7 * set_difference_size(x, y))
+    assert scaled == simplex_on_full_problem(full)
 
 
 def test_unbalanced_marginals_rejected():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     g = cv.basis_graph(m)
     mu = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
-    half = cv.Distribution({m.mask_from_labels(["a", "b"]): F(1)})
-    object.__setattr__(half, "masses", {m.mask_from_labels(["a", "b"]): F(1, 2)})
+    # a point mass tampered down to total 1/2 past the Distribution checks
+    half = cv.Distribution({m.mask_from_labels(["a", "b"]): 1}, 1)
+    object.__setattr__(half, "denominator", 2)
     with pytest.raises(cv.UnbalancedMarginals):
         cv.wasserstein1(cv.TransportProblem.from_distance(mu, half, g.distance))
 
@@ -112,9 +137,10 @@ def test_unbalanced_marginals_rejected():
 def test_coupling_check_accepts_and_rejects():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     g = cv.basis_graph(m)
-    problem = kernel_problem(m, ["a", "b"], ["a", "c"])
-    mu, nu = problem.mu.masses, problem.nu.masses
-    product = product_coupling(problem.mu, problem.nu)
+    mu_dist, nu_dist = kernels(m, ["a", "b"], ["a", "c"])
+    problem = cv.TransportProblem.from_distance(mu_dist, nu_dist, g.distance)
+    mu, nu = mu_dist.masses, nu_dist.masses
+    product = product_coupling(mu_dist, nu_dist)
     want = sum((q * g.distance(x, y) for (x, y), q in product.items()), F(0))
     assert coupling_cost(product, mu, nu, g.distance) == want > cv.wasserstein1(problem)
 
@@ -141,21 +167,24 @@ def test_coupling_check_accepts_and_rejects():
 def test_random_couplings_never_beat_the_optimum():
     rng = random.Random(20250816)
     cases = [
-        kernel_problem(cv.build_matroid(cv.UniformSpec(n=4, k=2)), ["a", "b"], ["a", "c"]),
-        kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"]),
+        (cv.build_matroid(cv.UniformSpec(n=4, k=2)), ["a", "b"], ["a", "c"]),
+        (cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"]),
     ]
-    for problem in cases:
-        col_of = {y: j for j, y in enumerate(problem.col_keys)}
-        row_of = {x: i for i, x in enumerate(problem.row_keys)}
+    for m, s_labels, t_labels in cases:
+        mu, nu = kernels(m, s_labels, t_labels)
+        full = full_transport_problem(mu, nu)
+        col_of = {y: j for j, y in enumerate(full.col_keys)}
+        row_of = {x: i for i, x in enumerate(full.row_keys)}
 
         def dist(x, y):
-            return problem.cost[row_of[x]][col_of[y]]
+            return full.cost[row_of[x]][col_of[y]]
 
-        value = cv.wasserstein1(problem)
-        coupling = product_coupling(problem.mu, problem.nu)
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(
+            mu, nu, cv.basis_graph(m).distance))
+        coupling = product_coupling(mu, nu)
         for _ in range(50):
             coupling = perturb(coupling, rng)
-            cost = coupling_cost(coupling, problem.mu.masses, problem.nu.masses, dist)
+            cost = coupling_cost(coupling, mu.masses, nu.masses, dist)
             assert cost is not None and cost >= value
 
 
@@ -171,8 +200,8 @@ def random_problem(rng: random.Random, size: int):
         supply[rng.randrange(size)] += 1
         demand[rng.randrange(size)] += 1
     total = sum(supply)
-    mu = cv.Distribution({r: F(s, total) for r, s in zip(rows, supply)})
-    nu = cv.Distribution({c: F(d, total) for c, d in zip(cols, demand)})
+    mu = cv.Distribution(dict(zip(rows, supply)), total)
+    nu = cv.Distribution(dict(zip(cols, demand)), total)
     cost = {(r, c): rng.randint(0, 6) for r in rows for c in cols}
     return mu, nu, cost
 
@@ -182,13 +211,11 @@ def test_solver_matches_vertex_enumeration_and_simplex():
     for trial in range(40):
         size = rng.randint(2, 4)
         mu, nu, cost = random_problem(rng, size)
-        problem = cv.TransportProblem.from_distance(mu, nu, lambda x, y: cost[(x, y)])
-        value = cv.wasserstein1(problem)
-        supply = [mu.mass(r) for r in problem.row_keys]
-        demand = [nu.mass(c) for c in problem.col_keys]
-        grid = [[cost[(r, c)] for c in problem.col_keys] for r in problem.row_keys]
-        assert value == min_cost_by_vertices(supply, demand, grid), trial
-        assert value == network_simplex_value(supply, demand, grid), trial
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(
+            mu, nu, lambda x, y: cost[(x, y)]))
+        full = full_transport_problem(mu, nu, lambda x, y: cost[(x, y)])
+        assert value == min_cost_by_vertices(full.supply, full.demand, full.cost), trial
+        assert value == simplex_on_full_problem(full), trial
 
 
 def workload_shaped_problem(rng: random.Random, rows: int, cols: int):
@@ -200,7 +227,7 @@ def workload_shaped_problem(rng: random.Random, rows: int, cols: int):
 
     def spread(keys):
         weights = [rng.randint(1, 12) for _ in keys]
-        return cv.Distribution({x: F(w, sum(weights)) for x, w in zip(keys, weights)})
+        return cv.Distribution(dict(zip(keys, weights)), sum(weights))
 
     mu = spread(rng.sample(pool, rows))
     nu = spread(rng.sample(pool, cols))
@@ -212,39 +239,44 @@ def test_solver_matches_simplex_on_workload_shaped_problems():
     shapes = [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(40)] + [(31, 31)]
     for trial, (rows, cols) in enumerate(shapes):
         mu, nu, dist = workload_shaped_problem(rng, rows, cols)
-        problem = cv.TransportProblem.from_distance(mu, nu, dist)
-        value = cv.wasserstein1(problem)
-        supply = [mu.mass(x) for x in problem.row_keys]
-        demand = [nu.mass(y) for y in problem.col_keys]
-        assert value == network_simplex_value(supply, demand, problem.cost), trial
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, dist))
+        assert value == simplex_on_full_problem(full_transport_problem(mu, nu, dist)), trial
 
 
 def test_fix_common_mass_is_value_neutral(test_set):
-    # the solver routes only the residuals; networkx solves the full kernel
+    # the problem keeps only the residuals; networkx solves the full kernel
     # problem, shared mass included
     m = test_set["k4"]
     g = cv.basis_graph(m)
     pairs = list(m.adjacent_basis_pairs())[:6]
     for s, t in pairs:
-        problem = cv.TransportProblem.from_distance(
-            cv.transition_distribution(m, s), cv.transition_distribution(m, t),
-            g.distance)
-        assert set(problem.row_keys) & set(problem.col_keys)
-        supply = [problem.mu.mass(x) for x in problem.row_keys]
-        demand = [problem.nu.mass(y) for y in problem.col_keys]
-        assert cv.wasserstein1(problem) == network_simplex_value(supply, demand,
-                                                                 problem.cost)
+        mu, nu = cv.transition_distribution(m, s), cv.transition_distribution(m, t)
+        problem = cv.TransportProblem.from_distance(mu, nu, g.distance)
+        assert set(mu.support()) & set(nu.support())
+        assert not set(problem.row_keys) & set(problem.col_keys)
+        assert sum(problem.supply) == sum(problem.demand) < problem.scale
+        assert cv.wasserstein1(problem) == simplex_on_full_problem(
+            full_transport_problem(mu, nu))
 
 
 def test_solver_is_deterministic():
-    problem = kernel_problem(cv.build_named("k4"), ["ab", "bc", "cd"], ["ab", "cd", "da"])
+    m = cv.build_named("k4")
+    mu, nu = kernels(m, ["ab", "bc", "cd"], ["ab", "cd", "da"])
+    problem = cv.TransportProblem.from_distance(mu, nu, cv.basis_graph(m).distance)
     value = cv.wasserstein1(problem)
     assert cv.wasserstein1(problem) == value
     # the same problem with both supports listed in reverse order
     reversed_problem = cv.TransportProblem(
-        problem.mu, problem.nu, problem.row_keys[::-1], problem.col_keys[::-1],
-        tuple(row[::-1] for row in problem.cost[::-1]))
+        problem.row_keys[::-1], problem.col_keys[::-1], problem.supply[::-1],
+        problem.demand[::-1], tuple(row[::-1] for row in problem.cost[::-1]),
+        problem.scale)
     assert cv.wasserstein1(reversed_problem) == value
+    # and the full problem, shared mass unfixed, with its supports reversed
+    full = full_transport_problem(mu, nu)
+    reversed_full = FullProblem(full.row_keys[::-1], full.col_keys[::-1],
+                                full.supply[::-1], full.demand[::-1],
+                                [row[::-1] for row in full.cost[::-1]])
+    assert cv.wasserstein1(as_transport_problem(reversed_full)) == value
 
 
 # ── optimality certificate ──────────────────────────────────────────────────

@@ -1,11 +1,9 @@
 """Property check of the transport solver against networkx min-cost flow."""
 
-from fractions import Fraction
-
 import pytest
 
 import curvatroid as cv
-from oracles import network_simplex_value
+from oracles import full_transport_problem, network_simplex_value
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -22,8 +20,8 @@ def transport_problems(draw):
     col_w = draw(st.lists(weights, min_size=cols, max_size=cols))
     cost = draw(st.lists(st.lists(st.integers(0, 6), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
-    mu = cv.Distribution({i: Fraction(w, sum(row_w)) for i, w in enumerate(row_w)})
-    nu = cv.Distribution({100 + j: Fraction(w, sum(col_w)) for j, w in enumerate(col_w)})
+    mu = cv.Distribution(dict(enumerate(row_w)), sum(row_w))
+    nu = cv.Distribution({100 + j: w for j, w in enumerate(col_w)}, sum(col_w))
     return mu, nu, cost
 
 
@@ -35,8 +33,6 @@ def test_solver_matches_network_simplex(case):
     def dist(x, y):
         return cost[x][y - 100]
 
-    problem = cv.TransportProblem.from_distance(mu, nu, dist)
-    value = cv.wasserstein1(problem)
-    supply = [mu.mass(x) for x in problem.row_keys]
-    demand = [nu.mass(y) for y in problem.col_keys]
-    assert value == network_simplex_value(supply, demand, problem.cost)
+    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, dist))
+    full = full_transport_problem(mu, nu, dist)
+    assert value == network_simplex_value(full.supply, full.demand, full.cost)
