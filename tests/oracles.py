@@ -7,8 +7,8 @@ Fraction sums over a dict, the walk kernel by Fraction sums over its
 definition, distances by a plain dict-based BFS, adjacency and the basis
 exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, and pair order by comparing sorted index tuples. The
-test-only helpers at the end (the distance proposition, the distribution
-rendering) use the public library API.
+test-only helpers at the end (the unpruned exact sweep, the distance
+proposition, the distribution rendering) use the public library API.
 """
 
 from __future__ import annotations
@@ -267,6 +267,28 @@ def fraction_kernel(m, s):
         for b in targets:
             out[b] = out.get(b, Fraction(0)) + Fraction(1, k * len(targets))
     return out
+
+
+def unpruned_global_curvature(m):
+    """(kappa, argmin pair) by solving every pair whose two bounds differ.
+
+    The exact sweep's route before bound pruning: every adjacent pair gets
+    its value (the shared bound when the two agree, a transport solve
+    otherwise), then the minimum and the first canonical pair reaching it.
+    A family without adjacent pairs gives (1, None).
+    """
+    pairs = cv.canonical_pairs(m)
+    kappas = []
+    for x, y in pairs:
+        frame = cv.make_pair_frame(m, x, y)
+        witness = cv.compute_pair_witness(m, frame)
+        lb = cv.downstep_lb_pair(m, frame, witness)
+        ub = cv.theorem_ub_pair(m, frame, witness)
+        kappas.append(lb if lb == ub else cv.exact_pair_curvature(m, frame))
+    if not pairs:
+        return Fraction(1), None
+    kappa = min(kappas)
+    return kappa, pairs[kappas.index(kappa)]
 
 
 def items_sorted(dist):

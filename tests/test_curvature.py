@@ -7,7 +7,7 @@ import pytest
 import curvatroid as cv
 from curvatroid import curvature, walk
 from oracles import (cell_masses, coupling_cost, proposition_distance_check,
-                     sorted_index_pairs)
+                     sorted_index_pairs, unpruned_global_curvature)
 
 F = Fraction
 
@@ -258,6 +258,78 @@ def test_global_report_matches_pair_minima(sweep):
                 data.matroid.rank, data.matroid.n)
         else:
             assert report.theorem_lb is None
+
+
+@pytest.mark.parametrize("wrong", ["below", "above"])
+def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch):
+    """The pruned sweep discards pairs on their down-step bound, so a solved
+    value outside [downstepLB, theoremUB] must stop it, naming the pair."""
+    def outside(m, frame):
+        if wrong == "below":
+            return cv.downstep_lb_pair(m, frame) - 1
+        return cv.theorem_ub_pair(m, frame) + 1
+
+    monkeypatch.setattr(curvature, "exact_pair_curvature", outside)
+    with pytest.raises(cv.CurvatroidError,
+                       match=r"pair \(.+\) / \(.+\): exact curvature .+ outside its bounds"):
+        cv.global_curvature(cv.build_named("vamos"))
+
+
+# transport solves of the pruned exact sweep; K6 solves 180 of its 17,460
+# pairs where the unpruned sweep solved 6,660
+PRUNED_SOLVES = {"k6": 180, "vamos": 48, "rank3-counterexample": 0}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_SOLVES))
+def test_pruned_sweep_solves_only_pairs_that_can_reach_the_minimum(name, monkeypatch):
+    m = cv.build_named(name)
+    exact = curvature.exact_pair_curvature
+    solved = []
+
+    def counted(m, frame):
+        solved.append(frame)
+        return exact(m, frame)
+
+    monkeypatch.setattr(curvature, "exact_pair_curvature", counted)
+    kappa = cv.global_curvature(m).kappa_exact
+    open_pairs = 0
+    for x, y in cv.canonical_pairs(m):
+        frame = cv.make_pair_frame(m, x, y)
+        open_pairs += cv.downstep_lb_pair(m, frame) <= kappa < cv.theorem_ub_pair(m, frame)
+    assert all(cv.downstep_lb_pair(m, frame) <= kappa for frame in solved)
+    assert len(solved) <= open_pairs
+    assert len(solved) == PRUNED_SOLVES[name]
+
+
+# Graphs where the first canonical pair reaching the minimum has a larger
+# down-step bound than a later pair reaching it, so the pruned sweep meets
+# the minimum before its argmin. Atlas #570 is K(2,3) with a triangle hung on
+# vertex 2, and there the argmin's bound equals the minimum itself; atlas
+# #947 is a 12-edge graph on 7 vertices. Edges in networkx atlas order.
+TIE_GRAPHS = {
+    "atlas-570": ((0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6),
+                  (5, 6)),
+    "atlas-947": ((0, 1), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (3, 4), (3, 5),
+                  (3, 6), (4, 5), (4, 6), (5, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_GRAPHS))
+def test_pruned_sweep_keeps_the_first_canonical_argmin_on_ties(name):
+    m = cv.build_matroid(cv.GraphicSpec(vertex_count=7, edges=tuple(
+        (a, b, f"e{i}") for i, (a, b) in enumerate(TIE_GRAPHS[name]))))
+    kappa, argmin = unpruned_global_curvature(m)
+    reaching = []  # down-step bounds of the pairs reaching kappa, canonical order
+    for x, y in cv.canonical_pairs(m):
+        frame = cv.make_pair_frame(m, x, y)
+        if cv.exact_pair_curvature(m, frame) == kappa:
+            reaching.append(((x, y), cv.downstep_lb_pair(m, frame)))
+    (first, first_lb), later = reaching[0], reaching[1:]
+    assert first == argmin
+    assert any(lb < first_lb for _, lb in later)
+    assert (first_lb == kappa) == (name == "atlas-570")
+    report = cv.global_curvature(m)
+    assert (report.kappa_exact, report.argmin_pair) == (kappa, argmin)
 
 
 def test_global_u42_argmin_and_value():

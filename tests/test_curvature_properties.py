@@ -5,9 +5,10 @@ Each example is a uniform, graphic or linear matroid on at most 7 elements.
 On every adjacent pair the exact curvature must lie between the larger of
 the two lower bounds (the global theorem bound and the pair's down-step
 bound) and the pair's theorem upper bound, and the exact global report must
-be the minimum of the per-pair values. Every integer kernel row must equal
-the Fraction row built from the walk's definition, and W1 between the rows
-of random basis pairs, at any distance, must equal networkx on the full
+be the minimum of the per-pair values at the first canonical pair reaching
+it, as the unpruned sweep oracle finds too. Every integer kernel row must
+equal the Fraction row built from the walk's definition, and W1 between the
+rows of random basis pairs, at any distance, must equal networkx on the full
 unreduced problem.
 """
 
@@ -16,7 +17,12 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
-from oracles import fraction_kernel, full_transport_problem, network_simplex_value
+from oracles import (
+    fraction_kernel,
+    full_transport_problem,
+    network_simplex_value,
+    unpruned_global_curvature,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -50,16 +56,20 @@ def test_exact_curvature_is_sandwiched_on_every_pair(spec):
     m = cv.build_matroid(spec)
     hypothesis.assume(m.rank < m.n)
     global_lb = cv.theorem_lb_global(m.rank, m.n)
+    pairs = cv.canonical_pairs(m)
     kappas = []
-    for x, y in cv.canonical_pairs(m):
+    for x, y in pairs:
         frame = cv.make_pair_frame(m, x, y)
         witness = cv.compute_pair_witness(m, frame)
         kappa = cv.exact_pair_curvature(m, frame)
         lb = max(global_lb, cv.downstep_lb_pair(m, frame, witness))
         assert lb <= kappa <= cv.theorem_ub_pair(m, frame, witness), (spec, x, y)
         kappas.append(kappa)
+    kappa = min(kappas, default=Fraction(1))
+    first = next((p for p, value in zip(pairs, kappas) if value == kappa), None)
     report = cv.global_curvature(m, exact=True)
-    assert report.kappa_exact == min(kappas, default=Fraction(1))
+    assert (report.kappa_exact, report.argmin_pair) == (kappa, first), spec
+    assert unpruned_global_curvature(m) == (kappa, first), spec
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
