@@ -9,6 +9,7 @@ failure, 2 on a parse error (bad file, bad flag, unknown catalog name).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .curvature import (
@@ -95,6 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main() call and reused by later calls
+    in the same process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def _basis_argument(m: Matroid, text: str, flag: str) -> Mask:
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
@@ -153,7 +161,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "all_pairs", False) and getattr(args, "bounds_only", False):
         parser.error("--all-pairs needs exact values; drop --bounds-only")

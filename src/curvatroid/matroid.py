@@ -3,8 +3,10 @@
 Elements are canonicalized to indices 0..n-1; user labels live in a sidecar
 tuple. A set of elements is an int bitmask over those indices, so all the
 hot set algebra (exchange neighborhoods, symmetric differences) is integer
-arithmetic. Bases are enumerated explicitly; constructions filter k-subsets,
-which is exact and comfortably fast at desk scale (n up to ~20).
+arithmetic. Bases are enumerated explicitly: the uniform and linear
+constructions filter k-subsets, the graphic one grows spanning forests edge
+by edge, which is exact and comfortably fast at desk scale (n up to ~20).
+Every construction emits its family in canonical order.
 """
 
 from __future__ import annotations
@@ -97,16 +99,25 @@ class Matroid:
     known_matroid marks a family that satisfies the exchange axiom by
     theorem (uniform, graphic and linear constructions); any other family is
     checked once, by require_matroid, before its first distance is used.
+
+    A construction that enumerates its family in canonical order passes
+    keys, the index tuple of each basis of bases in the same order;
+    sorted_bases() and origin_hash() then use that order instead of sorting.
     """
 
-    __slots__ = ("labels", "rank", "bases", "origin", "_index",
-                 "_completions", "_sorted", "_hash", "_exchange", "__weakref__")
+    __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
+                 "_sorted", "_keys", "_hash", "_exchange", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
-                 known_matroid: bool = False):
+                 known_matroid: bool = False,
+                 keys: list[tuple[int, ...]] | None = None):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise UnknownElement("duplicate ground labels")
+        self._sorted: list[Mask] | None = None
+        self._keys = keys
+        if keys is not None:
+            bases = self._sorted = list(bases)
         family = frozenset(bases)
         if not family:
             raise EmptyBasisFamily("basis family is empty")
@@ -124,7 +135,6 @@ class Matroid:
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions: dict[Mask, Mask] | None = None
-        self._sorted: list[Mask] | None = None
         self._hash: str | None = None
         self._exchange: ValidationResult | None = (
             ValidationResult.passed("matroid by construction") if known_matroid else None)
@@ -158,7 +168,9 @@ class Matroid:
     def sorted_bases(self) -> list[Mask]:
         """All bases in canonical order."""
         if self._sorted is None:
-            self._sorted = sorted(self.bases, key=basis_sort_key)
+            keyed = sorted((basis_sort_key(b), b) for b in self.bases)
+            self._keys = [key for key, _ in keyed]
+            self._sorted = [b for _, b in keyed]
         return self._sorted
 
     # -- exchange structure ----------------------------------------------
@@ -227,10 +239,11 @@ class Matroid:
     def origin_hash(self) -> str:
         """Stable digest of the canonical description (labels + basis list)."""
         if self._hash is None:
+            self.sorted_bases()  # fills in the index tuples, self._keys
             doc = {
                 "labels": list(self.labels),
                 "rank": self.rank,
-                "bases": [list(bits(m)) for m in self.sorted_bases()],
+                "bases": self._keys,  # tuples serialise as JSON arrays
             }
             blob = json.dumps(doc, separators=(",", ":")).encode()
             self._hash = hashlib.sha256(blob).hexdigest()
@@ -279,9 +292,10 @@ def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
     if not (1 <= k <= n):
         raise InvalidRank(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
     _guard_enumeration(n, k)
-    bases = [sum(1 << i for i in combo) for combo in combinations(range(n), k)]
+    keys = list(combinations(range(n), k))
+    bases = [sum(1 << i for i in key) for key in keys]
     return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})",
-                   known_matroid=True)
+                   known_matroid=True, keys=keys)
 
 
 class _UnionFind:
@@ -333,19 +347,51 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
 
     n = len(spec.edges)
     _guard_enumeration(n, k)
-    bases = []
-    for combo in combinations(range(n), k):
-        uf = _UnionFind(len(touched))
-        for i in combo:
-            a, b = ends[i]
-            if not uf.union(a, b):
-                break
-        else:
-            bases.append(sum(1 << i for i in combo))
     # k is the size of the greedy spanning forest above, so acyclic k-subsets
     # are maximum forests, and at least one exists
+    bases, keys = _spanning_forests(ends, len(touched), k)
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
-                   known_matroid=True)
+                   known_matroid=True, keys=keys)
+
+
+def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
+                      k: int) -> tuple[list[Mask], list[tuple[int, ...]]]:
+    """Masks and index tuples of the acyclic k-subsets of the edges, in
+    lexicographic order of the tuples.
+
+    A depth-first search adds edges in increasing index order and drops a
+    prefix as soon as it closes a cycle, so the prefixes of acyclic subsets
+    are tested once each. root[x] names the component of vertex x in the
+    prefix forest; an edge closes a cycle exactly when its two ends share a
+    root (a loop always does). An index stops a prefix when too few edges
+    follow it to reach k, and the last level only tests each remaining edge.
+    The stack is explicit, since k can exceed the recursion limit.
+    """
+    n = len(ends)
+    bases: list[Mask] = []
+    keys: list[tuple[int, ...]] = []
+    # (next edge index, prefix mask, prefix tuple, root); children are pushed
+    # in reverse, so the smallest index is explored first
+    stack = [(0, 0, (), list(range(vertex_count)))]
+    while stack:
+        start, prefix, key, root = stack.pop()
+        depth = len(key)
+        if depth == k - 1:
+            for j in range(start, n):
+                a, b = ends[j]
+                if root[a] != root[b]:
+                    bases.append(prefix | 1 << j)
+                    keys.append(key + (j,))
+            continue
+        children = []
+        for j in range(start, n - k + depth + 1):
+            a, b = ends[j]
+            ra, rb = root[a], root[b]
+            if ra != rb:
+                children.append((j + 1, prefix | 1 << j, key + (j,),
+                                 [ra if r == rb else r for r in root]))
+        stack.extend(reversed(children))
+    return bases, keys
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -411,12 +457,11 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
         raise EmptyBasisFamily("zero matrix has no independent columns")
     # ranking one height x k submatrix takes about height * k * k steps
     _guard_enumeration(width, k, len(scaled) * k * k)
-    bases = []
-    for combo in combinations(range(width), k):
-        if _integer_rank([[row[c] for c in combo] for row in scaled]) == k:
-            bases.append(sum(1 << c for c in combo))
+    keys = [combo for combo in combinations(range(width), k)
+            if _integer_rank([[row[c] for c in combo] for row in scaled]) == k]
+    bases = [sum(1 << c for c in key) for key in keys]
     return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})",
-                   known_matroid=True)
+                   known_matroid=True, keys=keys)
 
 
 def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:

@@ -95,12 +95,16 @@ class BasisGraph:
     """Kernel cache and exchange-graph metric of a matroid's down-up walk.
 
     The constructor runs the matroid gate (Matroid.require_matroid), so the
-    basis-graph distance it serves is the formula |X - Y|.
+    basis-graph distance it serves is the formula |X - Y|. The matroid is
+    held through a weak proxy: basis_graph caches the graph under the
+    matroid as a weak key, and a strong reference back to the key would keep
+    every matroid, with its tables and kernels, alive for the whole process.
+    Using the graph after its matroid is gone raises ReferenceError.
     """
 
     def __init__(self, m: Matroid):
         m.require_matroid()
-        self.matroid = m
+        self.matroid = weakref.proxy(m)
         self._kernels: dict[Mask, Distribution] = {}
 
     def kernel(self, s: Mask) -> Distribution:

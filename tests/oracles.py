@@ -6,13 +6,17 @@ full (unreduced) problem, coupling marginals and expected cost by plain
 Fraction sums over a dict, the walk kernel by Fraction sums over its
 definition, distances by a plain dict-based BFS, adjacency and the basis
 exchange axiom by the quadratic definitions, rank by Gaussian elimination
-over fractions, and pair order by comparing sorted index tuples. The
+over fractions, spanning forests by testing every k-subset of the edges
+with its own union-find, the origin hash by sorting the family afresh, and
+pair order by comparing sorted index tuples. The
 test-only helpers at the end (the unpruned exact sweep, the distance
 proposition, the distribution rendering) use the public library API.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
@@ -167,6 +171,46 @@ def quadratic_adjacent_pairs(bases):
 def index_tuple(mask):
     """Sorted indices of the set bits of mask."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def graphic_bases_by_subsets(spec):
+    """Spanning forests of a graphic spec as masks, in index-tuple order.
+
+    k is the size of a greedy spanning forest; every k-subset of the edges
+    is then tested from scratch by a union-find of its own, and kept when no
+    edge of it closes a cycle. A graph of loops only gives k = 0 and no
+    bases.
+    """
+    def forest_size(edges):
+        parent = {}
+
+        def find(a):
+            while parent.get(a, a) != a:
+                a = parent[a]
+            return a
+
+        size = 0
+        for a, b in edges:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                size += 1
+        return size
+
+    ends = [(a, b) for a, b, _ in spec.edges]
+    k = forest_size(ends)
+    if k == 0:
+        return []
+    return [sum(1 << i for i in combo)
+            for combo in combinations(range(len(ends)), k)
+            if forest_size([ends[i] for i in combo]) == k]
+
+
+def origin_hash_by_sort(m):
+    """SHA-256 of the canonical description, the family sorted afresh."""
+    doc = {"labels": list(m.labels), "rank": m.rank,
+           "bases": [list(index_tuple(b)) for b in sorted(m.bases, key=index_tuple)]}
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
 
 def failing_exchange_triples(bases):

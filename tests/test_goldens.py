@@ -90,6 +90,31 @@ def test_report_matches_golden(command, name, flags, fmt):
     assert render(command, name, flags, fmt) == expected
 
 
+def test_one_parser_serves_interleaved_calls(capsys, tmp_path):
+    # main() builds its parser once per process; rejected calls between
+    # valid ones must not change what the valid ones print
+    s, t = PAIRS["k4"]
+    pair = ["pair", "--input", "named:k4", "--s", ",".join(s), "--t", ",".join(t)]
+    valid = [(pair + ["--format", "csv"], "pair-k4.csv"),
+             (pair, "pair-k4.json"),
+             (["curvature", "--input", "named:fano", "--exact"],
+              "curvature-exact-fano.json")]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "uniform",', encoding="utf-8")
+    for _ in range(2):
+        for argv, golden in valid:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode("utf-8") == (GOLDENS / golden).read_bytes()
+        for argv in (pair + ["--no-such-flag"],
+                     ["curvature", "--input", "named:k4", "--all-pairs", "--bounds-only"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        assert main(["pair", "--input", str(bad), "--s", "a", "--t", "b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_goldens.py --record")

@@ -6,7 +6,7 @@ import pytest
 
 import curvatroid as cv
 from curvatroid.catalog import rank3_counterexample_linear_spec
-from oracles import quadratic_adjacent_pairs
+from oracles import origin_hash_by_sort, quadratic_adjacent_pairs
 
 
 def u42() -> cv.Matroid:
@@ -195,6 +195,15 @@ def test_sorted_bases_canonical():
     keys = [cv.basis_sort_key(b) for b in order]
     assert keys == sorted(keys)
     assert set(order) == m.bases
+
+
+def test_every_construction_keeps_canonical_order_and_hash(test_set):
+    # uniform and graphic families hand over their enumeration order, the
+    # catalog's explicit ones are sorted; both must agree with a fresh sort
+    linear = cv.build_matroid(rank3_counterexample_linear_spec())
+    for name, m in [*test_set.items(), ("rank3-linear", linear)]:
+        assert m.sorted_bases() == sorted(m.bases, key=cv.basis_sort_key), name
+        assert m.origin_hash() == origin_hash_by_sort(m), name
 
 
 def test_origin_hash():

@@ -1,11 +1,13 @@
-"""Property check of the integer (Bareiss) rank against Fraction elimination."""
+"""Property checks of the constructions: the integer (Bareiss) rank against
+Fraction elimination, and the graphic spanning-forest search against
+per-subset enumeration."""
 
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
-from oracles import fraction_matrix_rank
+from oracles import fraction_matrix_rank, graphic_bases_by_subsets, origin_hash_by_sort
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,3 +37,39 @@ def rational_matrices(draw):
 @hypothesis.given(rational_matrices())
 def test_integer_rank_matches_fraction_elimination(matrix):
     assert cv.matrix_rank(matrix) == fraction_matrix_rank(matrix)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 10 edges on 1..7 vertices, drawn with replacement, so loops,
+    parallel edges, isolated vertices and several components all occur."""
+    vertices = draw(st.integers(1, 7))
+    ends = draw(st.lists(st.tuples(st.integers(0, vertices - 1),
+                                   st.integers(0, vertices - 1)),
+                         min_size=1, max_size=10))
+    return cv.GraphicSpec(vertex_count=vertices,
+                          edges=tuple((a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
+
+
+def assert_canonical(m: cv.Matroid) -> None:
+    assert m.sorted_bases() == sorted(m.bases, key=cv.basis_sort_key)
+    assert m.origin_hash() == origin_hash_by_sort(m)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(multigraphs())
+def test_spanning_forest_search_matches_subset_enumeration(spec):
+    expected = graphic_bases_by_subsets(spec)
+    if not expected:  # loops only
+        with pytest.raises(cv.DegenerateGraph):
+            cv.build_matroid(spec)
+        return
+    m = cv.build_matroid(spec)
+    assert m.sorted_bases() == expected
+    assert_canonical(m)
+    # the same family listed backwards takes the explicit route, which sorts
+    explicit = cv.build_matroid(cv.ExplicitSpec(
+        ground=m.labels, bases=tuple(m.labels_of(b) for b in reversed(expected))))
+    assert explicit.sorted_bases() == expected
+    assert_canonical(explicit)
+    assert explicit.origin_hash() == m.origin_hash()

@@ -1,12 +1,14 @@
 """Down-up walk kernel, basis graph, and induced metric."""
 
+import gc
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 
 import curvatroid as cv
-from curvatroid import matroid
+from curvatroid import matroid, walk
 from oracles import bfs_distances, items_sorted, quadratic_adjacent_pairs
 
 F = Fraction
@@ -243,3 +245,17 @@ def test_rank3_one_sided_adds_sit_at_distance_two():
     # two crossing drops; 5 one-sided adds each; 6 partners each (the
     # 7-element completion set minus the excluded s)
     assert checked == 2 * 5 * 6
+
+
+def test_cached_basis_graph_dies_with_its_matroid():
+    m = cv.build_named("k4")
+    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
+    cv.compute_pair_report(m, s, t)  # caches a BasisGraph and two kernels
+    g = walk._graphs[m]
+    assert len(g._kernels) == 2
+    dead = weakref.ref(m)
+    del m
+    gc.collect()
+    assert dead() is None
+    with pytest.raises(ReferenceError):
+        g.distance(0b111, 0b111)
