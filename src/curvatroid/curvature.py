@@ -17,24 +17,13 @@ Every quantity is an exact fraction.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    CurvatroidError,
-    ElementNotInBasis,
-    InvalidRank,
-    NotABasis,
-    NotAdjacent,
-)
+from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent
 from .matroid import Mask, Matroid, bits
 from .transport import TransportProblem, wasserstein1
-from .walk import basis_graph
-
-
-def _exchange_distance(x: Mask, y: Mask) -> int:
-    """Exchange-graph distance |X - Y| between two bases of a matroid."""
-    return (x & ~y).bit_count()
+from .walk import basis_graph, exchange_distance
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
@@ -44,19 +33,30 @@ def _exchange_distance(x: Mask, y: Mask) -> int:
 class PairFrame:
     """An adjacent basis pair S, T with the exchange made explicit.
 
-    s_elem is the element of S - T, t_elem the element of T - S, and shared
-    lists S ∩ T in canonical order.
+    Built from the two sets alone: s_elem is the element of S - T, t_elem
+    the element of T - S, and shared lists S ∩ T in canonical order. The
+    constructor raises NotAdjacent unless S and T differ by exactly one
+    exchange, so every frame is consistent; whether S and T are bases of a
+    given family is checked by the functions that take the family.
     """
 
     s_basis: Mask
     t_basis: Mask
-    s_elem: int
-    t_elem: int
-    shared: tuple[int, ...]
+    s_elem: int = field(init=False)
+    t_elem: int = field(init=False)
+    shared: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        s_only = self.s_basis & ~self.t_basis
+        t_only = self.t_basis & ~self.s_basis
+        if s_only.bit_count() != 1 or t_only.bit_count() != 1:
+            raise NotAdjacent("bases do not differ by a single exchange")
+        object.__setattr__(self, "s_elem", s_only.bit_length() - 1)
+        object.__setattr__(self, "t_elem", t_only.bit_length() - 1)
+        object.__setattr__(self, "shared", tuple(bits(self.s_basis & self.t_basis)))
 
     def swapped(self) -> "PairFrame":
-        return PairFrame(self.t_basis, self.s_basis, self.t_elem, self.s_elem,
-                         self.shared)
+        return PairFrame(self.t_basis, self.s_basis)
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,16 @@ class DropWitness:
 class PairWitness:
     """Crossing drops of a pair frame with their neighborhood statistics."""
 
-    crossing_drops: tuple[int, ...]
-    entries: tuple[DropWitness, ...]  # aligned with crossing_drops
+    entries: tuple[DropWitness, ...]
+
+    @property
+    def crossing_drops(self) -> tuple[int, ...]:
+        return tuple(e.drop for e in self.entries)
+
+
+def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
+    if frame.s_basis not in m.bases or frame.t_basis not in m.bases:
+        raise NotABasis("pair frame names a set that is not a basis")
 
 
 def make_pair_frame(m: Matroid, s: Mask, t: Mask) -> PairFrame:
@@ -94,54 +102,38 @@ def make_pair_frame(m: Matroid, s: Mask, t: Mask) -> PairFrame:
         raise NotABasis("first basis is not in the family")
     if t not in m.bases:
         raise NotABasis("second basis is not in the family")
-    diff = s ^ t
-    if diff.bit_count() != 2:
-        raise NotAdjacent("bases do not differ by a single exchange")
-    s_only = diff & s
-    t_only = diff & t
-    shared = tuple(bits(s & t))
-    return PairFrame(s, t, s_only.bit_length() - 1, t_only.bit_length() - 1, shared)
+    return PairFrame(s, t)
 
 
 def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
     """Scan the shared elements and record the crossing drops.
 
-    For a shared u, the S side can add t_elem after dropping u exactly when
-    the T side can add s_elem (both statements say the same set is a basis).
-    For non-crossing drops the two neighborhoods coincide; a violation means
-    the family is not a matroid.
+    A shared u is a crossing drop when the S side can add t_elem after
+    dropping u, that is when S - u + t is a basis; that set is T - u + s,
+    so the T side can then add s_elem. The matroid gate runs first: the
+    bounds built on the witness are theorems about matroids only, and in a
+    matroid a non-crossing drop leaves N(S - u) = N(T - u), so only the
+    crossing drops need N(T - u).
     """
-    s_basis, t_basis = frame.s_basis, frame.t_basis
-    if s_basis not in m.bases or t_basis not in m.bases:
-        raise NotABasis("pair frame names a set that is not a basis")
-    both = s_basis & t_basis
+    m.require_matroid()
+    _require_frame_bases(m, frame)
     table = m._completion_table()
+    s_basis, t_basis = frame.s_basis, frame.t_basis
     t_bit = 1 << frame.t_elem
-    s_bit = 1 << frame.s_elem
-    crossing = []
     entries = []
     for u in frame.shared:
         u_bit = 1 << u
-        if not both & u_bit:
-            raise ElementNotInBasis(f"shared element {m.labels[u]!r} not in both bases")
         ns = table[s_basis ^ u_bit]
-        nt = table[t_basis ^ u_bit]
         if ns & t_bit:
-            if not nt & s_bit:
-                raise CurvatroidError("exchange symmetry violated; not a matroid")
-            overlap = ns & nt
-            crossing.append(u)
+            nt = table[t_basis ^ u_bit]
             entries.append(DropWitness(
                 drop=u,
                 ns_size=ns.bit_count(),
                 nt_size=nt.bit_count(),
-                overlap_size=overlap.bit_count(),
+                overlap_size=(ns & nt).bit_count(),
                 s_only_adds=ns & ~nt & ~t_bit,
             ))
-        elif ns != nt:
-            raise CurvatroidError(
-                "non-crossing drop with unequal neighborhoods; not a matroid")
-    return PairWitness(tuple(crossing), tuple(entries))
+    return PairWitness(tuple(entries))
 
 
 # ── closed-form bounds ──────────────────────────────────────────────────────
@@ -242,75 +234,69 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     the exchanged pair s, t together), then pair the up-steps.
 
     After a crossing drop the S-side add of t is paired with the T-side add
-    of s (the walks meet), shared candidates are paired identically, and the
-    residual mass is filled by the product rule. Every outcome pair sits at
-    distance at most two; the expected distance does not depend on the
-    residual filling because the only distance-one residual column is
-    marginal-forced. Distances are |X - Y|, so the family must pass the
-    matroid gate first.
+    of s (the walks meet: S - u + t = T - u + s), shared candidates are
+    paired identically, and the residual mass, 1/k - (1 + overlap)/(k max)
+    on each side, is filled by the product rule. Every outcome pair shares
+    the k - 1 elements of S ∩ T less the drop, so it sits at distance at
+    most two; the expected distance does not depend on the residual filling
+    because the only distance-one residual column is marginal-forced.
+    Distances are |X - Y| and a non-crossing drop reuses N(S - u) for the
+    T side, both facts about matroids, so the matroid gate runs first.
     """
     m.require_matroid()
+    _require_frame_bases(m, frame)
+    table = m._completion_table()
     k = m.rank
-    s_bit = 1 << frame.s_elem
-    t_bit = 1 << frame.t_elem
+    s_elem, t_elem = frame.s_elem, frame.t_elem
+    t_bit = 1 << t_elem
     drop_prob = Fraction(1, k)
     cells: list[CouplingCell] = []
 
     def emit(drop_s, drop_t, add_s, add_t, x, y, mass):
-        d = (x & ~y).bit_count()
-        if d > 2:
-            raise CurvatroidError("coupling produced a pair beyond distance two")
-        cells.append(CouplingCell(drop_s, drop_t, add_s, add_t, x, y, mass, d))
+        cells.append(CouplingCell(drop_s, drop_t, add_s, add_t, x, y, mass,
+                                  exchange_distance(x, y)))
 
     # both walks drop their exchanged element: identical completions
-    rest = frame.s_basis ^ s_bit
-    comps = m.exchange_neighborhood(frame.s_basis, frame.s_elem)
+    rest = frame.s_basis ^ (1 << s_elem)
+    comps = table[rest]
     step = drop_prob / comps.bit_count()
     for x in bits(comps):
         target = rest | (1 << x)
-        emit(frame.s_elem, frame.t_elem, x, x, target, target, step)
+        emit(s_elem, t_elem, x, x, target, target, step)
 
     for u in frame.shared:
         u_bit = 1 << u
         s_sub = frame.s_basis ^ u_bit
         t_sub = frame.t_basis ^ u_bit
-        ns = m.exchange_neighborhood(frame.s_basis, u)
-        nt = m.exchange_neighborhood(frame.t_basis, u)
-        a, b = ns.bit_count(), nt.bit_count()
+        ns = table[s_sub]
         if ns & t_bit:
             # crossing drop: meet on (add t, add s), mirror the overlap
-            hi = max(a, b)
-            match = drop_prob / hi
+            nt = table[t_sub]
+            a, b = ns.bit_count(), nt.bit_count()
+            match = drop_prob / max(a, b)
             meet = s_sub | t_bit
-            if meet != (t_sub | s_bit):
-                raise CurvatroidError("exchange bookkeeping error")
-            emit(u, u, frame.t_elem, frame.s_elem, meet, meet, match)
+            emit(u, u, t_elem, s_elem, meet, meet, match)
             overlap = ns & nt
             for v in bits(overlap):
                 v_bit = 1 << v
                 emit(u, u, v, v, s_sub | v_bit, t_sub | v_bit, match)
             left_s = []
             for x in bits(ns):
-                q = drop_prob / a - (match if (x == frame.t_elem or (1 << x) & overlap) else 0)
+                q = drop_prob / a - (match if (x == t_elem or (1 << x) & overlap) else 0)
                 if q > 0:
                     left_s.append((x, q))
             left_t = []
             for y in bits(nt):
-                q = drop_prob / b - (match if (y == frame.s_elem or (1 << y) & overlap) else 0)
+                q = drop_prob / b - (match if (y == s_elem or (1 << y) & overlap) else 0)
                 if q > 0:
                     left_t.append((y, q))
             total_left = sum(q for _, q in left_s)
-            if total_left != sum(q for _, q in left_t):
-                raise CurvatroidError("residual masses out of balance")
             for x, qx in left_s:
                 for y, qy in left_t:
                     emit(u, u, x, y, s_sub | (1 << x), t_sub | (1 << y),
                          qx * qy / total_left)
         else:
-            if ns != nt:
-                raise CurvatroidError(
-                    "non-crossing drop with unequal neighborhoods; not a matroid")
-            step = drop_prob / a
+            step = drop_prob / ns.bit_count()
             for v in bits(ns):
                 v_bit = 1 << v
                 emit(u, u, v, v, s_sub | v_bit, t_sub | v_bit, step)
@@ -325,7 +311,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     """1 - W1 between the two one-step distributions."""
     g = basis_graph(m)
     problem = TransportProblem.from_distance(
-        g.kernel(frame.s_basis), g.kernel(frame.t_basis), _exchange_distance)
+        g.kernel(frame.s_basis), g.kernel(frame.t_basis), exchange_distance)
     return 1 - wasserstein1(problem)
 
 
@@ -359,10 +345,12 @@ class GlobalReport:
 def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     """All per-pair quantities for one adjacent pair.
 
-    The matroid gate runs first, so a non-matroid fails on the exchange
-    axiom's witness rather than on a later consistency check.
+    s and t must be bases of m differing by one exchange; the witness runs
+    the matroid gate, so a non-matroid fails with the exchange axiom's
+    witness before any bound is computed. The closed-form down-step bound
+    is cross-checked against the expected distance of the explicit
+    coupling table.
     """
-    m.require_matroid()
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
     lb = downstep_lb_pair(m, frame, witness)
@@ -431,17 +419,18 @@ def global_curvature(m: Matroid, exact: bool = True,
                      audit_all_pairs: bool = False) -> GlobalReport:
     """Minimum pair curvature over every adjacent pair, plus global bounds.
 
-    Every pair gets its frame and witness, so the matroid-consistency checks
-    run on every pair. The per-pair bounds are then looked up by the pair's
-    signature, the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
+    The matroid gate runs first, in both modes: every bound below is a
+    theorem about matroids, so a family failing the exchange axiom raises
+    NotAMatroid with the validator's witness. Every pair then gets its frame
+    and witness, and its bounds are looked up by the pair's signature, the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
     crossing drops u, and computed only for a signature not seen before. The
     signature and the rank determine both bounds: each is 1/k plus a sum of
     per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
     - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
     disjoint from its own (k-1)-set) and symmetrically for #onlyT.
 
-    The exact minimum is found by branch and bound on those bounds. Once the
-    family has passed the matroid gate, downstepLB <= kappa on every pair,
+    The exact minimum is found by branch and bound on those bounds. In a
+    matroid downstepLB <= kappa on every pair,
     since downstepLB is 1 minus the expected distance of a valid coupling.
     Pairs are visited by ascending (downstepLB, canonical position), keeping
     the smallest kappa so far and its canonical-first pair. The visit stops
@@ -455,12 +444,11 @@ def global_curvature(m: Matroid, exact: bool = True,
     with the degenerate flag set. With audit_all_pairs the minimum of
     1 - W1/d over all basis pairs (any distance) is computed as well and
     must agree with the adjacent-pair minimum; the audit needs exact=True
-    and passes vacuously when there is only one basis. Exact runs pass the
-    matroid gate before the sweep, even when no pair needs a solve;
-    bounds-only runs never run it.
+    and passes vacuously when there is only one basis.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
+    m.require_matroid()
     g = basis_graph(m) if exact else None
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
@@ -494,9 +482,9 @@ def global_curvature(m: Matroid, exact: bool = True,
         worst = None
         for i, x in enumerate(order):
             for y in order[i + 1:]:
-                d = _exchange_distance(x, y)
+                d = exchange_distance(x, y)
                 problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
-                                                         _exchange_distance)
+                                                         exchange_distance)
                 ratio = 1 - wasserstein1(problem) / d
                 if worst is None or ratio < worst:
                     worst = ratio

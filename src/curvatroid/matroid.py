@@ -98,7 +98,7 @@ class Matroid:
     constructor so the family is validated for shape (nonempty, equal ranks).
     known_matroid marks a family that satisfies the exchange axiom by
     theorem (uniform, graphic and linear constructions); any other family is
-    checked once, by require_matroid, before its first distance is used.
+    checked once, by require_matroid, before its first curvature result.
 
     A construction that enumerates its family in canonical order passes
     keys, the index tuple of each basis of bases in the same order;
@@ -224,10 +224,11 @@ class Matroid:
         """Raise NotAMatroid, naming the witness, unless the family satisfies
         the basis exchange axiom.
 
-        In a matroid the exchange-graph distance between bases X and Y is
-        |X - Y|, so every distance computation calls this first. An explicit
-        family runs validate_exchange_axiom on the first call only; the
-        result is cached on the instance.
+        The curvature bounds are theorems about matroids, and in a matroid
+        the exchange-graph distance between bases X and Y is |X - Y|, so
+        every curvature computation calls this first. An explicit family
+        runs validate_exchange_axiom on the first call only; the result is
+        cached on the instance.
         """
         if self._exchange is None:
             self._exchange = validate_exchange_axiom(self)
@@ -492,7 +493,7 @@ def build_matroid(spec: MatroidSpec, origin: str | None = None) -> Matroid:
     """Build the matroid described by a construction spec.
 
     Explicit families are taken verbatim (shape-checked only); their
-    exchange axiom is checked once, at the first distance computation
+    exchange axiom is checked once, at the first curvature computation
     (Matroid.require_matroid), or on demand by validate_exchange_axiom. The
     origin defaults to a description of the construction; a named spec
     always reports its catalog name.

@@ -6,10 +6,10 @@ positive integer weights over one common denominator, so every mass is
 exact without Fraction arithmetic. The exchange graph (bases adjacent when
 they differ by one exchange) carries the metric used by the transport
 layer. In a matroid its shortest-path distance is d(X, Y) = |X - Y|, so
-distances are popcounts and no graph is built; basis_graph gates the family
-through Matroid.require_matroid, which checks an explicit family against
-the exchange axiom once and rejects a non-matroid with the validator's
-witness.
+exchange_distance is a popcount and no graph is built. The formula holds
+only in a matroid: basis_graph, like every curvature computation, runs
+Matroid.require_matroid first, which checks an explicit family against the
+exchange axiom once and rejects a non-matroid with the validator's witness.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ from typing import Mapping
 
 from .errors import NotABasis
 from .matroid import Mask, Matroid, basis_sort_key, bits
+
+
+def exchange_distance(x: Mask, y: Mask) -> int:
+    """Exchange-graph distance |X - Y| between two bases of a matroid."""
+    return (x & ~y).bit_count()
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class BasisGraph:
         bases = self.matroid.bases
         if x not in bases or y not in bases:
             raise NotABasis("distance is defined between bases only")
-        return (x & ~y).bit_count()
+        return exchange_distance(x, y)
 
 
 _graphs: "weakref.WeakKeyDictionary[Matroid, BasisGraph]" = weakref.WeakKeyDictionary()

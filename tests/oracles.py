@@ -7,8 +7,9 @@ Fraction sums over a dict, the walk kernel by Fraction sums over its
 definition, distances by a plain dict-based BFS, adjacency and the basis
 exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, spanning forests by testing every k-subset of the edges
-with its own union-find, the origin hash by sorting the family afresh, and
-pair order by comparing sorted index tuples. The
+with its own union-find, the origin hash by sorting the family afresh,
+pair order by comparing sorted index tuples, and a pair frame's exchange
+from the symmetric difference of its two bases. The
 test-only helpers at the end (the unpruned exact sweep, the distance
 proposition, the distribution rendering) use the public library API.
 """
@@ -265,6 +266,17 @@ def fraction_matrix_rank(rows) -> int:
         if rank == height:
             break
     return rank
+
+
+def frame_by_symmetric_difference(s, t):
+    """(s_elem, t_elem, shared) of bases s, t differing in two elements:
+    the symmetric difference holds one element of each, and shared is the
+    sorted index tuple of the rest."""
+    diff = s ^ t
+    assert diff.bit_count() == 2, "not a single exchange"
+    (s_elem,) = index_tuple(diff & s)
+    (t_elem,) = index_tuple(diff & t)
+    return s_elem, t_elem, index_tuple(s & t)
 
 
 def sorted_index_pairs(pairs):

@@ -1,9 +1,10 @@
 """The public surface: every exported name resolves, deleted ones stay gone."""
 
 import inspect
+from pathlib import Path
 
 import curvatroid as cv
-from curvatroid import curvature, fileio, matroid, transport
+from curvatroid import curvature, fileio, matroid, transport, walk
 
 # removed with the BFS exchange graph, the thread fan-out and the Fraction
 # coupling layer; the last three are test helpers in tests/oracles.py
@@ -39,3 +40,22 @@ def test_deleted_knobs_are_gone():
     assert "collapse" not in inspect.signature(cv.global_curvature).parameters
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
+
+
+# per-pair checks that a one-exchange PairFrame and the matroid gate make
+# unreachable: identities for such a frame, or facts the gate implies
+UNREACHABLE_CHECKS = ("exchange symmetry violated",
+                      "non-crossing drop with unequal neighborhoods",
+                      "exchange bookkeeping error",
+                      "residual masses out of balance",
+                      "beyond distance two")
+
+
+def test_unreachable_pair_checks_and_metric_copies_are_gone():
+    source = "".join(path.read_text(encoding="utf-8") for path in
+                     Path(curvature.__file__).parent.glob("*.py"))
+    for message in UNREACHABLE_CHECKS:
+        assert message not in source, message
+    assert list(inspect.signature(cv.PairFrame).parameters) == ["s_basis", "t_basis"]
+    assert not hasattr(curvature, "_exchange_distance")
+    assert curvature.exchange_distance is walk.exchange_distance

@@ -1,13 +1,15 @@
 """Pair frames, witnesses, bounds, couplings, and global curvature."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
 from curvatroid import curvature, walk
-from oracles import (cell_masses, coupling_cost, proposition_distance_check,
-                     sorted_index_pairs, unpruned_global_curvature)
+from oracles import (cell_masses, coupling_cost, frame_by_symmetric_difference,
+                     proposition_distance_check, sorted_index_pairs,
+                     unpruned_global_curvature)
 
 F = Fraction
 
@@ -63,6 +65,32 @@ def test_frame_errors():
         cv.make_pair_frame(m, ab | m.mask_from_labels(["c"]), ab)
 
 
+def test_frame_is_derived_from_its_two_bases(test_set):
+    assert list(inspect.signature(cv.PairFrame).parameters) == ["s_basis", "t_basis"]
+    for name, m in test_set.items():
+        for x, y in cv.canonical_pairs(m):
+            for s, t in ((x, y), (y, x)):
+                frame = cv.PairFrame(s, t)
+                assert (frame.s_elem, frame.t_elem, frame.shared) == \
+                    frame_by_symmetric_difference(s, t), name
+                assert frame == cv.make_pair_frame(m, s, t), name
+                assert frame.swapped() == cv.PairFrame(t, s), name
+
+
+@pytest.mark.parametrize("s,t", [
+    (0b0011, 0b0011), (0, 0),            # equal masks
+    (0b0011, 0b1100), (0b00111, 0b11100),  # two exchanges apart
+    (0b0011, 0b0001), (0b0111, 0b1001),  # unequal sizes
+    (0b0001, 0b0110),
+], ids=["equal", "empty", "disjoint", "two-exchanges", "subset",
+        "one-vs-two-extra", "two-vs-one-extra"])
+def test_frame_refuses_anything_but_one_exchange(s, t):
+    with pytest.raises(cv.NotAdjacent):
+        cv.PairFrame(s, t)
+    with pytest.raises(TypeError):
+        cv.PairFrame(s, t, 0, 1, ())
+
+
 def test_witness_u42():
     m = u42()
     witness = cv.compute_pair_witness(m, frame_of(m, ("a", "b"), ("a", "c")))
@@ -92,16 +120,21 @@ def test_witness_no_crossing():
 
 
 def test_witness_rejects_inconsistent_frame():
-    # frames built by hand rather than by make_pair_frame
-    m = u42()
-    a, b, c, d = (m.element_index(x) for x in "abcd")
-    ab, ac = m.mask_from_labels(["a", "b"]), m.mask_from_labels(["a", "c"])
-    with pytest.raises(cv.NotABasis):
-        cv.compute_pair_witness(m, cv.PairFrame(ab | 1 << d, ac, b, c, (a,)))
-    with pytest.raises(cv.NotABasis):
-        cv.compute_pair_witness(m, cv.PairFrame(ab, ac | 1 << d, b, c, (a,)))
-    with pytest.raises(cv.ElementNotInBasis):
-        cv.compute_pair_witness(m, cv.PairFrame(ab, ac, b, c, (d,)))
+    # frames built by hand rather than by make_pair_frame: a frame is always
+    # one exchange, and the functions taking the family check membership
+    m, _ = separated_pair()
+    a, b, c, d = (1 << m.element_index(x) for x in "abcd")
+    with pytest.raises(cv.NotAdjacent):
+        cv.PairFrame(a | c | d, b | c)
+    with pytest.raises(cv.NotAdjacent):
+        cv.PairFrame(a | c, b | d)
+    # adjacent sets outside the family: ab is not a basis, acd not even a k-set
+    for frame in (cv.PairFrame(a | b, a | c), cv.PairFrame(a | c, a | b),
+                  cv.PairFrame(a | c | d, b | c | d)):
+        with pytest.raises(cv.NotABasis):
+            cv.compute_pair_witness(m, frame)
+        with pytest.raises(cv.NotABasis):
+            cv.downstep_coupling_table(m, frame)
 
 
 # ── closed-form bounds ──────────────────────────────────────────────────────
@@ -366,14 +399,60 @@ def test_degenerate_single_basis():
     assert audited.degenerate and audited.audited and audited.kappa_exact == 1
 
 
+# two families failing the exchange axiom, each with a one-exchange frame
+NON_MATROIDS = {
+    # ab - ac and de - df are adjacent, but nothing exchanges ab towards de
+    "split": (("ab", "ac", "de", "df"), ("ab", "ac")),
+    # no two bases are adjacent, so the frame names abd outside the family
+    "disjoint": (("abc", "def"), ("abc", "abd")),
+}
+
+
+@pytest.mark.parametrize("family", NON_MATROIDS)
+def test_every_curvature_entry_point_runs_the_matroid_gate(family):
+    bases, (s_labels, t_labels) = NON_MATROIDS[family]
+    m = cv.build_matroid(cv.ExplicitSpec(ground=tuple("abcdef"),
+                                         bases=tuple(map(tuple, bases))))
+    s, t = m.mask_from_labels(s_labels), m.mask_from_labels(t_labels)
+    frame = cv.PairFrame(s, t)
+    entry_points = {
+        "bounds-only": lambda: cv.global_curvature(m, exact=False),
+        "exact": lambda: cv.global_curvature(m),
+        "all-pairs": lambda: cv.global_curvature(m, audit_all_pairs=True),
+        "witness": lambda: cv.compute_pair_witness(m, frame),
+        "downstep_lb_pair": lambda: cv.downstep_lb_pair(m, frame),
+        "theorem_ub_pair": lambda: cv.theorem_ub_pair(m, frame),
+        "theorem_ub_values": lambda: cv.theorem_ub_values(m, frame),
+        "coupling": lambda: cv.downstep_coupling_table(m, frame),
+        "exact_pair": lambda: cv.exact_pair_curvature(m, frame),
+        "basis_graph": lambda: cv.basis_graph(m),
+    }
+    if family == "split":
+        entry_points["pair_report"] = lambda: cv.compute_pair_report(m, s, t)
+    else:
+        # no adjacent pair to report on: the pair's own checks refuse first
+        assert cv.canonical_pairs(m) == []
+        with pytest.raises(cv.NotABasis):
+            cv.compute_pair_report(m, s, t)
+    want = "not a matroid: " + cv.validate_exchange_axiom(m).detail
+    assert "'a' dropped from ('a', 'b'" in want
+    for name, call in entry_points.items():
+        with pytest.raises(cv.NotAMatroid) as info:
+            call()
+        assert str(info.value) == want, name
+    # listing and validating need no gate
+    assert len(m.sorted_bases()) == len(bases)
+    assert not cv.validate_exchange_axiom(m).ok
+
+
 def test_audit_of_family_without_adjacent_pairs_fails():
     m = cv.build_matroid(cv.ExplicitSpec(ground=("a", "b", "c", "d"),
                                          bases=(("a", "b"), ("c", "d"))))
-    assert cv.global_curvature(m, exact=False).degenerate
-    # exact values need distances, and {ab, cd} fails the exchange gate
-    for audit in (False, True):
+    # every bound is a theorem about matroids, and {ab, cd} fails the
+    # exchange gate, so no mode reports a (degenerate) curvature for it
+    for exact, audit in ((False, False), (True, False), (True, True)):
         with pytest.raises(cv.NotAMatroid, match="exchange fails"):
-            cv.global_curvature(m, audit_all_pairs=audit)
+            cv.global_curvature(m, exact=exact, audit_all_pairs=audit)
 
 
 def test_bounds_only_mode():

@@ -88,6 +88,26 @@ def test_gate_matches_oracle_on_every_small_family(n, k):
     assert verdicts == {True, False}
 
 
+def test_bounds_only_curvature_is_gated_on_every_rank2_family_on_5():
+    # the bounds are theorems about matroids: a bounds-only run must refuse
+    # exactly the families the validator refuses, with its witness
+    ksets = [sum(1 << i for i in c) for c in combinations(range(5), 2)]
+    refused = 0
+    for choice in range(1, 1 << len(ksets)):
+        m = cv.Matroid(tuple("abcde"), [b for i, b in enumerate(ksets)
+                                        if choice >> i & 1], "explicit")
+        result = cv.validate_exchange_axiom(m)
+        try:
+            report = cv.global_curvature(m, exact=False)
+        except cv.NotAMatroid as e:
+            assert not result.ok and str(e) == f"not a matroid: {result.detail}"
+            refused += 1
+        else:
+            assert result.ok
+            assert report.pair_count == len(quadratic_adjacent_pairs(m.bases))
+    assert refused == 852
+
+
 @pytest.mark.parametrize("bases,witness", [
     (("abc", "def"), ("abc", "def", "a")),
     # abcd walks to bcde towards efgh, the first basis outside its

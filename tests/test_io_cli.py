@@ -368,16 +368,37 @@ def test_cli_non_matroid_fails_on_every_distance_path(capsys, tmp_path):
                        "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]})
     witness = "'a' dropped from ('a', 'b')"
     pair = ("--s", "a,b", "--t", "a,c")
-    for argv in (("curvature", "--exact"), ("curvature", "--all-pairs"),
+    for argv in (("curvature",), ("curvature", "--bounds-only"),
+                 ("curvature", "--exact"), ("curvature", "--all-pairs"),
                  ("pair", *pair), ("coupling", *pair)):
         code, out, err = run_cli(capsys, argv[0], "--input", path, *argv[1:])
         assert code == 1 and out == "", argv
         assert err.startswith("error: not a matroid") and witness in err, argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
-    code, out, _ = run_cli(capsys, "curvature", "--input", path)
-    assert code == 0 and json.loads(out)["pairCount"] == 2
     code, out, _ = run_cli(capsys, "validate", "--input", path)
     assert code == 1 and witness in json.loads(out)["detail"]
+
+
+def test_cli_gates_every_curvature_command_on_a_family_without_pairs(capsys, tmp_path):
+    # {abc, def} has no adjacent pair, so only the connectivity half of the
+    # gate fails; the split family is covered above
+    bases = ("abc", "def")
+    path = write_json(tmp_path, "disjoint.json",
+                      {"type": "explicit", "ground": list("abcdef"),
+                       "bases": [list(b) for b in bases]})
+    m = cv.build_matroid(cv.ExplicitSpec(ground=tuple("abcdef"),
+                                         bases=tuple(map(tuple, bases))))
+    line = f"error: not a matroid: {cv.validate_exchange_axiom(m).detail}\n"
+    for argv in (("curvature",), ("curvature", "--bounds-only"),
+                 ("curvature", "--exact"), ("curvature", "--all-pairs")):
+        assert run_cli(capsys, argv[0], "--input", path, *argv[1:]) == (1, "", line)
+    # no pair to name: the pair commands refuse the arguments instead
+    for command in ("pair", "coupling"):
+        assert run_cli(capsys, command, "--input", path,
+                       "--s", "a,b,c", "--t", "d,e,f") == (
+            1, "", "error: --s and --t must differ by exactly one exchange\n")
+    for command in ("bases", "pairs"):
+        assert run_cli(capsys, command, "--input", path)[0] == 0
 
 
 def test_cli_decimal_flag(capsys):

@@ -193,8 +193,9 @@ def test_basis_graph_rejects_non_matroid():
     with pytest.raises(cv.NotAMatroid):
         cv.downstep_coupling_table(m, cv.make_pair_frame(
             m, m.mask_from_labels("ab"), m.mask_from_labels("ac")))
-    # the bounds need no distance and still run
-    assert cv.global_curvature(m, exact=False).pair_count == 2
+    # the bounds are theorems about matroids: bounds-only runs are gated too
+    with pytest.raises(cv.NotAMatroid, match=r"'a' dropped from \('a', 'b'\)"):
+        cv.global_curvature(m, exact=False)
 
 
 def test_exchange_axiom_is_checked_once_and_only_for_explicit_families(monkeypatch):
@@ -209,16 +210,21 @@ def test_exchange_axiom_is_checked_once_and_only_for_explicit_families(monkeypat
     for m in (cv.build_matroid(cv.UniformSpec(n=5, k=2)), cv.build_named("k4"),
               cv.build_matroid(cv.LinearSpec(matrix=((F(1), F(0), F(1)),
                                                      (F(0), F(1), F(1)))))):
+        cv.global_curvature(m, exact=False)
         cv.global_curvature(m)
         cv.basis_graph(m).distance(*m.sorted_bases()[:2])
     assert calls == []
+    # an explicit family is validated by its first curvature call, bounds-only
+    # included, and never again
     for m in (cv.build_named("fano"), explicit("abcdef", "ab", "ac", "de", "df")):
-        for _ in range(3):
+        for run in (lambda: cv.global_curvature(m, exact=False),
+                    lambda: cv.global_curvature(m, exact=False),
+                    lambda: cv.global_curvature(m), m.require_matroid):
             try:
-                m.require_matroid()
+                run()
             except cv.NotAMatroid:
                 pass
-        assert calls == [m.origin]
+            assert calls == [m.origin]
         calls.clear()
 
 
