@@ -43,6 +43,7 @@ from .matroid import (
     validate_exchange_axiom,
 )
 from .catalog import CATALOG_NAMES, DISTINGUISHED_PAIRS, build_named
+from .symmetry import automorphism_generators
 from .walk import (
     BasisGraph,
     Distribution,
@@ -95,6 +96,7 @@ __all__ = [
     "Matroid", "MatroidSpec", "NamedSpec", "UniformSpec", "basis_sort_key",
     "bits", "build_matroid", "matrix_rank", "validate_exchange_axiom",
     "CATALOG_NAMES", "DISTINGUISHED_PAIRS", "build_named",
+    "automorphism_generators",
     # walk
     "BasisGraph", "Distribution", "basis_graph", "transition_distribution",
     # transport

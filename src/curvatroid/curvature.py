@@ -16,14 +16,16 @@ Every quantity is an exact fraction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent
-from .matroid import Mask, Matroid, bits
+from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
+from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
+from .symmetry import automorphism_generators, mask_image, pair_orbit
 from .transport import TransportProblem, wasserstein1
-from .walk import basis_graph, exchange_distance
+from .walk import BasisGraph, basis_graph, exchange_distance
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
@@ -380,6 +382,7 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
 
 def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
                     groups: Iterable[tuple[Fraction, Fraction, list[int]]],
+                    orbit: Callable[[int], list[int]] | None,
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
@@ -387,13 +390,19 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
     visited by ascending (lb, canonical index). A pair with lb > kappa (the
     smallest value found so far) cannot go lower, and neither can any later
     pair, so the walk stops there; a pair with lb == kappa can only tie,
-    which matters only before the current argmin in canonical order. The
-    walk trusts lb to discard pairs, so every solved value is held to both
-    bounds.
+    which matters only before the current argmin in canonical order.
+
+    orbit, when given, lists the indices of the pairs that automorphisms of
+    m carry pair i onto, i included. Automorphisms preserve both bounds and
+    the exact value, so a solved value is recorded for the whole orbit and
+    a later member reuses it instead of solving. The walk trusts lb to
+    discard pairs, so every value, solved or reused, is held to the pair's
+    own bounds.
     """
     levels: dict[Fraction, list[tuple[Fraction, list[int]]]] = {}
     for lb, ub, indices in groups:
         levels.setdefault(lb, []).append((ub, indices))
+    known: dict[int, Fraction] = {}  # pair index -> value of its solved orbit
     kappa = best = None
     for lb in sorted(levels):
         if kappa is not None and lb > kappa:
@@ -404,15 +413,58 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
             if lb == ub:
                 value = lb
             else:
-                x, y = pairs[i]
-                value = exact_pair_curvature(m, make_pair_frame(m, x, y))
+                value = known.get(i)
+                if value is None:
+                    x, y = pairs[i]
+                    value = exact_pair_curvature(m, make_pair_frame(m, x, y))
+                    if orbit is not None:
+                        known.update((j, value) for j in orbit(i))
                 if not lb <= value <= ub:
+                    x, y = pairs[i]
                     raise CurvatroidError(
                         f"pair {m.labels_of(x)} / {m.labels_of(y)}: exact curvature "
                         f"{value} outside its bounds [{lb}, {ub}]")
             if kappa is None or value < kappa or (value == kappa and i < best):
                 kappa, best = value, i
     return kappa, pairs[best]
+
+
+def _pair_orbits(m: Matroid, pairs: list[tuple[Mask, Mask]],
+                 indices: list[int]) -> Callable[[int], list[int]] | None:
+    """Orbit lookup for the pairs named by indices, a set closed under the
+    automorphisms of m; None when fewer than two pairs or no generators."""
+    if len(indices) < 2:
+        return None
+    images = [mask_image(p) for p in automorphism_generators(m)]
+    if not images:
+        return None
+    index_of = {tuple(sorted(pairs[i])): i for i in indices}
+    return lambda i: [index_of[key] for key in pair_orbit(images, *pairs[i])]
+
+
+def _audit_minimum(m: Matroid, g: BasisGraph) -> Fraction | None:
+    """Minimum of 1 - W1/d over every unordered pair of distinct bases, one
+    transport solve per orbit of such pairs under the automorphisms of m."""
+    order = m.sorted_bases()
+    size = len(order)
+    position = {b: i for i, b in enumerate(order)}
+    images = [mask_image(p) for p in automorphism_generators(m)]
+    done = bytearray(size * size)  # done[i * size + j], i < j: orbit covered
+    worst = None
+    for i, x in enumerate(order):
+        for j in range(i + 1, size):
+            if done[i * size + j]:
+                continue
+            y = order[j]
+            problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
+                                                     exchange_distance)
+            ratio = 1 - wasserstein1(problem) / exchange_distance(x, y)
+            if worst is None or ratio < worst:
+                worst = ratio
+            for a, b in pair_orbit(images, x, y):
+                p, q = sorted((position[a], position[b]))
+                done[p * size + q] = 1
+    return worst
 
 
 def global_curvature(m: Matroid, exact: bool = True,
@@ -422,32 +474,47 @@ def global_curvature(m: Matroid, exact: bool = True,
     The matroid gate runs first, in both modes: every bound below is a
     theorem about matroids, so a family failing the exchange axiom raises
     NotAMatroid with the validator's witness. Every pair then gets its frame
-    and witness, and its bounds are looked up by the pair's signature, the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
-    crossing drops u, and computed only for a signature not seen before. The
+    and witness, and its bounds are looked up by the pair's signature: the
+    sorted multiset of (#N(S-u), #N(T-u), overlap) over its crossing drops
+    u. They are computed only for a signature not seen before. The
     signature and the rank determine both bounds: each is 1/k plus a sum of
     per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
     - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
     disjoint from its own (k-1)-set) and symmetrically for #onlyT.
 
     The exact minimum is found by branch and bound on those bounds. In a
-    matroid downstepLB <= kappa on every pair,
-    since downstepLB is 1 minus the expected distance of a valid coupling.
-    Pairs are visited by ascending (downstepLB, canonical position), keeping
-    the smallest kappa so far and its canonical-first pair. The visit stops
-    at the first pair with downstepLB > kappa, and skips a pair with
-    downstepLB == kappa that comes after the current argmin. A pair whose
-    two bounds agree takes that value without a transport solve; every
-    solved value is checked against both bounds. K6 solves 180 of its
-    17,460 pairs, where solving every pair with unequal bounds took 6,660.
+    matroid downstepLB <= kappa on every pair, since downstepLB is 1 minus
+    the expected distance of a valid coupling. Pairs are visited by
+    ascending (downstepLB, canonical position), keeping the smallest kappa
+    so far and its canonical-first pair. The visit stops at the first pair
+    with downstepLB > kappa, and skips a pair with downstepLB == kappa that
+    comes after the current argmin. A pair whose two bounds agree takes that
+    value without a transport solve, and every other value is checked
+    against both bounds.
+
+    Solves are shared across automorphism orbits. An automorphism of m (see
+    automorphism_generators) maps adjacent pairs to adjacent pairs with the
+    same signature and the same exact value. The pairs with unequal bounds
+    and downstepLB <= min theoremUB, the only ones that may need a solve,
+    therefore form a set closed under the group. When it holds two or more
+    pairs, a solved value is reused for every later pair of its orbit. K6
+    solves 1 of its 17,460 pairs, where solving every pair with unequal
+    bounds took 6,660 and the sweep without orbits 180.
 
     A single-basis family has no pairs; by convention it reports curvature 1
     with the degenerate flag set. With audit_all_pairs the minimum of
-    1 - W1/d over all basis pairs (any distance) is computed as well and
-    must agree with the adjacent-pair minimum; the audit needs exact=True
+    1 - W1/d over all basis pairs (any distance) is computed as well, one
+    solve per orbit of unordered basis pairs, and must agree with the
+    adjacent-pair minimum. The audit needs exact=True, raises TooLarge
+    before any work when the family has more than ENUMERATION_LIMIT pairs,
     and passes vacuously when there is only one basis.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
+    if audit_all_pairs and comb(len(m.bases), 2) > ENUMERATION_LIMIT:
+        raise TooLarge(f"the all-pairs audit of {len(m.bases)} bases would solve up to "
+                       f"{comb(len(m.bases), 2)} pairs, over the limit of "
+                       f"{ENUMERATION_LIMIT}")
     m.require_matroid()
     g = basis_graph(m) if exact else None
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
@@ -473,21 +540,15 @@ def global_curvature(m: Matroid, exact: bool = True,
                             degenerate=not pairs)
 
     if pairs:
-        kappa, argmin = _pruned_minimum(m, pairs, groups.values())
+        open_pairs = [i for lb, ub, indices in groups.values()
+                      if lb < ub and lb <= ub_min for i in indices]
+        kappa, argmin = _pruned_minimum(m, pairs, groups.values(),
+                                        _pair_orbits(m, pairs, open_pairs))
     else:
         kappa, argmin = Fraction(1), None
 
     if audit_all_pairs:
-        order = m.sorted_bases()
-        worst = None
-        for i, x in enumerate(order):
-            for y in order[i + 1:]:
-                d = exchange_distance(x, y)
-                problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
-                                                         exchange_distance)
-                ratio = 1 - wasserstein1(problem) / d
-                if worst is None or ratio < worst:
-                    worst = ratio
+        worst = _audit_minimum(m, g)
         if worst is not None and worst != kappa:
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")

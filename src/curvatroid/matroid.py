@@ -106,7 +106,8 @@ class Matroid:
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
-                 "_sorted", "_keys", "_hash", "_exchange", "__weakref__")
+                 "_sorted", "_keys", "_hash", "_exchange", "_automorphisms",
+                 "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
                  known_matroid: bool = False,
@@ -136,6 +137,7 @@ class Matroid:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions: dict[Mask, Mask] | None = None
         self._hash: str | None = None
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._exchange: ValidationResult | None = (
             ValidationResult.passed("matroid by construction") if known_matroid else None)
 

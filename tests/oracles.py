@@ -8,8 +8,9 @@ definition, distances by a plain dict-based BFS, adjacency and the basis
 exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, spanning forests by testing every k-subset of the edges
 with its own union-find, the origin hash by sorting the family afresh,
-pair order by comparing sorted index tuples, and a pair frame's exchange
-from the symmetric difference of its two bases. The
+pair order by comparing sorted index tuples, a pair frame's exchange
+from the symmetric difference of its two bases, and matroid automorphisms
+by extending element maps one element at a time. The
 test-only helpers at the end (the unpruned exact sweep, the distance
 proposition, the distribution rendering) use the public library API.
 """
@@ -323,6 +324,36 @@ def fraction_kernel(m, s):
         for b in targets:
             out[b] = out.get(b, Fraction(0)) + Fraction(1, k * len(targets))
     return out
+
+
+def automorphisms(m):
+    """Every automorphism of m, as tuples p with p[e] the image of e.
+
+    Brute force: P[e][f] counts the bases containing e and f (by a scan of
+    the family), element maps are extended one element at a time while they
+    preserve P on the elements mapped so far, and a complete map is kept
+    only if it sends every basis to a basis.
+    """
+    n = m.n
+    bases = set(m.bases)
+    counts = [[sum(1 for b in bases if b >> e & 1 and b >> f & 1) for f in range(n)]
+              for e in range(n)]
+    found = []
+
+    def extend(perm):
+        e = len(perm)
+        if e == n:
+            if all(sum(1 << perm[i] for i in index_tuple(b)) in bases for b in bases):
+                found.append(tuple(perm))
+            return
+        for x in range(n):
+            if x in perm or counts[x][x] != counts[e][e]:
+                continue
+            if all(counts[x][perm[f]] == counts[e][f] for f in range(e)):
+                extend(perm + [x])
+
+    extend([])
+    return found
 
 
 def unpruned_global_curvature(m):

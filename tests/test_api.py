@@ -38,6 +38,10 @@ def test_public_names_resolve_and_deleted_names_are_gone():
 
 def test_deleted_knobs_are_gone():
     assert "collapse" not in inspect.signature(cv.global_curvature).parameters
+    # the orbit search is on whenever it can help: no switch, no budget knob
+    assert list(inspect.signature(cv.global_curvature).parameters) == [
+        "m", "exact", "audit_all_pairs"]
+    assert list(inspect.signature(cv.automorphism_generators).parameters) == ["m"]
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
 

@@ -360,6 +360,16 @@ def test_cli_contract_on_huge_inputs(capsys, tmp_path, text, code, message):
         assert json.loads(out)["rank"] == 1 and err == ""
 
 
+def test_cli_all_pairs_audit_too_large_fails_fast(capsys, tmp_path):
+    # K7 has 16,807 bases, so its audit would solve up to 141,229,221 pairs
+    edges = [[a, b, f"e{a}{b}"] for a in range(7) for b in range(a + 1, 7)]
+    path = write_json(tmp_path, "k7.json", {"type": "graphic", "vertices": 7, "edges": edges})
+    code, out, err = run_cli(capsys, "curvature", "--input", path, "--all-pairs")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: the all-pairs audit of 16807 bases")
+    assert "141229221 pairs, over the limit of 2000000" in err
+
+
 def test_cli_non_matroid_fails_on_every_distance_path(capsys, tmp_path):
     # ab - ac and de - df are adjacent pairs whose witnesses check out, but
     # nothing exchanges ab towards de: only the matroid gate catches it

@@ -1,0 +1,134 @@
+"""Matroid automorphisms: the generator search against a brute-force oracle,
+and the exact sweep and the all-pairs audit with and without orbit reuse."""
+
+from itertools import combinations
+
+import hypothesis
+import pytest
+
+import curvatroid as cv
+from curvatroid import curvature, symmetry
+from conftest import build_test_set
+from oracles import automorphisms, unpruned_global_curvature
+from test_curvature import TIE_GRAPHS
+from test_curvature_properties import small_specs
+
+
+def generated_group(generators, n: int) -> set[tuple[int, ...]]:
+    """Every product of the generators, by closing the identity under them."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[p[e]] for e in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def graphic(vertex_count: int, edges) -> cv.Matroid:
+    return cv.build_matroid(cv.GraphicSpec(vertex_count=vertex_count, edges=tuple(
+        (a, b, f"e{i}") for i, (a, b) in enumerate(edges))))
+
+
+def wheel(rim: int) -> list[tuple[int, int]]:
+    return [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
+
+
+FAMILIES = {
+    "k4": lambda: cv.build_named("k4"),
+    "fano": lambda: cv.build_named("fano"),
+    "vamos": lambda: cv.build_named("vamos"),
+    "k24": lambda: graphic(6, [(i, 2 + j) for i in range(2) for j in range(4)]),
+    "k33": lambda: graphic(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    "k5": lambda: graphic(5, list(combinations(range(5), 2))),
+    "w5": lambda: graphic(6, wheel(5)),
+}
+# |Aut M|; the vertex group of K(2,4) has order 48, its matroid's is 384
+GROUP_ORDERS = {"k4": 24, "fano": 168, "vamos": 64, "k24": 384, "k33": 72,
+                "k5": 120, "w5": 10}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+def test_generators_generate_the_oracle_group(name):
+    m = FAMILIES[name]()
+    group = generated_group(cv.automorphism_generators(m), m.n)
+    assert group == set(automorphisms(m))
+    assert len(group) == GROUP_ORDERS[name]
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
+    m = cv.build_matroid(spec)
+    generators = cv.automorphism_generators(m)
+    for p in generators:
+        assert sorted(p) == list(range(m.n)), spec
+        assert {sum(1 << p[e] for e in cv.bits(b)) for b in m.bases} == m.bases, spec
+    assert generated_group(generators, m.n) == set(automorphisms(m)), spec
+
+
+def tie_graphs() -> dict[str, cv.Matroid]:
+    return {name: graphic(7, edges) for name, edges in TIE_GRAPHS.items()}
+
+
+def reports(corpus: dict[str, cv.Matroid], audit: set[str]) -> dict:
+    return {name: (cv.global_curvature(m),
+                   cv.global_curvature(m, audit_all_pairs=True) if name in audit else None)
+            for name, m in corpus.items()}
+
+
+def test_reports_are_identical_with_the_search_off(monkeypatch):
+    # the atlas-947 audit solves 49,455 pairs with the search off (about 50 s),
+    # so that graph is compared on the exact sweep only
+    corpus = {**build_test_set(), **tie_graphs()}
+    audit = set(corpus) - {"atlas-947"}
+    with_search = reports(corpus, audit)
+    monkeypatch.setattr(curvature, "automorphism_generators", lambda m: ())
+    assert reports({**build_test_set(), **tie_graphs()}, audit) == with_search
+
+
+def count_solves(monkeypatch) -> list:
+    solved = []
+    exact = curvature.exact_pair_curvature
+
+    def counted(m, frame):
+        solved.append(frame)
+        return exact(m, frame)
+
+    monkeypatch.setattr(curvature, "exact_pair_curvature", counted)
+    return solved
+
+
+def swap(n: int, a: int, b: int) -> tuple[int, ...]:
+    p = list(range(n))
+    p[a], p[b] = b, a
+    return tuple(p)
+
+
+# (matroid, planted candidate, solves of the sweep without orbits). Any two
+# points of the Fano plane lie on one line, so swapping two points keeps
+# every pair count and only the basis check rejects it; swapping a1 and b1
+# of Vamos already changes the pair counts.
+PLANTED = {"fano": swap(7, 0, 1), "vamos": swap(8, 0, 2)}
+UNSHARED_SOLVES = {"fano": 0, "vamos": 48}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_a_planted_non_automorphism_is_rejected_and_never_used(name, monkeypatch):
+    m = cv.build_named(name)
+    planted = PLANTED[name]
+    assert planted not in automorphisms(m)
+    if name == "fano":
+        def count(e, f):
+            return sum(1 for b in m.bases if b >> e & 1 and b >> f & 1)
+        assert all(count(planted[e], planted[f]) == count(e, f)
+                   for e in range(m.n) for f in range(m.n))
+    monkeypatch.setattr(symmetry, "_leaf_permutation", lambda first, leaf: planted)
+    assert cv.automorphism_generators(m) == ()
+    solved = count_solves(monkeypatch)
+    report = cv.global_curvature(m)
+    assert len(solved) == UNSHARED_SOLVES[name]
+    assert (report.kappa_exact, report.argmin_pair) == unpruned_global_curvature(m)
