@@ -11,7 +11,8 @@ carries three closed-form certificates:
 * a per-pair upper bound from an exhaustive split of the coupled step into
   meet / drift / separate events.
 
-Every quantity is an exact fraction.
+Every quantity is an exact fraction. The closed-form pair bounds are
+integer numerators over one denominator per matroid (bound_scale).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
 
 from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
@@ -92,6 +94,13 @@ class PairWitness:
     def crossing_drops(self) -> tuple[int, ...]:
         return tuple(e.drop for e in self.entries)
 
+    @property
+    def signature(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (#N(S-u), #N(T-u), overlap) over the crossing drops u: with
+        the rank and n it determines every closed-form bound of the pair."""
+        return tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
+                            for e in self.entries))
+
 
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
     if frame.s_basis not in m.bases or frame.t_basis not in m.bases:
@@ -154,6 +163,47 @@ def theorem_lb_global(k: int, n: int) -> Fraction:
     return -1 + Fraction(2, k) + Fraction(3 * (k - 1), k * (n - k + 1))
 
 
+@cache
+def bound_scale(k: int, n: int) -> int:
+    """L = lcm(1, ..., n - k + 1): k * L is a common denominator of every
+    closed-form bound of a rank-k matroid on n elements.
+
+    Each bound is 1/k plus per-drop terms over k * #N(R), and a completion
+    set N(R) of a (k-1)-set R is a subset of E - R, so #N(R) <= n - k + 1
+    and divides L.
+    """
+    return lcm(*range(1, n - k + 2))
+
+
+def bound_numerators(scale: int, signature: Iterable[tuple[int, int, int]],
+                     ) -> tuple[int, int, int]:
+    """Numerators of (downstepLB, forward UB, reverse UB) over k * scale for
+    a crossing-drop signature, (#N(S-u), #N(T-u), overlap) per drop u.
+
+    scale must be a multiple of every size in the signature, as
+    bound_scale(k, n) is. With a = scale / #N(S-u) and b = scale / #N(T-u)
+    each drop adds (1 + overlap) min(a, b) + max(a, b) - scale to the lower
+    bound, b - #onlyS a to the forward bound and a - #onlyT b to the
+    reverse one, where #onlyS = #N(S-u) - overlap - 1 (see global_curvature)
+    and symmetrically for #onlyT.
+    """
+    lb = forward = reverse = scale
+    for ns, nt, overlap in signature:
+        a, b = scale // ns, scale // nt
+        lb += (1 + overlap) * min(a, b) + max(a, b) - scale
+        forward += b - (ns - overlap - 1) * a
+        reverse += a - (nt - overlap - 1) * b
+    return lb, forward, reverse
+
+
+def _pair_numerators(m: Matroid, frame: PairFrame, witness: PairWitness | None,
+                     ) -> tuple[tuple[int, int, int], int]:
+    if witness is None:
+        witness = compute_pair_witness(m, frame)
+    scale = bound_scale(m.rank, m.n)
+    return bound_numerators(scale, witness.signature), m.rank * scale
+
+
 def downstep_lb_pair(m: Matroid, frame: PairFrame,
                      witness: PairWitness | None = None) -> Fraction:
     """Pair curvature lower bound: 1 minus the down-step coupling's exact
@@ -166,16 +216,11 @@ def downstep_lb_pair(m: Matroid, frame: PairFrame,
     lands at distance one exactly on the forced residual of the meeting
     column, mass 1/min - 1/max, everything else at distance two. The terms
     are symmetric in the two bases, so the value is orientation-invariant.
+    It is computed in integers over k * L, L = lcm(1, ..., n - k + 1),
+    which every #N(R) <= n - k + 1 divides (bound_numerators).
     """
-    if witness is None:
-        witness = compute_pair_witness(m, frame)
-    k = m.rank
-    total = Fraction(1, k) - Fraction(len(witness.entries), k)
-    for e in witness.entries:
-        hi = max(e.ns_size, e.nt_size)
-        lo = min(e.ns_size, e.nt_size)
-        total += Fraction(1 + e.overlap_size, k * hi) + Fraction(1, k * lo)
-    return total
+    (lb, _, _), denominator = _pair_numerators(m, frame, witness)
+    return Fraction(lb, denominator)
 
 
 def theorem_ub_values(m: Matroid, frame: PairFrame,
@@ -184,23 +229,18 @@ def theorem_ub_values(m: Matroid, frame: PairFrame,
 
     Forward: 1/k + (1/k) * sum over crossing drops of
     (1/#N(T-u) - #onlyS/#N(S-u)); reverse swaps the roles of S and T.
+    Both are computed in integers over k * L, L = lcm(1, ..., n - k + 1),
+    which every #N(R) <= n - k + 1 divides (bound_numerators).
     """
-    if witness is None:
-        witness = compute_pair_witness(m, frame)
-    k = m.rank
-    forward = Fraction(1, k)
-    reverse = Fraction(1, k)
-    for e in witness.entries:
-        forward += Fraction(1, k * e.nt_size) - Fraction(e.s_only_count, k * e.ns_size)
-        reverse += Fraction(1, k * e.ns_size) - Fraction(e.t_only_count, k * e.nt_size)
-    return forward, reverse
+    (_, forward, reverse), denominator = _pair_numerators(m, frame, witness)
+    return Fraction(forward, denominator), Fraction(reverse, denominator)
 
 
 def theorem_ub_pair(m: Matroid, frame: PairFrame,
                     witness: PairWitness | None = None) -> Fraction:
     """The tighter of the two orientations of the per-pair upper bound."""
-    forward, reverse = theorem_ub_values(m, frame, witness)
-    return min(forward, reverse)
+    (_, forward, reverse), denominator = _pair_numerators(m, frame, witness)
+    return Fraction(min(forward, reverse), denominator)
 
 
 # ── the down-step coupling ──────────────────────────────────────────────────
@@ -231,6 +271,59 @@ class DownstepCoupling:
         return sum((c.mass * c.distance for c in self.cells), Fraction(0))
 
 
+def _coupling_drops(m: Matroid, frame: PairFrame):
+    """Yield the down-step coupling drop by drop, as (drop from S, drop from
+    T, denominator, cells), each cell (add to S, add to T, X, Y, weight)
+    with a positive integer weight over the drop's denominator.
+
+    The exchanged drop and a non-crossing drop put weight 1 over k * #N on
+    each completion. For a crossing drop with a = #N(S-u), b = #N(T-u) and
+    lo = min(a, b) the masses are over k * a * b: a matched cell (the meet
+    and the overlap) weighs lo, and the residual is b - [matched] lo on the
+    S side and a - [matched] lo on the T side, paired by the product rule.
+    A residual cell's mass is the product of its two sides over the
+    residual total, so every weight of that drop is scaled by that total.
+    """
+    m.require_matroid()
+    _require_frame_bases(m, frame)
+    table = m._completion_table()
+    k = m.rank
+    s_elem, t_elem = frame.s_elem, frame.t_elem
+    s_bit, t_bit = 1 << s_elem, 1 << t_elem
+
+    # both walks drop their exchanged element: identical completions
+    rest = frame.s_basis ^ s_bit
+    comps = table[rest]
+    yield s_elem, t_elem, k * comps.bit_count(), [
+        (x, x, rest | (1 << x), rest | (1 << x), 1) for x in bits(comps)]
+
+    for u in frame.shared:
+        u_bit = 1 << u
+        s_sub = frame.s_basis ^ u_bit
+        t_sub = frame.t_basis ^ u_bit
+        ns = table[s_sub]
+        if not ns & t_bit:
+            yield u, u, k * ns.bit_count(), [
+                (v, v, s_sub | (1 << v), t_sub | (1 << v), 1) for v in bits(ns)]
+            continue
+        # crossing drop: meet on (add t, add s), mirror the overlap
+        nt = table[t_sub]
+        a, b = ns.bit_count(), nt.bit_count()
+        lo = min(a, b)
+        overlap = ns & nt
+        matched_s, matched_t = overlap | t_bit, overlap | s_bit
+        left_s = [(x, w) for x in bits(ns) if (w := b - lo * (matched_s >> x & 1))]
+        left_t = [(y, w) for y in bits(nt) if (w := a - lo * (matched_t >> y & 1))]
+        left = sum(w for _, w in left_s) or 1
+        meet = s_sub | t_bit
+        cells = [(t_elem, s_elem, meet, meet, lo * left)]
+        cells += [(v, v, s_sub | (1 << v), t_sub | (1 << v), lo * left)
+                  for v in bits(overlap)]
+        cells += [(x, y, s_sub | (1 << x), t_sub | (1 << y), wx * wy)
+                  for x, wx in left_s for y, wy in left_t]
+        yield u, u, k * a * b * left, cells
+
+
 def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     """Couple the two walks: drop the same shared element on both sides (or
     the exchanged pair s, t together), then pair the up-steps.
@@ -245,65 +338,21 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     Distances are |X - Y| and a non-crossing drop reuses N(S - u) for the
     T side, both facts about matroids, so the matroid gate runs first.
     """
-    m.require_matroid()
-    _require_frame_bases(m, frame)
-    table = m._completion_table()
-    k = m.rank
-    s_elem, t_elem = frame.s_elem, frame.t_elem
-    t_bit = 1 << t_elem
-    drop_prob = Fraction(1, k)
-    cells: list[CouplingCell] = []
+    return DownstepCoupling(frame, tuple(
+        CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
+                     exchange_distance(x, y))
+        for drop_s, drop_t, denominator, cells in _coupling_drops(m, frame)
+        for add_s, add_t, x, y, w in cells))
 
-    def emit(drop_s, drop_t, add_s, add_t, x, y, mass):
-        cells.append(CouplingCell(drop_s, drop_t, add_s, add_t, x, y, mass,
-                                  exchange_distance(x, y)))
 
-    # both walks drop their exchanged element: identical completions
-    rest = frame.s_basis ^ (1 << s_elem)
-    comps = table[rest]
-    step = drop_prob / comps.bit_count()
-    for x in bits(comps):
-        target = rest | (1 << x)
-        emit(s_elem, t_elem, x, x, target, target, step)
-
-    for u in frame.shared:
-        u_bit = 1 << u
-        s_sub = frame.s_basis ^ u_bit
-        t_sub = frame.t_basis ^ u_bit
-        ns = table[s_sub]
-        if ns & t_bit:
-            # crossing drop: meet on (add t, add s), mirror the overlap
-            nt = table[t_sub]
-            a, b = ns.bit_count(), nt.bit_count()
-            match = drop_prob / max(a, b)
-            meet = s_sub | t_bit
-            emit(u, u, t_elem, s_elem, meet, meet, match)
-            overlap = ns & nt
-            for v in bits(overlap):
-                v_bit = 1 << v
-                emit(u, u, v, v, s_sub | v_bit, t_sub | v_bit, match)
-            left_s = []
-            for x in bits(ns):
-                q = drop_prob / a - (match if (x == t_elem or (1 << x) & overlap) else 0)
-                if q > 0:
-                    left_s.append((x, q))
-            left_t = []
-            for y in bits(nt):
-                q = drop_prob / b - (match if (y == s_elem or (1 << y) & overlap) else 0)
-                if q > 0:
-                    left_t.append((y, q))
-            total_left = sum(q for _, q in left_s)
-            for x, qx in left_s:
-                for y, qy in left_t:
-                    emit(u, u, x, y, s_sub | (1 << x), t_sub | (1 << y),
-                         qx * qy / total_left)
-        else:
-            step = drop_prob / ns.bit_count()
-            for v in bits(ns):
-                v_bit = 1 << v
-                emit(u, u, v, v, s_sub | v_bit, t_sub | v_bit, step)
-
-    return DownstepCoupling(frame, tuple(cells))
+def downstep_expected_distance(m: Matroid, frame: PairFrame) -> Fraction:
+    """Expected distance of the down-step coupling: weight times |X - Y|
+    summed in integers over the cells of downstep_coupling_table, one
+    Fraction per drop. It uses no closed form, so compute_pair_report
+    checks downstep_lb_pair against it."""
+    return sum((Fraction(sum(w * exchange_distance(x, y) for _, _, x, y, w in cells),
+                         denominator)
+                for _, _, denominator, cells in _coupling_drops(m, frame)), Fraction(0))
 
 
 # ── exact curvature ─────────────────────────────────────────────────────────
@@ -349,15 +398,17 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
 
     s and t must be bases of m differing by one exchange; the witness runs
     the matroid gate, so a non-matroid fails with the exchange axiom's
-    witness before any bound is computed. The closed-form down-step bound
-    is cross-checked against the expected distance of the explicit
-    coupling table.
+    witness before any bound is computed. The bounds are integers over
+    k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
+    divides. The closed-form down-step bound is cross-checked against the
+    coupling's expected distance, summed cell by cell in integer weights
+    (downstep_expected_distance) without building the Fraction table.
     """
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
     lb = downstep_lb_pair(m, frame, witness)
     forward, reverse = theorem_ub_values(m, frame, witness)
-    expected = downstep_coupling_table(m, frame).expected_distance()
+    expected = downstep_expected_distance(m, frame)
     if lb != 1 - expected:
         raise CurvatroidError("down-step bound disagrees with its coupling")
     return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
@@ -381,16 +432,17 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
 
 
 def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
-                    groups: Iterable[tuple[Fraction, Fraction, list[int]]],
+                    groups: Iterable[tuple[int, int, list[int]]], denominator: int,
                     orbit: Callable[[int], list[int]] | None,
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
-    groups yields (lb, ub, pair indices) per bound signature. Pairs are
-    visited by ascending (lb, canonical index). A pair with lb > kappa (the
-    smallest value found so far) cannot go lower, and neither can any later
-    pair, so the walk stops there; a pair with lb == kappa can only tie,
-    which matters only before the current argmin in canonical order.
+    groups yields (lb, ub, pair indices) per bound signature, both bounds
+    as integer numerators over denominator. Pairs are visited by ascending
+    (lb, canonical index). A pair with lb > kappa (the smallest value found
+    so far) cannot go lower, and neither can any later pair, so the walk
+    stops there; a pair with lb == kappa can only tie, which matters only
+    before the current argmin in canonical order.
 
     orbit, when given, lists the indices of the pairs that automorphisms of
     m carry pair i onto, i included. Automorphisms preserve both bounds and
@@ -399,18 +451,20 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
     discard pairs, so every value, solved or reused, is held to the pair's
     own bounds.
     """
-    levels: dict[Fraction, list[tuple[Fraction, list[int]]]] = {}
+    levels: dict[int, list[tuple[int, list[int]]]] = {}
     for lb, ub, indices in groups:
         levels.setdefault(lb, []).append((ub, indices))
     known: dict[int, Fraction] = {}  # pair index -> value of its solved orbit
     kappa = best = None
-    for lb in sorted(levels):
+    for lb_numerator in sorted(levels):
+        lb = Fraction(lb_numerator, denominator)
         if kappa is not None and lb > kappa:
             break
-        for i, ub in sorted((i, ub) for ub, indices in levels[lb] for i in indices):
+        for i, ub_numerator in sorted((i, ub) for ub, indices in levels[lb_numerator]
+                                      for i in indices):
             if lb == kappa and i > best:
                 break  # the rest of this level comes after the argmin too
-            if lb == ub:
+            if ub_numerator == lb_numerator:
                 value = lb
             else:
                 value = known.get(i)
@@ -419,6 +473,7 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
                     value = exact_pair_curvature(m, make_pair_frame(m, x, y))
                     if orbit is not None:
                         known.update((j, value) for j in orbit(i))
+                ub = Fraction(ub_numerator, denominator)
                 if not lb <= value <= ub:
                     x, y = pairs[i]
                     raise CurvatroidError(
@@ -481,6 +536,10 @@ def global_curvature(m: Matroid, exact: bool = True,
     per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
     - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
     disjoint from its own (k-1)-set) and symmetrically for #onlyT.
+    Both are integers over k * L, L = lcm(1, ..., n - k + 1): a completion
+    set N(R) lies in E - R, so #N(R) <= n - k + 1 divides L. The minima
+    are taken in integers, and a Fraction is built only for a report field
+    or where a bound is compared with a solved value.
 
     The exact minimum is found by branch and bound on those bounds. In a
     matroid downstepLB <= kappa on every pair, since downstepLB is 1 minus
@@ -520,29 +579,30 @@ def global_curvature(m: Matroid, exact: bool = True,
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
 
-    # signature -> (downstepLB, theoremUB, indices of its pairs)
-    groups: dict[tuple[tuple[int, int, int], ...],
-                 tuple[Fraction, Fraction, list[int]]] = {}
+    # signature -> (downstepLB, theoremUB, indices of its pairs), both bounds
+    # as numerators over k * scale
+    scale = bound_scale(m.rank, m.n)
+    groups: dict[tuple[tuple[int, int, int], ...], tuple[int, int, list[int]]] = {}
     for index, (x, y) in enumerate(pairs):
-        frame = make_pair_frame(m, x, y)
-        witness = compute_pair_witness(m, frame)
-        signature = tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
-                                 for e in witness.entries))
+        signature = compute_pair_witness(m, make_pair_frame(m, x, y)).signature
         group = groups.get(signature)
         if group is None:
-            group = groups[signature] = (downstep_lb_pair(m, frame, witness),
-                                         theorem_ub_pair(m, frame, witness), [])
+            lb, forward, reverse = bound_numerators(scale, signature)
+            group = groups[signature] = (lb, min(forward, reverse), [])
         group[2].append(index)
+    denominator = m.rank * scale
     lb_min = min((lb for lb, _, _ in groups.values()), default=None)
     ub_min = min((ub for _, ub, _ in groups.values()), default=None)
+    bounds = (None, None) if not pairs else (Fraction(lb_min, denominator),
+                                             Fraction(ub_min, denominator))
     if not exact:
-        return GlobalReport(None, None, theorem_lb, lb_min, ub_min, len(pairs),
+        return GlobalReport(None, None, theorem_lb, *bounds, len(pairs),
                             degenerate=not pairs)
 
     if pairs:
         open_pairs = [i for lb, ub, indices in groups.values()
                       if lb < ub and lb <= ub_min for i in indices]
-        kappa, argmin = _pruned_minimum(m, pairs, groups.values(),
+        kappa, argmin = _pruned_minimum(m, pairs, groups.values(), denominator,
                                         _pair_orbits(m, pairs, open_pairs))
     else:
         kappa, argmin = Fraction(1), None
@@ -553,5 +613,5 @@ def global_curvature(m: Matroid, exact: bool = True,
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")
 
-    return GlobalReport(kappa, argmin, theorem_lb, lb_min, ub_min, len(pairs),
+    return GlobalReport(kappa, argmin, theorem_lb, *bounds, len(pairs),
                         degenerate=not pairs, audited=audit_all_pairs)

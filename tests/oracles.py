@@ -10,9 +10,11 @@ over fractions, spanning forests by testing every k-subset of the edges
 with its own union-find, the origin hash by sorting the family afresh,
 pair order by comparing sorted index tuples, a pair frame's exchange
 from the symmetric difference of its two bases, and matroid automorphisms
-by extending element maps one element at a time. The
-test-only helpers at the end (the unpruned exact sweep, the distance
-proposition, the distribution rendering) use the public library API.
+by extending element maps one element at a time, and the closed-form
+pair bounds by Fraction sums over the witness's drops. The test-only
+helpers at the end (the unpruned exact sweep, the distance proposition,
+the distribution rendering, the random-matroid strategy) use the public
+library API.
 """
 
 from __future__ import annotations
@@ -356,6 +358,35 @@ def automorphisms(m):
     return found
 
 
+def fraction_downstep_lb(m, frame, witness):
+    """The pair's down-step lower bound in Fraction arithmetic: 1/k minus
+    (number of crossing drops)/k plus, per crossing drop u,
+    (1 + overlap)/(k max) + 1/(k min), max and min over #N(S-u), #N(T-u).
+    """
+    k = m.rank
+    total = Fraction(1, k) - Fraction(len(witness.entries), k)
+    for e in witness.entries:
+        hi = max(e.ns_size, e.nt_size)
+        lo = min(e.ns_size, e.nt_size)
+        total += Fraction(1 + e.overlap_size, k * hi) + Fraction(1, k * lo)
+    return total
+
+
+def fraction_theorem_ub_values(m, frame, witness):
+    """(forward, reverse) per-pair upper bounds in Fraction arithmetic.
+
+    Forward: 1/k + (1/k) * sum over crossing drops of
+    (1/#N(T-u) - #onlyS/#N(S-u)), with #onlyS counted from the witness's
+    s_only_adds mask; reverse swaps the roles of S and T.
+    """
+    k = m.rank
+    forward = reverse = Fraction(1, k)
+    for e in witness.entries:
+        forward += Fraction(1, k * e.nt_size) - Fraction(e.s_only_count, k * e.ns_size)
+        reverse += Fraction(1, k * e.ns_size) - Fraction(e.t_only_count, k * e.nt_size)
+    return forward, reverse
+
+
 def unpruned_global_curvature(m):
     """(kappa, argmin pair) by solving every pair whose two bounds differ.
 
@@ -369,13 +400,47 @@ def unpruned_global_curvature(m):
     for x, y in pairs:
         frame = cv.make_pair_frame(m, x, y)
         witness = cv.compute_pair_witness(m, frame)
-        lb = cv.downstep_lb_pair(m, frame, witness)
-        ub = cv.theorem_ub_pair(m, frame, witness)
+        lb = fraction_downstep_lb(m, frame, witness)
+        ub = min(fraction_theorem_ub_values(m, frame, witness))
         kappas.append(lb if lb == ub else cv.exact_pair_curvature(m, frame))
     if not pairs:
         return Fraction(1), None
     kappa = min(kappas)
     return kappa, pairs[kappas.index(kappa)]
+
+
+def small_specs():
+    """Hypothesis strategy for a random small matroid spec.
+
+    Uniform on at most 7 elements, graphic on 2..5 vertices with at most 7
+    edges (loops and parallel edges allowed, not loops only), or linear over
+    an at most 4 x 7 integer matrix with entries in -2..2, not all zero.
+    """
+    import hypothesis
+    from hypothesis import strategies as st
+
+    @st.composite
+    def specs(draw):
+        kind = draw(st.sampled_from(("uniform", "graphic", "linear")))
+        if kind == "uniform":
+            n = draw(st.integers(2, 7))
+            return cv.UniformSpec(n=n, k=draw(st.integers(1, n - 1)))
+        if kind == "graphic":
+            v = draw(st.integers(2, 5))
+            ends = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)),
+                                 min_size=1, max_size=7))
+            hypothesis.assume(any(a != b for a, b in ends))
+            return cv.GraphicSpec(vertex_count=v, edges=tuple(
+                (a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
+        height = draw(st.integers(1, 4))
+        width = draw(st.integers(2, 7))
+        matrix = draw(st.lists(st.lists(st.integers(-2, 2).map(Fraction),
+                                        min_size=width, max_size=width),
+                               min_size=height, max_size=height))
+        hypothesis.assume(any(any(row) for row in matrix))
+        return cv.LinearSpec(matrix=tuple(map(tuple, matrix)))
+
+    return specs()
 
 
 def items_sorted(dist):

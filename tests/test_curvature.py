@@ -7,7 +7,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import curvature, walk
-from oracles import (cell_masses, coupling_cost, frame_by_symmetric_difference,
+from oracles import (cell_masses, coupling_cost, fraction_downstep_lb,
+                     fraction_theorem_ub_values, frame_by_symmetric_difference,
                      proposition_distance_check, sorted_index_pairs,
                      unpruned_global_curvature)
 
@@ -270,6 +271,28 @@ def test_pair_report_u42():
     assert report.ub_forward == report.ub_reverse == F(2, 3)
 
 
+def test_pair_report_rejects_a_closed_form_off_by_one_unit(monkeypatch):
+    """The down-step bound is checked against the coupling's own expected
+    distance: a closed form off by 1/(k L), the smallest step of its integer
+    route, must stop the report."""
+    m = cv.build_named("k4")
+    s, t = m.mask_from_labels(["ab", "cd", "da"]), m.mask_from_labels(["bd", "cd", "da"])
+    denominator = m.rank * curvature.bound_scale(m.rank, m.n)
+    honest = cv.compute_pair_report(m, s, t)
+    numerators = curvature.bound_numerators
+
+    def off_by_one(scale, signature):
+        lb, forward, reverse = numerators(scale, signature)
+        return lb + 1, forward, reverse
+
+    monkeypatch.setattr(curvature, "bound_numerators", off_by_one)
+    assert cv.downstep_lb_pair(m, cv.make_pair_frame(m, s, t)) == \
+        honest.downstep_lb + F(1, denominator)
+    with pytest.raises(cv.CurvatroidError,
+                       match="down-step bound disagrees with its coupling"):
+        cv.compute_pair_report(m, s, t)
+
+
 def test_global_report_matches_pair_minima(sweep):
     for name, data in sweep.items():
         if data.report.degenerate:
@@ -475,24 +498,25 @@ def bound_test_set(test_set):
 
 def test_bounds_are_computed_once_per_signature(test_set, monkeypatch):
     """Pairs sharing a crossing-drop signature share both bounds, and
-    global_curvature computes them once per signature; its reported minima
-    equal the minima of the un-memoised per-pair functions."""
-    lb_pair = curvature.downstep_lb_pair
+    global_curvature computes their integer numerators once per signature;
+    its reported minima equal the minima of the per-pair Fraction oracles."""
+    numerators = curvature.bound_numerators
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return lb_pair(*args)
+        return numerators(*args)
 
-    monkeypatch.setattr(curvature, "downstep_lb_pair", counted)
+    monkeypatch.setattr(curvature, "bound_numerators", counted)
     for name, m in bound_test_set(test_set).items():
         by_signature = {}
         for x, y in cv.canonical_pairs(m):
             frame = cv.make_pair_frame(m, x, y)
             witness = cv.compute_pair_witness(m, frame)
+            bounds = (fraction_downstep_lb(m, frame, witness),
+                      min(fraction_theorem_ub_values(m, frame, witness)))
             signature = tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
                                      for e in witness.entries))
-            bounds = (lb_pair(m, frame), cv.theorem_ub_pair(m, frame))
             assert by_signature.setdefault(signature, bounds) == bounds, name
         calls.clear()
         report = cv.global_curvature(m, exact=False)

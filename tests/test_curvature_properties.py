@@ -9,7 +9,9 @@ be the minimum of the per-pair values at the first canonical pair reaching
 it, as the unpruned sweep oracle finds too. Every integer kernel row must
 equal the Fraction row built from the walk's definition, and W1 between the
 rows of random basis pairs, at any distance, must equal networkx on the full
-unreduced problem.
+unreduced problem. The integer closed-form bounds must equal their Fraction
+oracles on every adjacent pair in both orientations, and the coupling's
+integer expected distance must equal the Fraction table's.
 """
 
 from fractions import Fraction
@@ -17,37 +19,19 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
+from curvatroid.curvature import downstep_expected_distance
 from oracles import (
+    fraction_downstep_lb,
     fraction_kernel,
+    fraction_theorem_ub_values,
     full_transport_problem,
     network_simplex_value,
+    small_specs,
     unpruned_global_curvature,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-
-@st.composite
-def small_specs(draw):
-    kind = draw(st.sampled_from(("uniform", "graphic", "linear")))
-    if kind == "uniform":
-        n = draw(st.integers(2, 7))
-        return cv.UniformSpec(n=n, k=draw(st.integers(1, n - 1)))
-    if kind == "graphic":
-        v = draw(st.integers(2, 5))
-        ends = draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)),
-                             min_size=1, max_size=7))
-        hypothesis.assume(any(a != b for a, b in ends))
-        return cv.GraphicSpec(vertex_count=v,
-                              edges=tuple((a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
-    height = draw(st.integers(1, 4))
-    width = draw(st.integers(2, 7))
-    matrix = draw(st.lists(st.lists(st.integers(-2, 2).map(Fraction),
-                                    min_size=width, max_size=width),
-                           min_size=height, max_size=height))
-    hypothesis.assume(any(any(row) for row in matrix))
-    return cv.LinearSpec(matrix=tuple(map(tuple, matrix)))
 
 
 @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -88,3 +72,44 @@ def test_integer_kernels_and_w1_match_the_oracles(spec, data):
         full = full_transport_problem(mu, nu)
         assert value == network_simplex_value(full.supply, full.demand, full.cost), \
             (spec, x, y)
+
+
+def assert_integer_bounds_match_the_oracles(m, label):
+    """Both orientations of every adjacent pair: the integer bounds equal
+    the Fraction closed forms, and the integer expected distance of the
+    down-step coupling equals the Fraction table's."""
+    for x, y in cv.canonical_pairs(m):
+        for s, t in ((x, y), (y, x)):
+            frame = cv.make_pair_frame(m, s, t)
+            witness = cv.compute_pair_witness(m, frame)
+            ub = fraction_theorem_ub_values(m, frame, witness)
+            lb = fraction_downstep_lb(m, frame, witness)
+            where = (label, s, t)
+            assert cv.theorem_ub_values(m, frame, witness) == ub, where
+            assert cv.theorem_ub_values(m, frame) == ub, where
+            assert cv.theorem_ub_pair(m, frame, witness) == min(ub), where
+            assert cv.downstep_lb_pair(m, frame, witness) == lb, where
+            assert downstep_expected_distance(m, frame) == 1 - lb == \
+                cv.downstep_coupling_table(m, frame).expected_distance(), where
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+def test_integer_bounds_match_the_oracles(spec):
+    assert_integer_bounds_match_the_oracles(cv.build_matroid(spec), spec)
+
+
+# a loop, a triangle with one doubled edge, and a pendant edge (a coloop)
+LOOP_AND_COLOOP = cv.GraphicSpec(vertex_count=4, edges=(
+    (0, 0, "loop"), (0, 1, "a"), (1, 2, "b"), (2, 0, "c"), (1, 2, "b2"), (2, 3, "bridge")))
+
+
+def test_integer_bounds_match_the_oracles_on_the_test_set(test_set):
+    """The conftest set (every uniform matroid with n <= 7, n = k + 1
+    included; graphs on 2..4 vertices, whose bridges are coloops; the
+    catalog) and a graph with a loop, a coloop and parallel edges."""
+    for name, m in test_set.items():
+        assert_integer_bounds_match_the_oracles(m, name)
+    m = cv.build_matroid(LOOP_AND_COLOOP)
+    assert cv.canonical_pairs(m)
+    assert_integer_bounds_match_the_oracles(m, "loop-and-coloop")

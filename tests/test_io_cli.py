@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
+from curvatroid import cli, curvature
 from curvatroid import fileio as fio
 from curvatroid.cli import main
 from oracles import distribution_to_obj
@@ -226,6 +227,29 @@ def test_csv_coupling_matches_json(capsys):
     assert csv_masses == json_masses
     expected = sum((cv.parse_rational(r[6]) * int(r[7]) for r in rows[1:]), F(0))
     assert expected == cv.parse_rational(obj["expectedDistance"]) == F(23, 36)
+
+
+def test_only_the_coupling_command_builds_the_coupling_table(capsys, monkeypatch):
+    """pair cross-checks its down-step bound in integers and the exact sweep
+    needs no coupling at all; only coupling builds the Fraction table."""
+    built = []
+
+    def refuse(m, frame):
+        raise AssertionError("coupling table built")
+
+    def counted(m, frame):
+        built.append(frame)
+        return table(m, frame)
+
+    table = curvature.downstep_coupling_table
+    monkeypatch.setattr(curvature, "downstep_coupling_table", refuse)
+    monkeypatch.setattr(cli, "downstep_coupling_table", refuse)
+    pair = ("--input", "named:k4", "--s", "ab,cd,da", "--t", "bd,cd,da")
+    assert run_cli(capsys, "pair", *pair)[0] == 0
+    assert run_cli(capsys, "curvature", "--input", "named:vamos", "--exact")[0] == 0
+    monkeypatch.setattr(cli, "downstep_coupling_table", counted)
+    assert run_cli(capsys, "coupling", *pair)[0] == 0
+    assert len(built) == 1
 
 
 def test_csv_curvature_kv(capsys):

@@ -9,9 +9,8 @@ import pytest
 import curvatroid as cv
 from curvatroid import curvature, symmetry
 from conftest import build_test_set
-from oracles import automorphisms, unpruned_global_curvature
+from oracles import automorphisms, small_specs, unpruned_global_curvature
 from test_curvature import TIE_GRAPHS
-from test_curvature_properties import small_specs
 
 
 def generated_group(generators, n: int) -> set[tuple[int, ...]]:
