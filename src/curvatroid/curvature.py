@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb
 
 from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
@@ -124,11 +124,13 @@ def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
     so the T side can then add s_elem. The matroid gate runs first: the
     bounds built on the witness are theorems about matroids only, and in a
     matroid a non-crossing drop leaves N(S - u) = N(T - u), so only the
-    crossing drops need N(T - u).
+    crossing drops need N(T - u). The sets come from
+    Matroid._completion_lookup(): the completion table inside a sweep,
+    which has built it, and only the pair's own sets otherwise.
     """
     m.require_matroid()
     _require_frame_bases(m, frame)
-    table = m._completion_table()
+    table = m._completion_lookup()
     s_basis, t_basis = frame.s_basis, frame.t_basis
     t_bit = 1 << frame.t_elem
     entries = []
@@ -171,8 +173,23 @@ def bound_scale(k: int, n: int) -> int:
     Each bound is 1/k plus per-drop terms over k * #N(R), and a completion
     set N(R) of a (k-1)-set R is a subset of E - R, so #N(R) <= n - k + 1
     and divides L.
+
+    L is the product, over the primes p <= n - k + 1 (a sieve), of the
+    largest power of p not above n - k + 1: a few thousand small factors
+    where an lcm fold over the whole range would take a gcd at every step.
     """
-    return lcm(*range(1, n - k + 2))
+    top = n - k + 1
+    composite = bytearray(top + 1)
+    scale = 1
+    for p in range(2, top + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\x01" * len(range(p * p, top + 1, p))
+        power = p
+        while power * p <= top:
+            power *= p
+        scale *= power
+    return scale
 
 
 def bound_numerators(scale: int, signature: Iterable[tuple[int, int, int]],
@@ -283,10 +300,12 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
     S side and a - [matched] lo on the T side, paired by the product rule.
     A residual cell's mass is the product of its two sides over the
     residual total, so every weight of that drop is scaled by that total.
+    The completion sets N(S - u) and N(T - u) are read one at a time
+    (Matroid._completion_lookup), so no completion table is built for them.
     """
     m.require_matroid()
     _require_frame_bases(m, frame)
-    table = m._completion_table()
+    table = m._completion_lookup()
     k = m.rank
     s_elem, t_elem = frame.s_elem, frame.t_elem
     s_bit, t_bit = 1 << s_elem, 1 << t_elem

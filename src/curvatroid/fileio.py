@@ -25,6 +25,7 @@ from .curvature import (
     PairFrame,
     PairReport,
     PairWitness,
+    downstep_expected_distance,
 )
 from .errors import BadRational, ParseError, UnknownType, ValidationResult
 from .matroid import (
@@ -283,7 +284,8 @@ def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
         _put_rational(cell, "mass", c.mass, with_decimal)
         cells.append(cell)
     obj["cells"] = cells
-    _put_rational(obj, "expectedDistance", table.expected_distance(), with_decimal)
+    _put_rational(obj, "expectedDistance",
+                  downstep_expected_distance(m, table.frame), with_decimal)
     if with_decimal:
         obj["decimalsAreApproximate"] = True
     return obj
@@ -428,5 +430,48 @@ def render_csv(rows: list[list[str]]) -> str:
     return out.getvalue()
 
 
+_quote = json.encoder.encode_basestring  # the C quoter when available
+
+
+def _json_text(o: Any, newline: str) -> str:
+    """o as indented JSON; newline is a line break plus the indentation of
+    o's own line, and each level indents two more spaces."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join([
+            _quote(key) + ": " + (_quote(value) if isinstance(value, str)
+                                  else _json_text(value, inner))
+            for key, value in o.items()]) + newline + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([
+            _quote(item) if isinstance(item, str) else _json_text(item, inner)
+            for item in o]) + newline + "]")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return json.dumps(o)  # a float; json raises TypeError for anything else
+
+
 def render_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The text of json.dumps(obj, indent=2, ensure_ascii=False) plus a
+    newline, for report values: dicts with string keys, lists, tuples,
+    strings, ints, bools and None (a non-string key raises TypeError).
+
+    json.dumps with an indent runs its pure-Python encoder, one generator
+    frame per nested value. This writes the same text with the C string
+    quoter, each dict or list in one join, so a list of strings such as a
+    basis's labels costs one quoting call per label.
+    """
+    return _json_text(obj, "\n") + "\n"

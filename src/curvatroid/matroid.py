@@ -103,11 +103,19 @@ class Matroid:
     A construction that enumerates its family in canonical order passes
     keys, the index tuple of each basis of bases in the same order;
     sorted_bases() and origin_hash() then use that order instead of sorting.
+
+    The completion set N(R) of a (k-1)-set R holds the elements x with
+    R + x a basis. Whole-family passes (the sweep, pair enumeration,
+    validation) read the completion table, which groups every basis by its
+    (k-1)-subsets; the walk kernels, the pair witness and the down-step
+    coupling read one N(R) at a time through _completion_lookup(), so a
+    single-pair query on a family that needs no validation never builds the
+    table.
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
-                 "_sorted", "_keys", "_hash", "_exchange", "_automorphisms",
-                 "__weakref__")
+                 "_lookup", "_sorted", "_keys", "_hash", "_exchange",
+                 "_automorphisms", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
                  known_matroid: bool = False,
@@ -136,6 +144,7 @@ class Matroid:
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions: dict[Mask, Mask] | None = None
+        self._lookup: _CompletionSets | None = None
         self._hash: str | None = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._exchange: ValidationResult | None = (
@@ -192,6 +201,22 @@ class Matroid:
             self._completions = table
         return self._completions
 
+    def _completion_lookup(self) -> dict[Mask, Mask]:
+        """N(R) by (k-1)-set R, for reads of a few sets.
+
+        Once the completion table is built this is the table itself.
+        Before, it is a mapping that computes N(R) at its first subscript,
+        from the n - k + 1 membership tests R + x in bases, and remembers
+        it; a pair query reads 2k - 1 such sets, where building the table
+        visits all |bases| * k (basis, element) pairs. Subscript only with a
+        (k-1)-subset of a basis: the table has no other keys.
+        """
+        if self._completions is not None:
+            return self._completions
+        if self._lookup is None:
+            self._lookup = _CompletionSets(self.bases, (1 << self.n) - 1)
+        return self._lookup
+
     def is_basis(self, s: Mask | Iterable[str]) -> bool:
         if not isinstance(s, int):
             s = self.mask_from_labels(s)
@@ -207,7 +232,7 @@ class Matroid:
         bit = 1 << u
         if not b & bit:
             raise ElementNotInBasis(f"element {self.labels[u]!r} not in the given basis")
-        return self._completion_table()[b ^ bit]
+        return self._completion_lookup()[b ^ bit]
 
     def adjacent_basis_pairs(self) -> Iterator[tuple[Mask, Mask]]:
         """Every unordered pair of bases differing by one exchange, once.
@@ -255,6 +280,33 @@ class Matroid:
     def __repr__(self) -> str:
         return (f"Matroid(origin={self.origin!r}, n={self.n}, rank={self.rank}, "
                 f"bases={len(self.bases)})")
+
+
+class _CompletionSets(dict):
+    """Completion sets computed on demand (Matroid._completion_lookup).
+
+    Holds the basis family and the ground-set mask, not the matroid, so the
+    matroid and its lookup form no reference cycle.
+    """
+
+    __slots__ = ("_bases", "_ground")
+
+    def __init__(self, bases: frozenset[Mask], ground: Mask):
+        super().__init__()
+        self._bases = bases
+        self._ground = ground
+
+    def __missing__(self, sub: Mask) -> Mask:
+        bases = self._bases
+        found = 0
+        rest = self._ground & ~sub
+        while rest:
+            low = rest & -rest
+            if sub | low in bases:
+                found |= low
+            rest ^= low
+        self[sub] = found
+        return found
 
 
 # ── constructions ───────────────────────────────────────────────────────────

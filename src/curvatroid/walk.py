@@ -3,7 +3,9 @@
 One walk step from a basis S: drop an element u of S uniformly, then replace
 S - u by a uniform choice among all bases containing it. A kernel row holds
 positive integer weights over one common denominator, so every mass is
-exact without Fraction arithmetic. The exchange graph (bases adjacent when
+exact without Fraction arithmetic. A row reads only the k completion sets
+N(S - u) of its own basis (Matroid._completion_lookup), so a single-pair
+query builds no completion table. The exchange graph (bases adjacent when
 they differ by one exchange) carries the metric used by the transport
 layer. In a matroid its shortest-path distance is d(X, Y) = |X - Y|, so
 exchange_distance is a popcount and no graph is built. The formula holds
@@ -74,15 +76,17 @@ class Distribution:
 def transition_distribution(m: Matroid, s: Mask) -> Distribution:
     """One-step distribution of the down-up walk started at basis s.
 
-    Read off the completion table: dropping u leaves the hole s - u, whose
-    completions each get mass 1 / (k |N(s - u)|). Over the common
-    denominator k * lcm_u |N(s - u)| every mass is an integer weight.
-    Multiple (drop, add) routes to the same target are summed into a single
-    support entry; the result always puts positive mass on s itself.
+    Dropping u leaves the hole s - u, whose completions each get mass
+    1 / (k |N(s - u)|); the k sets N(s - u) are read one at a time through
+    Matroid._completion_lookup, so no completion table is built for them.
+    Over the common denominator k * lcm_u |N(s - u)| every mass is an
+    integer weight. Multiple (drop, add) routes to the same target are
+    summed into a single support entry; the result always puts positive
+    mass on s itself.
     """
     if s not in m.bases:
         raise NotABasis("walk must start at a basis")
-    table = m._completion_table()
+    table = m._completion_lookup()
     holes = [(s ^ (1 << u), table[s ^ (1 << u)]) for u in bits(s)]
     scale = lcm(*(comps.bit_count() for _, comps in holes))
     out: dict[Mask, int] = {}

@@ -2,6 +2,7 @@
 
 import inspect
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -148,6 +149,13 @@ def test_theorem_lb_global_values():
     for k, n in ((0, 4), (4, 4), (5, 4)):
         with pytest.raises(cv.InvalidRank):
             cv.theorem_lb_global(k, n)
+
+
+def test_bound_scale_is_the_lcm_of_the_completion_sizes():
+    for top in range(1, 301):
+        assert curvature.bound_scale(1, top) == lcm(*range(1, top + 1)), top
+    assert curvature.bound_scale(4, 10) == lcm(*range(1, 8))
+    assert curvature.bound_scale(5, 5) == 1
 
 
 def test_uniform_pair_lb_closed_form(sweep):

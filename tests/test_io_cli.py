@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
-from curvatroid import cli, curvature
+from curvatroid import catalog, cli, curvature
 from curvatroid import fileio as fio
 from curvatroid.cli import main
 from oracles import distribution_to_obj
@@ -250,6 +250,49 @@ def test_only_the_coupling_command_builds_the_coupling_table(capsys, monkeypatch
     monkeypatch.setattr(cli, "downstep_coupling_table", counted)
     assert run_cli(capsys, "coupling", *pair)[0] == 0
     assert len(built) == 1
+
+
+# a constructed family of each kind: a pair query needs no validation there
+CONSTRUCTED = {"graphic": catalog.k6_spec(), "uniform": cv.UniformSpec(n=6, k=3),
+               "linear": catalog.rank3_counterexample_linear_spec()}
+
+
+def pair_and_coupling_text(m: cv.Matroid, x: int, y: int) -> str:
+    report = fio.pair_report_to_obj(m, cv.compute_pair_report(m, x, y))
+    table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, x, y))
+    return fio.render_json(report) + fio.render_json(fio.coupling_table_to_obj(m, table))
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTED))
+def test_pair_queries_build_no_completion_table(kind):
+    """pair and coupling on a constructed family read the pair's own
+    completion sets, and print what they print with the table built."""
+    spec = CONSTRUCTED[kind]
+    swept = cv.build_matroid(spec)
+    pairs = cv.canonical_pairs(swept)  # builds swept's table
+    for x, y in pairs[::max(1, len(pairs) // 12)]:
+        m = cv.build_matroid(spec)
+        assert pair_and_coupling_text(m, x, y) == pair_and_coupling_text(swept, x, y)
+        assert m._completions is None
+
+
+def test_explicit_pair_queries_build_the_completion_table_once(monkeypatch):
+    """The matroid gate of an explicit family builds the table, and the
+    pair and coupling reports then read it."""
+    builds = []
+    build = cv.Matroid._completion_table
+
+    def counted(self):
+        if self._completions is None:
+            builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(cv.Matroid, "_completion_table", counted)
+    m = cv.build_named("rank3-counterexample")
+    s, t = (m.mask_from_labels(b) for b in catalog.DISTINGUISHED_PAIRS[
+        "rank3-counterexample"])
+    pair_and_coupling_text(m, s, t)
+    assert builds == [m]
 
 
 def test_csv_curvature_kv(capsys):

@@ -1,13 +1,15 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
-Fraction elimination, and the graphic spanning-forest search against
-per-subset enumeration."""
+Fraction elimination, the graphic spanning-forest search against
+per-subset enumeration, and the one-set completion lookup against the
+completion table."""
 
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
-from oracles import fraction_matrix_rank, graphic_bases_by_subsets, origin_hash_by_sort
+from oracles import (fraction_matrix_rank, graphic_bases_by_subsets, origin_hash_by_sort,
+                     small_specs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -73,3 +75,21 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     assert explicit.sorted_bases() == expected
     assert_canonical(explicit)
     assert explicit.origin_hash() == m.origin_hash()
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs(), st.data())
+def test_completion_lookup_matches_the_table(spec, data):
+    """Read on demand, N(R) equals the table's entry for every key R, in a
+    random order of first reads; once the table is built the lookup is it."""
+    lazy = cv.build_matroid(spec)
+    table = cv.build_matroid(spec)._completion_table()
+    keys = data.draw(st.permutations(sorted(table)))
+    lookup = lazy._completion_lookup()
+    assert [lookup[key] for key in keys] == [table[key] for key in keys]
+    assert lazy._completions is None
+    assert lazy._completion_table() == table
+    assert lazy._completion_lookup() is lazy._completions
+    for b in lazy.bases:
+        for u in cv.bits(b):
+            assert lazy.exchange_neighborhood(b, u) == table[b ^ 1 << u]

@@ -1,0 +1,44 @@
+"""render_json writes exactly the text of json.dumps(indent=2,
+ensure_ascii=False) plus a newline, on random report-shaped values."""
+
+import json
+
+import pytest
+
+from curvatroid.fileio import render_json
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# labels and rationals, plus quotes, backslashes, control characters and
+# non-ASCII text, which the string quoter must escape or pass through
+texts = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀 ')),
+                max_size=8)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), texts)
+values = st.recursive(
+    scalars | st.lists(texts),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(texts, inner, max_size=5)),
+    max_leaves=20)
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(values)
+@hypothesis.example({"ok": True, "count": 1, "flags": [True, 1, False, 0, None]})
+@hypothesis.example({"empty": {}, "none": [], "nested": [[], {}, [[]], {"a": {}}]})
+@hypothesis.example({"S": ["a", "b\"c", "d\\e", "\x01", "é"], "": ""})
+def test_render_json_matches_json_dumps(obj):
+    assert render_json(obj) == reference(obj)
+
+
+def test_render_json_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        render_json({"x": object()})
+    with pytest.raises(TypeError):
+        render_json({1: "non-string key"})
