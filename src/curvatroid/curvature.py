@@ -59,9 +59,6 @@ class PairFrame:
         object.__setattr__(self, "t_elem", t_only.bit_length() - 1)
         object.__setattr__(self, "shared", tuple(bits(self.s_basis & self.t_basis)))
 
-    def swapped(self) -> "PairFrame":
-        return PairFrame(self.t_basis, self.s_basis)
-
 
 @dataclass(frozen=True)
 class DropWitness:

@@ -6,6 +6,8 @@ hot set algebra (exchange neighborhoods, symmetric differences) is integer
 arithmetic. Bases are enumerated explicitly: the uniform and linear
 constructions filter k-subsets, the graphic one grows spanning forests edge
 by edge, which is exact and comfortably fast at desk scale (n up to ~20).
+It grows no dead prefix: forest F plus edge i extends to a basis by later
+edges iff rank(F + E>=i) = k, since F + i + E>i is that same set.
 Every construction emits its family in canonical order.
 """
 
@@ -414,37 +416,55 @@ def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
     """Masks and index tuples of the acyclic k-subsets of the edges, in
     lexicographic order of the tuples.
 
-    A depth-first search adds edges in increasing index order and drops a
-    prefix as soon as it closes a cycle, so the prefixes of acyclic subsets
-    are tested once each. root[x] names the component of vertex x in the
-    prefix forest; an edge closes a cycle exactly when its two ends share a
-    root (a loop always does). An index stops a prefix when too few edges
-    follow it to reach k, and the last level only tests each remaining edge.
-    The stack is explicit, since k can exceed the recursion limit.
+    A depth-first search adds edges in increasing index order and expands a
+    prefix forest F only by live edges: i joins two components of F and
+    rank(F + E>=i) = k, as F + i + E>i is that same set. The rank only falls
+    as i grows, so one backward scan that merges components until k - |F|
+    unions are found gives the last live index. Labels are a str, one chr
+    per vertex, merged by str.replace; children one edge short of k are
+    expanded in place. The stack is explicit, since k can exceed the
+    recursion limit.
     """
     n = len(ends)
+    if k == 1:
+        live = [j for j, (a, b) in enumerate(ends) if a != b]
+        return [1 << j for j in live], [(j,) for j in live]
     bases: list[Mask] = []
     keys: list[tuple[int, ...]] = []
-    # (next edge index, prefix mask, prefix tuple, root); children are pushed
-    # in reverse, so the smallest index is explored first
-    stack = [(0, 0, (), list(range(vertex_count)))]
+    # (next edge index, prefix mask, prefix tuple, labels) of live prefixes
+    # two or more edges short; children are pushed in reverse, so the
+    # smallest index is explored first
+    stack = [(0, 0, (), "".join(map(chr, range(vertex_count))))]
     while stack:
         start, prefix, key, root = stack.pop()
-        depth = len(key)
-        if depth == k - 1:
-            for j in range(start, n):
-                a, b = ends[j]
-                if root[a] != root[b]:
-                    bases.append(prefix | 1 << j)
-                    keys.append(key + (j,))
-            continue
+        need = k - len(key)
+        last = n - need  # a later edge leaves too few behind it
+        if last > start:  # else all the rest is needed, and F is live
+            comp, last = root, n
+            while need:
+                last -= 1
+                a, b = ends[last]
+                x, y = comp[a], comp[b]
+                if x != y:
+                    need -= 1
+                    comp = comp.replace(y, x)
+        short = len(key) + 2 == k
         children = []
-        for j in range(start, n - k + depth + 1):
-            a, b = ends[j]
-            ra, rb = root[a], root[b]
-            if ra != rb:
-                children.append((j + 1, prefix | 1 << j, key + (j,),
-                                 [ra if r == rb else r for r in root]))
+        for i in range(start, last + 1):
+            a, b = ends[i]
+            x, y = root[a], root[b]
+            if x == y:
+                continue
+            child = root.replace(y, x)
+            if short:  # each later edge that joins two components ends a basis
+                mask, stem = prefix | 1 << i, key + (i,)
+                for j in range(i + 1, n):
+                    a, b = ends[j]
+                    if child[a] != child[b]:
+                        bases.append(mask | 1 << j)
+                        keys.append(stem + (j,))
+            else:
+                children.append((i + 1, prefix | 1 << i, key + (i,), child))
         stack.extend(reversed(children))
     return bases, keys
 

@@ -282,6 +282,11 @@ def frame_by_symmetric_difference(s, t):
     return s_elem, t_elem, index_tuple(s & t)
 
 
+def swapped(frame):
+    """The same pair seen from T: the frame of (T, S)."""
+    return cv.PairFrame(frame.t_basis, frame.s_basis)
+
+
 def sorted_index_pairs(pairs):
     """Orient and sort basis-mask pairs by their sorted index tuples."""
 

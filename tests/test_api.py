@@ -61,5 +61,6 @@ def test_unreachable_pair_checks_and_metric_copies_are_gone():
     for message in UNREACHABLE_CHECKS:
         assert message not in source, message
     assert list(inspect.signature(cv.PairFrame).parameters) == ["s_basis", "t_basis"]
+    assert not hasattr(cv.PairFrame, "swapped")  # a test helper, tests/oracles.py
     assert not hasattr(curvature, "_exchange_distance")
     assert curvature.exchange_distance is walk.exchange_distance

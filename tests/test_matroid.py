@@ -1,12 +1,13 @@
 """Construction, validation, and exchange structure of the matroid core."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import curvatroid as cv
 from curvatroid.catalog import rank3_counterexample_linear_spec
-from oracles import origin_hash_by_sort, quadratic_adjacent_pairs
+from oracles import graphic_bases_by_subsets, origin_hash_by_sort, quadratic_adjacent_pairs
 
 
 def u42() -> cv.Matroid:
@@ -74,6 +75,42 @@ def test_graphic_degenerate():
 def test_graphic_edge_outside_vertices():
     with pytest.raises(cv.UnknownElement):
         cv.build_matroid(cv.GraphicSpec(vertex_count=2, edges=((0, 2, "p"),)))
+
+
+def graphic(vertex_count, ends):
+    return cv.GraphicSpec(vertex_count=vertex_count, edges=tuple(
+        (a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
+
+
+@pytest.mark.parametrize("spec,rank,count", [
+    # bridges first: a prefix that skips one can never be completed
+    (graphic(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4)]), 7, 4),
+    (graphic(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 3), (5, 6), (6, 4)]), 6, 8),
+    # a tree: every edge is needed, so k = n and there is one basis
+    (graphic(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]), 5, 1),
+    # rank 1: parallel edges and loops
+    (graphic(2, [(0, 0), (0, 1), (1, 1), (1, 0), (0, 1), (0, 0)]), 1, 3),
+    # two components and an untouched vertex (5)
+    (graphic(7, [(0, 1), (1, 2), (2, 0), (3, 4), (6, 3), (4, 6), (0, 1)]), 4, 15),
+], ids=["bridges-then-cycle", "bridges-then-k4-minus-an-edge", "tree", "rank-1",
+        "disconnected"])
+def test_graphic_fixed_families(spec, rank, count):
+    """The search lists the per-subset oracle's family, in canonical order."""
+    m = cv.build_matroid(spec)
+    expected = graphic_bases_by_subsets(spec)
+    assert m.rank == rank and len(expected) == count
+    assert m.sorted_bases() == expected
+    assert m.origin_hash() == origin_hash_by_sort(m)
+
+
+@pytest.mark.parametrize("v", [3, 4, 5, 6, 7,
+                               pytest.param(8, marks=pytest.mark.slow)])
+def test_graphic_complete_graph_cayley_count(v):
+    m = cv.build_matroid(graphic(v, list(combinations(range(v), 2))))
+    assert m.rank == v - 1
+    assert len(m.bases) == v ** (v - 2)
+    assert m.sorted_bases() == sorted(m.bases, key=cv.basis_sort_key)
+    assert m.origin_hash() == origin_hash_by_sort(m)
 
 
 def test_linear_identity_single_basis():

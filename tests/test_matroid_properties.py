@@ -43,12 +43,14 @@ def test_integer_rank_matches_fraction_elimination(matrix):
 
 @st.composite
 def multigraphs(draw):
-    """Up to 10 edges on 1..7 vertices, drawn with replacement, so loops,
-    parallel edges, isolated vertices and several components all occur."""
-    vertices = draw(st.integers(1, 7))
+    """Up to 14 edges on 1..8 vertices, drawn with replacement, so loops,
+    parallel edges, isolated vertices, several components and prefixes
+    that die deep in the search all occur; the oracle then tests at most
+    C(14, 7) = 3,432 subsets."""
+    vertices = draw(st.integers(1, 8))
     ends = draw(st.lists(st.tuples(st.integers(0, vertices - 1),
                                    st.integers(0, vertices - 1)),
-                         min_size=1, max_size=10))
+                         min_size=1, max_size=14))
     return cv.GraphicSpec(vertex_count=vertices,
                           edges=tuple((a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
 
