@@ -3,12 +3,14 @@
 Elements are canonicalized to indices 0..n-1; user labels live in a sidecar
 tuple. A set of elements is an int bitmask over those indices, so all the
 hot set algebra (exchange neighborhoods, symmetric differences) is integer
-arithmetic. Bases are enumerated explicitly: the uniform and linear
-constructions filter k-subsets, the graphic one grows spanning forests edge
-by edge, which is exact and comfortably fast at desk scale (n up to ~20).
-It grows no dead prefix: forest F plus edge i extends to a basis by later
-edges iff rank(F + E>=i) = k, since F + i + E>i is that same set.
-Every construction emits its family in canonical order.
+arithmetic. Bases are enumerated explicitly, which is exact and
+comfortably fast at desk scale (n up to ~20): the uniform construction
+lists the k-subsets; the linear one computes every maximal minor in one
+Laplace pass over the rows, on the dual when 2k > n; the graphic one grows
+spanning forests edge by edge. It grows no dead prefix: forest F plus edge
+i extends to a basis by later edges iff rank(F + E>=i) = k, since
+F + i + E>i is that same set. Every construction emits its family in
+canonical order.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DegenerateGraph,
-    ElementNotInBasis,
     EmptyBasisFamily,
     InvalidRank,
-    NotABasis,
     NotAMatroid,
     RankMismatch,
     TooLarge,
@@ -218,23 +218,6 @@ class Matroid:
         if self._lookup is None:
             self._lookup = _CompletionSets(self.bases, (1 << self.n) - 1)
         return self._lookup
-
-    def is_basis(self, s: Mask | Iterable[str]) -> bool:
-        if not isinstance(s, int):
-            s = self.mask_from_labels(s)
-        return s in self.bases
-
-    def exchange_neighborhood(self, b: Mask, u: int) -> Mask:
-        """Bitmask of the elements x with (b - u) + x a basis.
-
-        Always contains u itself and is disjoint from b - u.
-        """
-        if b not in self.bases:
-            raise NotABasis(f"{self.labels_of(b) if not b >> self.n else b} is not a basis")
-        bit = 1 << u
-        if not b & bit:
-            raise ElementNotInBasis(f"element {self.labels[u]!r} not in the given basis")
-        return self._completion_lookup()[b ^ bit]
 
     def adjacent_basis_pairs(self) -> Iterator[tuple[Mask, Mask]]:
         """Every unordered pair of bases differing by one exchange, once.
@@ -482,7 +465,8 @@ def _integer_rank(m: list[list[int]]) -> int:
     """Rank by fraction-free (Bareiss) elimination.
 
     Swaps and replaces entries of m but never writes into a row list, so a
-    shallow copy of m keeps the caller's rows intact.
+    shallow copy of m keeps the caller's rows intact. The first rank rows
+    of m are then in echelon form and span the row space of the input.
 
     After each pivot step every remaining entry is a minor of the input, so
     the division by the previous pivot is exact and entries stay integers.
@@ -514,6 +498,14 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
+    """Column matroid of a rational matrix of rank k: a k-set of columns is
+    a basis iff its minor on k independent rows is nonzero.
+
+    The rows are the k echelon rows the rank computation leaves, and one
+    pass lists the nonzero minors (_nonzero_maximal_minors). When 2k > n it
+    runs on the dual, whose bases are the complements, so no level of the
+    pass has more than C(n, min(k, n - k)) column sets.
+    """
     rows = spec.matrix
     if not rows or not rows[0]:
         raise EmptyBasisFamily("empty matrix")
@@ -527,16 +519,103 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
         raise TooLarge(f"ranking a {len(rows)} x {width} matrix exceeds the work "
                        f"limit of {WORK_LIMIT} steps")
     scaled = _integer_rows(rows)
-    k = _integer_rank(list(scaled))
+    echelon = list(scaled)
+    k = _integer_rank(echelon)
     if k == 0:
         raise EmptyBasisFamily("zero matrix has no independent columns")
-    # ranking one height x k submatrix takes about height * k * k steps
+    # the estimate of a height x k rank test per subset: the minor pass
+    # below costs less on every shape, so the guard admits the same shapes
     _guard_enumeration(width, k, len(scaled) * k * k)
-    keys = [combo for combo in combinations(range(width), k)
-            if _integer_rank([[row[c] for c in combo] for row in scaled]) == k]
-    bases = [sum(1 << c for c in key) for key in keys]
+    top = echelon[:k]
+    if 2 * k <= width:
+        bases, keys = _nonzero_maximal_minors(top, width)
+    else:
+        # bases are the complements of the dual's, and complementing
+        # reverses the lexicographic order of equal-size sets
+        full = (1 << width) - 1
+        dual, _ = _nonzero_maximal_minors(_dual_rows(top, width), width)
+        bases = [full ^ mask for mask in reversed(dual)]
+        keys = list(map(basis_sort_key, bases))
     return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})",
                    known_matroid=True, keys=keys)
+
+
+def _nonzero_maximal_minors(rows: list[list[int]],
+                            width: int) -> tuple[list[Mask], list[tuple[int, ...]]]:
+    """Masks and index tuples of the column sets whose maximal minor is
+    nonzero, in lexicographic order of the tuples; rows must be independent.
+
+    Laplace expansion along the rows: level j maps each j-column set with a
+    nonzero minor on the last j rows to that minor, and is built from level
+    j - 1 by expanding along its first row. Only columns with a nonzero
+    entry in those rows can take part, which in echelon rows leaves out
+    every column left of the top one's pivot. The last level is emitted,
+    not stored, so the pass keeps at most C(width, len(rows) - 1) minors.
+    """
+    height = len(rows)
+    if not height:  # the empty minor is 1
+        return [0], [()]
+    level = {0: 1}
+    bases: list[Mask] = []
+    keys: list[tuple[int, ...]] = []
+    for j in range(1, height + 1):
+        row = rows[height - j]
+        below = level
+        level = {}
+        columns = [c for c in range(width) if any(r[c] for r in rows[height - j:])]
+        for key in combinations(columns, j):
+            mask = 0
+            for c in key:
+                mask |= 1 << c
+            det = 0
+            sign = 1
+            for c in key:
+                x = row[c]
+                if x:
+                    minor = below.get(mask ^ 1 << c)
+                    if minor:
+                        det += sign * x * minor
+                sign = -sign
+            if not det:
+                continue
+            if j < height:
+                level[mask] = det
+            else:
+                bases.append(mask)
+                keys.append(key)
+    return bases, keys
+
+
+def _dual_rows(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Integer rows whose column matroid is the dual of that of the given
+    independent echelon rows.
+
+    The reduced row echelon form is [I | A] up to a column permutation, and
+    [-A^T | I] in the same column order spans its orthogonal complement;
+    each of its rows is scaled to integers.
+    """
+    reduced: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in rows:
+        pivot = next(c for c, x in enumerate(row) if x)
+        lead = row[pivot]
+        new = [Fraction(x, lead) for x in row]
+        # the earlier rows' pivot columns are zero in an echelon row, so
+        # clearing this pivot column above leaves theirs as they are
+        reduced = [[a - r[pivot] * b for a, b in zip(r, new)] if r[pivot] else r
+                   for r in reduced]
+        reduced.append(new)
+        pivots.append(pivot)
+    dual = []
+    for q in sorted(set(range(width)) - set(pivots)):
+        row = [Fraction(0)] * width
+        row[q] = Fraction(1)
+        for r, pivot in zip(reduced, pivots):
+            row[pivot] = -r[q]
+        dual.append(row)
+    dual = _integer_rows(dual)
+    _integer_rank(dual)  # into echelon form, for the minor pass's sparsity
+    return dual
 
 
 def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:

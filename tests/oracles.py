@@ -7,14 +7,17 @@ Fraction sums over a dict, the walk kernel by Fraction sums over its
 definition, distances by a plain dict-based BFS, adjacency and the basis
 exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, spanning forests by testing every k-subset of the edges
-with its own union-find, the origin hash by sorting the family afresh,
+with its own union-find, linear bases by ranking every k-subset of the
+columns (the construction's route before its minor pass), the origin hash
+by sorting the family afresh,
 pair order by comparing sorted index tuples, a pair frame's exchange
 from the symmetric difference of its two bases, and matroid automorphisms
 by extending element maps one element at a time, and the closed-form
 pair bounds by Fraction sums over the witness's drops. The test-only
 helpers at the end (the unpruned exact sweep, the distance proposition,
-the distribution rendering, the random-matroid strategy) use the public
-library API.
+the distribution rendering, the random-matroid strategy, basis membership
+by labels and one exchange neighbourhood by membership tests) use the
+public library API.
 """
 
 from __future__ import annotations
@@ -208,6 +211,20 @@ def graphic_bases_by_subsets(spec):
     return [sum(1 << i for i in combo)
             for combo in combinations(range(len(ends)), k)
             if forest_size([ends[i] for i in combo]) == k]
+
+
+def linear_bases_by_subsets(spec):
+    """Bases of a linear spec as index tuples, in lexicographic order.
+
+    k is the rank of the whole matrix, and every k-subset of the columns is
+    kept when its own submatrix has rank k, by the integer rank that
+    test_integer_rank_matches_fraction_elimination checks.
+    """
+    rows = spec.matrix
+    width = len(rows[0])
+    k = cv.matrix_rank(rows)
+    return [combo for combo in combinations(range(width), k)
+            if cv.matrix_rank([[row[c] for c in combo] for row in rows]) == k]
 
 
 def origin_hash_by_sort(m):
@@ -486,7 +503,7 @@ def proposition_distance_check(m, frame, u, a=None):
     t = frame.t_basis
     neighbors = []
     for x in cv.bits(t):
-        for y in cv.bits(m.exchange_neighborhood(t, x)):
+        for y in cv.bits(exchange_neighborhood(m, t, x)):
             if y != x:
                 neighbors.append((t ^ (1 << x)) | (1 << y))
     u_bit = 1 << u
@@ -508,3 +525,19 @@ def proposition_distance_check(m, frame, u, a=None):
                 )
     return cv.ValidationResult.passed(f"checked {len(adds)} add(s) against "
                                       f"{len(neighbors)} neighbors")
+
+
+def is_basis(m, labels):
+    """Whether the elements named by labels form a basis of m."""
+    return m.mask_from_labels(labels) in m.bases
+
+
+def exchange_neighborhood(m, b, u):
+    """Bitmask of the elements x with (b - u) + x a basis, by one membership
+    test per element: always contains u and avoids b - u."""
+    if b not in m.bases:
+        raise cv.NotABasis(f"{m.labels_of(b) if not b >> m.n else b} is not a basis")
+    if not b >> u & 1:
+        raise cv.ElementNotInBasis(f"element {m.labels[u]!r} not in the given basis")
+    rest = b ^ 1 << u
+    return sum(1 << x for x in range(m.n) if rest | 1 << x in m.bases)

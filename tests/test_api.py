@@ -32,6 +32,8 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     for name in DELETED_GRAPH_MEMBERS:
         assert not hasattr(g, name), name
     assert not hasattr(matroid, "_bit_list")
+    for name in ("is_basis", "exchange_neighborhood"):  # test helpers, tests/oracles.py
+        assert not hasattr(cv.Matroid, name), name
     for name in ("coupling", "mass_multiset"):
         assert not hasattr(cv.DownstepCoupling, name), name
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from curvatroid.catalog import DISTINGUISHED_PAIRS
+from curvatroid.catalog import DISTINGUISHED_PAIRS, RANK3_GROUND
 from curvatroid.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -28,16 +28,35 @@ PAIRS = {
     **DISTINGUISHED_PAIRS,
     "vamos": (("c1", "c2", "d1", "d2"), ("a1", "c1", "c2", "d1")),
     "fano": (("1", "2", "4"), ("1", "2", "5")),
+    "rank3-linear": DISTINGUISHED_PAIRS["rank3-counterexample"],
+    "linear-4x9": (("v1", "v3", "v4"), ("v2", "v3", "v4")),
 }
 
-# explicit non-matroids for the validate witness goldens, written to a
-# temporary file per render (the report's origin is "explicit", not the path)
+# description files, written to a temporary file per render (a report's
+# origin describes the construction, not the path): two explicit
+# non-matroids for the validate witness goldens, then two linear inputs
 FILES = {
     "split": {"type": "explicit", "ground": list("abcdef"),
               "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]},
     "two-triangles": {"type": "explicit", "ground": list("abcdef"),
                       "bases": [["a", "b", "c"], ["d", "e", "f"]]},
+    # the rank-3 catalog matroid from vectors: s = e1, t = e2, u = e3,
+    # u' = (2/3)(e1 + e2 + e3), each v_i parallel to t and each w_i to s
+    "rank3-linear": {
+        "type": "linear", "labels": list(RANK3_GROUND),
+        "matrix": [[1, 0, 0, "2/3", 0, 0, 0, 0, 0, 1, 1, "-3/4", 1, 1],
+                   [0, 1, 0, "2/3", 1, 1, "5/2", 1, 1, 0, 0, 0, 0, 0],
+                   [0, 0, 1, "2/3", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]},
+    # rank 3: the last row is the first minus the third, v0 is a zero
+    # column (a loop) and v2 = -2 v1 (a parallel pair); default labels
+    "linear-4x9": {
+        "type": "linear",
+        "matrix": [[0, 1, -2, 1, 0, 2, 1, 3, 0],
+                   [0, 2, -4, 0, 1, 1, -1, 0, 2],
+                   [0, 0, 0, 1, 1, 0, 2, -1, 1],
+                   [0, 1, -2, 0, -1, 2, -1, 4, -1]]},
 }
+NON_MATROIDS = ("split", "two-triangles")
 
 CASES = (
     [("curvature", name, ()) for name in
@@ -45,13 +64,17 @@ CASES = (
     + [("curvature", name, ("--exact",)) for name in
        ("vamos", "fano", "k4", "rank3-counterexample")]
     + [("pairs", name, ()) for name in ("k4", "fano")]
-    + [(command, name, ()) for command in ("pair", "coupling") for name in PAIRS]
+    + [(command, name, ()) for command in ("pair", "coupling") for name in PAIRS
+       if name not in FILES]
     + [("validate", "fano", ())]
     + [("bases", name, ()) for name in ("vamos", "fano", "k4", "rank3-counterexample")]
     + [("catalog", "", ())]
-    + [("validate", name, ()) for name in FILES]
+    + [("validate", name, ()) for name in NON_MATROIDS]
     # appended last so the generated ids of the cases above stay as they were
     + [("curvature", name, ("--all-pairs",)) for name in ("k4", "fano")]
+    + [(command, name, flags) for name in ("rank3-linear", "linear-4x9")
+       for command, flags in (("bases", ()), ("curvature", ()),
+                              ("curvature", ("--exact",)), ("pair", ()))]
 )
 FORMATS = ("json", "csv")
 
@@ -78,8 +101,8 @@ def render(command: str, name: str, flags: tuple[str, ...], fmt: str) -> bytes:
             argv += ["--s", ",".join(s), "--t", ",".join(t)]
         with contextlib.redirect_stdout(out):
             code = main(argv)
-    # every FILES entry fails the exchange axiom, so validate exits 1
-    assert code == (1 if name in FILES else 0)
+    # the explicit FILES entries fail the exchange axiom, so validate exits 1
+    assert code == (1 if name in NON_MATROIDS else 0)
     return out.getvalue().encode("utf-8")
 
 

@@ -11,7 +11,7 @@ import curvatroid as cv
 from curvatroid import catalog, cli, curvature
 from curvatroid import fileio as fio
 from curvatroid.cli import main
-from oracles import distribution_to_obj
+from oracles import distribution_to_obj, is_basis
 
 F = Fraction
 
@@ -81,7 +81,7 @@ def test_parse_matroid_obj_integer_labels_coerced():
         {"type": "explicit", "ground": [1, 2], "bases": [[1], [2]]})
     assert spec.ground == ("1", "2")
     m = cv.build_matroid(spec)
-    assert m.is_basis(["1"])
+    assert is_basis(m, ["1"])
 
 
 def test_parse_matroid_obj_errors():

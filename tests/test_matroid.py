@@ -7,7 +7,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid.catalog import rank3_counterexample_linear_spec
-from oracles import graphic_bases_by_subsets, origin_hash_by_sort, quadratic_adjacent_pairs
+from oracles import (exchange_neighborhood, graphic_bases_by_subsets, is_basis,
+                     origin_hash_by_sort, quadratic_adjacent_pairs)
 
 
 def u42() -> cv.Matroid:
@@ -209,11 +210,11 @@ def test_label_errors():
 
 def test_is_basis():
     m = cv.build_named("k4")
-    assert m.is_basis(["ab", "bc", "cd"])
-    assert not m.is_basis(["ab", "bc", "ac"])  # triangle, not a spanning tree
-    assert not m.is_basis(["ab"])
+    assert is_basis(m, ["ab", "bc", "cd"])
+    assert not is_basis(m, ["ab", "bc", "ac"])  # triangle, not a spanning tree
+    assert not is_basis(m, ["ab"])
     with pytest.raises(cv.UnknownElement):
-        m.is_basis(["ab", "nope", "cd"])
+        is_basis(m, ["ab", "nope", "cd"])
 
 
 def test_vamos_excluded_quadruples():
@@ -221,8 +222,8 @@ def test_vamos_excluded_quadruples():
     for pair in (("a1", "a2", "b1", "b2"), ("a1", "a2", "c1", "c2"),
                  ("a1", "a2", "d1", "d2"), ("b1", "b2", "c1", "c2"),
                  ("b1", "b2", "d1", "d2")):
-        assert not m.is_basis(pair)
-    assert m.is_basis(("c1", "c2", "d1", "d2"))
+        assert not is_basis(m, pair)
+    assert is_basis(m, ("c1", "c2", "d1", "d2"))
     assert len(m.bases) == 65
 
 
@@ -264,7 +265,7 @@ def test_origin_is_set_at_construction():
 def test_exchange_neighborhood_uniform():
     m = u42()
     b = m.mask_from_labels(["a", "b"])
-    hood = m.exchange_neighborhood(b, m.element_index("b"))
+    hood = exchange_neighborhood(m, b, m.element_index("b"))
     assert m.labels_of(hood) == ("b", "c", "d")
 
 
@@ -275,7 +276,7 @@ def test_exchange_neighborhood_invariants(test_set):
         expected_uniform = m.n - m.rank + 1 if name.startswith("u(") else None
         for b in m.sorted_bases():
             for u in cv.bits(b):
-                hood = m.exchange_neighborhood(b, u)
+                hood = exchange_neighborhood(m, b, u)
                 assert hood & (1 << u), (name, b, u)
                 assert not (hood & (b ^ (1 << u))), "hood must avoid b - u"
                 for x in cv.bits(hood):
@@ -287,10 +288,10 @@ def test_exchange_neighborhood_invariants(test_set):
 def test_exchange_neighborhood_errors():
     m = u42()
     with pytest.raises(cv.NotABasis):
-        m.exchange_neighborhood(m.mask_from_labels(["a", "b"]) | 4, 0)
+        exchange_neighborhood(m, m.mask_from_labels(["a", "b"]) | 4, 0)
     with pytest.raises(cv.ElementNotInBasis):
-        m.exchange_neighborhood(m.mask_from_labels(["a", "b"]),
-                                m.element_index("c"))
+        exchange_neighborhood(m, m.mask_from_labels(["a", "b"]),
+                              m.element_index("c"))
 
 
 def test_adjacent_pairs_counts():

@@ -1,15 +1,15 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
-Fraction elimination, the graphic spanning-forest search against
-per-subset enumeration, and the one-set completion lookup against the
-completion table."""
+Fraction elimination, the graphic spanning-forest search and the linear
+minor pass against per-subset enumeration, and the one-set completion
+lookup against the completion table."""
 
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
-from oracles import (fraction_matrix_rank, graphic_bases_by_subsets, origin_hash_by_sort,
-                     small_specs)
+from oracles import (exchange_neighborhood, fraction_matrix_rank, graphic_bases_by_subsets,
+                     linear_bases_by_subsets, origin_hash_by_sort, small_specs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -79,6 +79,77 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     assert explicit.origin_hash() == m.origin_hash()
 
 
+@st.composite
+def linear_specs(draw):
+    """A height x width integer or rational matrix of rank at most r, the
+    product of two random factors through an inner dimension r, with up to
+    three more rows than r. The width puts 2r below, at or above it, and
+    then some columns are zeroed and some made multiples of an earlier one:
+    loops and parallel elements."""
+    entries = draw(st.sampled_from([st.integers(-3, 3).map(Fraction), rationals]))
+    inner = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([
+        w for w in (inner, inner + 1, 2 * inner - 1, 2 * inner, 2 * inner + 1, 2 * inner + 3)
+        if inner <= w <= 12]))
+    height = draw(st.integers(inner, min(8, inner + 3)))
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                         min_size=height, max_size=height))
+    right = draw(st.lists(st.lists(entries, min_size=width, max_size=width),
+                          min_size=inner, max_size=inner))
+    columns = [[sum((left[i][t] * right[t][j] for t in range(inner)), Fraction(0))
+                for i in range(height)] for j in range(width)]
+    for j in range(1, width):
+        change = draw(st.sampled_from(["keep"] * 4 + ["zero", "parallel"]))
+        if change == "zero":
+            columns[j] = [Fraction(0)] * height
+        elif change == "parallel":
+            source = draw(st.integers(0, j - 1))
+            scale = draw(st.builds(Fraction, st.sampled_from([-3, -1, 1, 2]),
+                                   st.integers(1, 4)))
+            columns[j] = [scale * x for x in columns[source]]
+    return cv.LinearSpec(matrix=tuple(zip(*columns)))
+
+
+def assert_linear_matches_subsets(spec: cv.LinearSpec) -> None:
+    """The construction's keys, order and hash equal those of the family
+    listed by ranking every k-subset, built as an explicit family."""
+    expected = linear_bases_by_subsets(spec)
+    if expected == [()]:  # rank 0: the empty set is the only independent set
+        with pytest.raises(cv.EmptyBasisFamily):
+            cv.build_matroid(spec)
+        return
+    m = cv.build_matroid(spec)
+    assert m._keys == expected
+    assert m.sorted_bases() == [sum(1 << c for c in key) for key in expected]
+    explicit = cv.build_matroid(cv.ExplicitSpec(
+        ground=m.labels, bases=tuple(tuple(m.labels[c] for c in key) for key in expected)))
+    assert m.origin_hash() == explicit.origin_hash() == origin_hash_by_sort(m)
+
+
+@hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@hypothesis.given(linear_specs())
+def test_minor_pass_matches_subset_ranks(spec):
+    assert_linear_matches_subsets(spec)
+
+
+def test_minor_pass_on_fixed_shapes():
+    # 12 x 16 takes the dual route with rank 4 on the dual side
+    rows = tuple(tuple(Fraction((3 * i + 5 * j) % 7 - 3 + (i == j)) for j in range(16))
+                 for i in range(12))
+    # a single row with zero and parallel entries, and two square shapes
+    # of full rank, k = n, one of them with more rows than its rank
+    row = (tuple(Fraction(x) for x in (0, 2, -1, 0, Fraction(1, 3), 4, -2)),)
+    square = tuple(tuple(Fraction(int(i == j) + int(j == 0)) for j in range(4))
+                   for i in range(4))
+    tall = square + (tuple(a + b for a, b in zip(square[1], square[3])),)
+    ranks = []
+    for matrix in (rows, row, square, tall):
+        spec = cv.LinearSpec(matrix=matrix)
+        assert_linear_matches_subsets(spec)
+        ranks.append(cv.matrix_rank(matrix))
+    assert ranks == [12, 1, 4, 4]
+
+
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @hypothesis.given(small_specs(), st.data())
 def test_completion_lookup_matches_the_table(spec, data):
@@ -94,4 +165,4 @@ def test_completion_lookup_matches_the_table(spec, data):
     assert lazy._completion_lookup() is lazy._completions
     for b in lazy.bases:
         for u in cv.bits(b):
-            assert lazy.exchange_neighborhood(b, u) == table[b ^ 1 << u]
+            assert exchange_neighborhood(lazy, b, u) == table[b ^ 1 << u]
