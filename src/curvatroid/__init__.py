@@ -11,7 +11,6 @@ from .errors import (
     BadRational,
     CurvatroidError,
     DegenerateGraph,
-    ElementNotInBasis,
     EmptyBasisFamily,
     InvalidBasisArgument,
     InvalidRank,
@@ -87,9 +86,9 @@ from .fileio import (
 __all__ = [
     "__version__",
     # errors
-    "BadRational", "CurvatroidError", "DegenerateGraph", "ElementNotInBasis",
-    "EmptyBasisFamily", "InvalidBasisArgument", "InvalidRank", "NotABasis",
-    "NotAMatroid", "NotAdjacent", "ParseError", "RankMismatch", "TooLarge",
+    "BadRational", "CurvatroidError", "DegenerateGraph", "EmptyBasisFamily",
+    "InvalidBasisArgument", "InvalidRank", "NotABasis", "NotAMatroid",
+    "NotAdjacent", "ParseError", "RankMismatch", "TooLarge",
     "UnbalancedMarginals", "UnknownElement", "UnknownType", "ValidationResult",
     # matroids
     "ENUMERATION_LIMIT", "ExplicitSpec", "GraphicSpec", "LinearSpec", "Mask",

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
@@ -276,13 +276,31 @@ class CouplingCell:
 
 @dataclass(frozen=True)
 class DownstepCoupling:
-    """Full outcome table of the down-step coupling for one pair."""
+    """The down-step coupling of one pair, drop by drop as _coupling_drops
+    yields it: per drop (drop from S, drop from T, denominator, cells), each
+    cell (add to S, add to T, X, Y, weight) with a positive integer weight
+    over the drop's denominator.
+
+    No route of the command line builds Fraction cells: the coupling report
+    (fileio.coupling_table_to_obj) renders the integer weights directly, and
+    the expected distance is summed in integers. cells reads the
+    CouplingCell outcomes off the weights on demand.
+    """
 
     frame: PairFrame
-    cells: tuple[CouplingCell, ...]
+    drops: tuple[tuple[int, int, int, tuple[tuple[int, int, Mask, Mask, int], ...]], ...]
+
+    @property
+    def cells(self) -> tuple[CouplingCell, ...]:
+        """Every outcome with its exact mass, unaggregated, in drop order."""
+        return tuple(
+            CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
+                         exchange_distance(x, y))
+            for drop_s, drop_t, denominator, cells in self.drops
+            for add_s, add_t, x, y, w in cells)
 
     def expected_distance(self) -> Fraction:
-        return sum((c.mass * c.distance for c in self.cells), Fraction(0))
+        return _expected_distance(self.drops)
 
 
 def _coupling_drops(m: Matroid, frame: PairFrame):
@@ -310,8 +328,8 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
     # both walks drop their exchanged element: identical completions
     rest = frame.s_basis ^ s_bit
     comps = table[rest]
-    yield s_elem, t_elem, k * comps.bit_count(), [
-        (x, x, rest | (1 << x), rest | (1 << x), 1) for x in bits(comps)]
+    yield s_elem, t_elem, k * comps.bit_count(), tuple([
+        (x, x, rest | (1 << x), rest | (1 << x), 1) for x in bits(comps)])
 
     for u in frame.shared:
         u_bit = 1 << u
@@ -319,8 +337,8 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
         t_sub = frame.t_basis ^ u_bit
         ns = table[s_sub]
         if not ns & t_bit:
-            yield u, u, k * ns.bit_count(), [
-                (v, v, s_sub | (1 << v), t_sub | (1 << v), 1) for v in bits(ns)]
+            yield u, u, k * ns.bit_count(), tuple([
+                (v, v, s_sub | (1 << v), t_sub | (1 << v), 1) for v in bits(ns)])
             continue
         # crossing drop: meet on (add t, add s), mirror the overlap
         nt = table[t_sub]
@@ -337,7 +355,7 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
                   for v in bits(overlap)]
         cells += [(x, y, s_sub | (1 << x), t_sub | (1 << y), wx * wy)
                   for x, wx in left_s for y, wy in left_t]
-        yield u, u, k * a * b * left, cells
+        yield u, u, k * a * b * left, tuple(cells)
 
 
 def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
@@ -354,21 +372,26 @@ def downstep_coupling_table(m: Matroid, frame: PairFrame) -> DownstepCoupling:
     Distances are |X - Y| and a non-crossing drop reuses N(S - u) for the
     T side, both facts about matroids, so the matroid gate runs first.
     """
-    return DownstepCoupling(frame, tuple(
-        CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
-                     exchange_distance(x, y))
-        for drop_s, drop_t, denominator, cells in _coupling_drops(m, frame)
-        for add_s, add_t, x, y, w in cells))
+    return DownstepCoupling(frame, tuple(_coupling_drops(m, frame)))
+
+
+def _expected_distance(drops: Iterable[tuple]) -> Fraction:
+    """Sum of weight times |X - Y| over the cells of coupling drops, in
+    integers over the lcm of the drops' denominators."""
+    sums = [(sum(w * exchange_distance(x, y) for _, _, x, y, w in cells), denominator)
+            for _, _, denominator, cells in drops]
+    common = lcm(*(denominator for _, denominator in sums))
+    return Fraction(sum(total * (common // denominator) for total, denominator in sums),
+                    common)
 
 
 def downstep_expected_distance(m: Matroid, frame: PairFrame) -> Fraction:
     """Expected distance of the down-step coupling: weight times |X - Y|
-    summed in integers over the cells of downstep_coupling_table, one
-    Fraction per drop. It uses no closed form, so compute_pair_report
-    checks downstep_lb_pair against it."""
-    return sum((Fraction(sum(w * exchange_distance(x, y) for _, _, x, y, w in cells),
-                         denominator)
-                for _, _, denominator, cells in _coupling_drops(m, frame)), Fraction(0))
+    summed in integers over the cells of _coupling_drops, as
+    DownstepCoupling.expected_distance does, without keeping the cells. It
+    uses no closed form, so compute_pair_report checks downstep_lb_pair
+    against it."""
+    return _expected_distance(_coupling_drops(m, frame))
 
 
 # ── exact curvature ─────────────────────────────────────────────────────────
@@ -418,7 +441,7 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
     divides. The closed-form down-step bound is cross-checked against the
     coupling's expected distance, summed cell by cell in integer weights
-    (downstep_expected_distance) without building the Fraction table.
+    (downstep_expected_distance) without keeping the cells.
     """
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)

@@ -33,10 +33,6 @@ class NotAMatroid(CurvatroidError):
     """A basis family that violates the basis exchange axiom."""
 
 
-class ElementNotInBasis(CurvatroidError):
-    """Asked to drop an element from a basis that does not contain it."""
-
-
 class NotAdjacent(CurvatroidError):
     """Two bases whose symmetric difference is not a single exchange."""
 

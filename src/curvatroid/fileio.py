@@ -15,6 +15,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from . import __version__
@@ -25,7 +26,6 @@ from .curvature import (
     PairFrame,
     PairReport,
     PairWitness,
-    downstep_expected_distance,
 )
 from .errors import BadRational, ParseError, UnknownType, ValidationResult
 from .matroid import (
@@ -39,6 +39,7 @@ from .matroid import (
     UniformSpec,
     build_matroid,
 )
+from .walk import exchange_distance
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -268,24 +269,42 @@ def global_report_to_obj(m: Matroid, report: GlobalReport,
 
 def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
                           with_decimal: bool = False) -> dict:
+    """The coupling report, rendered from the table's integer weights.
+
+    No CouplingCell is built: each mass is the cell's weight over its
+    drop's denominator reduced by one gcd (the text of str(Fraction)), each
+    distance is exchange_distance, a popcount, and the label list of each
+    distinct basis is built once. expectedDistance is the table's own
+    integer sum.
+    """
     obj: dict = dict(_meta(m))
     obj["frame"] = frame_to_obj(m, table.frame)
+    labels = m.labels
+    names: dict[Mask, list[str]] = {}
     cells = []
-    for c in table.cells:
-        cell = {
-            "dropS": m.labels[c.drop_from_s],
-            "dropT": m.labels[c.drop_from_t],
-            "addS": m.labels[c.add_to_s],
-            "addT": m.labels[c.add_to_t],
-            "x": _labels(m, c.x),
-            "y": _labels(m, c.y),
-            "distance": c.distance,
-        }
-        _put_rational(cell, "mass", c.mass, with_decimal)
-        cells.append(cell)
+    for drop_s, drop_t, denominator, drop_cells in table.drops:
+        for add_s, add_t, x, y, w in drop_cells:
+            if x not in names:
+                names[x] = _labels(m, x)
+            if y not in names:
+                names[y] = _labels(m, y)
+            g = gcd(w, denominator)
+            p, q = w // g, denominator // g
+            cell = {
+                "dropS": labels[drop_s],
+                "dropT": labels[drop_t],
+                "addS": labels[add_s],
+                "addT": labels[add_t],
+                "x": names[x],
+                "y": names[y],
+                "distance": exchange_distance(x, y),
+                "mass": f"{p}/{q}" if q != 1 else str(p),
+            }
+            if with_decimal:
+                cell["massApprox"] = approx_decimal(Fraction(p, q))
+            cells.append(cell)
     obj["cells"] = cells
-    _put_rational(obj, "expectedDistance",
-                  downstep_expected_distance(m, table.frame), with_decimal)
+    _put_rational(obj, "expectedDistance", table.expected_distance(), with_decimal)
     if with_decimal:
         obj["decimalsAreApproximate"] = True
     return obj
@@ -435,7 +454,13 @@ _quote = json.encoder.encode_basestring  # the C quoter when available
 
 def _json_text(o: Any, newline: str) -> str:
     """o as indented JSON; newline is a line break plus the indentation of
-    o's own line, and each level indents two more spaces."""
+    o's own line, and each level indents two more spaces.
+
+    A value inside a dict or list is told apart by type() first, so a
+    string or an int costs no recursive call. Anything else, a subclass
+    such as an IntEnum member or a str subclass among it, recurses and is
+    written as json.dumps writes it.
+    """
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, dict):
@@ -443,7 +468,8 @@ def _json_text(o: Any, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return ("{" + inner + ("," + inner).join([
-            _quote(key) + ": " + (_quote(value) if isinstance(value, str)
+            _quote(key) + ": " + (_quote(value) if (t := type(value)) is str
+                                  else int.__repr__(value) if t is int
                                   else _json_text(value, inner))
             for key, value in o.items()]) + newline + "}")
     if isinstance(o, (list, tuple)):
@@ -451,7 +477,9 @@ def _json_text(o: Any, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         return ("[" + inner + ("," + inner).join([
-            _quote(item) if isinstance(item, str) else _json_text(item, inner)
+            _quote(item) if (t := type(item)) is str
+            else int.__repr__(item) if t is int
+            else _json_text(item, inner)
             for item in o]) + newline + "]")
     if o is None:
         return "null"

@@ -176,7 +176,13 @@ class Matroid:
     def labels_of(self, mask: Mask) -> tuple[str, ...]:
         if mask >> self.n:
             raise UnknownElement("mask has bits outside the ground set")
-        return tuple(self.labels[i] for i in bits(mask))
+        labels = self.labels
+        out = []
+        while mask:  # the set bits, lowest first, as bits() yields them
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def sorted_bases(self) -> list[Mask]:
         """All bases in canonical order."""

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import NotABasis
-from .matroid import Mask, Matroid, basis_sort_key, bits
+from .matroid import Mask, Matroid, bits
 
 
 def exchange_distance(x: Mask, y: Mask) -> int:
@@ -59,13 +59,6 @@ class Distribution:
     def masses(self) -> dict[Mask, Fraction]:
         """Every support entry with its exact mass."""
         return {b: Fraction(w, self.denominator) for b, w in self.weights.items()}
-
-    def mass(self, b: Mask) -> Fraction:
-        return Fraction(self.weights.get(b, 0), self.denominator)
-
-    def support(self) -> list[Mask]:
-        """Support in canonical order."""
-        return sorted(self.weights, key=basis_sort_key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):

@@ -12,12 +12,13 @@ columns (the construction's route before its minor pass), the origin hash
 by sorting the family afresh,
 pair order by comparing sorted index tuples, a pair frame's exchange
 from the symmetric difference of its two bases, and matroid automorphisms
-by extending element maps one element at a time, and the closed-form
-pair bounds by Fraction sums over the witness's drops. The test-only
+by extending element maps one element at a time, the closed-form
+pair bounds by Fraction sums over the witness's drops, and the coupling
+report by one Fraction per cell of the coupling's drops. The test-only
 helpers at the end (the unpruned exact sweep, the distance proposition,
-the distribution rendering, the random-matroid strategy, basis membership
-by labels and one exchange neighbourhood by membership tests) use the
-public library API.
+the distribution rendering and masses, the random-matroid strategy, basis
+membership by labels and one exchange neighbourhood by membership tests)
+use the public library API.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import curvatroid as cv
+from curvatroid import curvature
 
 
 def transport_vertices(supply, demand):
@@ -328,8 +330,8 @@ def full_transport_problem(mu, nu, dist=set_difference_size):
     """
     rows = sorted(mu.masses, key=index_tuple)
     cols = sorted(nu.masses, key=index_tuple)
-    return FullProblem(rows, cols, [mu.mass(x) for x in rows],
-                       [nu.mass(y) for y in cols],
+    return FullProblem(rows, cols, [mass(mu, x) for x in rows],
+                       [mass(nu, y) for y in cols],
                        [[dist(x, y) for y in cols] for x in rows])
 
 
@@ -409,6 +411,49 @@ def fraction_theorem_ub_values(m, frame, witness):
     return forward, reverse
 
 
+def fraction_coupling_cells(m, frame):
+    """The down-step coupling as one CouplingCell per cell: each mass a
+    Fraction of the cell's weight over its drop's denominator, each distance
+    |X - Y| from index tuples."""
+    return tuple(
+        cv.CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
+                        set_difference_size(x, y))
+        for drop_s, drop_t, denominator, cells in curvature._coupling_drops(m, frame)
+        for add_s, add_t, x, y, w in cells)
+
+
+def fraction_coupling_report(m, frame, with_decimal=False):
+    """(report object, expected distance) of the coupling command, built
+    cell by cell from fraction_coupling_cells with str(Fraction) masses and
+    labels read off index tuples. The expected distance is the Fraction sum
+    of mass times distance over the cells, not the library's integer sum."""
+    labels = m.labels
+
+    def names(mask):
+        return [labels[i] for i in index_tuple(mask)]
+
+    cells = fraction_coupling_cells(m, frame)
+    expected = sum((c.mass * c.distance for c in cells), Fraction(0))
+    obj = {"version": cv.__version__, "origin": m.origin, "originHash": m.origin_hash()}
+    obj["frame"] = {"S": names(frame.s_basis), "T": names(frame.t_basis),
+                    "s": labels[frame.s_elem], "t": labels[frame.t_elem],
+                    "shared": [labels[u] for u in frame.shared]}
+    obj["cells"] = []
+    for c in cells:
+        cell = {"dropS": labels[c.drop_from_s], "dropT": labels[c.drop_from_t],
+                "addS": labels[c.add_to_s], "addT": labels[c.add_to_t],
+                "x": names(c.x), "y": names(c.y), "distance": c.distance,
+                "mass": str(c.mass)}
+        if with_decimal:
+            cell["massApprox"] = cv.approx_decimal(c.mass)
+        obj["cells"].append(cell)
+    obj["expectedDistance"] = str(expected)
+    if with_decimal:
+        obj["expectedDistanceApprox"] = cv.approx_decimal(expected)
+        obj["decimalsAreApproximate"] = True
+    return obj, expected
+
+
 def unpruned_global_curvature(m):
     """(kappa, argmin pair) by solving every pair whose two bounds differ.
 
@@ -465,15 +510,25 @@ def small_specs():
     return specs()
 
 
+def mass(dist, b):
+    """Exact mass of basis b under a distribution, 0 off its support."""
+    return Fraction(dist.weights.get(b, 0), dist.denominator)
+
+
+def support(dist):
+    """The support of a distribution in sorted-index-tuple order."""
+    return sorted(dist.weights, key=index_tuple)
+
+
 def items_sorted(dist):
     """(basis, Fraction mass) for the support of a distribution, in order."""
-    return [(b, dist.mass(b)) for b in dist.support()]
+    return [(b, mass(dist, b)) for b in support(dist)]
 
 
 def distribution_to_obj(m, dist):
     """A distribution as report rows: labels and "p/q" mass per basis."""
-    return [{"basis": list(m.labels_of(b)), "mass": str(dist.mass(b))}
-            for b in dist.support()]
+    return [{"basis": list(m.labels_of(b)), "mass": str(mass(dist, b))}
+            for b in support(dist)]
 
 
 def proposition_distance_check(m, frame, u, a=None):
@@ -527,6 +582,10 @@ def proposition_distance_check(m, frame, u, a=None):
                                       f"{len(neighbors)} neighbors")
 
 
+class ElementNotInBasis(cv.CurvatroidError):
+    """Asked to drop an element from a basis that does not contain it."""
+
+
 def is_basis(m, labels):
     """Whether the elements named by labels form a basis of m."""
     return m.mask_from_labels(labels) in m.bases
@@ -538,6 +597,6 @@ def exchange_neighborhood(m, b, u):
     if b not in m.bases:
         raise cv.NotABasis(f"{m.labels_of(b) if not b >> m.n else b} is not a basis")
     if not b >> u & 1:
-        raise cv.ElementNotInBasis(f"element {m.labels[u]!r} not in the given basis")
+        raise ElementNotInBasis(f"element {m.labels[u]!r} not in the given basis")
     rest = b ^ 1 << u
     return sum(1 << x for x in range(m.n) if rest | 1 << x in m.bases)

@@ -4,14 +4,15 @@ import inspect
 from pathlib import Path
 
 import curvatroid as cv
-from curvatroid import curvature, fileio, matroid, transport, walk
+from curvatroid import curvature, errors, fileio, matroid, transport, walk
 
 # removed with the BFS exchange graph, the thread fan-out and the Fraction
-# coupling layer; the last three are test helpers in tests/oracles.py
+# coupling layer; the last four are test helpers in tests/oracles.py
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
-           "proposition_distance_check", "distribution_to_obj", "items_sorted")
+           "proposition_distance_check", "distribution_to_obj", "items_sorted",
+           "ElementNotInBasis")
 DELETED_GRAPH_MEMBERS = ("adj", "order", "index", "row", "verify_budget",
                          "verify_distance_formula", "_bfs_row", "_formula_row",
                          "_vertex", "_formula_ok")
@@ -27,7 +28,9 @@ def test_public_names_resolve_and_deleted_names_are_gone():
         assert not hasattr(transport, name), name
     assert not hasattr(curvature, "proposition_distance_check")
     assert not hasattr(fileio, "distribution_to_obj")
-    assert not hasattr(cv.Distribution, "items_sorted")
+    for name in ("items_sorted", "mass", "support"):  # tests/oracles.py
+        assert not hasattr(cv.Distribution, name), name
+    assert not hasattr(errors, "ElementNotInBasis")
     g = cv.basis_graph(cv.build_named("k4"))
     for name in DELETED_GRAPH_MEMBERS:
         assert not hasattr(g, name), name

@@ -11,16 +11,24 @@ equal the Fraction row built from the walk's definition, and W1 between the
 rows of random basis pairs, at any distance, must equal networkx on the full
 unreduced problem. The integer closed-form bounds must equal their Fraction
 oracles on every adjacent pair in both orientations, and the coupling's
-integer expected distance must equal the Fraction table's.
+integer expected distance must equal the Fraction sum over its cells. On
+random adjacent pairs the coupling table's cells and expected distance, and
+its report object, JSON and CSV with and without decimals, must equal the
+route that builds one Fraction per cell.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
 from curvatroid.curvature import downstep_expected_distance
+from curvatroid.fileio import (coupling_table_to_obj, render_csv, render_json,
+                               report_to_csv_rows)
 from oracles import (
+    fraction_coupling_cells,
+    fraction_coupling_report,
     fraction_downstep_lb,
     fraction_kernel,
     fraction_theorem_ub_values,
@@ -77,7 +85,7 @@ def test_integer_kernels_and_w1_match_the_oracles(spec, data):
 def assert_integer_bounds_match_the_oracles(m, label):
     """Both orientations of every adjacent pair: the integer bounds equal
     the Fraction closed forms, and the integer expected distance of the
-    down-step coupling equals the Fraction table's."""
+    down-step coupling equals the Fraction sum over its cells."""
     for x, y in cv.canonical_pairs(m):
         for s, t in ((x, y), (y, x)):
             frame = cv.make_pair_frame(m, s, t)
@@ -89,7 +97,9 @@ def assert_integer_bounds_match_the_oracles(m, label):
             assert cv.theorem_ub_values(m, frame) == ub, where
             assert cv.theorem_ub_pair(m, frame, witness) == min(ub), where
             assert cv.downstep_lb_pair(m, frame, witness) == lb, where
+            cells = fraction_coupling_cells(m, frame)
             assert downstep_expected_distance(m, frame) == 1 - lb == \
+                sum((c.mass * c.distance for c in cells), Fraction(0)) == \
                 cv.downstep_coupling_table(m, frame).expected_distance(), where
 
 
@@ -113,3 +123,27 @@ def test_integer_bounds_match_the_oracles_on_the_test_set(test_set):
     m = cv.build_matroid(LOOP_AND_COLOOP)
     assert cv.canonical_pairs(m)
     assert_integer_bounds_match_the_oracles(m, "loop-and-coloop")
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs(), st.data())
+def test_coupling_report_matches_the_fraction_route(spec, data):
+    m = cv.build_matroid(spec)
+    pairs = cv.canonical_pairs(m)
+    hypothesis.assume(pairs)
+    for _ in range(3):
+        x, y = data.draw(st.sampled_from(pairs))
+        if data.draw(st.booleans()):
+            x, y = y, x
+        frame = cv.make_pair_frame(m, x, y)
+        table = cv.downstep_coupling_table(m, frame)
+        where = (spec, x, y)
+        assert table.cells == fraction_coupling_cells(m, frame), where
+        for with_decimal in (False, True):
+            want, expected = fraction_coupling_report(m, frame, with_decimal)
+            got = coupling_table_to_obj(m, table, with_decimal)
+            assert got == want, where
+            assert render_json(got) == json.dumps(want, indent=2, ensure_ascii=False) + "\n"
+            assert render_csv(report_to_csv_rows("coupling", got)) == \
+                render_csv(report_to_csv_rows("coupling", want)), where
+            assert table.expected_distance() == expected, where

@@ -231,7 +231,7 @@ def test_csv_coupling_matches_json(capsys):
 
 def test_only_the_coupling_command_builds_the_coupling_table(capsys, monkeypatch):
     """pair cross-checks its down-step bound in integers and the exact sweep
-    needs no coupling at all; only coupling builds the Fraction table."""
+    needs no coupling at all; only coupling builds the coupling table."""
     built = []
 
     def refuse(m, frame):

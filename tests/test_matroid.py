@@ -7,8 +7,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid.catalog import rank3_counterexample_linear_spec
-from oracles import (exchange_neighborhood, graphic_bases_by_subsets, is_basis,
-                     origin_hash_by_sort, quadratic_adjacent_pairs)
+from oracles import (ElementNotInBasis, exchange_neighborhood, graphic_bases_by_subsets,
+                     is_basis, origin_hash_by_sort, quadratic_adjacent_pairs)
 
 
 def u42() -> cv.Matroid:
@@ -289,7 +289,7 @@ def test_exchange_neighborhood_errors():
     m = u42()
     with pytest.raises(cv.NotABasis):
         exchange_neighborhood(m, m.mask_from_labels(["a", "b"]) | 4, 0)
-    with pytest.raises(cv.ElementNotInBasis):
+    with pytest.raises(ElementNotInBasis):
         exchange_neighborhood(m, m.mask_from_labels(["a", "b"]),
                               m.element_index("c"))
 

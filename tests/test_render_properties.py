@@ -2,6 +2,7 @@
 ensure_ascii=False) plus a newline, on random report-shaped values."""
 
 import json
+from enum import IntEnum
 
 import pytest
 
@@ -24,6 +25,14 @@ values = st.recursive(
     max_leaves=20)
 
 
+class Level(IntEnum):
+    LOW = 1
+
+
+class Label(str):
+    """A str subclass: rendered as the string it holds, key or value."""
+
+
 def reference(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
@@ -31,7 +40,12 @@ def reference(obj) -> str:
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(values)
 @hypothesis.example({"ok": True, "count": 1, "flags": [True, 1, False, 0, None]})
+@hypothesis.example({"yes": True, "no": False, "zero": 0, "neg": -3, "big": 2**80,
+                     "items": [False, True, 0, -1, 10**30, None]})
+@hypothesis.example({"level": Level.LOW, "levels": [Level.LOW, 2],
+                     Label("key"): Label("value"), "labels": [Label("a"), "b"]})
 @hypothesis.example({"empty": {}, "none": [], "nested": [[], {}, [[]], {"a": {}}]})
+@hypothesis.example([[], [{}], {"a": [[], {}], "b": {"c": []}}, ((),)])
 @hypothesis.example({"S": ["a", "b\"c", "d\\e", "\x01", "é"], "": ""})
 def test_render_json_matches_json_dumps(obj):
     assert render_json(obj) == reference(obj)

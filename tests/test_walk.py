@@ -9,7 +9,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import matroid, walk
-from oracles import bfs_distances, exchange_neighborhood, items_sorted, quadratic_adjacent_pairs
+from oracles import (bfs_distances, exchange_neighborhood, items_sorted, mass,
+                     quadratic_adjacent_pairs, support)
 
 F = Fraction
 
@@ -41,11 +42,11 @@ def test_kernel_u42():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     s = m.mask_from_labels(["a", "b"])
     p = cv.transition_distribution(m, s)
-    assert p.mass(s) == F(1, 3)
+    assert mass(p, s) == F(1, 3)
     for pair in (("b", "c"), ("b", "d"), ("a", "c"), ("a", "d")):
-        assert p.mass(m.mask_from_labels(pair)) == F(1, 6)
-    assert p.mass(m.mask_from_labels(["c", "d"])) == 0
-    assert len(p.support()) == 5
+        assert mass(p, m.mask_from_labels(pair)) == F(1, 6)
+    assert mass(p, m.mask_from_labels(["c", "d"])) == 0
+    assert len(support(p)) == 5
 
 
 def test_kernel_k4_path_tree_columns():
@@ -54,11 +55,11 @@ def test_kernel_k4_path_tree_columns():
     m = cv.build_named("k4")
     s = m.mask_from_labels(["ab", "bc", "cd"])
     p = cv.transition_distribution(m, s)
-    assert p.mass(s) == F(11, 36)
+    assert mass(p, s) == F(11, 36)
     off_diagonal = sorted(mass for b, mass in items_sorted(p) if b != s)
     assert off_diagonal == [F(1, 12)] * 3 + [F(1, 9)] * 4
-    assert p.mass(m.mask_from_labels(["ab", "cd", "da"])) == F(1, 12)
-    assert p.mass(m.mask_from_labels(["ac", "bc", "cd"])) == F(1, 9)
+    assert mass(p, m.mask_from_labels(["ab", "cd", "da"])) == F(1, 12)
+    assert mass(p, m.mask_from_labels(["ac", "bc", "cd"])) == F(1, 9)
 
 
 def test_kernel_self_loop_formula(test_set):
@@ -70,7 +71,7 @@ def test_kernel_self_loop_formula(test_set):
             p = cv.transition_distribution(m, s)
             lazy = sum((F(1, k * exchange_neighborhood(m, s, u).bit_count())
                         for u in cv.bits(s)), F(0))
-            assert p.mass(s) == lazy > 0, name
+            assert mass(p, s) == lazy > 0, name
 
 
 def test_kernel_sums_to_one_and_support_radius(test_set):
@@ -81,7 +82,7 @@ def test_kernel_sums_to_one_and_support_radius(test_set):
         for s in m.sorted_bases():
             p = cv.transition_distribution(m, s)
             assert sum(mass for _, mass in items_sorted(p)) == 1
-            for b in p.support():
+            for b in support(p):
                 assert g.distance(s, b) <= 1, name
 
 
@@ -93,9 +94,9 @@ def test_kernel_symmetric_and_doubly_stochastic():
         kernels = {b: cv.transition_distribution(m, b) for b in order}
         for x in order:
             for y in order:
-                assert kernels[x].mass(y) == kernels[y].mass(x)
+                assert mass(kernels[x], y) == mass(kernels[y], x)
         for y in order:
-            assert sum((kernels[x].mass(y) for x in order), F(0)) == 1
+            assert sum((mass(kernels[x], y) for x in order), F(0)) == 1
 
 
 def test_kernel_rejects_non_basis():
@@ -111,9 +112,9 @@ def test_distribution_invariants():
     with pytest.raises(ValueError):
         cv.Distribution(MappingProxyType({1: 3, 2: 2}), 6)
     d = cv.Distribution(MappingProxyType({4: 1, 1: 1}), 2)
-    assert d.support() == [1, 4]
-    assert d.mass(2) == 0
-    assert d.mass(4) == F(1, 2) and d.masses == {1: F(1, 2), 4: F(1, 2)}
+    assert support(d) == [1, 4]
+    assert mass(d, 2) == 0
+    assert mass(d, 4) == F(1, 2) and d.masses == {1: F(1, 2), 4: F(1, 2)}
     assert d == cv.Distribution({1: 3, 4: 3}, 6)
 
 
