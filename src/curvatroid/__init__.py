@@ -44,7 +44,6 @@ from .matroid import (
 from .catalog import CATALOG_NAMES, DISTINGUISHED_PAIRS, build_named
 from .symmetry import automorphism_generators
 from .walk import (
-    BasisGraph,
     Distribution,
     basis_graph,
     transition_distribution,
@@ -97,7 +96,7 @@ __all__ = [
     "CATALOG_NAMES", "DISTINGUISHED_PAIRS", "build_named",
     "automorphism_generators",
     # walk
-    "BasisGraph", "Distribution", "basis_graph", "transition_distribution",
+    "Distribution", "basis_graph", "transition_distribution",
     # transport
     "TransportProblem", "verify_transport_certificate", "wasserstein1",
     # curvature

@@ -27,7 +27,7 @@ from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLar
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
 from .symmetry import automorphism_generators, mask_image, pair_orbit
 from .transport import TransportProblem, wasserstein1
-from .walk import BasisGraph, basis_graph, exchange_distance
+from .walk import basis_graph, exchange_distance, transition_distribution
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
@@ -70,15 +70,6 @@ class DropWitness:
     nt_size: int         # #N(T - u)
     overlap_size: int    # #(N(S - u) ∩ N(T - u))
     s_only_adds: Mask    # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
-
-    @property
-    def s_only_count(self) -> int:
-        return self.s_only_adds.bit_count()
-
-    @property
-    def t_only_count(self) -> int:
-        # by symmetry: #((N(T - u) - s) \ N(S - u))
-        return self.nt_size - 1 - self.overlap_size
 
 
 @dataclass(frozen=True)
@@ -399,10 +390,9 @@ def downstep_expected_distance(m: Matroid, frame: PairFrame) -> Fraction:
 
 def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     """1 - W1 between the two one-step distributions."""
-    g = basis_graph(m)
-    problem = TransportProblem.from_distance(
-        g.kernel(frame.s_basis), g.kernel(frame.t_basis), exchange_distance)
-    return 1 - wasserstein1(problem)
+    m.require_matroid()
+    mu, nu = (transition_distribution(m, b) for b in (frame.s_basis, frame.t_basis))
+    return 1 - wasserstein1(TransportProblem.from_distance(mu, nu, exchange_distance))
 
 
 # ── reports ─────────────────────────────────────────────────────────────────
@@ -536,9 +526,10 @@ def _pair_orbits(m: Matroid, pairs: list[tuple[Mask, Mask]],
     return lambda i: [index_of[key] for key in pair_orbit(images, *pairs[i])]
 
 
-def _audit_minimum(m: Matroid, g: BasisGraph) -> Fraction | None:
+def _audit_minimum(m: Matroid) -> Fraction | None:
     """Minimum of 1 - W1/d over every unordered pair of distinct bases, one
     transport solve per orbit of such pairs under the automorphisms of m."""
+    rows = basis_graph(m)
     order = m.sorted_bases()
     size = len(order)
     position = {b: i for i, b in enumerate(order)}
@@ -550,8 +541,7 @@ def _audit_minimum(m: Matroid, g: BasisGraph) -> Fraction | None:
             if done[i * size + j]:
                 continue
             y = order[j]
-            problem = TransportProblem.from_distance(g.kernel(x), g.kernel(y),
-                                                     exchange_distance)
+            problem = TransportProblem.from_distance(rows[x], rows[y], exchange_distance)
             ratio = 1 - wasserstein1(problem) / exchange_distance(x, y)
             if worst is None or ratio < worst:
                 worst = ratio
@@ -614,7 +604,6 @@ def global_curvature(m: Matroid, exact: bool = True,
                        f"{comb(len(m.bases), 2)} pairs, over the limit of "
                        f"{ENUMERATION_LIMIT}")
     m.require_matroid()
-    g = basis_graph(m) if exact else None
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
     pairs = canonical_pairs(m)
 
@@ -647,7 +636,7 @@ def global_curvature(m: Matroid, exact: bool = True,
         kappa, argmin = Fraction(1), None
 
     if audit_all_pairs:
-        worst = _audit_minimum(m, g)
+        worst = _audit_minimum(m)
         if worst is not None and worst != kappa:
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")

@@ -12,11 +12,12 @@ exchange_distance is a popcount and no graph is built. The formula holds
 only in a matroid: basis_graph, like every curvature computation, runs
 Matroid.require_matroid first, which checks an explicit family against the
 exchange axiom once and rejects a non-matroid with the validator's witness.
+basis_graph then returns every kernel row in a plain dict, cached nowhere; it
+keeps its name because the benchmark's walk.graph span traces it.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -93,45 +94,8 @@ def transition_distribution(m: Matroid, s: Mask) -> Distribution:
     return Distribution(out, m.rank * scale)
 
 
-class BasisGraph:
-    """Kernel cache and exchange-graph metric of a matroid's down-up walk.
-
-    The constructor runs the matroid gate (Matroid.require_matroid), so the
-    basis-graph distance it serves is the formula |X - Y|. The matroid is
-    held through a weak proxy: basis_graph caches the graph under the
-    matroid as a weak key, and a strong reference back to the key would keep
-    every matroid, with its tables and kernels, alive for the whole process.
-    Using the graph after its matroid is gone raises ReferenceError.
-    """
-
-    def __init__(self, m: Matroid):
-        m.require_matroid()
-        self.matroid = weakref.proxy(m)
-        self._kernels: dict[Mask, Distribution] = {}
-
-    def kernel(self, s: Mask) -> Distribution:
-        """Cached transition distribution."""
-        dist = self._kernels.get(s)
-        if dist is None:
-            dist = transition_distribution(self.matroid, s)
-            self._kernels[s] = dist
-        return dist
-
-    def distance(self, x: Mask, y: Mask) -> int:
-        """Exchange-graph distance between two bases: |X - Y|."""
-        bases = self.matroid.bases
-        if x not in bases or y not in bases:
-            raise NotABasis("distance is defined between bases only")
-        return exchange_distance(x, y)
-
-
-_graphs: "weakref.WeakKeyDictionary[Matroid, BasisGraph]" = weakref.WeakKeyDictionary()
-
-
-def basis_graph(m: Matroid) -> BasisGraph:
-    """Per-matroid cached BasisGraph; raises NotAMatroid for a non-matroid."""
-    g = _graphs.get(m)
-    if g is None:
-        g = BasisGraph(m)
-        _graphs[m] = g
-    return g
+def basis_graph(m: Matroid) -> dict[Mask, Distribution]:
+    """Every kernel row of m, keyed by basis, after the matroid gate; raises
+    NotAMatroid for a non-matroid."""
+    m.require_matroid()
+    return {b: transition_distribution(m, b) for b in m.bases}

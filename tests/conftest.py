@@ -12,12 +12,13 @@ the coupling's marginals and expected distance checked by the oracle.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 import curvatroid as cv
-from oracles import cell_masses, coupling_cost
+from oracles import cell_masses, coupling_cost, distance
 
 PairData = namedtuple(
     "PairData",
@@ -87,8 +88,8 @@ def sweep(test_set) -> dict[str, SweepResult]:
             lb = cv.downstep_lb_pair(m, frame, witness)
             forward, reverse = cv.theorem_ub_values(m, frame, witness)
             table = cv.downstep_coupling_table(m, frame)
-            cost = coupling_cost(cell_masses(table.cells), g.kernel(x).masses,
-                                 g.kernel(y).masses, g.distance)
+            cost = coupling_cost(cell_masses(table.cells), g[x].masses,
+                                 g[y].masses, partial(distance, m))
             kappa = cv.exact_pair_curvature(m, frame)
             pairs.append(PairData(x, y, lb, forward, reverse, kappa,
                                   table.expected_distance(), cost))

@@ -16,9 +16,9 @@ by extending element maps one element at a time, the closed-form
 pair bounds by Fraction sums over the witness's drops, and the coupling
 report by one Fraction per cell of the coupling's drops. The test-only
 helpers at the end (the unpruned exact sweep, the distance proposition,
-the distribution rendering and masses, the random-matroid strategy, basis
-membership by labels and one exchange neighbourhood by membership tests)
-use the public library API.
+the distribution rendering and masses, the random-matroid strategy, the
+exchange distance between bases, basis membership by labels and one
+exchange neighbourhood by membership tests) use the public library API.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from itertools import combinations
 
 import curvatroid as cv
 from curvatroid import curvature
+from curvatroid.walk import exchange_distance
 
 
 def transport_vertices(supply, demand):
@@ -400,14 +401,20 @@ def fraction_theorem_ub_values(m, frame, witness):
     """(forward, reverse) per-pair upper bounds in Fraction arithmetic.
 
     Forward: 1/k + (1/k) * sum over crossing drops of
-    (1/#N(T-u) - #onlyS/#N(S-u)), with #onlyS counted from the witness's
-    s_only_adds mask; reverse swaps the roles of S and T.
+    (1/#N(T-u) - #onlyS/#N(S-u)), with onlyS = N(S-u) - N(T-u) - t and
+    both completion sets found by membership tests, so only the crossing
+    drops come from the witness; reverse swaps the roles of S and T.
     """
     k = m.rank
+    s_bit, t_bit = 1 << frame.s_elem, 1 << frame.t_elem
     forward = reverse = Fraction(1, k)
     for e in witness.entries:
-        forward += Fraction(1, k * e.nt_size) - Fraction(e.s_only_count, k * e.ns_size)
-        reverse += Fraction(1, k * e.ns_size) - Fraction(e.t_only_count, k * e.nt_size)
+        ns = exchange_neighborhood(m, frame.s_basis, e.drop)
+        nt = exchange_neighborhood(m, frame.t_basis, e.drop)
+        s_only = (ns & ~nt & ~t_bit).bit_count()
+        t_only = (nt & ~ns & ~s_bit).bit_count()
+        forward += Fraction(1, k * nt.bit_count()) - Fraction(s_only, k * ns.bit_count())
+        reverse += Fraction(1, k * ns.bit_count()) - Fraction(t_only, k * nt.bit_count())
     return forward, reverse
 
 
@@ -554,7 +561,6 @@ def proposition_distance_check(m, frame, u, a=None):
             raise cv.CurvatroidError(f"{m.labels[a]!r} is not a one-sided add for this drop")
         adds = [a]
 
-    g = cv.basis_graph(m)
     t = frame.t_basis
     neighbors = []
     for x in cv.bits(t):
@@ -573,7 +579,7 @@ def proposition_distance_check(m, frame, u, a=None):
         for z in neighbors:
             if z in exceptions:
                 continue
-            if g.distance(probe, z) < 2:
+            if distance(m, probe, z) < 2:
                 return cv.ValidationResult.failed(
                     f"{m.labels_of(probe)} is near neighbor {m.labels_of(z)}",
                     witness=(probe, z),
@@ -584,6 +590,14 @@ def proposition_distance_check(m, frame, u, a=None):
 
 class ElementNotInBasis(cv.CurvatroidError):
     """Asked to drop an element from a basis that does not contain it."""
+
+
+def distance(m, x, y):
+    """Exchange-graph distance |X - Y| between two bases of m; NotABasis
+    when either set is not a basis."""
+    if x not in m.bases or y not in m.bases:
+        raise cv.NotABasis("distance is defined between bases only")
+    return exchange_distance(x, y)
 
 
 def is_basis(m, labels):

@@ -1,21 +1,21 @@
 """The public surface: every exported name resolves, deleted ones stay gone."""
 
 import inspect
+import re
 from pathlib import Path
 
 import curvatroid as cv
 from curvatroid import curvature, errors, fileio, matroid, transport, walk
 
-# removed with the BFS exchange graph, the thread fan-out and the Fraction
-# coupling layer; the last four are test helpers in tests/oracles.py
+# removed with the BFS exchange graph, the thread fan-out, the Fraction
+# coupling layer and the kernel cache (BasisGraph); proposition_distance_check,
+# distribution_to_obj, items_sorted and ElementNotInBasis are test helpers in
+# tests/oracles.py
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
-           "ElementNotInBasis")
-DELETED_GRAPH_MEMBERS = ("adj", "order", "index", "row", "verify_budget",
-                         "verify_distance_formula", "_bfs_row", "_formula_row",
-                         "_vertex", "_formula_ok")
+           "ElementNotInBasis", "BasisGraph")
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():
@@ -31,9 +31,13 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     for name in ("items_sorted", "mass", "support"):  # tests/oracles.py
         assert not hasattr(cv.Distribution, name), name
     assert not hasattr(errors, "ElementNotInBasis")
-    g = cv.basis_graph(cv.build_named("k4"))
-    for name in DELETED_GRAPH_MEMBERS:
-        assert not hasattr(g, name), name
+    m = cv.build_named("k4")
+    rows = cv.basis_graph(m)
+    assert type(rows) is dict and set(rows) == m.bases
+    assert all(type(row) is cv.Distribution for row in rows.values())
+    assert not hasattr(walk, "_graphs")
+    for name in ("s_only_count", "t_only_count"):
+        assert not hasattr(cv.DropWitness, name), name
     assert not hasattr(matroid, "_bit_list")
     for name in ("is_basis", "exchange_neighborhood"):  # test helpers, tests/oracles.py
         assert not hasattr(cv.Matroid, name), name
@@ -65,6 +69,8 @@ def test_unreachable_pair_checks_and_metric_copies_are_gone():
                      Path(curvature.__file__).parent.glob("*.py"))
     for message in UNREACHABLE_CHECKS:
         assert message not in source, message
+    # no process-wide cache keyed on matroids
+    assert not re.search(r"\bweakref\b", source)
     assert list(inspect.signature(cv.PairFrame).parameters) == ["s_basis", "t_basis"]
     assert not hasattr(cv.PairFrame, "swapped")  # a test helper, tests/oracles.py
     assert not hasattr(curvature, "_exchange_distance")

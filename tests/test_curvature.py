@@ -2,13 +2,14 @@
 
 import inspect
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import pytest
 
 import curvatroid as cv
-from curvatroid import curvature, walk
-from oracles import (cell_masses, coupling_cost, fraction_downstep_lb,
+from curvatroid import curvature
+from oracles import (cell_masses, coupling_cost, distance, fraction_downstep_lb,
                      fraction_theorem_ub_values, frame_by_symmetric_difference,
                      proposition_distance_check, sorted_index_pairs, swapped,
                      unpruned_global_curvature)
@@ -99,7 +100,7 @@ def test_witness_u42():
     (entry,) = witness.entries
     assert (entry.ns_size, entry.nt_size, entry.overlap_size) == (3, 3, 2)
     assert entry.s_only_adds == 0
-    assert entry.s_only_count == 0 and entry.t_only_count == 0
+    assert entry.nt_size - 1 - entry.overlap_size == 0  # no T-only adds either
 
 
 def test_witness_k6():
@@ -107,7 +108,8 @@ def test_witness_k6():
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
     frame = cv.make_pair_frame(m, s, t)
     witness = cv.compute_pair_witness(m, frame)
-    rows = {m.labels[e.drop]: (e.ns_size, e.nt_size, e.overlap_size, e.s_only_count)
+    rows = {m.labels[e.drop]: (e.ns_size, e.nt_size, e.overlap_size,
+                               e.s_only_adds.bit_count())
             for e in witness.entries}
     assert rows == {"1": (8, 5, 2, 5), "2": (5, 8, 2, 2),
                     "3": (5, 8, 2, 2), "4": (8, 5, 2, 5)}
@@ -202,11 +204,10 @@ def test_coupling_matches_bound_and_marginals(sweep):
 
 def test_coupling_cells_stay_within_distance_two():
     m = cv.build_named("k4")
-    g = cv.basis_graph(m)
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
     table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, s, t))
     for cell in table.cells:
-        assert cell.distance == g.distance(cell.x, cell.y) <= 2
+        assert cell.distance == distance(m, cell.x, cell.y) <= 2
     assert sum((c.mass for c in table.cells), F(0)) == 1
 
 
@@ -219,8 +220,8 @@ def test_coupling_aggregation_merges_duplicate_targets():
     aggregated = cell_masses(table.cells)
     assert len(table.cells) > len(aggregated)
     g = cv.basis_graph(m)
-    assert coupling_cost(aggregated, g.kernel(s).masses, g.kernel(t).masses,
-                         g.distance) == table.expected_distance()
+    assert coupling_cost(aggregated, g[s].masses, g[t].masses,
+                         partial(distance, m)) == table.expected_distance()
     assert 1 - table.expected_distance() == \
         cv.downstep_lb_pair(m, frame, cv.compute_pair_witness(m, frame))
 
@@ -540,12 +541,26 @@ def test_canonical_pair_order_matches_sorted_index_tuples(test_set):
         assert pairs == sorted_index_pairs(m.adjacent_basis_pairs()), name
 
 
-def test_bounds_only_builds_no_exchange_graph():
-    m = cv.build_named("k4")
+def test_bounds_only_builds_no_kernel_and_exact_two_per_solve(monkeypatch):
+    kernels, solves = [], []
+    kernel, solve = curvature.transition_distribution, curvature.exact_pair_curvature
+
+    def counted_kernel(m, s):
+        kernels.append(s)
+        return kernel(m, s)
+
+    def counted_solve(m, frame):
+        solves.append(frame)
+        return solve(m, frame)
+
+    monkeypatch.setattr(curvature, "transition_distribution", counted_kernel)
+    monkeypatch.setattr(curvature, "exact_pair_curvature", counted_solve)
+    m = cv.build_named("vamos")
     cv.global_curvature(m, exact=False)
-    assert m not in walk._graphs
+    assert kernels == [] and solves == []
     cv.global_curvature(m)
-    assert m in walk._graphs
+    assert len(solves) == 2
+    assert kernels == [b for frame in solves for b in (frame.s_basis, frame.t_basis)]
 
 
 def test_audit_all_pairs():

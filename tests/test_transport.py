@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import lcm
 
@@ -10,7 +11,7 @@ import pytest
 import curvatroid as cv
 from curvatroid import transport
 from curvatroid.cli import main
-from oracles import (FullProblem, coupling_cost, full_transport_problem,
+from oracles import (FullProblem, coupling_cost, distance, full_transport_problem,
                      min_cost_by_vertices, network_simplex_value,
                      set_difference_size, support)
 
@@ -24,7 +25,7 @@ def kernels(m: cv.Matroid, s_labels, t_labels) -> tuple[cv.Distribution, cv.Dist
 
 def kernel_problem(m: cv.Matroid, s_labels, t_labels) -> cv.TransportProblem:
     return cv.TransportProblem.from_distance(*kernels(m, s_labels, t_labels),
-                                             cv.basis_graph(m).distance)
+                                             partial(distance, m))
 
 
 def simplex_on_full_problem(full: FullProblem):
@@ -79,42 +80,42 @@ def test_u42_adjacent_pair_value():
 
 def test_equal_marginals_give_zero_and_identity():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     mu = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
-    assert cv.wasserstein1(cv.TransportProblem.from_distance(mu, mu, g.distance)) == 0
+    assert cv.wasserstein1(cv.TransportProblem.from_distance(mu, mu, d)) == 0
     identity = {(b, b): q for b, q in mu.masses.items()}
-    assert coupling_cost(identity, mu.masses, mu.masses, g.distance) == 0
+    assert coupling_cost(identity, mu.masses, mu.masses, d) == 0
 
 
 def test_point_masses_move_the_graph_distance():
     m = cv.build_named("k4")
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     x = m.mask_from_labels(["ab", "bc", "cd"])
     y = m.mask_from_labels(["ac", "bd", "da"])
     mu = cv.Distribution({x: 1}, 1)
     nu = cv.Distribution({y: 1}, 1)
-    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
-    assert value == g.distance(x, y) > 0
+    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, d))
+    assert value == d(x, y) > 0
 
 
 def test_value_zero_iff_equal_marginals(test_set):
     m = test_set["u(2,5)"]
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     order = m.sorted_bases()
     base = cv.transition_distribution(m, order[0])
     for other in order[:4]:
         nu = cv.transition_distribution(m, other)
-        value = cv.wasserstein1(cv.TransportProblem.from_distance(base, nu, g.distance))
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(base, nu, d))
         assert (value == 0) == (base == nu)
 
 
 def test_scale_invariance():
     m = cv.build_named("k4")
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     mu, nu = kernels(m, ["ab", "bc", "cd"], ["ab", "cd", "da"])
-    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, g.distance))
+    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, d))
     scaled = cv.wasserstein1(cv.TransportProblem.from_distance(
-        mu, nu, lambda x, y: 7 * g.distance(x, y)))
+        mu, nu, lambda x, y: 7 * d(x, y)))
     assert scaled == 7 * value
     full = full_transport_problem(mu, nu, lambda x, y: 7 * set_difference_size(x, y))
     assert scaled == simplex_on_full_problem(full)
@@ -122,13 +123,13 @@ def test_scale_invariance():
 
 def test_unbalanced_marginals_rejected():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     mu = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
     # a point mass tampered down to total 1/2 past the Distribution checks
     half = cv.Distribution({m.mask_from_labels(["a", "b"]): 1}, 1)
     object.__setattr__(half, "denominator", 2)
     with pytest.raises(cv.UnbalancedMarginals):
-        cv.wasserstein1(cv.TransportProblem.from_distance(mu, half, g.distance))
+        cv.wasserstein1(cv.TransportProblem.from_distance(mu, half, d))
 
 
 # ── the coupling oracle ─────────────────────────────────────────────────────
@@ -136,22 +137,22 @@ def test_unbalanced_marginals_rejected():
 
 def test_coupling_check_accepts_and_rejects():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     mu_dist, nu_dist = kernels(m, ["a", "b"], ["a", "c"])
-    problem = cv.TransportProblem.from_distance(mu_dist, nu_dist, g.distance)
+    problem = cv.TransportProblem.from_distance(mu_dist, nu_dist, d)
     mu, nu = mu_dist.masses, nu_dist.masses
     product = product_coupling(mu_dist, nu_dist)
-    want = sum((q * g.distance(x, y) for (x, y), q in product.items()), F(0))
-    assert coupling_cost(product, mu, nu, g.distance) == want > cv.wasserstein1(problem)
+    want = sum((q * d(x, y) for (x, y), q in product.items()), F(0))
+    assert coupling_cost(product, mu, nu, d) == want > cv.wasserstein1(problem)
 
     key = next(iter(product))
     tweaked = dict(product)
     tweaked[key] += F(1, 10**6)
-    assert coupling_cost(tweaked, mu, nu, g.distance) is None
+    assert coupling_cost(tweaked, mu, nu, d) is None
 
     moved = perturb(product, random.Random(1))
     assert moved != product
-    assert coupling_cost(moved, mu, nu, g.distance) is not None
+    assert coupling_cost(moved, mu, nu, d) is not None
 
     # a 2x2 cycle pushed past the mass on hand keeps both marginals exact
     # but leaves a negative cell
@@ -161,7 +162,7 @@ def test_coupling_check_accepts_and_rejects():
     negative = dict(product)
     for cell, sign in (((x1, y1), -1), ((x2, y2), -1), ((x1, y2), 1), ((x2, y1), 1)):
         negative[cell] += sign * delta
-    assert coupling_cost(negative, mu, nu, g.distance) is None
+    assert coupling_cost(negative, mu, nu, d) is None
 
 
 def test_random_couplings_never_beat_the_optimum():
@@ -180,7 +181,7 @@ def test_random_couplings_never_beat_the_optimum():
             return full.cost[row_of[x]][col_of[y]]
 
         value = cv.wasserstein1(cv.TransportProblem.from_distance(
-            mu, nu, cv.basis_graph(m).distance))
+            mu, nu, partial(distance, m)))
         coupling = product_coupling(mu, nu)
         for _ in range(50):
             coupling = perturb(coupling, rng)
@@ -247,11 +248,11 @@ def test_fix_common_mass_is_value_neutral(test_set):
     # the problem keeps only the residuals; networkx solves the full kernel
     # problem, shared mass included
     m = test_set["k4"]
-    g = cv.basis_graph(m)
+    d = partial(distance, m)
     pairs = list(m.adjacent_basis_pairs())[:6]
     for s, t in pairs:
         mu, nu = cv.transition_distribution(m, s), cv.transition_distribution(m, t)
-        problem = cv.TransportProblem.from_distance(mu, nu, g.distance)
+        problem = cv.TransportProblem.from_distance(mu, nu, d)
         assert set(support(mu)) & set(support(nu))
         assert not set(problem.row_keys) & set(problem.col_keys)
         assert sum(problem.supply) == sum(problem.demand) < problem.scale
@@ -262,7 +263,7 @@ def test_fix_common_mass_is_value_neutral(test_set):
 def test_solver_is_deterministic():
     m = cv.build_named("k4")
     mu, nu = kernels(m, ["ab", "bc", "cd"], ["ab", "cd", "da"])
-    problem = cv.TransportProblem.from_distance(mu, nu, cv.basis_graph(m).distance)
+    problem = cv.TransportProblem.from_distance(mu, nu, partial(distance, m))
     value = cv.wasserstein1(problem)
     assert cv.wasserstein1(problem) == value
     # the same problem with both supports listed in reverse order

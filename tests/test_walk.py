@@ -8,9 +8,10 @@ from types import MappingProxyType
 import pytest
 
 import curvatroid as cv
-from curvatroid import matroid, walk
-from oracles import (bfs_distances, exchange_neighborhood, items_sorted, mass,
-                     quadratic_adjacent_pairs, support)
+from curvatroid import matroid
+from curvatroid.walk import exchange_distance
+from oracles import (bfs_distances, distance, exchange_neighborhood, items_sorted,
+                     mass, quadratic_adjacent_pairs, support)
 
 F = Fraction
 
@@ -25,14 +26,14 @@ def adjacency_of(m: cv.Matroid) -> dict[int, list[int]]:
 
 
 def assert_distances_match_bfs(m: cv.Matroid, name: str) -> None:
-    """basis_graph(m).distance against BFS and |X - Y| on every basis pair."""
-    g = cv.basis_graph(m)
+    """exchange_distance against BFS and |X - Y| on every basis pair."""
     adj = adjacency_of(m)
     for src in m.sorted_bases():
         want = bfs_distances(adj, src)
         assert set(want) == m.bases, name  # the exchange graph is connected
         for dst in m.sorted_bases():
-            assert g.distance(src, dst) == want[dst] == (src & ~dst).bit_count(), name
+            assert exchange_distance(src, dst) == want[dst] == (src & ~dst).bit_count(), \
+                name
 
 
 # ── transition kernel ───────────────────────────────────────────────────────
@@ -78,12 +79,11 @@ def test_kernel_sums_to_one_and_support_radius(test_set):
     for name, m in test_set.items():
         if len(m.bases) > 100:
             continue
-        g = cv.basis_graph(m)
         for s in m.sorted_bases():
             p = cv.transition_distribution(m, s)
             assert sum(mass for _, mass in items_sorted(p)) == 1
             for b in support(p):
-                assert g.distance(s, b) <= 1, name
+                assert distance(m, s, b) <= 1, name
 
 
 def test_kernel_symmetric_and_doubly_stochastic():
@@ -123,12 +123,11 @@ def test_distribution_invariants():
 
 def test_distance_u42():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
-    g = cv.basis_graph(m)
     ab = m.mask_from_labels(["a", "b"])
     cd = m.mask_from_labels(["c", "d"])
-    assert g.distance(ab, ab) == 0
-    assert g.distance(ab, cd) == 2
-    assert max(g.distance(x, y) for x in m.bases for y in m.bases) == 2
+    assert exchange_distance(ab, ab) == 0
+    assert exchange_distance(ab, cd) == 2
+    assert max(exchange_distance(x, y) for x in m.bases for y in m.bases) == 2
 
 
 def test_distance_matches_bfs_oracle():
@@ -137,13 +136,12 @@ def test_distance_matches_bfs_oracle():
 
 
 def test_distance_matrix_consistency():
-    # one full row: BFS reaches every basis, each at the served distance
+    # one full row: BFS reaches every basis, each at exchange_distance
     m = cv.build_named("k4")
-    g = cv.basis_graph(m)
     src = m.mask_from_labels(["ab", "bc", "cd"])
     want = bfs_distances(adjacency_of(m), src)
     assert set(want) == m.bases
-    assert {dst: g.distance(src, dst) for dst in m.bases} == want
+    assert {dst: exchange_distance(src, dst) for dst in m.bases} == want
 
 
 def test_distance_formula_verified(test_set):
@@ -157,7 +155,7 @@ def test_distance_is_a_metric():
     for name in ("u(4,2)", "k4", "fano"):
         m = (cv.build_matroid(cv.UniformSpec(n=4, k=2)) if name == "u(4,2)"
              else cv.build_named(name))
-        d = cv.basis_graph(m).distance
+        d = exchange_distance
         order = m.sorted_bases()
         for x in order:
             for y in order:
@@ -168,14 +166,15 @@ def test_distance_is_a_metric():
 
 
 def test_distance_rejects_non_basis():
+    # the oracle distance refuses a set outside the family, so the support
+    # radius check above fails on a kernel that puts mass off the bases
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
-    g = cv.basis_graph(m)
     ab = m.mask_from_labels(["a", "b"])
     abc = m.mask_from_labels(["a", "b", "c"])
     with pytest.raises(cv.NotABasis):
-        g.distance(ab, abc)
+        distance(m, ab, abc)
     with pytest.raises(cv.NotABasis):
-        g.distance(abc, ab)
+        distance(m, abc, ab)
 
 
 def explicit(ground: str, *bases: str) -> cv.Matroid:
@@ -213,7 +212,7 @@ def test_exchange_axiom_is_checked_once_and_only_for_explicit_families(monkeypat
                                                      (F(0), F(1), F(1)))))):
         cv.global_curvature(m, exact=False)
         cv.global_curvature(m)
-        cv.basis_graph(m).distance(*m.sorted_bases()[:2])
+        cv.basis_graph(m)
     assert calls == []
     # an explicit family is validated by its first curvature call, bounds-only
     # included, and never again
@@ -233,7 +232,6 @@ def test_rank3_one_sided_adds_sit_at_distance_two():
     # swapping the crossing drop for an S-only add and the T side for any
     # other completion lands exactly two exchanges apart
     m = cv.build_named("rank3-counterexample")
-    g = cv.basis_graph(m)
     s_mask = m.mask_from_labels(["s", "u", "u'"])
     t_mask = m.mask_from_labels(["t", "u", "u'"])
     frame = cv.make_pair_frame(m, s_mask, t_mask)
@@ -247,22 +245,22 @@ def test_rank3_one_sided_adds_sit_at_distance_two():
             for y in cv.bits(exchange_neighborhood(m, t_mask, entry.drop)):
                 if y == frame.s_elem or y == x:
                     continue
-                assert g.distance(hole_s | (1 << x), hole_t | (1 << y)) == 2
+                assert distance(m, hole_s | (1 << x), hole_t | (1 << y)) == 2
                 checked += 1
     # two crossing drops; 5 one-sided adds each; 6 partners each (the
     # 7-element completion set minus the excluded s)
     assert checked == 2 * 5 * 6
 
 
-def test_cached_basis_graph_dies_with_its_matroid():
+def test_curvature_calls_keep_no_reference_to_the_matroid():
+    # no process-wide cache: once the caller drops the matroid it is freed,
+    # with its tables and kernels
     m = cv.build_named("k4")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
-    cv.compute_pair_report(m, s, t)  # caches a BasisGraph and two kernels
-    g = walk._graphs[m]
-    assert len(g._kernels) == 2
+    cv.compute_pair_report(m, s, t)
+    cv.global_curvature(m)
+    cv.global_curvature(m, audit_all_pairs=True)
     dead = weakref.ref(m)
     del m
     gc.collect()
     assert dead() is None
-    with pytest.raises(ReferenceError):
-        g.distance(0b111, 0b111)
