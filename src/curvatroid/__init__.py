@@ -75,7 +75,6 @@ from .curvature import (
 )
 from .fileio import (
     approx_decimal,
-    format_rational,
     load_input,
     parse_matroid_file,
     parse_matroid_obj,
@@ -107,6 +106,6 @@ __all__ = [
     "make_pair_frame", "theorem_lb_global",
     "theorem_ub_pair", "theorem_ub_values",
     # file input and serialization
-    "approx_decimal", "format_rational", "load_input", "parse_matroid_file",
+    "approx_decimal", "load_input", "parse_matroid_file",
     "parse_matroid_obj", "parse_rational",
 ]

@@ -201,16 +201,12 @@ def bound_numerators(scale: int, signature: Iterable[tuple[int, int, int]],
     return lb, forward, reverse
 
 
-def _pair_numerators(m: Matroid, frame: PairFrame, witness: PairWitness | None,
-                     ) -> tuple[tuple[int, int, int], int]:
-    if witness is None:
-        witness = compute_pair_witness(m, frame)
+def _pair_numerators(m: Matroid, witness: PairWitness) -> tuple[tuple[int, int, int], int]:
     scale = bound_scale(m.rank, m.n)
     return bound_numerators(scale, witness.signature), m.rank * scale
 
 
-def downstep_lb_pair(m: Matroid, frame: PairFrame,
-                     witness: PairWitness | None = None) -> Fraction:
+def downstep_lb_pair(m: Matroid, frame: PairFrame) -> Fraction:
     """Pair curvature lower bound: 1 minus the down-step coupling's exact
     expected distance, in closed form.
 
@@ -224,12 +220,11 @@ def downstep_lb_pair(m: Matroid, frame: PairFrame,
     It is computed in integers over k * L, L = lcm(1, ..., n - k + 1),
     which every #N(R) <= n - k + 1 divides (bound_numerators).
     """
-    (lb, _, _), denominator = _pair_numerators(m, frame, witness)
+    (lb, _, _), denominator = _pair_numerators(m, compute_pair_witness(m, frame))
     return Fraction(lb, denominator)
 
 
-def theorem_ub_values(m: Matroid, frame: PairFrame,
-                      witness: PairWitness | None = None) -> tuple[Fraction, Fraction]:
+def theorem_ub_values(m: Matroid, frame: PairFrame) -> tuple[Fraction, Fraction]:
     """Both orientations of the per-pair upper bound.
 
     Forward: 1/k + (1/k) * sum over crossing drops of
@@ -237,14 +232,13 @@ def theorem_ub_values(m: Matroid, frame: PairFrame,
     Both are computed in integers over k * L, L = lcm(1, ..., n - k + 1),
     which every #N(R) <= n - k + 1 divides (bound_numerators).
     """
-    (_, forward, reverse), denominator = _pair_numerators(m, frame, witness)
+    (_, forward, reverse), denominator = _pair_numerators(m, compute_pair_witness(m, frame))
     return Fraction(forward, denominator), Fraction(reverse, denominator)
 
 
-def theorem_ub_pair(m: Matroid, frame: PairFrame,
-                    witness: PairWitness | None = None) -> Fraction:
+def theorem_ub_pair(m: Matroid, frame: PairFrame) -> Fraction:
     """The tighter of the two orientations of the per-pair upper bound."""
-    (_, forward, reverse), denominator = _pair_numerators(m, frame, witness)
+    (_, forward, reverse), denominator = _pair_numerators(m, compute_pair_witness(m, frame))
     return Fraction(min(forward, reverse), denominator)
 
 
@@ -431,17 +425,20 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
     divides. The closed-form down-step bound is cross-checked against the
     coupling's expected distance, summed cell by cell in integer weights
-    (downstep_expected_distance) without keeping the cells.
+    (downstep_expected_distance) without keeping the cells, and the exact
+    value is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
     """
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
-    lb = downstep_lb_pair(m, frame, witness)
-    forward, reverse = theorem_ub_values(m, frame, witness)
+    numerators, denominator = _pair_numerators(m, witness)
+    lb, forward, reverse = (Fraction(x, denominator) for x in numerators)
     expected = downstep_expected_distance(m, frame)
     if lb != 1 - expected:
         raise CurvatroidError("down-step bound disagrees with its coupling")
+    kappa = exact_pair_curvature(m, frame)
+    _check_sandwich(m, s, t, lb, kappa, min(forward, reverse))
     return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
-                      expected, exact_pair_curvature(m, frame))
+                      expected, kappa)
 
 
 def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
@@ -460,9 +457,18 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
     return [(order[i], order[j]) for i, j in pairs]
 
 
+def _check_sandwich(m: Matroid, x: Mask, y: Mask, lb: Fraction, value: Fraction,
+                    ub: Fraction) -> None:
+    """Raise CurvatroidError, naming the pair, unless lb <= value <= ub."""
+    if not lb <= value <= ub:
+        raise CurvatroidError(
+            f"pair {m.labels_of(x)} / {m.labels_of(y)}: exact curvature "
+            f"{value} outside its bounds [{lb}, {ub}]")
+
+
 def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
                     groups: Iterable[tuple[int, int, list[int]]], denominator: int,
-                    orbit: Callable[[int], list[int]] | None,
+                    images: list[Callable[[Mask], Mask]],
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
@@ -473,17 +479,17 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
     stops there; a pair with lb == kappa can only tie, which matters only
     before the current argmin in canonical order.
 
-    orbit, when given, lists the indices of the pairs that automorphisms of
-    m carry pair i onto, i included. Automorphisms preserve both bounds and
-    the exact value, so a solved value is recorded for the whole orbit and
-    a later member reuses it instead of solving. The walk trusts lb to
-    discard pairs, so every value, solved or reused, is held to the pair's
-    own bounds.
+    images are set maps of automorphisms of m (mask_image), possibly none.
+    Automorphisms preserve both bounds and the exact value, so a solved
+    value is recorded for every pair of its orbit (pair_orbit) and a later
+    member reuses it instead of solving. The walk trusts lb to discard
+    pairs, so every value, solved or reused, is held to the pair's own
+    bounds.
     """
     levels: dict[int, list[tuple[int, list[int]]]] = {}
     for lb, ub, indices in groups:
         levels.setdefault(lb, []).append((ub, indices))
-    known: dict[int, Fraction] = {}  # pair index -> value of its solved orbit
+    known: dict[tuple[Mask, Mask], Fraction] = {}  # (smaller, larger) -> orbit value
     kappa = best = None
     for lb_numerator in sorted(levels):
         lb = Fraction(lb_numerator, denominator)
@@ -496,44 +502,25 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
             if ub_numerator == lb_numerator:
                 value = lb
             else:
-                value = known.get(i)
+                x, y = pairs[i]
+                value = known.get((x, y) if x < y else (y, x))
                 if value is None:
-                    x, y = pairs[i]
                     value = exact_pair_curvature(m, make_pair_frame(m, x, y))
-                    if orbit is not None:
-                        known.update((j, value) for j in orbit(i))
-                ub = Fraction(ub_numerator, denominator)
-                if not lb <= value <= ub:
-                    x, y = pairs[i]
-                    raise CurvatroidError(
-                        f"pair {m.labels_of(x)} / {m.labels_of(y)}: exact curvature "
-                        f"{value} outside its bounds [{lb}, {ub}]")
+                    known.update(dict.fromkeys(pair_orbit(images, x, y), value))
+                _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
             if kappa is None or value < kappa or (value == kappa and i < best):
                 kappa, best = value, i
     return kappa, pairs[best]
 
 
-def _pair_orbits(m: Matroid, pairs: list[tuple[Mask, Mask]],
-                 indices: list[int]) -> Callable[[int], list[int]] | None:
-    """Orbit lookup for the pairs named by indices, a set closed under the
-    automorphisms of m; None when fewer than two pairs or no generators."""
-    if len(indices) < 2:
-        return None
-    images = [mask_image(p) for p in automorphism_generators(m)]
-    if not images:
-        return None
-    index_of = {tuple(sorted(pairs[i])): i for i in indices}
-    return lambda i: [index_of[key] for key in pair_orbit(images, *pairs[i])]
-
-
-def _audit_minimum(m: Matroid) -> Fraction | None:
+def _audit_minimum(m: Matroid, images: list[Callable[[Mask], Mask]]) -> Fraction | None:
     """Minimum of 1 - W1/d over every unordered pair of distinct bases, one
-    transport solve per orbit of such pairs under the automorphisms of m."""
+    transport solve per orbit of such pairs under the group generated by
+    images, set maps of automorphisms of m (mask_image)."""
     rows = basis_graph(m)
     order = m.sorted_bases()
     size = len(order)
     position = {b: i for i, b in enumerate(order)}
-    images = [mask_image(p) for p in automorphism_generators(m)]
     done = bytearray(size * size)  # done[i * size + j], i < j: orbit covered
     worst = None
     for i, x in enumerate(order):
@@ -583,11 +570,12 @@ def global_curvature(m: Matroid, exact: bool = True,
     Solves are shared across automorphism orbits. An automorphism of m (see
     automorphism_generators) maps adjacent pairs to adjacent pairs with the
     same signature and the same exact value. The pairs with unequal bounds
-    and downstepLB <= min theoremUB, the only ones that may need a solve,
-    therefore form a set closed under the group. When it holds two or more
-    pairs, a solved value is reused for every later pair of its orbit. K6
-    solves 1 of its 17,460 pairs, where solving every pair with unequal
-    bounds took 6,660 and the sweep without orbits 180.
+    and downstepLB <= min theoremUB are the only ones that may need a
+    solve. The group is searched at most once per call: when two or more
+    such pairs exist, or when the audit runs. Its maps go to both the sweep,
+    which reuses a solved value for every later pair of its orbit, and the
+    audit. K6 solves 1 of its 17,460 pairs, where solving every pair with
+    unequal bounds took 6,660 and the sweep without orbits 180.
 
     A single-basis family has no pairs; by convention it reports curvature 1
     with the degenerate flag set. With audit_all_pairs the minimum of
@@ -627,16 +615,17 @@ def global_curvature(m: Matroid, exact: bool = True,
         return GlobalReport(None, None, theorem_lb, *bounds, len(pairs),
                             degenerate=not pairs)
 
+    open_pairs = sum(len(indices) for lb, ub, indices in groups.values()
+                     if lb < ub and lb <= ub_min)
+    images = ([mask_image(p) for p in automorphism_generators(m)]
+              if open_pairs > 1 or audit_all_pairs else [])
     if pairs:
-        open_pairs = [i for lb, ub, indices in groups.values()
-                      if lb < ub and lb <= ub_min for i in indices]
-        kappa, argmin = _pruned_minimum(m, pairs, groups.values(), denominator,
-                                        _pair_orbits(m, pairs, open_pairs))
+        kappa, argmin = _pruned_minimum(m, pairs, groups.values(), denominator, images)
     else:
         kappa, argmin = Fraction(1), None
 
     if audit_all_pairs:
-        worst = _audit_minimum(m)
+        worst = _audit_minimum(m, images)
         if worst is not None and worst != kappa:
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")

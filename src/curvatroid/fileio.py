@@ -64,11 +64,6 @@ def parse_rational(value: Any) -> Fraction:
         raise BadRational(f"rational of {len(text)} characters is too long") from None
 
 
-def format_rational(x: Fraction) -> str:
-    """"p/q", or just "p" for integers."""
-    return str(x)
-
-
 def approx_decimal(x: Fraction) -> str:
     """6-significant-digit decimal rendering (approximate, display only)."""
     with decimal.localcontext() as ctx:
@@ -225,7 +220,7 @@ def witness_to_obj(m: Matroid, witness: PairWitness) -> dict:
 
 def _put_rational(obj: dict, key: str, value: Fraction | None,
                   with_decimal: bool) -> None:
-    obj[key] = None if value is None else format_rational(value)
+    obj[key] = None if value is None else str(value)  # "p/q", or "p" for integers
     if with_decimal and value is not None:
         obj[key + "Approx"] = approx_decimal(value)
 

@@ -116,8 +116,7 @@ class Matroid:
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
-                 "_lookup", "_sorted", "_keys", "_hash", "_exchange",
-                 "_automorphisms", "__weakref__")
+                 "_lookup", "_sorted", "_keys", "_exchange", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
                  known_matroid: bool = False,
@@ -147,8 +146,6 @@ class Matroid:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions: dict[Mask, Mask] | None = None
         self._lookup: _CompletionSets | None = None
-        self._hash: str | None = None
-        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._exchange: ValidationResult | None = (
             ValidationResult.passed("matroid by construction") if known_matroid else None)
 
@@ -257,16 +254,14 @@ class Matroid:
 
     def origin_hash(self) -> str:
         """Stable digest of the canonical description (labels + basis list)."""
-        if self._hash is None:
-            self.sorted_bases()  # fills in the index tuples, self._keys
-            doc = {
-                "labels": list(self.labels),
-                "rank": self.rank,
-                "bases": self._keys,  # tuples serialise as JSON arrays
-            }
-            blob = json.dumps(doc, separators=(",", ":")).encode()
-            self._hash = hashlib.sha256(blob).hexdigest()
-        return self._hash
+        self.sorted_bases()  # fills in the index tuples, self._keys
+        doc = {
+            "labels": list(self.labels),
+            "rank": self.rank,
+            "bases": self._keys,  # tuples serialise as JSON arrays
+        }
+        blob = json.dumps(doc, separators=(",", ":")).encode()
+        return hashlib.sha256(blob).hexdigest()
 
     def __repr__(self) -> str:
         return (f"Matroid(origin={self.origin!r}, n={self.n}, rank={self.rank}, "

@@ -25,6 +25,10 @@ path's own choice, and keeps the first candidate there. With the search
 complete these generate the whole group. The search stops at
 SEARCH_BUDGET pair reads of P; running out loses generators, never
 soundness, since every kept permutation was checked against the family.
+
+Each call of automorphism_generators runs a search. global_curvature searches
+at most once per call and hands the set maps (mask_image) to the exact sweep
+and the all-pairs audit.
 """
 
 from __future__ import annotations
@@ -37,18 +41,6 @@ from .matroid import Mask, Matroid, _UnionFind
 Permutation = tuple[int, ...]
 
 SEARCH_BUDGET = 1_000_000  # reads of P over all refinement rounds of one search
-
-
-def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
-    """Generators of the automorphism group of m, each a tuple p with p[e]
-    the image of element e, checked to map the basis family onto itself.
-
-    Cached on the matroid. An empty tuple means no non-trivial automorphism
-    was found: the group is trivial, or the search ran out of budget.
-    """
-    if m._automorphisms is None:
-        m._automorphisms = _search(m)
-    return m._automorphisms
 
 
 def mask_image(perm: Permutation) -> Callable[[Mask], Mask]:
@@ -167,7 +159,13 @@ def _is_automorphism(perm: Permutation, weights: list[list[int]],
     return all(image(b) in bases for b in bases)
 
 
-def _search(m: Matroid) -> tuple[Permutation, ...]:
+def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
+    """Generators of the automorphism group of m, each a tuple p with p[e]
+    the image of element e, checked to map the basis family onto itself.
+
+    An empty tuple means no non-trivial automorphism was found: the group
+    is trivial, or the search ran out of budget.
+    """
     n = m.n
     left = SEARCH_BUDGET
     if n * n > left:

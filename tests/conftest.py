@@ -84,9 +84,8 @@ def sweep(test_set) -> dict[str, SweepResult]:
         pairs = []
         for x, y in cv.canonical_pairs(m):
             frame = cv.make_pair_frame(m, x, y)
-            witness = cv.compute_pair_witness(m, frame)
-            lb = cv.downstep_lb_pair(m, frame, witness)
-            forward, reverse = cv.theorem_ub_values(m, frame, witness)
+            lb = cv.downstep_lb_pair(m, frame)
+            forward, reverse = cv.theorem_ub_values(m, frame)
             table = cv.downstep_coupling_table(m, frame)
             cost = coupling_cost(cell_masses(table.cells), g[x].masses,
                                  g[y].masses, partial(distance, m))

@@ -38,8 +38,7 @@ def test_criterion_01_rank3_negative_curvature():
     start = time.perf_counter()
     m = cv.build_named("rank3-counterexample")
     frame = distinguished_frame(m, "rank3-counterexample")
-    witness = cv.compute_pair_witness(m, frame)
-    assert cv.theorem_ub_pair(m, frame, witness) == F(-1, 21)
+    assert cv.theorem_ub_pair(m, frame) == F(-1, 21)
     assert cv.exact_pair_curvature(m, frame) <= F(-1, 21)
     report = cv.global_curvature(m, exact=True)
     assert report.kappa_exact < 0
@@ -58,7 +57,7 @@ def test_criterion_02_k6_negative_curvature():
     assert tuple(e.ns_size for e in table) == (8, 5, 5, 8)
     assert tuple(e.nt_size for e in table) == (5, 8, 8, 5)
     assert tuple(e.s_only_adds.bit_count() for e in table) == (5, 2, 2, 5)
-    assert cv.theorem_ub_pair(m, frame, witness) == F(-2, 25)
+    assert cv.theorem_ub_pair(m, frame) == F(-2, 25)
     kappa = cv.exact_pair_curvature(m, frame)
     assert kappa <= F(-2, 25)
     assert kappa == F(-11, 100)
@@ -138,7 +137,7 @@ def test_criterion_08_k4_coupling_reproduction():
     table = cv.downstep_coupling_table(m, frame)
     assert sorted(cell.mass for cell in table.cells) == sorted(
         [F(1, 9)] * 6 + [F(1, 12)] * 3 + [F(1, 36)] * 3)
-    lb = cv.downstep_lb_pair(m, frame, cv.compute_pair_witness(m, frame))
+    lb = cv.downstep_lb_pair(m, frame)
     g = cv.basis_graph(m)
     assert coupling_cost(cell_masses(table.cells), g[frame.s_basis].masses,
                          g[frame.t_basis].masses, partial(distance, m)) == 1 - lb

@@ -5,17 +5,18 @@ import re
 from pathlib import Path
 
 import curvatroid as cv
-from curvatroid import curvature, errors, fileio, matroid, transport, walk
+from curvatroid import curvature, errors, fileio, matroid, symmetry, transport, walk
 
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
-# coupling layer and the kernel cache (BasisGraph); proposition_distance_check,
+# coupling layer and the kernel cache (BasisGraph), and format_rational, which
+# only called str; proposition_distance_check,
 # distribution_to_obj, items_sorted and ElementNotInBasis are test helpers in
 # tests/oracles.py
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
-           "ElementNotInBasis", "BasisGraph")
+           "ElementNotInBasis", "BasisGraph", "format_rational")
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():
@@ -43,6 +44,12 @@ def test_public_names_resolve_and_deleted_names_are_gone():
         assert not hasattr(cv.Matroid, name), name
     for name in ("coupling", "mass_multiset"):
         assert not hasattr(cv.DownstepCoupling, name), name
+    # no group or digest cached on the Matroid, no orbit index map
+    for name in ("_automorphisms", "_hash"):
+        assert name not in cv.Matroid.__slots__, name
+    assert not hasattr(curvature, "_pair_orbits")
+    assert not hasattr(symmetry, "_search")
+    assert not hasattr(fileio, "format_rational")
 
 
 def test_deleted_knobs_are_gone():
@@ -53,6 +60,8 @@ def test_deleted_knobs_are_gone():
     assert list(inspect.signature(cv.automorphism_generators).parameters) == ["m"]
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
+    for bound in (cv.downstep_lb_pair, cv.theorem_ub_pair, cv.theorem_ub_values):
+        assert list(inspect.signature(bound).parameters) == ["m", "frame"], bound
 
 
 # per-pair checks that a one-exchange PairFrame and the matroid gate make

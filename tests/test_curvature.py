@@ -1,6 +1,7 @@
 """Pair frames, witnesses, bounds, couplings, and global curvature."""
 
 import inspect
+import re
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -8,7 +9,7 @@ from math import lcm
 import pytest
 
 import curvatroid as cv
-from curvatroid import curvature
+from curvatroid import cli, curvature
 from oracles import (cell_masses, coupling_cost, distance, fraction_downstep_lb,
                      fraction_theorem_ub_values, frame_by_symmetric_difference,
                      proposition_distance_check, sorted_index_pairs, swapped,
@@ -172,9 +173,8 @@ def test_uniform_pair_lb_closed_form(sweep):
 
 def test_no_crossing_pair_closed_form():
     m, frame = separated_pair()
-    witness = cv.compute_pair_witness(m, frame)
     k = m.rank
-    assert cv.downstep_lb_pair(m, frame, witness) == F(1, k)
+    assert cv.downstep_lb_pair(m, frame) == F(1, k)
     table = cv.downstep_coupling_table(m, frame)
     assert table.expected_distance() == F(k - 1, k)
 
@@ -186,9 +186,8 @@ def test_forward_reverse_swap_symmetry(sweep):
         for pair in data.pairs[:8]:
             frame = cv.make_pair_frame(m, pair.x, pair.y)
             back = swapped(frame)
-            w_back = cv.compute_pair_witness(m, back)
-            assert cv.downstep_lb_pair(m, back, w_back) == pair.lb
-            fwd, rev = cv.theorem_ub_values(m, back, w_back)
+            assert cv.downstep_lb_pair(m, back) == pair.lb
+            fwd, rev = cv.theorem_ub_values(m, back)
             assert (fwd, rev) == (pair.ub_reverse, pair.ub_forward)
 
 
@@ -222,8 +221,7 @@ def test_coupling_aggregation_merges_duplicate_targets():
     g = cv.basis_graph(m)
     assert coupling_cost(aggregated, g[s].masses, g[t].masses,
                          partial(distance, m)) == table.expected_distance()
-    assert 1 - table.expected_distance() == \
-        cv.downstep_lb_pair(m, frame, cv.compute_pair_witness(m, frame))
+    assert 1 - table.expected_distance() == cv.downstep_lb_pair(m, frame)
 
 
 # ── distance proposition ────────────────────────────────────────────────────
@@ -325,18 +323,31 @@ def test_global_report_matches_pair_minima(sweep):
 
 
 @pytest.mark.parametrize("wrong", ["below", "above"])
-def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch):
+def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, capsys):
     """The pruned sweep discards pairs on their down-step bound, so a solved
-    value outside [downstepLB, theoremUB] must stop it, naming the pair."""
+    value outside [downstepLB, theoremUB] must stop it, naming the pair. A
+    pair report holds its exact value to the same sandwich, and the pair
+    command reports the failure on one error line with exit status 1."""
     def outside(m, frame):
         if wrong == "below":
             return cv.downstep_lb_pair(m, frame) - 1
         return cv.theorem_ub_pair(m, frame) + 1
 
     monkeypatch.setattr(curvature, "exact_pair_curvature", outside)
-    with pytest.raises(cv.CurvatroidError,
-                       match=r"pair \(.+\) / \(.+\): exact curvature .+ outside its bounds"):
-        cv.global_curvature(cv.build_named("vamos"))
+    message = r"pair \(.+\) / \(.+\): exact curvature .+ outside its bounds"
+    m = cv.build_named("vamos")
+    with pytest.raises(cv.CurvatroidError, match=message):
+        cv.global_curvature(m)
+    s, t = cv.canonical_pairs(m)[0]
+    with pytest.raises(cv.CurvatroidError, match=message):
+        cv.compute_pair_report(m, s, t)
+    capsys.readouterr()
+    code = cli.main(["pair", "--input", "named:vamos",
+                     "--s", ",".join(m.labels_of(s)), "--t", ",".join(m.labels_of(t))])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and re.match("error: " + message, err)
+    assert "Traceback" not in err
 
 
 # transport solves of the pruned exact sweep with one solve per automorphism

@@ -54,10 +54,9 @@ def test_exact_curvature_is_sandwiched_on_every_pair(spec):
     kappas = []
     for x, y in pairs:
         frame = cv.make_pair_frame(m, x, y)
-        witness = cv.compute_pair_witness(m, frame)
         kappa = cv.exact_pair_curvature(m, frame)
-        lb = max(global_lb, cv.downstep_lb_pair(m, frame, witness))
-        assert lb <= kappa <= cv.theorem_ub_pair(m, frame, witness), (spec, x, y)
+        lb = max(global_lb, cv.downstep_lb_pair(m, frame))
+        assert lb <= kappa <= cv.theorem_ub_pair(m, frame), (spec, x, y)
         kappas.append(kappa)
     kappa = min(kappas, default=Fraction(1))
     first = next((p for p, value in zip(pairs, kappas) if value == kappa), None)
@@ -96,10 +95,9 @@ def assert_integer_bounds_match_the_oracles(m, label):
             ub = fraction_theorem_ub_values(m, frame, witness)
             lb = fraction_downstep_lb(m, frame, witness)
             where = (label, s, t)
-            assert cv.theorem_ub_values(m, frame, witness) == ub, where
             assert cv.theorem_ub_values(m, frame) == ub, where
-            assert cv.theorem_ub_pair(m, frame, witness) == min(ub), where
-            assert cv.downstep_lb_pair(m, frame, witness) == lb, where
+            assert cv.theorem_ub_pair(m, frame) == min(ub), where
+            assert cv.downstep_lb_pair(m, frame) == lb, where
             cells = fraction_coupling_cells(m, frame)
             assert downstep_expected_distance(m, frame) == 1 - lb == \
                 sum((c.mass * c.distance for c in cells), Fraction(0)) == \

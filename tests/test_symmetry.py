@@ -89,6 +89,26 @@ def test_reports_are_identical_with_the_search_off(monkeypatch):
     assert reports({**build_test_set(), **tie_graphs()}, audit) == with_search
 
 
+@pytest.mark.parametrize("name,exact,audit,requests", [
+    ("vamos", True, True, 1),   # one search serves the sweep and the audit
+    ("vamos", True, False, 1),
+    ("k4", True, False, 0),     # at most one pair may need a solve
+    ("vamos", False, False, 0),  # bounds only: nothing to solve
+])
+def test_global_curvature_searches_at_most_once(name, exact, audit, requests,
+                                                monkeypatch):
+    asked = []
+    search = curvature.automorphism_generators
+
+    def counted(m):
+        asked.append(m)
+        return search(m)
+
+    monkeypatch.setattr(curvature, "automorphism_generators", counted)
+    cv.global_curvature(cv.build_named(name), exact=exact, audit_all_pairs=audit)
+    assert len(asked) == requests
+
+
 def count_solves(monkeypatch) -> list:
     solved = []
     exact = curvature.exact_pair_curvature
@@ -131,3 +151,24 @@ def test_a_planted_non_automorphism_is_rejected_and_never_used(name, monkeypatch
     report = cv.global_curvature(m)
     assert len(solved) == UNSHARED_SOLVES[name]
     assert (report.kappa_exact, report.argmin_pair) == unpruned_global_curvature(m)
+
+
+# transport solves of the all-pairs audit, one per orbit of unordered basis
+# pairs; without orbits it solves every pair (Fano 378, M(K2,4) 496)
+AUDIT_SOLVES = {"fano": 5, "k24": 6}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_SOLVES))
+def test_the_audit_solves_one_pair_per_orbit(name, monkeypatch):
+    m = FAMILIES[name]()
+    sweep = count_solves(monkeypatch)
+    solves = []
+    w1 = curvature.wasserstein1
+
+    def counted(problem):
+        solves.append(problem)
+        return w1(problem)
+
+    monkeypatch.setattr(curvature, "wasserstein1", counted)
+    cv.global_curvature(m, audit_all_pairs=True)
+    assert len(solves) - len(sweep) == AUDIT_SOLVES[name]
