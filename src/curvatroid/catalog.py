@@ -1,20 +1,16 @@
 """Built-in named matroids.
 
-Five entries: uniform-free test cases with known curvature behavior. The
-rank-3 catalog entry carries its defining vector matrix alongside the
-explicit basis list so the two constructions can be cross-checked.
+Five entries: uniform-free test cases with known curvature behavior.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ParseError
 from .matroid import (
     ExplicitSpec,
     GraphicSpec,
-    LinearSpec,
     Matroid,
     build_matroid,
 )
@@ -109,11 +105,8 @@ RANK3_GROUND = ("s", "t", "u", "u'",
 
 
 def rank3_counterexample_spec() -> ExplicitSpec:
-    """Rank-3 matroid on 14 elements whose walk has negative curvature.
-
-    84 bases listed explicitly; see rank3_counterexample_linear_spec for the
-    equivalent vector realization.
-    """
+    """Rank-3 matroid on 14 elements whose walk has negative curvature,
+    its 84 bases listed explicitly."""
     vs = ("v1", "v2", "v3", "v4", "v5")
     ws = ("w1", "w2", "w3", "w4", "w5")
     bases: list[tuple[str, str, str]] = [
@@ -135,23 +128,6 @@ def rank3_counterexample_spec() -> ExplicitSpec:
             bases.append(("u", v, w))
             bases.append(("u'", v, w))
     return ExplicitSpec(ground=RANK3_GROUND, bases=tuple(bases))
-
-
-def rank3_counterexample_linear_spec() -> LinearSpec:
-    """Vector realization of the rank-3 catalog matroid.
-
-    Columns (in ground order): s = e1, t = e2, u = e3, u' = e1+e2+e3, each
-    v_i a repeat of t's vector and each w_i a repeat of s's vector. Repeated
-    columns are distinct parallel elements.
-    """
-    e1 = (1, 0, 0)
-    e2 = (0, 1, 0)
-    e3 = (0, 0, 1)
-    usum = (1, 1, 1)
-    cols = [e1, e2, e3, usum] + [e2] * 5 + [e1] * 5
-    matrix = tuple(tuple(Fraction(cols[c][r]) for c in range(len(cols)))
-                   for r in range(3))
-    return LinearSpec(matrix=matrix, labels=RANK3_GROUND)
 
 
 _BUILDERS = {

@@ -370,15 +370,6 @@ def _expected_distance(drops: Iterable[tuple]) -> Fraction:
                     common)
 
 
-def downstep_expected_distance(m: Matroid, frame: PairFrame) -> Fraction:
-    """Expected distance of the down-step coupling: weight times |X - Y|
-    summed in integers over the cells of _coupling_drops, as
-    DownstepCoupling.expected_distance does, without keeping the cells. It
-    uses no closed form, so compute_pair_report checks downstep_lb_pair
-    against it."""
-    return _expected_distance(_coupling_drops(m, frame))
-
-
 # ── exact curvature ─────────────────────────────────────────────────────────
 
 
@@ -424,15 +415,15 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     witness before any bound is computed. The bounds are integers over
     k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
     divides. The closed-form down-step bound is cross-checked against the
-    coupling's expected distance, summed cell by cell in integer weights
-    (downstep_expected_distance) without keeping the cells, and the exact
-    value is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
+    coupling's expected distance, summed in integer weights over the cells
+    of _coupling_drops (_expected_distance) without keeping them, and the
+    exact value is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
     """
     frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
     numerators, denominator = _pair_numerators(m, witness)
     lb, forward, reverse = (Fraction(x, denominator) for x in numerators)
-    expected = downstep_expected_distance(m, frame)
+    expected = _expected_distance(_coupling_drops(m, frame))
     if lb != 1 - expected:
         raise CurvatroidError("down-step bound disagrees with its coupling")
     kappa = exact_pair_curvature(m, frame)
@@ -466,18 +457,18 @@ def _check_sandwich(m: Matroid, x: Mask, y: Mask, lb: Fraction, value: Fraction,
             f"{value} outside its bounds [{lb}, {ub}]")
 
 
-def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
-                    groups: Iterable[tuple[int, int, list[int]]], denominator: int,
-                    images: list[Callable[[Mask], Mask]],
+def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, int, Mask, Mask]],
+                    denominator: int, images: list[Callable[[Mask], Mask]],
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
-    groups yields (lb, ub, pair indices) per bound signature, both bounds
-    as integer numerators over denominator. Pairs are visited by ascending
-    (lb, canonical index). A pair with lb > kappa (the smallest value found
-    so far) cannot go lower, and neither can any later pair, so the walk
-    stops there; a pair with lb == kappa can only tie, which matters only
-    before the current argmin in canonical order.
+    candidates are (lb, i, ub, S, T) sorted ascending, both bounds integer
+    numerators over denominator and i the pair's canonical index, so pairs
+    are visited by ascending (lb, i). A pair with lb > kappa (the smallest
+    value found so far) cannot go lower, and one with lb == kappa can only
+    tie, which matters only before the current argmin in canonical order;
+    every later pair is ruled out as well, so the walk stops at the first
+    such pair.
 
     images are set maps of automorphisms of m (mask_image), possibly none.
     Automorphisms preserve both bounds and the exact value, so a solved
@@ -486,31 +477,23 @@ def _pruned_minimum(m: Matroid, pairs: list[tuple[Mask, Mask]],
     pairs, so every value, solved or reused, is held to the pair's own
     bounds.
     """
-    levels: dict[int, list[tuple[int, list[int]]]] = {}
-    for lb, ub, indices in groups:
-        levels.setdefault(lb, []).append((ub, indices))
     known: dict[tuple[Mask, Mask], Fraction] = {}  # (smaller, larger) -> orbit value
-    kappa = best = None
-    for lb_numerator in sorted(levels):
+    kappa = best = argmin = None
+    for lb_numerator, i, ub_numerator, x, y in candidates:
         lb = Fraction(lb_numerator, denominator)
-        if kappa is not None and lb > kappa:
+        if kappa is not None and (lb > kappa or (lb == kappa and i > best)):
             break
-        for i, ub_numerator in sorted((i, ub) for ub, indices in levels[lb_numerator]
-                                      for i in indices):
-            if lb == kappa and i > best:
-                break  # the rest of this level comes after the argmin too
-            if ub_numerator == lb_numerator:
-                value = lb
-            else:
-                x, y = pairs[i]
-                value = known.get((x, y) if x < y else (y, x))
-                if value is None:
-                    value = exact_pair_curvature(m, make_pair_frame(m, x, y))
-                    known.update(dict.fromkeys(pair_orbit(images, x, y), value))
-                _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
-            if kappa is None or value < kappa or (value == kappa and i < best):
-                kappa, best = value, i
-    return kappa, pairs[best]
+        if ub_numerator == lb_numerator:
+            value = lb
+        else:
+            value = known.get((x, y) if x < y else (y, x))
+            if value is None:
+                value = exact_pair_curvature(m, make_pair_frame(m, x, y))
+                known.update(dict.fromkeys(pair_orbit(images, x, y), value))
+            _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
+        if kappa is None or value < kappa or (value == kappa and i < best):
+            kappa, best, argmin = value, i, (x, y)
+    return kappa, argmin
 
 
 def _audit_minimum(m: Matroid, images: list[Callable[[Mask], Mask]]) -> Fraction | None:
@@ -558,24 +541,24 @@ def global_curvature(m: Matroid, exact: bool = True,
     or where a bound is compared with a solved value.
 
     The exact minimum is found by branch and bound on those bounds. In a
-    matroid downstepLB <= kappa on every pair, since downstepLB is 1 minus
-    the expected distance of a valid coupling. Pairs are visited by
-    ascending (downstepLB, canonical position), keeping the smallest kappa
-    so far and its canonical-first pair. The visit stops at the first pair
-    with downstepLB > kappa, and skips a pair with downstepLB == kappa that
-    comes after the current argmin. A pair whose two bounds agree takes that
-    value without a transport solve, and every other value is checked
-    against both bounds.
+    matroid downstepLB <= kappa <= theoremUB on every pair, since
+    downstepLB is 1 minus the expected distance of a valid coupling, so
+    kappa <= min theoremUB and only the pairs with downstepLB <= min
+    theoremUB can reach it. They form one candidate list of
+    (downstepLB, canonical index, theoremUB, S, T), sorted ascending, which
+    the sweep walks keeping the smallest kappa so far and its canonical-first
+    pair. The walk stops at the first candidate with downstepLB > kappa, or
+    with downstepLB == kappa and an index after the current argmin. A pair
+    whose two bounds agree takes that value without a transport solve, and
+    every other value is checked against both bounds.
 
     Solves are shared across automorphism orbits. An automorphism of m (see
     automorphism_generators) maps adjacent pairs to adjacent pairs with the
-    same signature and the same exact value. The pairs with unequal bounds
-    and downstepLB <= min theoremUB are the only ones that may need a
-    solve. The group is searched at most once per call: when two or more
-    such pairs exist, or when the audit runs. Its maps go to both the sweep,
-    which reuses a solved value for every later pair of its orbit, and the
-    audit. K6 solves 1 of its 17,460 pairs, where solving every pair with
-    unequal bounds took 6,660 and the sweep without orbits 180.
+    same signature and the same exact value. The candidates with unequal
+    bounds are the only pairs that may need a solve. The group is searched
+    at most once per call: when two or more such pairs exist, or when the
+    audit runs. Its maps go to both the sweep, which reuses a solved value
+    for every later pair of its orbit, and the audit.
 
     A single-basis family has no pairs; by convention it reports curvature 1
     with the degenerate flag set. With audit_all_pairs the minimum of
@@ -615,12 +598,13 @@ def global_curvature(m: Matroid, exact: bool = True,
         return GlobalReport(None, None, theorem_lb, *bounds, len(pairs),
                             degenerate=not pairs)
 
-    open_pairs = sum(len(indices) for lb, ub, indices in groups.values()
-                     if lb < ub and lb <= ub_min)
+    candidates = sorted((lb, i, ub, *pairs[i]) for lb, ub, indices in groups.values()
+                        if lb <= ub_min for i in indices)
+    open_pairs = sum(lb < ub for lb, _, ub, _, _ in candidates)
     images = ([mask_image(p) for p in automorphism_generators(m)]
               if open_pairs > 1 or audit_all_pairs else [])
     if pairs:
-        kappa, argmin = _pruned_minimum(m, pairs, groups.values(), denominator, images)
+        kappa, argmin = _pruned_minimum(m, candidates, denominator, images)
     else:
         kappa, argmin = Fraction(1), None
 

@@ -36,7 +36,7 @@ from .errors import (
 
 Mask = int
 
-ENUMERATION_LIMIT = 2_000_000  # max C(n, k) a construction will filter
+ENUMERATION_LIMIT = 2_000_000  # max C(n, k) _guard_enumeration allows; max audit pairs
 WORK_LIMIT = 50_000_000  # max estimated steps of a construction (_guard_enumeration)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -15,10 +15,12 @@ from the symmetric difference of its two bases, and matroid automorphisms
 by extending element maps one element at a time, the closed-form
 pair bounds by Fraction sums over the witness's drops, and the coupling
 report by one Fraction per cell of the coupling's drops. The test-only
-helpers at the end (the unpruned exact sweep, the distance proposition,
+helpers at the end (the unpruned exact sweep, the pruned sweep's solve
+order from the Fraction bounds, the distance proposition,
 the distribution rendering and masses, the random-matroid strategy, the
-exchange distance between bases, basis membership by labels and one
-exchange neighbourhood by membership tests) use the public library API.
+exchange distance between bases, basis membership by labels, one
+exchange neighbourhood by membership tests and the vector realization of
+the rank-3 catalog matroid) use the public library API.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from itertools import combinations
 
 import curvatroid as cv
 from curvatroid import curvature
+from curvatroid.catalog import RANK3_GROUND
 from curvatroid.walk import exchange_distance
 
 
@@ -483,6 +486,36 @@ def unpruned_global_curvature(m):
     return kappa, pairs[kappas.index(kappa)]
 
 
+def pruned_solve_order(m):
+    """The canonical pairs the pruned exact sweep solves when it has no
+    automorphisms, in solve order.
+
+    Pairs are taken by ascending (downstepLB, canonical index), both bounds
+    in Fraction arithmetic. The walk stops at the first pair with
+    downstepLB > kappa, or with downstepLB == kappa after the argmin, and
+    solves every pair before that whose two bounds differ. Here (kappa,
+    argmin) are the final ones of the unpruned sweep: every pair before the
+    argmin in this order has downstepLB <= kappa, so the sweep's running
+    minimum never stops earlier and equals (kappa, argmin) from there on.
+    """
+    kappa, argmin = unpruned_global_curvature(m)
+    pairs = cv.canonical_pairs(m)
+    order = []
+    for i, (x, y) in enumerate(pairs):
+        frame = cv.make_pair_frame(m, x, y)
+        witness = cv.compute_pair_witness(m, frame)
+        order.append((fraction_downstep_lb(m, frame, witness), i,
+                      min(fraction_theorem_ub_values(m, frame, witness))))
+    last = pairs.index(argmin) if argmin else None
+    solved = []
+    for lb, i, ub in sorted(order):
+        if lb > kappa or (lb == kappa and i > last):
+            break
+        if lb != ub:
+            solved.append(pairs[i])
+    return solved
+
+
 def small_specs():
     """Hypothesis strategy for a random small matroid spec.
 
@@ -614,3 +647,20 @@ def exchange_neighborhood(m, b, u):
         raise ElementNotInBasis(f"element {m.labels[u]!r} not in the given basis")
     rest = b ^ 1 << u
     return sum(1 << x for x in range(m.n) if rest | 1 << x in m.bases)
+
+
+def rank3_counterexample_linear_spec():
+    """Vector realization of the rank-3 catalog matroid.
+
+    Columns (in ground order): s = e1, t = e2, u = e3, u' = e1+e2+e3, each
+    v_i a repeat of t's vector and each w_i a repeat of s's vector. Repeated
+    columns are distinct parallel elements.
+    """
+    e1 = (1, 0, 0)
+    e2 = (0, 1, 0)
+    e3 = (0, 0, 1)
+    usum = (1, 1, 1)
+    cols = [e1, e2, e3, usum] + [e2] * 5 + [e1] * 5
+    matrix = tuple(tuple(Fraction(cols[c][r]) for c in range(len(cols)))
+                   for r in range(3))
+    return cv.LinearSpec(matrix=matrix, labels=RANK3_GROUND)

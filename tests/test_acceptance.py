@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import partial
 
 import curvatroid as cv
-from curvatroid.catalog import rank3_counterexample_linear_spec
 from curvatroid.walk import exchange_distance
 from oracles import (
     bfs_distances,
@@ -22,6 +21,7 @@ from oracles import (
     mass,
     min_cost_by_vertices,
     quadratic_adjacent_pairs,
+    rank3_counterexample_linear_spec,
     support,
 )
 

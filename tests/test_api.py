@@ -5,7 +5,8 @@ import re
 from pathlib import Path
 
 import curvatroid as cv
-from curvatroid import curvature, errors, fileio, matroid, symmetry, transport, walk
+from curvatroid import (catalog, curvature, errors, fileio, matroid, symmetry,
+                        transport, walk)
 
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
 # coupling layer and the kernel cache (BasisGraph), and format_rational, which
@@ -50,6 +51,10 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(curvature, "_pair_orbits")
     assert not hasattr(symmetry, "_search")
     assert not hasattr(fileio, "format_rational")
+    # one route to the coupling's expected distance; the linear realization
+    # of the rank-3 catalog matroid is a test helper, tests/oracles.py
+    assert not hasattr(curvature, "downstep_expected_distance")
+    assert not hasattr(catalog, "rank3_counterexample_linear_spec")
 
 
 def test_deleted_knobs_are_gone():
@@ -62,6 +67,9 @@ def test_deleted_knobs_are_gone():
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
     for bound in (cv.downstep_lb_pair, cv.theorem_ub_pair, cv.theorem_ub_values):
         assert list(inspect.signature(bound).parameters) == ["m", "frame"], bound
+    # the exact walk takes one sorted candidate list and returns its pair
+    assert list(inspect.signature(curvature._pruned_minimum).parameters) == [
+        "m", "candidates", "denominator", "images"]
 
 
 # per-pair checks that a one-exchange PairFrame and the matroid gate make

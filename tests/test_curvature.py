@@ -351,9 +351,15 @@ def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, caps
 
 
 # transport solves of the pruned exact sweep with one solve per automorphism
-# orbit; K6 solves 1 of its 17,460 pairs, where the unpruned sweep solved
-# 6,660 and the pruned sweep without orbits 180 (vamos: 48)
-PRUNED_SOLVES = {"k6": 1, "vamos": 2, "rank3-counterexample": 0}
+# orbit, as (S labels, T labels) in solve order; K6 solves 1 of its 17,460
+# pairs, where the unpruned sweep solved 6,660 and the pruned sweep without
+# orbits 180 (vamos: 48)
+PRUNED_SOLVES = {
+    "k6": [(("1", "2", "t", "3", "4"), ("1", "2", "3", "4", "s"))],
+    "vamos": [(("a1", "a2", "b1", "c1"), ("a1", "b1", "b2", "c1")),
+              (("a1", "a2", "b1", "c1"), ("a1", "b1", "c1", "c2"))],
+    "rank3-counterexample": [],
+}
 
 
 @pytest.mark.parametrize("name", sorted(PRUNED_SOLVES))
@@ -374,7 +380,8 @@ def test_pruned_sweep_solves_only_pairs_that_can_reach_the_minimum(name, monkeyp
         open_pairs += cv.downstep_lb_pair(m, frame) <= kappa < cv.theorem_ub_pair(m, frame)
     assert all(cv.downstep_lb_pair(m, frame) <= kappa for frame in solved)
     assert len(solved) <= open_pairs
-    assert len(solved) == PRUNED_SOLVES[name]
+    assert [(m.labels_of(frame.s_basis), m.labels_of(frame.t_basis))
+            for frame in solved] == PRUNED_SOLVES[name]
 
 
 # Graphs where the first canonical pair reaching the minimum has a larger

@@ -6,9 +6,11 @@ On every adjacent pair the exact curvature must lie between the larger of
 the two lower bounds (the global theorem bound and the pair's down-step
 bound) and the pair's theorem upper bound, and the exact global report must
 be the minimum of the per-pair values at the first canonical pair reaching
-it, as the unpruned sweep oracle finds too. Every integer kernel row must
-equal the Fraction row built from the walk's definition, and W1 between the
-rows of random basis pairs, at any distance, must equal networkx on the full
+it, as the unpruned sweep oracle finds too. With the automorphism search
+off, the pruned sweep must solve exactly the pairs, in order, that the
+oracle's walk over the Fraction bounds visits with unequal bounds. Every
+integer kernel row must equal the Fraction row built from the walk's
+definition, and W1 between the rows of random basis pairs, at any distance, must equal networkx on the full
 unreduced problem. The integer closed-form bounds must equal their Fraction
 oracles on every adjacent pair in both orientations, and the coupling's
 integer expected distance must equal the Fraction sum over its cells. On
@@ -24,7 +26,7 @@ from functools import partial
 import pytest
 
 import curvatroid as cv
-from curvatroid.curvature import downstep_expected_distance
+from curvatroid import curvature
 from curvatroid.fileio import (coupling_table_to_obj, render_csv, render_json,
                                report_to_csv_rows)
 from oracles import (
@@ -36,6 +38,7 @@ from oracles import (
     fraction_theorem_ub_values,
     full_transport_problem,
     network_simplex_value,
+    pruned_solve_order,
     small_specs,
     unpruned_global_curvature,
 )
@@ -63,6 +66,32 @@ def test_exact_curvature_is_sandwiched_on_every_pair(spec):
     report = cv.global_curvature(m, exact=True)
     assert (report.kappa_exact, report.argmin_pair) == (kappa, first), spec
     assert unpruned_global_curvature(m) == (kappa, first), spec
+
+
+# a triangle 0-1-2 with 1-2 doubled and a vertex 3 joined to 1 and 2: four
+# pairs after the argmin have downstepLB == kappa and unequal bounds, so only
+# the tie stop keeps the walk from solving them
+TIE_STOP = cv.GraphicSpec(vertex_count=4, edges=(
+    (3, 2, "e0"), (0, 1, "e1"), (1, 2, "e2"), (0, 2, "e3"), (1, 2, "e4"), (1, 3, "e5")))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+@hypothesis.example(TIE_STOP)
+def test_pruned_sweep_solves_the_oracle_visit_list(spec):
+    m = cv.build_matroid(spec)
+    solved = []
+    exact = curvature.exact_pair_curvature
+
+    def counted(m, frame):
+        solved.append((frame.s_basis, frame.t_basis))
+        return exact(m, frame)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curvature, "automorphism_generators", lambda m: ())
+        patch.setattr(curvature, "exact_pair_curvature", counted)
+        cv.global_curvature(m)
+    assert solved == pruned_solve_order(m), spec
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,8 +128,7 @@ def assert_integer_bounds_match_the_oracles(m, label):
             assert cv.theorem_ub_pair(m, frame) == min(ub), where
             assert cv.downstep_lb_pair(m, frame) == lb, where
             cells = fraction_coupling_cells(m, frame)
-            assert downstep_expected_distance(m, frame) == 1 - lb == \
-                sum((c.mass * c.distance for c in cells), Fraction(0)) == \
+            assert 1 - lb == sum((c.mass * c.distance for c in cells), Fraction(0)) == \
                 cv.downstep_coupling_table(m, frame).expected_distance(), where
 
 

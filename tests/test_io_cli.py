@@ -11,7 +11,7 @@ import curvatroid as cv
 from curvatroid import catalog, cli, curvature
 from curvatroid import fileio as fio
 from curvatroid.cli import main
-from oracles import distribution_to_obj, is_basis
+from oracles import distribution_to_obj, is_basis, rank3_counterexample_linear_spec
 
 F = Fraction
 
@@ -254,7 +254,7 @@ def test_only_the_coupling_command_builds_the_coupling_table(capsys, monkeypatch
 
 # a constructed family of each kind: a pair query needs no validation there
 CONSTRUCTED = {"graphic": catalog.k6_spec(), "uniform": cv.UniformSpec(n=6, k=3),
-               "linear": catalog.rank3_counterexample_linear_spec()}
+               "linear": rank3_counterexample_linear_spec()}
 
 
 def pair_and_coupling_text(m: cv.Matroid, x: int, y: int) -> str:

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 import curvatroid as cv
-from curvatroid.catalog import rank3_counterexample_linear_spec
 from oracles import (ElementNotInBasis, exchange_neighborhood, graphic_bases_by_subsets,
-                     is_basis, origin_hash_by_sort, quadratic_adjacent_pairs)
+                     is_basis, origin_hash_by_sort, quadratic_adjacent_pairs,
+                     rank3_counterexample_linear_spec)
 
 
 def u42() -> cv.Matroid:
