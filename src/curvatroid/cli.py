@@ -42,7 +42,10 @@ from .fileio import (
 from .matroid import Mask, Matroid, validate_exchange_axiom
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main() call and reused by later calls
+    in the same process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="curvatroid",
         description="Exact curvature of the basis exchange walk on a matroid.",
@@ -94,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_input=False)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built at the first main() call and reused by later calls
-    in the same process: parse_args keeps no state between calls."""
-    return build_parser()
 
 
 def _basis_argument(m: Matroid, text: str, flag: str) -> Mask:

@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, lcm
 
 from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
@@ -436,14 +437,16 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
     """Adjacent pairs, each oriented and listed in canonical order.
 
     Pairs are compared by the positions of their bases in m.sorted_bases(),
-    which is the same order as comparing basis_sort_key tuples.
+    which is the same order as comparing basis_sort_key tuples. Every pair
+    is (R + a, R + b) for one completion-table group R = S ∩ T and a < b in
+    N(R), and R + a comes first: the two sets agree below a, and R + b holds
+    a larger element at a's place.
     """
     order = m.sorted_bases()
     position = {b: i for i, b in enumerate(order)}
     pairs = []
-    for x, y in m.adjacent_basis_pairs():
-        i, j = position[x], position[y]
-        pairs.append((i, j) if i < j else (j, i))
+    for rest, members in m._completion_table().items():
+        pairs += combinations([position[rest | 1 << x] for x in bits(members)], 2)
     pairs.sort()
     return [(order[i], order[j]) for i, j in pairs]
 
@@ -457,18 +460,19 @@ def _check_sandwich(m: Matroid, x: Mask, y: Mask, lb: Fraction, value: Fraction,
             f"{value} outside its bounds [{lb}, {ub}]")
 
 
-def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, int, Mask, Mask]],
+def _pruned_minimum(m: Matroid,
+                    candidates: list[tuple[int, tuple[int, int], int, Mask, Mask]],
                     denominator: int, images: list[Callable[[Mask], Mask]],
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
     candidates are (lb, i, ub, S, T) sorted ascending, both bounds integer
-    numerators over denominator and i the pair's canonical index, so pairs
-    are visited by ascending (lb, i). A pair with lb > kappa (the smallest
-    value found so far) cannot go lower, and one with lb == kappa can only
-    tie, which matters only before the current argmin in canonical order;
-    every later pair is ruled out as well, so the walk stops at the first
-    such pair.
+    numerators over denominator and i the pair's canonical index, the
+    positions of S and T in m.sorted_bases(), so pairs are visited by
+    ascending (lb, i). A pair with lb > kappa (the smallest value found so
+    far) cannot go lower, and one with lb == kappa can only tie, which
+    matters only before the current argmin in canonical order; every later
+    pair is ruled out as well, so the walk stops at the first such pair.
 
     images are set maps of automorphisms of m (mask_image), possibly none.
     Automorphisms preserve both bounds and the exact value, so a solved
@@ -488,7 +492,7 @@ def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, int, Mask, Mask
         else:
             value = known.get((x, y) if x < y else (y, x))
             if value is None:
-                value = exact_pair_curvature(m, make_pair_frame(m, x, y))
+                value = exact_pair_curvature(m, PairFrame(x, y))
                 known.update(dict.fromkeys(pair_orbit(images, x, y), value))
             _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
         if kappa is None or value < kappa or (value == kappa and i < best):
@@ -527,10 +531,14 @@ def global_curvature(m: Matroid, exact: bool = True,
 
     The matroid gate runs first, in both modes: every bound below is a
     theorem about matroids, so a family failing the exchange axiom raises
-    NotAMatroid with the validator's witness. Every pair then gets its frame
-    and witness, and its bounds are looked up by the pair's signature: the
-    sorted multiset of (#N(S-u), #N(T-u), overlap) over its crossing drops
-    u. They are computed only for a signature not seen before. The
+    NotAMatroid with the validator's witness. The sweep then walks the
+    completion table: every adjacent pair is (R + a, R + b) for exactly one
+    (k-1)-set R = S ∩ T and a < b in N(R), already in canonical orientation
+    (canonical_pairs), so no list of every pair is built. Each pair gets its
+    frame and witness, and its bounds are looked up by the pair's
+    signature: the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
+    crossing drops u. They are computed only for a signature not seen
+    before, and the signature's group keeps its pairs. The
     signature and the rank determine both bounds: each is 1/k plus a sum of
     per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
     - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
@@ -547,10 +555,12 @@ def global_curvature(m: Matroid, exact: bool = True,
     theoremUB can reach it. They form one candidate list of
     (downstepLB, canonical index, theoremUB, S, T), sorted ascending, which
     the sweep walks keeping the smallest kappa so far and its canonical-first
-    pair. The walk stops at the first candidate with downstepLB > kappa, or
-    with downstepLB == kappa and an index after the current argmin. A pair
-    whose two bounds agree takes that value without a transport solve, and
-    every other value is checked against both bounds.
+    pair; the canonical index is the positions of S and T in
+    m.sorted_bases(). The walk stops at the first candidate with
+    downstepLB > kappa, or with downstepLB == kappa and an index after the
+    current argmin. A pair whose two bounds agree takes that value without
+    a transport solve, and every other value is checked against both
+    bounds.
 
     Solves are shared across automorphism orbits. An automorphism of m (see
     automorphism_generators) maps adjacent pairs to adjacent pairs with the
@@ -576,34 +586,39 @@ def global_curvature(m: Matroid, exact: bool = True,
                        f"{ENUMERATION_LIMIT}")
     m.require_matroid()
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
-    pairs = canonical_pairs(m)
 
-    # signature -> (downstepLB, theoremUB, indices of its pairs), both bounds
-    # as numerators over k * scale
+    # signature -> (downstepLB, theoremUB, its pairs), both bounds as
+    # numerators over k * scale
     scale = bound_scale(m.rank, m.n)
-    groups: dict[tuple[tuple[int, int, int], ...], tuple[int, int, list[int]]] = {}
-    for index, (x, y) in enumerate(pairs):
-        signature = compute_pair_witness(m, make_pair_frame(m, x, y)).signature
-        group = groups.get(signature)
-        if group is None:
-            lb, forward, reverse = bound_numerators(scale, signature)
-            group = groups[signature] = (lb, min(forward, reverse), [])
-        group[2].append(index)
+    groups: dict[tuple[tuple[int, int, int], ...],
+                 tuple[int, int, list[tuple[Mask, Mask]]]] = {}
+    pair_count = 0
+    for rest, members in m._completion_table().items():
+        for pair in combinations([rest | 1 << x for x in bits(members)], 2):
+            signature = compute_pair_witness(m, PairFrame(*pair)).signature
+            group = groups.get(signature)
+            if group is None:
+                lb, forward, reverse = bound_numerators(scale, signature)
+                group = groups[signature] = (lb, min(forward, reverse), [])
+            group[2].append(pair)
+            pair_count += 1
     denominator = m.rank * scale
     lb_min = min((lb for lb, _, _ in groups.values()), default=None)
     ub_min = min((ub for _, ub, _ in groups.values()), default=None)
-    bounds = (None, None) if not pairs else (Fraction(lb_min, denominator),
-                                             Fraction(ub_min, denominator))
+    bounds = (None, None) if not pair_count else (Fraction(lb_min, denominator),
+                                                  Fraction(ub_min, denominator))
     if not exact:
-        return GlobalReport(None, None, theorem_lb, *bounds, len(pairs),
-                            degenerate=not pairs)
+        return GlobalReport(None, None, theorem_lb, *bounds, pair_count,
+                            degenerate=not pair_count)
 
-    candidates = sorted((lb, i, ub, *pairs[i]) for lb, ub, indices in groups.values()
-                        if lb <= ub_min for i in indices)
+    position = {b: i for i, b in enumerate(m.sorted_bases())}
+    candidates = sorted((lb, (position[x], position[y]), ub, x, y)
+                        for lb, ub, pairs in groups.values() if lb <= ub_min
+                        for x, y in pairs)
     open_pairs = sum(lb < ub for lb, _, ub, _, _ in candidates)
     images = ([mask_image(p) for p in automorphism_generators(m)]
               if open_pairs > 1 or audit_all_pairs else [])
-    if pairs:
+    if pair_count:
         kappa, argmin = _pruned_minimum(m, candidates, denominator, images)
     else:
         kappa, argmin = Fraction(1), None
@@ -614,5 +629,5 @@ def global_curvature(m: Matroid, exact: bool = True,
             raise CurvatroidError(
                 f"all-pairs audit disagrees: {worst} != adjacent minimum {kappa}")
 
-    return GlobalReport(kappa, argmin, theorem_lb, *bounds, len(pairs),
-                        degenerate=not pairs, audited=audit_all_pairs)
+    return GlobalReport(kappa, argmin, theorem_lb, *bounds, pair_count,
+                        degenerate=not pair_count, audited=audit_all_pairs)

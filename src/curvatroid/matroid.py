@@ -222,19 +222,6 @@ class Matroid:
             self._lookup = _CompletionSets(self.bases, (1 << self.n) - 1)
         return self._lookup
 
-    def adjacent_basis_pairs(self) -> Iterator[tuple[Mask, Mask]]:
-        """Every unordered pair of bases differing by one exchange, once.
-
-        Groups bases by shared (k-1)-subsets, so the work is proportional to
-        the family size times the rank, never quadratic in the family.
-        """
-        for sub, members in self._completion_table().items():
-            xs = list(bits(members))
-            for i, x in enumerate(xs):
-                bx = sub | (1 << x)
-                for y in xs[i + 1:]:
-                    yield bx, sub | (1 << y)
-
     def require_matroid(self) -> None:
         """Raise NotAMatroid, naming the witness, unless the family satisfies
         the basis exchange axiom.

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import curvatroid as cv
-from curvatroid import (catalog, curvature, errors, fileio, matroid, symmetry,
+from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmetry,
                         transport, walk)
 
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
@@ -43,6 +43,8 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(matroid, "_bit_list")
     for name in ("is_basis", "exchange_neighborhood"):  # test helpers, tests/oracles.py
         assert not hasattr(cv.Matroid, name), name
+    # pairs come from canonical_pairs and the sweep, both over the completion table
+    assert not hasattr(cv.Matroid, "adjacent_basis_pairs")
     for name in ("coupling", "mass_multiset"):
         assert not hasattr(cv.DownstepCoupling, name), name
     # no group or digest cached on the Matroid, no orbit index map
@@ -55,6 +57,9 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     # of the rank-3 catalog matroid is a test helper, tests/oracles.py
     assert not hasattr(curvature, "downstep_expected_distance")
     assert not hasattr(catalog, "rank3_counterexample_linear_spec")
+    # one parser function, built once per process
+    assert not hasattr(cli, "build_parser")
+    assert cli._parser() is cli._parser()
 
 
 def test_deleted_knobs_are_gone():

@@ -12,8 +12,8 @@ import curvatroid as cv
 from curvatroid import cli, curvature
 from oracles import (cell_masses, coupling_cost, distance, fraction_downstep_lb,
                      fraction_theorem_ub_values, frame_by_symmetric_difference,
-                     proposition_distance_check, sorted_index_pairs, swapped,
-                     unpruned_global_curvature)
+                     proposition_distance_check, quadratic_adjacent_pairs,
+                     sorted_index_pairs, swapped, unpruned_global_curvature)
 
 F = Fraction
 
@@ -556,7 +556,7 @@ def test_bounds_are_computed_once_per_signature(test_set, monkeypatch):
 def test_canonical_pair_order_matches_sorted_index_tuples(test_set):
     for name, m in bound_test_set(test_set).items():
         pairs = cv.canonical_pairs(m)
-        assert pairs == sorted_index_pairs(m.adjacent_basis_pairs()), name
+        assert pairs == sorted_index_pairs(quadratic_adjacent_pairs(m.bases)), name
 
 
 def test_bounds_only_builds_no_kernel_and_exact_two_per_solve(monkeypatch):
@@ -579,6 +579,23 @@ def test_bounds_only_builds_no_kernel_and_exact_two_per_solve(monkeypatch):
     cv.global_curvature(m)
     assert len(solves) == 2
     assert kernels == [b for frame in solves for b in (frame.s_basis, frame.t_basis)]
+
+
+def test_sweep_keeps_no_list_of_every_pair(monkeypatch):
+    # the sweep walks the completion table and solves through PairFrame: with
+    # the pair list and the checked frame constructor gone it runs unchanged
+    families = (cv.build_named("vamos"), cv.build_named("fano"), cv.build_named("k4"))
+    want = [(cv.global_curvature(m, exact=False), cv.global_curvature(m),
+             cv.global_curvature(m, audit_all_pairs=True)) for m in families]
+
+    def refuse(*args):
+        raise AssertionError("the sweep built a pair list or a checked frame")
+
+    monkeypatch.setattr(curvature, "canonical_pairs", refuse)
+    monkeypatch.setattr(curvature, "make_pair_frame", refuse)
+    for m, reports in zip(families, want):
+        assert (cv.global_curvature(m, exact=False), cv.global_curvature(m),
+                cv.global_curvature(m, audit_all_pairs=True)) == reports, m.origin
 
 
 def test_audit_all_pairs():

@@ -13,7 +13,10 @@ integer kernel row must equal the Fraction row built from the walk's
 definition, and W1 between the rows of random basis pairs, at any distance, must equal networkx on the full
 unreduced problem. The integer closed-form bounds must equal their Fraction
 oracles on every adjacent pair in both orientations, and the coupling's
-integer expected distance must equal the Fraction sum over its cells. On
+integer expected distance must equal the Fraction sum over its cells.
+Every completion-table group R must list its pairs (R + a, R + b), a < b,
+in canonical orientation, and canonical_pairs must equal the quadratic
+definition, also on random explicit families that are not matroids. On
 random adjacent pairs the coupling table's cells and expected distance, and
 its report object, JSON and CSV with and without decimals, must equal the
 route that builds one Fraction per cell.
@@ -22,6 +25,7 @@ route that builds one Fraction per cell.
 import json
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -39,7 +43,9 @@ from oracles import (
     full_transport_problem,
     network_simplex_value,
     pruned_solve_order,
+    quadratic_adjacent_pairs,
     small_specs,
+    sorted_index_pairs,
     unpruned_global_curvature,
 )
 
@@ -130,6 +136,30 @@ def assert_integer_bounds_match_the_oracles(m, label):
             cells = fraction_coupling_cells(m, frame)
             assert 1 - lb == sum((c.mass * c.distance for c in cells), Fraction(0)) == \
                 cv.downstep_coupling_table(m, frame).expected_distance(), where
+
+
+@st.composite
+def explicit_families(draw):
+    """A nonempty family of k-subsets of at most 6 elements, as an explicit
+    spec; most such families are not matroids."""
+    ground = tuple("abcdef"[:draw(st.integers(2, 6))])
+    subsets = list(combinations(ground, draw(st.integers(1, len(ground) - 1))))
+    bases = draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+    return cv.ExplicitSpec(ground=ground, bases=tuple(bases))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(small_specs(), explicit_families()))
+def test_completion_groups_hold_canonically_oriented_pairs(spec):
+    m = cv.build_matroid(spec)
+    position = {b: i for i, b in enumerate(m.sorted_bases())}
+    for rest, members in m._completion_table().items():
+        for a, b in combinations(cv.bits(members), 2):
+            assert position[rest | 1 << a] < position[rest | 1 << b], (spec, rest, a, b)
+    pairs = cv.canonical_pairs(m)
+    assert pairs == sorted_index_pairs(quadratic_adjacent_pairs(m.bases)), spec
+    if cv.validate_exchange_axiom(m).ok:
+        assert cv.global_curvature(m, exact=False).pair_count == len(pairs), spec
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)

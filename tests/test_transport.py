@@ -249,7 +249,7 @@ def test_fix_common_mass_is_value_neutral(test_set):
     # problem, shared mass included
     m = test_set["k4"]
     d = partial(distance, m)
-    pairs = list(m.adjacent_basis_pairs())[:6]
+    pairs = cv.canonical_pairs(m)[:6]
     for s, t in pairs:
         mu, nu = cv.transition_distribution(m, s), cv.transition_distribution(m, t)
         problem = cv.TransportProblem.from_distance(mu, nu, d)
