@@ -38,7 +38,6 @@ from .matroid import (
     basis_sort_key,
     bits,
     build_matroid,
-    matrix_rank,
     validate_exchange_axiom,
 )
 from .catalog import CATALOG_NAMES, DISTINGUISHED_PAIRS, build_named
@@ -54,7 +53,6 @@ from .transport import (
     wasserstein1,
 )
 from .curvature import (
-    CouplingCell,
     DownstepCoupling,
     DropWitness,
     GlobalReport,
@@ -91,7 +89,7 @@ __all__ = [
     # matroids
     "ENUMERATION_LIMIT", "ExplicitSpec", "GraphicSpec", "LinearSpec", "Mask",
     "Matroid", "MatroidSpec", "NamedSpec", "UniformSpec", "basis_sort_key",
-    "bits", "build_matroid", "matrix_rank", "validate_exchange_axiom",
+    "bits", "build_matroid", "validate_exchange_axiom",
     "CATALOG_NAMES", "DISTINGUISHED_PAIRS", "build_named",
     "automorphism_generators",
     # walk
@@ -99,7 +97,7 @@ __all__ = [
     # transport
     "TransportProblem", "verify_transport_certificate", "wasserstein1",
     # curvature
-    "CouplingCell", "DownstepCoupling", "DropWitness", "GlobalReport",
+    "DownstepCoupling", "DropWitness", "GlobalReport",
     "PairFrame", "PairReport", "PairWitness", "canonical_pairs",
     "compute_pair_report", "compute_pair_witness", "downstep_coupling_table",
     "downstep_lb_pair", "exact_pair_curvature", "global_curvature",

@@ -113,13 +113,13 @@ def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
     so the T side can then add s_elem. The matroid gate runs first: the
     bounds built on the witness are theorems about matroids only, and in a
     matroid a non-crossing drop leaves N(S - u) = N(T - u), so only the
-    crossing drops need N(T - u). The sets come from
-    Matroid._completion_lookup(): the completion table inside a sweep,
-    which has built it, and only the pair's own sets otherwise.
+    crossing drops need N(T - u). The sets are read from the matroid's one
+    store (Matroid._completions), which computes only the pair's own sets
+    unless a sweep or the gate has filled it.
     """
     m.require_matroid()
     _require_frame_bases(m, frame)
-    table = m._completion_lookup()
+    table = m._completions
     s_basis, t_basis = frame.s_basis, frame.t_basis
     t_bit = 1 << frame.t_elem
     entries = []
@@ -247,43 +247,27 @@ def theorem_ub_pair(m: Matroid, frame: PairFrame) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CouplingCell:
-    """One outcome of the coupled down-up step (kept per drop, unaggregated)."""
-
-    drop_from_s: int
-    drop_from_t: int
-    add_to_s: int
-    add_to_t: int
-    x: Mask
-    y: Mask
-    mass: Fraction
-    distance: int
-
-
-@dataclass(frozen=True)
 class DownstepCoupling:
     """The down-step coupling of one pair, drop by drop as _coupling_drops
     yields it: per drop (drop from S, drop from T, denominator, cells), each
     cell (add to S, add to T, X, Y, weight) with a positive integer weight
     over the drop's denominator.
 
-    No route of the command line builds Fraction cells: the coupling report
-    (fileio.coupling_table_to_obj) renders the integer weights directly, and
-    the expected distance is summed in integers. cells reads the
-    CouplingCell outcomes off the weights on demand.
+    The coupling report (fileio.coupling_table_to_obj) renders the integer
+    weights directly, and the expected distance is summed in integers.
     """
 
     frame: PairFrame
     drops: tuple[tuple[int, int, int, tuple[tuple[int, int, Mask, Mask, int], ...]], ...]
 
     @property
-    def cells(self) -> tuple[CouplingCell, ...]:
-        """Every outcome with its exact mass, unaggregated, in drop order."""
-        return tuple(
-            CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
-                         exchange_distance(x, y))
-            for drop_s, drop_t, denominator, cells in self.drops
-            for add_s, add_t, x, y, w in cells)
+    def cells(self) -> tuple[tuple[int, int, int, int, Mask, Mask, int, int], ...]:
+        """Every outcome, unaggregated, in drop order: (drop from S, drop
+        from T, add to S, add to T, X, Y, weight, denominator). Only the
+        benchmark's coupling-cell count (bench/spans.py _n_cells) reads it."""
+        return tuple((drop_s, drop_t, add_s, add_t, x, y, w, denominator)
+                     for drop_s, drop_t, denominator, cells in self.drops
+                     for add_s, add_t, x, y, w in cells)
 
     def expected_distance(self) -> Fraction:
         return _expected_distance(self.drops)
@@ -301,12 +285,12 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
     S side and a - [matched] lo on the T side, paired by the product rule.
     A residual cell's mass is the product of its two sides over the
     residual total, so every weight of that drop is scaled by that total.
-    The completion sets N(S - u) and N(T - u) are read one at a time
-    (Matroid._completion_lookup), so no completion table is built for them.
+    The completion sets N(S - u) and N(T - u) are read one at a time from
+    the matroid's store (Matroid._completions), which they do not fill.
     """
     m.require_matroid()
     _require_frame_bases(m, frame)
-    table = m._completion_lookup()
+    table = m._completions
     k = m.rank
     s_elem, t_elem = frame.s_elem, frame.t_elem
     s_bit, t_bit = 1 << s_elem, 1 << t_elem
@@ -538,7 +522,8 @@ def global_curvature(m: Matroid, exact: bool = True,
     frame and witness, and its bounds are looked up by the pair's
     signature: the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
     crossing drops u. They are computed only for a signature not seen
-    before, and the signature's group keeps its pairs. The
+    before, and in exact mode the signature's group keeps its pairs, which
+    only the exact walk reads. The
     signature and the rank determine both bounds: each is 1/k plus a sum of
     per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
     - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
@@ -587,8 +572,8 @@ def global_curvature(m: Matroid, exact: bool = True,
     m.require_matroid()
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
 
-    # signature -> (downstepLB, theoremUB, its pairs), both bounds as
-    # numerators over k * scale
+    # signature -> (downstepLB, theoremUB, its pairs if exact), both bounds
+    # as numerators over k * scale
     scale = bound_scale(m.rank, m.n)
     groups: dict[tuple[tuple[int, int, int], ...],
                  tuple[int, int, list[tuple[Mask, Mask]]]] = {}
@@ -600,7 +585,8 @@ def global_curvature(m: Matroid, exact: bool = True,
             if group is None:
                 lb, forward, reverse = bound_numerators(scale, signature)
                 group = groups[signature] = (lb, min(forward, reverse), [])
-            group[2].append(pair)
+            if exact:
+                group[2].append(pair)
             pair_count += 1
     denominator = m.rank * scale
     lb_min = min((lb for lb, _, _ in groups.values()), default=None)

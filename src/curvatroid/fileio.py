@@ -266,7 +266,7 @@ def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
                           with_decimal: bool = False) -> dict:
     """The coupling report, rendered from the table's integer weights.
 
-    No CouplingCell is built: each mass is the cell's weight over its
+    No Fraction per cell is built: each mass is the cell's weight over its
     drop's denominator reduced by one gcd (the text of str(Fraction)), each
     distance is exchange_distance, a popcount, and the label list of each
     distinct basis is built once. expectedDistance is the table's own

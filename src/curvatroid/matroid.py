@@ -107,16 +107,15 @@ class Matroid:
     sorted_bases() and origin_hash() then use that order instead of sorting.
 
     The completion set N(R) of a (k-1)-set R holds the elements x with
-    R + x a basis. Whole-family passes (the sweep, pair enumeration,
-    validation) read the completion table, which groups every basis by its
-    (k-1)-subsets; the walk kernels, the pair witness and the down-step
-    coupling read one N(R) at a time through _completion_lookup(), so a
-    single-pair query on a family that needs no validation never builds the
-    table.
+    R + x a basis; _completions is their one store (_CompletionSets). The
+    walk kernels, the pair witness and the down-step coupling subscript it,
+    one N(R) at a time, so a single-pair query on a family that needs no
+    validation never fills it; whole-family passes (the sweep, pair
+    enumeration, validation) iterate the full table, _completion_table().
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
-                 "_lookup", "_sorted", "_keys", "_exchange", "__weakref__")
+                 "_sorted", "_keys", "_exchange", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
                  known_matroid: bool = False,
@@ -144,8 +143,7 @@ class Matroid:
         self.bases = family
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._completions: dict[Mask, Mask] | None = None
-        self._lookup: _CompletionSets | None = None
+        self._completions = _CompletionSets(family, full)
         self._exchange: ValidationResult | None = (
             ValidationResult.passed("matroid by construction") if known_matroid else None)
 
@@ -191,36 +189,11 @@ class Matroid:
 
     # -- exchange structure ----------------------------------------------
 
-    def _completion_table(self) -> dict[Mask, Mask]:
-        # group bases by their (k-1)-subsets: table[B - u] has bit x set
-        # exactly when (B - u) + x is a basis
-        if self._completions is None:
-            table: dict[Mask, Mask] = {}
-            for b in self.bases:
-                rest = b
-                while rest:
-                    low = rest & -rest
-                    sub = b ^ low
-                    table[sub] = table.get(sub, 0) | low
-                    rest ^= low
-            self._completions = table
+    def _completion_table(self) -> _CompletionSets:
+        """The store, filled with every (k-1)-subset of a basis."""
+        if not self._completions.complete:
+            self._completions.fill()
         return self._completions
-
-    def _completion_lookup(self) -> dict[Mask, Mask]:
-        """N(R) by (k-1)-set R, for reads of a few sets.
-
-        Once the completion table is built this is the table itself.
-        Before, it is a mapping that computes N(R) at its first subscript,
-        from the n - k + 1 membership tests R + x in bases, and remembers
-        it; a pair query reads 2k - 1 such sets, where building the table
-        visits all |bases| * k (basis, element) pairs. Subscript only with a
-        (k-1)-subset of a basis: the table has no other keys.
-        """
-        if self._completions is not None:
-            return self._completions
-        if self._lookup is None:
-            self._lookup = _CompletionSets(self.bases, (1 << self.n) - 1)
-        return self._lookup
 
     def require_matroid(self) -> None:
         """Raise NotAMatroid, naming the witness, unless the family satisfies
@@ -256,18 +229,28 @@ class Matroid:
 
 
 class _CompletionSets(dict):
-    """Completion sets computed on demand (Matroid._completion_lookup).
+    """N(R) by (k-1)-set R: the one store of a Matroid's completion sets.
+
+    A subscript computes N(R) at its first read, from the n - k + 1
+    membership tests R + x in bases, and remembers it; a pair query reads
+    2k - 1 such sets. fill() adds every key in one pass over the bases,
+    visiting all |bases| * k (basis, element) pairs, and sets complete: the
+    store is then the completion table that whole-family passes iterate.
+    Keys read before the fill come first in iteration order, so those
+    passes must not depend on key order. Subscript only with a (k-1)-subset
+    of a basis: the table has no other keys.
 
     Holds the basis family and the ground-set mask, not the matroid, so the
-    matroid and its lookup form no reference cycle.
+    matroid and its store form no reference cycle.
     """
 
-    __slots__ = ("_bases", "_ground")
+    __slots__ = ("_bases", "_ground", "complete")
 
     def __init__(self, bases: frozenset[Mask], ground: Mask):
         super().__init__()
         self._bases = bases
         self._ground = ground
+        self.complete = False
 
     def __missing__(self, sub: Mask) -> Mask:
         bases = self._bases
@@ -280,6 +263,19 @@ class _CompletionSets(dict):
             rest ^= low
         self[sub] = found
         return found
+
+    def fill(self) -> None:
+        """Add every key in one pass over the bases: self[B - u] gets bit u
+        of each basis B; a key read before already holds every such bit."""
+        get = self.get  # dict.get: never calls __missing__
+        for b in self._bases:
+            rest = b
+            while rest:
+                low = rest & -rest
+                sub = b ^ low
+                self[sub] = get(sub, 0) | low
+                rest ^= low
+        self.complete = True
 
 
 # ── constructions ───────────────────────────────────────────────────────────
@@ -478,11 +474,6 @@ def _integer_rank(m: list[list[int]]) -> int:
         if rank == height:
             break
     return rank
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix, by integer Bareiss elimination."""
-    return _integer_rank(_integer_rows(rows))
 
 
 def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:

@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 
 import curvatroid as cv
-from oracles import cell_masses, coupling_cost, distance
+from oracles import cell_masses, coupling_cost, distance, fraction_cells, masses
 
 PairData = namedtuple(
     "PairData",
@@ -87,8 +87,8 @@ def sweep(test_set) -> dict[str, SweepResult]:
             lb = cv.downstep_lb_pair(m, frame)
             forward, reverse = cv.theorem_ub_values(m, frame)
             table = cv.downstep_coupling_table(m, frame)
-            cost = coupling_cost(cell_masses(table.cells), g[x].masses,
-                                 g[y].masses, partial(distance, m))
+            cost = coupling_cost(cell_masses(fraction_cells(table.cells)),
+                                 masses(g[x]), masses(g[y]), partial(distance, m))
             kappa = cv.exact_pair_curvature(m, frame)
             pairs.append(PairData(x, y, lb, forward, reverse, kappa,
                                   table.expected_distance(), cost))

@@ -17,7 +17,8 @@ pair bounds by Fraction sums over the witness's drops, and the coupling
 report by one Fraction per cell of the coupling's drops. The test-only
 helpers at the end (the unpruned exact sweep, the pruned sweep's solve
 order from the Fraction bounds, the distance proposition,
-the distribution rendering and masses, the random-matroid strategy, the
+the distribution rendering and masses, the random-matroid and
+explicit-family strategies, the
 exchange distance between bases, basis membership by labels, one
 exchange neighbourhood by membership tests and the vector realization of
 the rank-3 catalog matroid) use the public library API.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import curvatroid as cv
-from curvatroid import curvature
+from curvatroid import curvature, matroid
 from curvatroid.catalog import RANK3_GROUND
 from curvatroid.walk import exchange_distance
 
@@ -148,7 +149,7 @@ def coupling_cost(masses, mu, nu, dist):
 
 
 def cell_masses(cells):
-    """Sum the masses of coupling cells (objects with x, y, mass) per (x, y)."""
+    """Sum the masses of coupling cells (CouplingCell records) per (x, y)."""
     out = {}
     for c in cells:
         out[(c.x, c.y)] = out.get((c.x, c.y), 0) + c.mass
@@ -226,11 +227,14 @@ def linear_bases_by_subsets(spec):
     kept when its own submatrix has rank k, by the integer rank that
     test_integer_rank_matches_fraction_elimination checks.
     """
+    def rank(rows):
+        return matroid._integer_rank(matroid._integer_rows(rows))
+
     rows = spec.matrix
     width = len(rows[0])
-    k = cv.matrix_rank(rows)
+    k = rank(rows)
     return [combo for combo in combinations(range(width), k)
-            if cv.matrix_rank([[row[c] for c in combo] for row in rows]) == k]
+            if rank([[row[c] for c in combo] for row in rows]) == k]
 
 
 def origin_hash_by_sort(m):
@@ -332,8 +336,8 @@ def full_transport_problem(mu, nu, dist=set_difference_size):
     Fraction masses and cost dist(x, y) (default |X - Y|); no shared mass
     is fixed, so the optimum of this problem is W1 by definition.
     """
-    rows = sorted(mu.masses, key=index_tuple)
-    cols = sorted(nu.masses, key=index_tuple)
+    rows = support(mu)
+    cols = support(nu)
     return FullProblem(rows, cols, [mass(mu, x) for x in rows],
                        [mass(nu, y) for y in cols],
                        [[dist(x, y) for y in cols] for x in rows])
@@ -421,13 +425,25 @@ def fraction_theorem_ub_values(m, frame, witness):
     return forward, reverse
 
 
+CouplingCell = namedtuple(
+    "CouplingCell", "drop_from_s drop_from_t add_to_s add_to_t x y mass distance")
+
+
+def fraction_cells(cells):
+    """Flat integer coupling cells, (drop from S, drop from T, add to S, add
+    to T, X, Y, weight, denominator) as DownstepCoupling.cells lists them,
+    as CouplingCell records: each mass a Fraction of the weight over the
+    denominator, each distance |X - Y| from index tuples."""
+    return tuple(CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
+                              set_difference_size(x, y))
+                 for drop_s, drop_t, add_s, add_t, x, y, w, denominator in cells)
+
+
 def fraction_coupling_cells(m, frame):
-    """The down-step coupling as one CouplingCell per cell: each mass a
-    Fraction of the cell's weight over its drop's denominator, each distance
-    |X - Y| from index tuples."""
-    return tuple(
-        cv.CouplingCell(drop_s, drop_t, add_s, add_t, x, y, Fraction(w, denominator),
-                        set_difference_size(x, y))
+    """The down-step coupling as one CouplingCell per cell (fraction_cells),
+    read straight off the drops of _coupling_drops."""
+    return fraction_cells(
+        (drop_s, drop_t, add_s, add_t, x, y, w, denominator)
         for drop_s, drop_t, denominator, cells in curvature._coupling_drops(m, frame)
         for add_s, add_t, x, y, w in cells)
 
@@ -550,9 +566,29 @@ def small_specs():
     return specs()
 
 
+def explicit_families():
+    """Hypothesis strategy for a nonempty family of k-subsets of at most 6
+    elements, as an explicit spec; most such families are not matroids."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def families(draw):
+        ground = tuple("abcdef"[:draw(st.integers(2, 6))])
+        subsets = list(combinations(ground, draw(st.integers(1, len(ground) - 1))))
+        bases = draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+        return cv.ExplicitSpec(ground=ground, bases=tuple(bases))
+
+    return families()
+
+
 def mass(dist, b):
     """Exact mass of basis b under a distribution, 0 off its support."""
     return Fraction(dist.weights.get(b, 0), dist.denominator)
+
+
+def masses(dist):
+    """Every support entry of a distribution with its exact mass."""
+    return {b: mass(dist, b) for b in dist.weights}
 
 
 def support(dist):

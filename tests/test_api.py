@@ -11,13 +11,15 @@ from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmet
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
 # coupling layer and the kernel cache (BasisGraph), and format_rational, which
 # only called str; proposition_distance_check,
-# distribution_to_obj, items_sorted and ElementNotInBasis are test helpers in
-# tests/oracles.py
+# distribution_to_obj, items_sorted, ElementNotInBasis and the Fraction
+# coupling cell are test helpers in tests/oracles.py, and the rank wrapper
+# matrix_rank is gone
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
-           "ElementNotInBasis", "BasisGraph", "format_rational")
+           "ElementNotInBasis", "BasisGraph", "format_rational", "CouplingCell",
+           "matrix_rank")
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():
@@ -30,8 +32,13 @@ def test_public_names_resolve_and_deleted_names_are_gone():
         assert not hasattr(transport, name), name
     assert not hasattr(curvature, "proposition_distance_check")
     assert not hasattr(fileio, "distribution_to_obj")
-    for name in ("items_sorted", "mass", "support"):  # tests/oracles.py
+    for name in ("items_sorted", "mass", "masses", "support"):  # tests/oracles.py
         assert not hasattr(cv.Distribution, name), name
+    assert not hasattr(curvature, "CouplingCell") and not hasattr(matroid, "matrix_rank")
+    # a distribution equals only itself: no second, mass-comparing route
+    assert cv.Distribution.__eq__ is object.__eq__
+    d = cv.Distribution({1: 1}, 1)
+    assert d == d and d != cv.Distribution({1: 1}, 1)
     assert not hasattr(errors, "ElementNotInBasis")
     m = cv.build_named("k4")
     rows = cv.basis_graph(m)
@@ -47,8 +54,10 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(cv.Matroid, "adjacent_basis_pairs")
     for name in ("coupling", "mass_multiset"):
         assert not hasattr(cv.DownstepCoupling, name), name
+    # one completion-set store on the Matroid, no second accessor or slot
+    assert not hasattr(cv.Matroid, "_completion_lookup")
     # no group or digest cached on the Matroid, no orbit index map
-    for name in ("_automorphisms", "_hash"):
+    for name in ("_automorphisms", "_hash", "_lookup"):
         assert name not in cv.Matroid.__slots__, name
     assert not hasattr(curvature, "_pair_orbits")
     assert not hasattr(symmetry, "_search")

@@ -10,10 +10,11 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import cli, curvature
-from oracles import (cell_masses, coupling_cost, distance, fraction_downstep_lb,
-                     fraction_theorem_ub_values, frame_by_symmetric_difference,
-                     proposition_distance_check, quadratic_adjacent_pairs,
-                     sorted_index_pairs, swapped, unpruned_global_curvature)
+from oracles import (cell_masses, coupling_cost, distance, fraction_cells,
+                     fraction_downstep_lb, fraction_theorem_ub_values,
+                     frame_by_symmetric_difference, masses, proposition_distance_check,
+                     quadratic_adjacent_pairs, sorted_index_pairs, swapped,
+                     unpruned_global_curvature)
 
 F = Fraction
 
@@ -205,9 +206,10 @@ def test_coupling_cells_stay_within_distance_two():
     m = cv.build_named("k4")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
     table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, s, t))
-    for cell in table.cells:
+    cells = fraction_cells(table.cells)
+    for cell in cells:
         assert cell.distance == distance(m, cell.x, cell.y) <= 2
-    assert sum((c.mass for c in table.cells), F(0)) == 1
+    assert sum((c.mass for c in cells), F(0)) == 1
 
 
 def test_coupling_aggregation_merges_duplicate_targets():
@@ -216,10 +218,10 @@ def test_coupling_aggregation_merges_duplicate_targets():
     t = m.mask_from_labels(("ab", "cd", "da"))
     frame = cv.make_pair_frame(m, s, t)
     table = cv.downstep_coupling_table(m, frame)
-    aggregated = cell_masses(table.cells)
+    aggregated = cell_masses(fraction_cells(table.cells))
     assert len(table.cells) > len(aggregated)
     g = cv.basis_graph(m)
-    assert coupling_cost(aggregated, g[s].masses, g[t].masses,
+    assert coupling_cost(aggregated, masses(g[s]), masses(g[t]),
                          partial(distance, m)) == table.expected_distance()
     assert 1 - table.expected_distance() == cv.downstep_lb_pair(m, frame)
 

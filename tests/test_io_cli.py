@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import curvatroid as cv
-from curvatroid import catalog, cli, curvature
+from curvatroid import catalog, cli, curvature, matroid
 from curvatroid import fileio as fio
 from curvatroid.cli import main
 from oracles import distribution_to_obj, is_basis, rank3_counterexample_linear_spec
@@ -273,26 +273,33 @@ def test_pair_queries_build_no_completion_table(kind):
     for x, y in pairs[::max(1, len(pairs) // 12)]:
         m = cv.build_matroid(spec)
         assert pair_and_coupling_text(m, x, y) == pair_and_coupling_text(swept, x, y)
-        assert m._completions is None
+        assert not m._completions.complete
 
 
 def test_explicit_pair_queries_build_the_completion_table_once(monkeypatch):
-    """The matroid gate of an explicit family builds the table, and the
-    pair and coupling reports then read it."""
-    builds = []
-    build = cv.Matroid._completion_table
+    """The matroid gate of an explicit family fills the completion-set
+    store, once, and the pair and coupling reports then read it."""
+    fills, gated = [], []  # (store, inside the gate) per fill; gates running
+    fill, validate = matroid._CompletionSets.fill, matroid.validate_exchange_axiom
 
     def counted(self):
-        if self._completions is None:
-            builds.append(self)
-        return build(self)
+        fills.append((self, bool(gated)))
+        fill(self)
 
-    monkeypatch.setattr(cv.Matroid, "_completion_table", counted)
+    def gate(m):
+        gated.append(m)
+        try:
+            return validate(m)
+        finally:
+            gated.pop()
+
+    monkeypatch.setattr(matroid._CompletionSets, "fill", counted)
+    monkeypatch.setattr(matroid, "validate_exchange_axiom", gate)
     m = cv.build_named("rank3-counterexample")
     s, t = (m.mask_from_labels(b) for b in catalog.DISTINGUISHED_PAIRS[
         "rank3-counterexample"])
     pair_and_coupling_text(m, s, t)
-    assert builds == [m]
+    assert fills == [(m._completions, True)] and m._completions.complete
 
 
 def test_csv_curvature_kv(capsys):

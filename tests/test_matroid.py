@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import curvatroid as cv
+from curvatroid.matroid import _integer_rank, _integer_rows
 from oracles import (ElementNotInBasis, exchange_neighborhood, graphic_bases_by_subsets,
                      is_basis, origin_hash_by_sort, quadratic_adjacent_pairs,
                      rank3_counterexample_linear_spec)
@@ -147,11 +148,14 @@ def test_linear_errors():
 
 
 def test_matrix_rank():
-    assert cv.matrix_rank(()) == 0
-    assert cv.matrix_rank(((Fraction(2), Fraction(4)),
-                           (Fraction(1), Fraction(2)))) == 1
-    assert cv.matrix_rank(((Fraction(1, 3), Fraction(0)),
-                           (Fraction(0), Fraction(5, 7)))) == 2
+    def rank(rows):
+        return _integer_rank(_integer_rows(rows))
+
+    assert rank(()) == 0
+    assert rank(((Fraction(2), Fraction(4)),
+                 (Fraction(1), Fraction(2)))) == 1
+    assert rank(((Fraction(1, 3), Fraction(0)),
+                 (Fraction(0), Fraction(5, 7)))) == 2
 
 
 def test_explicit_errors():

@@ -1,15 +1,17 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
 Fraction elimination, the graphic spanning-forest search and the linear
-minor pass against per-subset enumeration, and the one-set completion
-lookup against the completion table."""
+minor pass against per-subset enumeration, and the completion-set store,
+read one set at a time and then filled, against a fresh completion table."""
 
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
-from oracles import (exchange_neighborhood, fraction_matrix_rank, graphic_bases_by_subsets,
-                     linear_bases_by_subsets, origin_hash_by_sort, small_specs)
+from curvatroid.matroid import _integer_rank, _integer_rows
+from oracles import (exchange_neighborhood, explicit_families, fraction_matrix_rank,
+                     graphic_bases_by_subsets, linear_bases_by_subsets, origin_hash_by_sort,
+                     small_specs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,7 +40,7 @@ def rational_matrices(draw):
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(rational_matrices())
 def test_integer_rank_matches_fraction_elimination(matrix):
-    assert cv.matrix_rank(matrix) == fraction_matrix_rank(matrix)
+    assert _integer_rank(_integer_rows(matrix)) == fraction_matrix_rank(matrix)
 
 
 @st.composite
@@ -146,23 +148,25 @@ def test_minor_pass_on_fixed_shapes():
     for matrix in (rows, row, square, tall):
         spec = cv.LinearSpec(matrix=matrix)
         assert_linear_matches_subsets(spec)
-        ranks.append(cv.matrix_rank(matrix))
+        ranks.append(_integer_rank(_integer_rows(matrix)))
     assert ranks == [12, 1, 4, 4]
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(small_specs(), st.data())
+@hypothesis.given(st.one_of(small_specs(), explicit_families()), st.data())
 def test_completion_lookup_matches_the_table(spec, data):
-    """Read on demand, N(R) equals the table's entry for every key R, in a
-    random order of first reads; once the table is built the lookup is it."""
+    """Read one set at a time from the store, N(R) equals a fresh scan's
+    entry for random keys R in a random order of first reads; filling the
+    store then gives exactly the fresh scan's keys and values."""
     lazy = cv.build_matroid(spec)
     table = cv.build_matroid(spec)._completion_table()
     keys = data.draw(st.permutations(sorted(table)))
-    lookup = lazy._completion_lookup()
-    assert [lookup[key] for key in keys] == [table[key] for key in keys]
-    assert lazy._completions is None
-    assert lazy._completion_table() == table
-    assert lazy._completion_lookup() is lazy._completions
+    keys = keys[:data.draw(st.integers(0, len(keys)))]
+    store = lazy._completions
+    assert [store[key] for key in keys] == [table[key] for key in keys]
+    assert list(store) == keys and not store.complete
+    assert lazy._completion_table() is store and store.complete
+    assert store == table
     for b in lazy.bases:
         for u in cv.bits(b):
             assert exchange_neighborhood(lazy, b, u) == table[b ^ 1 << u]

@@ -67,9 +67,11 @@ def _calls() -> dict[tuple[str, str], tuple[tuple, object, int]]:
     mu = cv.transition_distribution(m, frame.s_basis)
     nu = cv.transition_distribution(m, frame.t_basis)
     problem = cv.TransportProblem.from_distance(mu, nu, exchange_distance)
-    p, q = mu.masses, nu.masses  # the residual rows and columns
-    rows = sum(1 for b in p if p[b] > q.get(b, 0))
-    cols = sum(1 for b in q if q[b] > p.get(b, 0))
+    # the residual rows and columns: masses compared by cross-multiplying
+    # the weights with the other side's denominator
+    p, q = mu.weights, nu.weights
+    rows = sum(1 for b in p if p[b] * nu.denominator > q.get(b, 0) * mu.denominator)
+    cols = sum(1 for b in q if q[b] * mu.denominator > p.get(b, 0) * nu.denominator)
     return {
         ("curvatroid.matroid", "build_matroid"): ((spec,), m, 16),
         ("curvatroid.curvature", "canonical_pairs"):
