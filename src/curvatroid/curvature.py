@@ -461,7 +461,10 @@ def _pruned_minimum(m: Matroid,
     images are set maps of automorphisms of m (mask_image), possibly none.
     Automorphisms preserve both bounds and the exact value, so a solved
     value is recorded for every pair of its orbit (pair_orbit) and a later
-    member reuses it instead of solving. The walk trusts lb to discard
+    member reuses it instead of solving. A candidate's bounds may have been
+    carried over from another pair of its orbit (global_curvature), so each
+    visited pair recomputes them from its own witness and raises
+    CurvatroidError unless they are equal. The walk trusts lb to discard
     pairs, so every value, solved or reused, is held to the pair's own
     bounds.
     """
@@ -471,6 +474,11 @@ def _pruned_minimum(m: Matroid,
         lb = Fraction(lb_numerator, denominator)
         if kappa is not None and (lb > kappa or (lb == kappa and i > best)):
             break
+        (own_lb, forward, reverse), _ = _pair_numerators(
+            m, compute_pair_witness(m, PairFrame(x, y)))
+        if (own_lb, min(forward, reverse)) != (lb_numerator, ub_numerator):
+            raise CurvatroidError(f"pair {m.labels_of(x)} / {m.labels_of(y)}: bounds "
+                                  f"differ from those of its key orbit")
         if ub_numerator == lb_numerator:
             value = lb
         else:
@@ -509,59 +517,86 @@ def _audit_minimum(m: Matroid, images: list[Callable[[Mask], Mask]]) -> Fraction
     return worst
 
 
+def _key_orbit(rest: Mask, images: list[Callable[[Mask], Mask]],
+               steps: dict[Mask, tuple[Mask, int] | None]) -> list[Mask]:
+    """The orbit of the completion-table key rest under the group generated
+    by images, breadth first from rest. steps is a Schreier vector shared by
+    all orbits: steps[key] is (parent key, generator index) for a key reached
+    from its parent by that generator, and None for rest. With no images the
+    orbit is rest alone and nothing is recorded."""
+    orbit = [rest]
+    if images:
+        steps[rest] = None
+    for key in orbit:  # grows while it is read
+        for g, image in enumerate(images):
+            image_key = image(key)
+            if image_key not in steps:
+                steps[image_key] = key, g
+                orbit.append(image_key)
+    return orbit
+
+
 def global_curvature(m: Matroid, exact: bool = True,
                      audit_all_pairs: bool = False) -> GlobalReport:
     """Minimum pair curvature over every adjacent pair, plus global bounds.
 
     The matroid gate runs first, in both modes: every bound below is a
     theorem about matroids, so a family failing the exchange axiom raises
-    NotAMatroid with the validator's witness. The sweep then walks the
-    completion table: every adjacent pair is (R + a, R + b) for exactly one
-    (k-1)-set R = S ∩ T and a < b in N(R), already in canonical orientation
-    (canonical_pairs), so no list of every pair is built. Each pair gets its
-    frame and witness, and its bounds are looked up by the pair's
-    signature: the sorted multiset of (#N(S-u), #N(T-u), overlap) over its
-    crossing drops u. They are computed only for a signature not seen
-    before, and in exact mode the signature's group keeps its pairs, which
-    only the exact walk reads. The
-    signature and the rank determine both bounds: each is 1/k plus a sum of
-    per-drop terms in those three sizes, because #onlyS = #N(S-u) - overlap
-    - 1 (t lies in N(S-u) and never in N(T-u), a completion set being
-    disjoint from its own (k-1)-set) and symmetrically for #onlyT.
-    Both are integers over k * L, L = lcm(1, ..., n - k + 1): a completion
-    set N(R) lies in E - R, so #N(R) <= n - k + 1 divides L. The minima
-    are taken in integers, and a Fraction is built only for a report field
-    or where a bound is compared with a solved value.
+    NotAMatroid with the validator's witness. Every adjacent pair is
+    (R + a, R + b) for exactly one completion-table key, the (k-1)-set
+    R = S ∩ T, and a < b in N(R), already in canonical orientation
+    (canonical_pairs), so no list of every pair is built. A pair's bounds
+    are looked up by its signature: the sorted multiset of (#N(S-u),
+    #N(T-u), overlap) over its crossing drops u, computed only for a
+    signature not seen before. The signature and the rank determine both
+    bounds: each is 1/k plus a sum of per-drop terms in those three sizes,
+    because #onlyS = #N(S-u) - overlap - 1 (t lies in N(S-u) and never in
+    N(T-u), a completion set being disjoint from its own (k-1)-set) and
+    symmetrically for #onlyT. Both are integers over k * L,
+    L = lcm(1, ..., n - k + 1): a completion set N(R) lies in E - R, so
+    #N(R) <= n - k + 1 divides L. The minima are taken in integers, and a
+    Fraction is built only for a report field or where a bound is compared
+    with a solved value.
+
+    The sweep walks the orbits of the keys under the automorphism group
+    (see automorphism_generators), searched once per exact run before the
+    sweep; a bounds-only run passes no generators, so every key is its own
+    orbit. Only the pairs of the orbit's first key get a witness, and the
+    orbit adds |orbit| * C(#N(R), 2) to the pair count: an automorphism
+    sigma maps N(R) onto N(sigma R) and each pair to a pair with the same
+    bounds, since downstepLB is symmetric in S and T and theoremUB is the
+    smaller of its two orientations. (The signature itself is not
+    invariant, so bounds are carried over, not signatures.) A subgroup
+    gives finer orbits and the same result.
 
     The exact minimum is found by branch and bound on those bounds. In a
     matroid downstepLB <= kappa <= theoremUB on every pair, since
     downstepLB is 1 minus the expected distance of a valid coupling, so
     kappa <= min theoremUB and only the pairs with downstepLB <= min
-    theoremUB can reach it. They form one candidate list of
-    (downstepLB, canonical index, theoremUB, S, T), sorted ascending, which
-    the sweep walks keeping the smallest kappa so far and its canonical-first
-    pair; the canonical index is the positions of S and T in
-    m.sorted_bases(). The walk stops at the first candidate with
+    theoremUB can reach it. Each first key's such pairs (R + a, R + b) are
+    carried, with their bounds and no witness, to every key sigma R of its
+    orbit along the Schreier vector: the image pair is oriented smaller
+    mask first, which is (sigma R + min(sigma a, sigma b),
+    sigma R + max(sigma a, sigma b)), the canonical orientation. They form
+    one candidate list of (downstepLB, canonical index, theoremUB, S, T),
+    sorted ascending, which _pruned_minimum walks keeping the smallest
+    kappa so far and its canonical-first pair; the canonical index is the
+    positions of S and T in m.sorted_bases(). The walk stops at the first candidate with
     downstepLB > kappa, or with downstepLB == kappa and an index after the
-    current argmin. A pair whose two bounds agree takes that value without
-    a transport solve, and every other value is checked against both
-    bounds.
-
-    Solves are shared across automorphism orbits. An automorphism of m (see
-    automorphism_generators) maps adjacent pairs to adjacent pairs with the
-    same signature and the same exact value. The candidates with unequal
-    bounds are the only pairs that may need a solve. The group is searched
-    at most once per call: when two or more such pairs exist, or when the
-    audit runs. Its maps go to both the sweep, which reuses a solved value
-    for every later pair of its orbit, and the audit.
+    current argmin. Each pair it visits recomputes its bounds from its own
+    witness and must match the carried ones; a pair whose two bounds agree
+    takes that value without a transport solve, a solved value is reused
+    for every later pair of its orbit, and every other value is checked
+    against both bounds.
 
     A single-basis family has no pairs; by convention it reports curvature 1
     with the degenerate flag set. With audit_all_pairs the minimum of
     1 - W1/d over all basis pairs (any distance) is computed as well, one
-    solve per orbit of unordered basis pairs, and must agree with the
-    adjacent-pair minimum. The audit needs exact=True, raises TooLarge
-    before any work when the family has more than ENUMERATION_LIMIT pairs,
-    and passes vacuously when there is only one basis.
+    solve per orbit of unordered basis pairs under the same generators, and
+    must agree with the adjacent-pair minimum. The audit needs exact=True,
+    raises TooLarge before any work when the family has more than
+    ENUMERATION_LIMIT pairs, and passes vacuously when there is only one
+    basis.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
@@ -571,26 +606,33 @@ def global_curvature(m: Matroid, exact: bool = True,
                        f"{ENUMERATION_LIMIT}")
     m.require_matroid()
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
+    images = [mask_image(p) for p in automorphism_generators(m)] if exact else []
 
-    # signature -> (downstepLB, theoremUB, its pairs if exact), both bounds
-    # as numerators over k * scale
+    # signature -> (downstepLB, theoremUB), numerators over k * scale
     scale = bound_scale(m.rank, m.n)
-    groups: dict[tuple[tuple[int, int, int], ...],
-                 tuple[int, int, list[tuple[Mask, Mask]]]] = {}
+    bounds_of: dict[tuple[tuple[int, int, int], ...], tuple[int, int]] = {}
     pair_count = 0
+    steps: dict[Mask, tuple[Mask, int] | None] = {}
+    kept = []  # exact: (orbit, pairs (lb, ub, S, T) of its first key)
     for rest, members in m._completion_table().items():
-        for pair in combinations([rest | 1 << x for x in bits(members)], 2):
-            signature = compute_pair_witness(m, PairFrame(*pair)).signature
-            group = groups.get(signature)
-            if group is None:
+        if rest in steps:
+            continue
+        orbit = _key_orbit(rest, images, steps)
+        pair_count += len(orbit) * comb(members.bit_count(), 2)
+        pairs = []
+        for x, y in combinations([rest | 1 << e for e in bits(members)], 2):
+            signature = compute_pair_witness(m, PairFrame(x, y)).signature
+            bounds = bounds_of.get(signature)
+            if bounds is None:
                 lb, forward, reverse = bound_numerators(scale, signature)
-                group = groups[signature] = (lb, min(forward, reverse), [])
+                bounds = bounds_of[signature] = lb, min(forward, reverse)
             if exact:
-                group[2].append(pair)
-            pair_count += 1
+                pairs.append((*bounds, x, y))
+        if pairs:
+            kept.append((orbit, pairs))
     denominator = m.rank * scale
-    lb_min = min((lb for lb, _, _ in groups.values()), default=None)
-    ub_min = min((ub for _, ub, _ in groups.values()), default=None)
+    lb_min = min((lb for lb, _ in bounds_of.values()), default=None)
+    ub_min = min((ub for _, ub in bounds_of.values()), default=None)
     bounds = (None, None) if not pair_count else (Fraction(lb_min, denominator),
                                                   Fraction(ub_min, denominator))
     if not exact:
@@ -598,12 +640,19 @@ def global_curvature(m: Matroid, exact: bool = True,
                             degenerate=not pair_count)
 
     position = {b: i for i, b in enumerate(m.sorted_bases())}
-    candidates = sorted((lb, (position[x], position[y]), ub, x, y)
-                        for lb, ub, pairs in groups.values() if lb <= ub_min
-                        for x, y in pairs)
-    open_pairs = sum(lb < ub for lb, _, ub, _, _ in candidates)
-    images = ([mask_image(p) for p in automorphism_generators(m)]
-              if open_pairs > 1 or audit_all_pairs else [])
+    candidates = []
+    for orbit, pairs in kept:
+        carried = {orbit[0]: [pair for pair in pairs if pair[0] <= ub_min]}
+        if not carried[orbit[0]]:
+            continue
+        for key in orbit[1:]:  # breadth first: a parent comes before its children
+            parent, g = steps[key]
+            image = images[g]
+            carried[key] = [(lb, ub, *sorted((image(x), image(y))))
+                            for lb, ub, x, y in carried[parent]]
+        candidates += [(lb, (position[x], position[y]), ub, x, y)
+                       for key_pairs in carried.values() for lb, ub, x, y in key_pairs]
+    candidates.sort()
     if pair_count:
         kappa, argmin = _pruned_minimum(m, candidates, denominator, images)
     else:

@@ -26,9 +26,13 @@ complete these generate the whole group. The search stops at
 SEARCH_BUDGET pair reads of P; running out loses generators, never
 soundness, since every kept permutation was checked against the family.
 
-Each call of automorphism_generators runs a search. global_curvature searches
-at most once per call and hands the set maps (mask_image) to the exact sweep
-and the all-pairs audit.
+Each call of automorphism_generators runs a search. An exact
+global_curvature run searches once, before its sweep, and uses the
+generators three times: the sweep walks the orbits of the completion-table
+keys and carries the candidate pairs of each orbit's first key to the rest
+of its orbit, and the set maps (mask_image) let the exact walk and the
+all-pairs audit reuse a solved value across an orbit of pairs. A
+bounds-only run does not search.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import inspect
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -598,6 +599,67 @@ def test_sweep_keeps_no_list_of_every_pair(monkeypatch):
     for m, reports in zip(families, want):
         assert (cv.global_curvature(m, exact=False), cv.global_curvature(m),
                 cv.global_curvature(m, audit_all_pairs=True)) == reports, m.origin
+
+
+def test_exact_sweep_witnesses_one_key_per_orbit(monkeypatch):
+    """K6's 1,080 completion-table keys fall into 6 orbits whose first keys
+    hold 122 pairs; those get a witness, the other 17,338 pairs take their
+    bounds through the orbit, and each of the 180 candidates the walk visits
+    rechecks its own: 302 witnesses where a per-pair sweep makes 17,460."""
+    witness = curvature.compute_pair_witness
+    calls = []
+
+    def counted(m, frame):
+        calls.append(frame)
+        return witness(m, frame)
+
+    monkeypatch.setattr(curvature, "compute_pair_witness", counted)
+    report = cv.global_curvature(cv.build_named("k6"), exact=True)
+    assert report.pair_count == 17_460 and report.kappa_exact == F(-11, 100)
+    assert len(calls) == 302
+
+
+def test_exact_sweep_rechecks_carried_bounds_on_every_visited_pair(monkeypatch):
+    """Bounds carried through a key orbit are recomputed from each visited
+    pair's own witness, so a disagreement stops the walk, naming the pair."""
+    numerators = curvature._pair_numerators
+
+    def shifted(m, witness):
+        (lb, forward, reverse), denominator = numerators(m, witness)
+        return (lb - 1, forward, reverse), denominator
+
+    monkeypatch.setattr(curvature, "_pair_numerators", shifted)
+    message = r"pair \(.+\) / \(.+\): bounds differ from those of its key orbit"
+    with pytest.raises(cv.CurvatroidError, match=message):
+        cv.global_curvature(cv.build_named("k6"))
+
+
+def complete_graph(v: int) -> cv.Matroid:
+    return cv.build_matroid(cv.GraphicSpec(vertex_count=v, edges=tuple(
+        (a, b, f"e{a}{b}") for a, b in combinations(range(v), 2))))
+
+
+def test_k7_exact():
+    m = complete_graph(7)
+    report = cv.global_curvature(m)
+    assert (report.kappa_exact, report.downstep_lb, report.theorem_ub) == (
+        F(-79, 360), F(-11, 45), F(-13, 72))
+    assert report.pair_count == 365_085
+    assert [m.labels_of(b) for b in report.argmin_pair] == [
+        ("e01", "e02", "e13", "e24", "e35", "e46"),
+        ("e01", "e13", "e24", "e35", "e46", "e56")]
+
+
+@pytest.mark.slow
+def test_k8_exact():
+    m = complete_graph(8)
+    report = cv.global_curvature(m)
+    assert (report.kappa_exact, report.downstep_lb, report.theorem_ub) == (
+        F(-232, 735), F(-248, 735), F(-40, 147))
+    assert report.pair_count == 8_498_784
+    assert [m.labels_of(b) for b in report.argmin_pair] == [
+        ("e01", "e02", "e13", "e24", "e35", "e46", "e57"),
+        ("e02", "e13", "e24", "e35", "e46", "e57", "e67")]
 
 
 def test_audit_all_pairs():

@@ -8,7 +8,11 @@ bound) and the pair's theorem upper bound, and the exact global report must
 be the minimum of the per-pair values at the first canonical pair reaching
 it, as the unpruned sweep oracle finds too. With the automorphism search
 off, the pruned sweep must solve exactly the pairs, in order, that the
-oracle's walk over the Fraction bounds visits with unequal bounds. Every
+oracle's walk over the Fraction bounds visits with unequal bounds. The
+automorphism group, its first generator alone and no generators must give
+the same exact report and hand the walk the same candidate list, and the
+solves of each group must be a subsequence of those of the smaller one
+(a solve is the first visited pair of its orbit). Every
 integer kernel row must equal the Fraction row built from the walk's
 definition, and W1 between the rows of random basis pairs, at any distance, must equal networkx on the full
 unreduced problem. The integer closed-form bounds must equal their Fraction
@@ -104,6 +108,43 @@ def test_pruned_sweep_solves_the_oracle_visit_list(spec):
         patch.setattr(curvature, "automorphism_generators", lambda m: ())
         patch.setattr(curvature, "exact_pair_curvature", counted)
         cv.global_curvature(m)
+    assert solved == pruned_solve_order(m), spec
+
+
+def is_subsequence(short: list, long: list) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+@hypothesis.example(TIE_STOP)
+def test_exact_report_is_the_same_under_any_subgroup(spec):
+    m = cv.build_matroid(spec)
+    search = curvature.automorphism_generators
+    runs = []
+    for generators in (search, lambda m: search(m)[:1], lambda m: ()):
+        walked, solved = [], []
+        pruned, exact = curvature._pruned_minimum, curvature.exact_pair_curvature
+
+        def walk(m, candidates, *args):
+            walked.append(candidates)
+            return pruned(m, candidates, *args)
+
+        def counted(m, frame):
+            solved.append((frame.s_basis, frame.t_basis))
+            return exact(m, frame)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curvature, "automorphism_generators", generators)
+            patch.setattr(curvature, "_pruned_minimum", walk)
+            patch.setattr(curvature, "exact_pair_curvature", counted)
+            runs.append((cv.global_curvature(m), walked, solved))
+    (report, walked, solved), *subgroups = runs
+    for sub_report, sub_walked, sub_solved in subgroups:
+        assert (sub_report, sub_walked) == (report, walked), spec
+        assert is_subsequence(solved, sub_solved), spec
+        solved = sub_solved
     assert solved == pruned_solve_order(m), spec
 
 

@@ -92,8 +92,8 @@ def test_reports_are_identical_with_the_search_off(monkeypatch):
 @pytest.mark.parametrize("name,exact,audit,requests", [
     ("vamos", True, True, 1),   # one search serves the sweep and the audit
     ("vamos", True, False, 1),
-    ("k4", True, False, 0),     # at most one pair may need a solve
-    ("vamos", False, False, 0),  # bounds only: nothing to solve
+    ("k4", True, False, 1),     # an exact sweep walks key orbits, also with one open pair
+    ("vamos", False, False, 0),  # bounds only: every key is its own orbit
 ])
 def test_global_curvature_searches_at_most_once(name, exact, audit, requests,
                                                 monkeypatch):
