@@ -444,51 +444,58 @@ def _check_sandwich(m: Matroid, x: Mask, y: Mask, lb: Fraction, value: Fraction,
             f"{value} outside its bounds [{lb}, {ub}]")
 
 
-def _pruned_minimum(m: Matroid,
-                    candidates: list[tuple[int, tuple[int, int], int, Mask, Mask]],
+def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, list]],
                     denominator: int, images: list[Callable[[Mask], Mask]],
                     ) -> tuple[Fraction, tuple[Mask, Mask]]:
     """Minimum exact pair curvature and the first canonical pair reaching it.
 
-    candidates are (lb, i, ub, S, T) sorted ascending, both bounds integer
-    numerators over denominator and i the pair's canonical index, the
-    positions of S and T in m.sorted_bases(), so pairs are visited by
-    ascending (lb, i). A pair with lb > kappa (the smallest value found so
-    far) cannot go lower, and one with lb == kappa can only tie, which
-    matters only before the current argmin in canonical order; every later
-    pair is ruled out as well, so the walk stops at the first such pair.
+    candidates are (lb, ub, S, T, rows): the pairs of each key orbit's first
+    key that can reach the minimum, S < T, with their own bounds as integer
+    numerators over denominator and the orbit's Schreier rows (_key_orbit).
+    Every adjacent pair is the image of exactly one of them on a key of its
+    orbit, with the same bounds and value (global_curvature).
 
-    images are set maps of automorphisms of m (mask_image), possibly none.
-    Automorphisms preserve both bounds and the exact value, so a solved
-    value is recorded for every pair of its orbit (pair_orbit) and a later
-    member reuses it instead of solving. A candidate's bounds may have been
-    carried over from another pair of its orbit (global_curvature), so each
-    visited pair recomputes them from its own witness and raises
-    CurvatroidError unless they are equal. The walk trusts lb to discard
-    pairs, so every value, solved or reused, is held to the pair's own
-    bounds.
+    Pairs are visited by ascending (lb, i), i the canonical index of (S, T),
+    the positions of S and T in m.sorted_bases(). A pair with lb > kappa
+    (the smallest value found so far) cannot go lower, and neither can any
+    later one, so the walk stops there. A visited pair's first image, its
+    image of least canonical index (_pair_images), decides ties and names
+    the argmin: a pair with lb == kappa can only tie, so it is skipped
+    unless its first image comes before the current argmin. A pair whose
+    bounds agree takes that value; any other is solved unless its value is
+    known: images are set maps of automorphisms of m (mask_image), possibly
+    none, and a solved value is recorded for every pair of its orbit
+    (pair_orbit). The walk trusts lb to discard pairs, so every value is
+    held to the pair's own bounds, and the argmin to its own witnessed
+    bounds, once, after the walk.
     """
+    position = {b: i for i, b in enumerate(m.sorted_bases())}
     known: dict[tuple[Mask, Mask], Fraction] = {}  # (smaller, larger) -> orbit value
     kappa = best = argmin = None
-    for lb_numerator, i, ub_numerator, x, y in candidates:
+    for lb_numerator, _, ub_numerator, x, y, rows in sorted(
+            (lb, (position[x], position[y]), ub, x, y, rows)
+            for lb, ub, x, y, rows in candidates):
         lb = Fraction(lb_numerator, denominator)
-        if kappa is not None and (lb > kappa or (lb == kappa and i > best)):
+        if kappa is not None and lb > kappa:
             break
-        (own_lb, forward, reverse), _ = _pair_numerators(
-            m, compute_pair_witness(m, PairFrame(x, y)))
-        if (own_lb, min(forward, reverse)) != (lb_numerator, ub_numerator):
-            raise CurvatroidError(f"pair {m.labels_of(x)} / {m.labels_of(y)}: bounds "
-                                  f"differ from those of its key orbit")
+        i, image = min(((position[a], position[b]), (a, b))
+                       for a, b in _pair_images(x, y, rows, images))
+        if kappa is not None and lb == kappa and i > best:
+            continue
         if ub_numerator == lb_numerator:
             value = lb
         else:
-            value = known.get((x, y) if x < y else (y, x))
+            value = known.get((x, y))
             if value is None:
                 value = exact_pair_curvature(m, PairFrame(x, y))
                 known.update(dict.fromkeys(pair_orbit(images, x, y), value))
             _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
         if kappa is None or value < kappa or (value == kappa and i < best):
-            kappa, best, argmin = value, i, (x, y)
+            kappa, best, argmin = value, i, image
+    (lb_numerator, forward, reverse), denominator = _pair_numerators(
+        m, compute_pair_witness(m, PairFrame(*argmin)))
+    _check_sandwich(m, *argmin, Fraction(lb_numerator, denominator), kappa,
+                    Fraction(min(forward, reverse), denominator))
     return kappa, argmin
 
 
@@ -518,22 +525,37 @@ def _audit_minimum(m: Matroid, images: list[Callable[[Mask], Mask]]) -> Fraction
 
 
 def _key_orbit(rest: Mask, images: list[Callable[[Mask], Mask]],
-               steps: dict[Mask, tuple[Mask, int] | None]) -> list[Mask]:
+               seen: set[Mask]) -> list[tuple[int, int]]:
     """The orbit of the completion-table key rest under the group generated
-    by images, breadth first from rest. steps is a Schreier vector shared by
-    all orbits: steps[key] is (parent key, generator index) for a key reached
-    from its parent by that generator, and None for rest. With no images the
-    orbit is rest alone and nothing is recorded."""
-    orbit = [rest]
+    by images, breadth first from rest, as a Schreier vector: one row
+    (parent, generator index) per key after rest, the image under that
+    generator of the key at position parent of the orbit (rest at 0). seen
+    gathers the keys of every orbit walked; with no images the orbit is
+    rest alone and nothing is recorded."""
+    keys = [rest]
+    rows = []
     if images:
-        steps[rest] = None
-    for key in orbit:  # grows while it is read
+        seen.add(rest)
+    for parent, key in enumerate(keys):  # grows while it is read
         for g, image in enumerate(images):
             image_key = image(key)
-            if image_key not in steps:
-                steps[image_key] = key, g
-                orbit.append(image_key)
-    return orbit
+            if image_key not in seen:
+                seen.add(image_key)
+                keys.append(image_key)
+                rows.append((parent, g))
+    return rows
+
+
+def _pair_images(x: Mask, y: Mask, rows: list[tuple[int, int]],
+                 images: list[Callable[[Mask], Mask]]) -> list[tuple[Mask, Mask]]:
+    """The images of the pair (x, y) of a key orbit's first key on every key
+    of the orbit, along its Schreier rows (_key_orbit), each as (smaller
+    mask, larger mask)."""
+    xs, ys = [x], [y]
+    for parent, g in rows:
+        xs.append(images[g](xs[parent]))
+        ys.append(images[g](ys[parent]))
+    return [(a, b) if a < b else (b, a) for a, b in zip(xs, ys)]
 
 
 def global_curvature(m: Matroid, exact: bool = True,
@@ -561,33 +583,26 @@ def global_curvature(m: Matroid, exact: bool = True,
     The sweep walks the orbits of the keys under the automorphism group
     (see automorphism_generators), searched once per exact run before the
     sweep; a bounds-only run passes no generators, so every key is its own
-    orbit. Only the pairs of the orbit's first key get a witness, and the
-    orbit adds |orbit| * C(#N(R), 2) to the pair count: an automorphism
-    sigma maps N(R) onto N(sigma R) and each pair to a pair with the same
-    bounds, since downstepLB is symmetric in S and T and theoremUB is the
-    smaller of its two orientations. (The signature itself is not
-    invariant, so bounds are carried over, not signatures.) A subgroup
-    gives finer orbits and the same result.
+    orbit. Only the pairs of the orbit's first key R get a witness, and the
+    orbit adds |orbit| * C(#N(R), 2) to the pair count: the automorphism
+    sigma_K of the Schreier vector (_key_orbit) that maps R to the key K
+    maps N(R) onto N(K), so each pair on K is the image of exactly one pair
+    on R, with the same bounds, since downstepLB is symmetric in S and T
+    and theoremUB is the smaller of its two orientations. (The signature
+    itself is not invariant.) A subgroup gives finer orbits and the same
+    result.
 
     The exact minimum is found by branch and bound on those bounds. In a
     matroid downstepLB <= kappa <= theoremUB on every pair, since
     downstepLB is 1 minus the expected distance of a valid coupling, so
     kappa <= min theoremUB and only the pairs with downstepLB <= min
-    theoremUB can reach it. Each first key's such pairs (R + a, R + b) are
-    carried, with their bounds and no witness, to every key sigma R of its
-    orbit along the Schreier vector: the image pair is oriented smaller
-    mask first, which is (sigma R + min(sigma a, sigma b),
-    sigma R + max(sigma a, sigma b)), the canonical orientation. They form
-    one candidate list of (downstepLB, canonical index, theoremUB, S, T),
-    sorted ascending, which _pruned_minimum walks keeping the smallest
-    kappa so far and its canonical-first pair; the canonical index is the
-    positions of S and T in m.sorted_bases(). The walk stops at the first candidate with
-    downstepLB > kappa, or with downstepLB == kappa and an index after the
-    current argmin. Each pair it visits recomputes its bounds from its own
-    witness and must match the carried ones; a pair whose two bounds agree
-    takes that value without a transport solve, a solved value is reused
-    for every later pair of its orbit, and every other value is checked
-    against both bounds.
+    theoremUB can reach it. The first keys' such pairs, each with its own
+    bounds, are the candidates _pruned_minimum walks. A pair's images on
+    the keys of its orbit, oriented smaller mask first, which is
+    (sigma R + min(sigma a, sigma b), sigma R + max(sigma a, sigma b)), the
+    canonical orientation, serve only to find its canonical-first image:
+    the first canonical pair reaching kappa is the least image of a pair
+    of a first key reaching kappa.
 
     A single-basis family has no pairs; by convention it reports curvature 1
     with the degenerate flag set. With audit_all_pairs the minimum of
@@ -612,14 +627,13 @@ def global_curvature(m: Matroid, exact: bool = True,
     scale = bound_scale(m.rank, m.n)
     bounds_of: dict[tuple[tuple[int, int, int], ...], tuple[int, int]] = {}
     pair_count = 0
-    steps: dict[Mask, tuple[Mask, int] | None] = {}
-    kept = []  # exact: (orbit, pairs (lb, ub, S, T) of its first key)
+    seen: set[Mask] = set()
+    kept = []  # exact: (lb, ub, S, T, Schreier rows of the orbit) per first-key pair
     for rest, members in m._completion_table().items():
-        if rest in steps:
+        if rest in seen:
             continue
-        orbit = _key_orbit(rest, images, steps)
-        pair_count += len(orbit) * comb(members.bit_count(), 2)
-        pairs = []
+        rows = _key_orbit(rest, images, seen)
+        pair_count += (len(rows) + 1) * comb(members.bit_count(), 2)
         for x, y in combinations([rest | 1 << e for e in bits(members)], 2):
             signature = compute_pair_witness(m, PairFrame(x, y)).signature
             bounds = bounds_of.get(signature)
@@ -627,9 +641,7 @@ def global_curvature(m: Matroid, exact: bool = True,
                 lb, forward, reverse = bound_numerators(scale, signature)
                 bounds = bounds_of[signature] = lb, min(forward, reverse)
             if exact:
-                pairs.append((*bounds, x, y))
-        if pairs:
-            kept.append((orbit, pairs))
+                kept.append((*bounds, x, y, rows))
     denominator = m.rank * scale
     lb_min = min((lb for lb, _ in bounds_of.values()), default=None)
     ub_min = min((ub for _, ub in bounds_of.values()), default=None)
@@ -639,20 +651,7 @@ def global_curvature(m: Matroid, exact: bool = True,
         return GlobalReport(None, None, theorem_lb, *bounds, pair_count,
                             degenerate=not pair_count)
 
-    position = {b: i for i, b in enumerate(m.sorted_bases())}
-    candidates = []
-    for orbit, pairs in kept:
-        carried = {orbit[0]: [pair for pair in pairs if pair[0] <= ub_min]}
-        if not carried[orbit[0]]:
-            continue
-        for key in orbit[1:]:  # breadth first: a parent comes before its children
-            parent, g = steps[key]
-            image = images[g]
-            carried[key] = [(lb, ub, *sorted((image(x), image(y))))
-                            for lb, ub, x, y in carried[parent]]
-        candidates += [(lb, (position[x], position[y]), ub, x, y)
-                       for key_pairs in carried.values() for lb, ub, x, y in key_pairs]
-    candidates.sort()
+    candidates = [pair for pair in kept if pair[0] <= ub_min]
     if pair_count:
         kappa, argmin = _pruned_minimum(m, candidates, denominator, images)
     else:

@@ -29,10 +29,10 @@ soundness, since every kept permutation was checked against the family.
 Each call of automorphism_generators runs a search. An exact
 global_curvature run searches once, before its sweep, and uses the
 generators three times: the sweep walks the orbits of the completion-table
-keys and carries the candidate pairs of each orbit's first key to the rest
-of its orbit, and the set maps (mask_image) let the exact walk and the
-all-pairs audit reuse a solved value across an orbit of pairs. A
-bounds-only run does not search.
+keys, the exact walk maps a pair of an orbit's first key to its images on
+the rest of the orbit to find the canonical-first one, and the set maps
+(mask_image) let the exact walk and the all-pairs audit reuse a solved
+value across an orbit of pairs. A bounds-only run does not search.
 """
 
 from __future__ import annotations

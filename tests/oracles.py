@@ -566,6 +566,27 @@ def small_specs():
     return specs()
 
 
+def as_permuted_explicit(m, order):
+    """m as an explicit spec whose ground set lists m's labels in the given
+    order of its elements, so element e of the result is m's order[e]."""
+    return cv.ExplicitSpec(ground=tuple(m.labels[e] for e in order),
+                           bases=tuple(m.labels_of(b) for b in m.sorted_bases()))
+
+
+def permuted_explicit_specs():
+    """Hypothesis strategy: a small_specs() matroid rewritten as an explicit
+    spec over a permuted ground set, the shape of a relabelled explicit
+    file."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def specs(draw):
+        m = cv.build_matroid(draw(small_specs()))
+        return as_permuted_explicit(m, draw(st.permutations(range(m.n))))
+
+    return specs()
+
+
 def explicit_families():
     """Hypothesis strategy for a nonempty family of k-subsets of at most 6
     elements, as an explicit spec; most such families are not matroids."""

@@ -81,7 +81,7 @@ def test_deleted_knobs_are_gone():
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
     for bound in (cv.downstep_lb_pair, cv.theorem_ub_pair, cv.theorem_ub_values):
         assert list(inspect.signature(bound).parameters) == ["m", "frame"], bound
-    # the exact walk takes one sorted candidate list and returns its pair
+    # the exact walk takes one candidate list and returns its pair
     assert list(inspect.signature(curvature._pruned_minimum).parameters) == [
         "m", "candidates", "denominator", "images"]
 

@@ -11,8 +11,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import cli, curvature
-from oracles import (cell_masses, coupling_cost, distance, fraction_cells,
-                     fraction_downstep_lb, fraction_theorem_ub_values,
+from oracles import (as_permuted_explicit, cell_masses, coupling_cost, distance,
+                     fraction_cells, fraction_downstep_lb, fraction_theorem_ub_values,
                      frame_by_symmetric_difference, masses, proposition_distance_check,
                      quadratic_adjacent_pairs, sorted_index_pairs, swapped,
                      unpruned_global_curvature)
@@ -358,9 +358,9 @@ def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, caps
 # pairs, where the unpruned sweep solved 6,660 and the pruned sweep without
 # orbits 180 (vamos: 48)
 PRUNED_SOLVES = {
-    "k6": [(("1", "2", "t", "3", "4"), ("1", "2", "3", "4", "s"))],
-    "vamos": [(("a1", "a2", "b1", "c1"), ("a1", "b1", "b2", "c1")),
-              (("a1", "a2", "b1", "c1"), ("a1", "b1", "c1", "c2"))],
+    "k6": [(("1", "2", "3", "s", "46"), ("1", "2", "3", "35", "46"))],
+    "vamos": [(("a1", "a2", "b1", "d2"), ("a2", "b1", "b2", "d2")),
+              (("a1", "a2", "b1", "d2"), ("a2", "b1", "d1", "d2"))],
     "rank3-counterexample": [],
 }
 
@@ -603,9 +603,9 @@ def test_sweep_keeps_no_list_of_every_pair(monkeypatch):
 
 def test_exact_sweep_witnesses_one_key_per_orbit(monkeypatch):
     """K6's 1,080 completion-table keys fall into 6 orbits whose first keys
-    hold 122 pairs; those get a witness, the other 17,338 pairs take their
-    bounds through the orbit, and each of the 180 candidates the walk visits
-    rechecks its own: 302 witnesses where a per-pair sweep makes 17,460."""
+    hold 122 pairs; those get a witness, the other 17,338 pairs are their
+    images on the other keys, and the reported argmin gets one more: 123
+    witnesses where a per-pair sweep makes 17,460."""
     witness = curvature.compute_pair_witness
     calls = []
 
@@ -616,22 +616,65 @@ def test_exact_sweep_witnesses_one_key_per_orbit(monkeypatch):
     monkeypatch.setattr(curvature, "compute_pair_witness", counted)
     report = cv.global_curvature(cv.build_named("k6"), exact=True)
     assert report.pair_count == 17_460 and report.kappa_exact == F(-11, 100)
-    assert len(calls) == 302
+    assert len(calls) == 123
 
 
-def test_exact_sweep_rechecks_carried_bounds_on_every_visited_pair(monkeypatch):
-    """Bounds carried through a key orbit are recomputed from each visited
-    pair's own witness, so a disagreement stops the walk, naming the pair."""
+def permuted_fano() -> cv.Matroid:
+    fano = cv.build_named("fano")
+    return cv.build_matroid(as_permuted_explicit(fano, (3, 6, 0, 5, 1, 4, 2)))
+
+
+@pytest.mark.parametrize("build", [partial(cv.build_named, "k6"),
+                                   partial(cv.build_named, "vamos"), permuted_fano],
+                         ids=["k6", "vamos", "permuted-fano"])
+def test_exact_sweep_solves_and_reports_only_witnessed_pairs(build, monkeypatch):
+    """Every pair the exact walk solves had its own witness first, so the
+    bounds it is held to are its own, and the reported argmin, an image of a
+    walked pair, is witnessed once more after the walk."""
+    witness, exact = curvature.compute_pair_witness, curvature.exact_pair_curvature
+    events = []
+
+    def witnessed(m, frame):
+        events.append(("witness", {frame.s_basis, frame.t_basis}))
+        return witness(m, frame)
+
+    def solved(m, frame):
+        pair = {frame.s_basis, frame.t_basis}
+        assert ("witness", pair) in events, (m.origin, pair)
+        events.append(("solve", pair))
+        return exact(m, frame)
+
+    monkeypatch.setattr(curvature, "compute_pair_witness", witnessed)
+    monkeypatch.setattr(curvature, "exact_pair_curvature", solved)
+    m = build()
+    report = cv.global_curvature(m)
+    assert report.kappa_exact == unpruned_global_curvature(m)[0]
+    assert events[-1] == ("witness", set(report.argmin_pair))
+
+
+def test_exact_sweep_holds_the_argmin_to_its_own_bounds(monkeypatch, capsys):
+    """A reported argmin whose own down-step bound lies above kappa stops the
+    run, naming the pair; the curvature command reports it on one error line
+    with exit status 1."""
+    m = cv.build_named("k6")
+    x, y = cv.global_curvature(m).argmin_pair
     numerators = curvature._pair_numerators
 
-    def shifted(m, witness):
+    def raised(m, witness):
         (lb, forward, reverse), denominator = numerators(m, witness)
-        return (lb - 1, forward, reverse), denominator
+        return (lb + denominator, forward, reverse), denominator
 
-    monkeypatch.setattr(curvature, "_pair_numerators", shifted)
-    message = r"pair \(.+\) / \(.+\): bounds differ from those of its key orbit"
+    monkeypatch.setattr(curvature, "_pair_numerators", raised)
+    message = (rf"pair {re.escape(str(m.labels_of(x)))} / {re.escape(str(m.labels_of(y)))}"
+               r": exact curvature -11/100 outside its bounds")
     with pytest.raises(cv.CurvatroidError, match=message):
-        cv.global_curvature(cv.build_named("k6"))
+        cv.global_curvature(m)
+    capsys.readouterr()
+    code = cli.main(["curvature", "--input", "named:k6", "--exact"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and re.match("error: " + message, err)
+    assert "Traceback" not in err
 
 
 def complete_graph(v: int) -> cv.Matroid:
