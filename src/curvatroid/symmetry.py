@@ -9,7 +9,10 @@ of input:
 * Colours start from the pair-count matrix P[e][f], the number of bases
   containing both e and f (P[e][e] counts the bases containing e), and are
   refined until stable: two elements keep one colour only while they share
-  a colour and the multiset of (colour, P) over all elements.
+  a colour and the multiset of (colour, P) over all elements, each pair
+  kept as the int colour * (max P + 1) + P. After v is individualized the
+  refinement reads v's row of P first: if the row is constant on every
+  cell, the colouring is already stable.
 * The search individualizes one element of the first non-singleton cell,
   refines again, and repeats down to a discrete colouring, a leaf. The
   first leaf fixes an order; another leaf whose refinements matched the
@@ -19,12 +22,28 @@ of input:
 * A candidate is kept only when it preserves P and maps every basis to a
   basis: P alone does not determine the family.
 
+P can be blind where the family is not: the pair counts of a 2-design such
+as the Fano plane are uniform, so no individualization splits anything but
+the element itself, every leaf matches the first and most of them fail the
+basis check. A second invariant, in the manner of the vertex invariants of
+McKay and Piperno ("Practical graph isomorphism, II", 2014), serves there:
+an incidence round colours each basis by the sorted tuple of its elements'
+colours and adds to each element's signature the sorted multiset of its
+bases' colours. It runs at a node only where P split no cell of a
+colouring of three or more cells, not all single; and the search first runs
+without it, switching it on and starting again only when a leaf fails the
+basis check after some node where it would have run. So families whose
+leaves all pass, uniform matroids among them, never pay for it, and K4,
+whose failing leaves lie below nodes that P splits, does not restart.
+
 Working up the first path, level by level, the search looks in the subtree
 of each element of the level's cell that is not yet in the orbit of the
 path's own choice, and keeps the first candidate there. With the search
-complete these generate the whole group. The search stops at
-SEARCH_BUDGET pair reads of P; running out loses generators, never
-soundness, since every kept permutation was checked against the family.
+complete these generate the whole group. One SEARCH_BUDGET covers the
+whole search, restart included: a P round reads n * n entries of P, a
+pivot test the n of one row, and an incidence round the |B| * k
+element-basis incidences. Running out loses generators, never soundness,
+since every kept permutation was checked against the family.
 
 Each call of automorphism_generators runs a search. An exact
 global_curvature run searches once, before its sweep, and uses the
@@ -39,23 +58,26 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
+from operator import add
 
 from .matroid import Mask, Matroid, _UnionFind
 
 Permutation = tuple[int, ...]
+Incidence = Callable[[list[int]], tuple[list[int], int, int] | None]
 
-SEARCH_BUDGET = 1_000_000  # reads of P over all refinement rounds of one search
+SEARCH_BUDGET = 1_000_000  # entries of P and basis incidences read by one search
 
 
 def mask_image(perm: Permutation) -> Callable[[Mask], Mask]:
-    """The map of element sets induced by perm, by one table lookup per byte."""
+    """The map of element sets induced by perm, by one table lookup per byte.
+    Each byte's table doubles once per element: the images of the sets
+    without the element, then the same with its image added."""
     tables = []
     for start in range(0, len(perm), 8):
-        chunk = perm[start:start + 8]
-        table = [0] * (1 << len(chunk))
-        for x in range(1, len(table)):
-            low = x & -x
-            table[x] = table[x ^ low] | 1 << chunk[low.bit_length() - 1]
+        table = [0]
+        for e in perm[start:start + 8]:
+            bit = 1 << e
+            table += [t | bit for t in table]
         tables.append(table)
 
     def image(mask: Mask) -> Mask:
@@ -88,6 +110,10 @@ class _OutOfBudget(Exception):
     pass
 
 
+class _BlindPairCounts(Exception):
+    """A leaf failed the basis check after a node where P split no cell."""
+
+
 def _pair_counts(m: Matroid) -> list[list[int]]:
     """P[e][f] as the popcount of the AND of two columns: column e has bit i
     set when the i-th basis in canonical order contains e."""
@@ -101,33 +127,89 @@ def _pair_counts(m: Matroid) -> list[list[int]]:
     return [[(a & b).bit_count() for b in ints] for a in ints]
 
 
-def _refine(colours: list[int], weights: list[list[int]],
-            charge: Callable[[], None]) -> tuple[list[int], tuple[int, int]]:
-    """The stable refinement of colours, labelled 0, 1, ... by the sorted
-    signatures, and as the node's invariant the number of colours with a
-    hash of the last signatures. charge is called once per round.
+def _relabel(signatures: list) -> tuple[list[int], int, int]:
+    """Labels 0, 1, ... in the order of the sorted distinct signatures, their
+    number and a hash of them."""
+    ranked = sorted(set(signatures))
+    label = {s: i for i, s in enumerate(ranked)}
+    return [label[s] for s in signatures], len(ranked), hash(tuple(ranked))
 
-    Labels depend on the signatures only, so the refinements of two
-    colourings that an automorphism of P maps onto each other are mapped
-    onto each other too, with equal invariants.
+
+def _pair_rounds(colours: list[int], weights: list[list[int]], width: int,
+                 charge: Callable[[int], None]) -> tuple[list[int], int, int]:
+    """P rounds until no cell splits or every cell is single: the colouring,
+    its number of colours and a hash of the last round's signatures.
+
+    A round gives e the signature (colour of e, sorted colour(f) * width +
+    P[e][f] over all f); width exceeds every P, so the ints sort as the
+    (colour, P) pairs would.
     """
+    n = len(colours)
     count = len(set(colours))
     while True:
-        charge()
-        signatures = [(colours[e], tuple(sorted(zip(colours, row))))
-                      for e, row in enumerate(weights)]
-        ranked = sorted(set(signatures))
-        label = {s: i for i, s in enumerate(ranked)}
-        colours = [label[s] for s in signatures]
-        if len(ranked) == count:
-            return colours, (count, hash(tuple(ranked)))
-        count = len(ranked)
+        charge(n * n)
+        scaled = [c * width for c in colours]
+        colours, new, digest = _relabel([(c, tuple(sorted(map(add, scaled, row))))
+                                         for c, row in zip(colours, weights)])
+        if new in (count, n):
+            return colours, new, digest
+        count = new
+
+
+def _refine(colours: list[int], pivot: int | None, weights: list[list[int]],
+            width: int, incidence: Incidence,
+            charge: Callable[[int], None]) -> tuple[list[int], tuple[int, int, int]]:
+    """The stable refinement of colours, labelled 0, 1, ... by the sorted
+    signatures, and as the node's invariant the number of colours with
+    hashes of the last signatures.
+
+    colours is the root colouring (pivot None) or a stable colouring with
+    pivot individualized. There the first P round could split a cell only
+    where the pivot's row of P is not constant on it, so that row is read
+    first; if it splits nothing and some cell has two or more elements, the
+    colouring is already stable and the row's (colour, P) pairs are hashed
+    instead. A discrete colouring always gets a P round, whose signatures
+    hold all of P.
+
+    Where the P rounds split no cell of colours and left three or more
+    cells, not all single, incidence(colours) is asked for an incidence
+    round; None means none is run. While incidence rounds split cells, they
+    alternate with P rounds. One cell, or one element and one cell, give an
+    incidence round nothing P does not: with one element v singled out, the
+    bases through e with and without v number P[e][v] and P[e][e] - P[e][v].
+
+    Labels depend on the signatures only, so the refinements of two
+    colourings that an automorphism maps onto each other are mapped onto
+    each other too, with equal invariants.
+    """
+    n = len(colours)
+    given = len(set(colours))
+    row = None
+    if pivot is not None and given < n:
+        charge(n)
+        row = frozenset(zip(colours, weights[pivot]))
+    if row is not None and len(row) == given:
+        count, digest = given, hash(row)
+    else:
+        colours, count, digest = _pair_rounds(colours, weights, width, charge)
+    incidence_digest = 0
+    if count == given and 3 <= count < n:
+        while (rounded := incidence(colours)) is not None:
+            colours, new, incidence_digest = rounded
+            if new == count:
+                break
+            colours, count, digest = _pair_rounds(colours, weights, width, charge)
+            if count == n:
+                break
+    return colours, (count, digest, incidence_digest)
 
 
 def _individualize(colours: list[int], v: int) -> list[int]:
-    """v alone in a new cell just after the rest of its own."""
-    out = [2 * c for c in colours]
-    out[v] += 1
+    """v alone in a new cell just after the rest of its own, with labels
+    kept 0, 1, ..."""
+    own = colours[v]
+    out = [c + (c > own) for c in colours]
+    out[v] = own + 1
     return out
 
 
@@ -157,7 +239,7 @@ def _is_automorphism(perm: Permutation, weights: list[list[int]],
     bijection, maps the family onto itself)."""
     for e, row in enumerate(weights):
         image_row = weights[perm[e]]
-        if any(image_row[perm[f]] != w for f, w in enumerate(row)):
+        if [image_row[f] for f in perm] != row:
             return False
     image = mask_image(perm)
     return all(image(b) in bases for b in bases)
@@ -175,25 +257,57 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
     if n * n > left:
         return ()
     weights = _pair_counts(m)
+    width = max(map(max, weights)) + 1
 
-    def charge() -> None:
+    def charge(reads: int) -> None:
         nonlocal left
-        left -= n * n
+        left -= reads
         if left < 0:
             raise _OutOfBudget
 
-    def refine(colours: list[int]) -> tuple[list[int], tuple[int, int]]:
-        return _refine(colours, weights, charge)
+    containing: list[list[int]] = []  # positions of the bases through e
 
-    # path[d] = (colouring at depth d, its target cell, invariant of the
-    # child that individualizes the cell's first element); a colouring whose
-    # invariant matches the last one is discrete, so a leaf
-    path: list[tuple[list[int], list[int], tuple[int, int]]] = []
+    def incidence_round(colours: list[int]) -> tuple[list[int], int, int]:
+        """A basis's colour is the sorted tuple of its elements' colours,
+        ranked; e's signature is (colour of e, sorted multiset of the
+        colours of the bases through e)."""
+        keys = m._keys
+        charge(len(keys) * m.rank)
+        if not containing:
+            containing.extend([] for _ in range(n))
+            for i, key in enumerate(keys):
+                for e in key:
+                    containing[e].append(i)
+        colour_of = colours.__getitem__
+        tuples = [tuple(sorted(map(colour_of, key))) for key in keys]
+        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+        basis_colour = [rank[t] for t in tuples].__getitem__
+        return _relabel([(c, tuple(sorted(map(basis_colour, through))))
+                         for c, through in zip(colours, containing)])
+
+    blind = False  # whether an incidence round was asked for and not run
+
+    def no_incidence(colours: list[int]) -> None:
+        nonlocal blind
+        blind = True
+        return None
+
     generators: list[Permutation] = []
-    try:
-        node, _ = refine([0] * n)
+
+    def search(incidence: Incidence) -> None:
+        def refine(node: list[int], v: int | None) -> tuple[list[int], tuple[int, int, int]]:
+            """The refinement of node with v individualized; the root's
+            refinement for v None."""
+            colours = node if v is None else _individualize(node, v)
+            return _refine(colours, v, weights, width, incidence, charge)
+
+        # path[d] = (colouring at depth d, its target cell, invariant of the
+        # child that individualizes the cell's first element); a colouring
+        # whose invariant matches the last one is discrete, so a leaf
+        path: list[tuple[list[int], list[int], tuple[int, int, int]]] = []
+        node, _ = refine([0] * n, None)
         while (cell := _target_cell(node)) is not None:
-            child, invariant = refine(_individualize(node, cell[0]))
+            child, invariant = refine(node, cell[0])
             path.append((node, cell, invariant))
             node = child
         first = node
@@ -202,12 +316,16 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
             """A verified candidate from a leaf below node, the colouring at
             depth with v individualized, or None; the invariants must match
             the first path's at every level."""
-            child, invariant = refine(_individualize(node, v))
+            child, invariant = refine(node, v)
             if invariant != path[depth][2]:
                 return None
             if depth + 1 == len(path):
                 perm = _leaf_permutation(first, child)
-                return perm if _is_automorphism(perm, weights, m.bases) else None
+                if _is_automorphism(perm, weights, m.bases):
+                    return perm
+                if blind and incidence is no_incidence:
+                    raise _BlindPairCounts
+                return None
             for u in _target_cell(child):
                 found = candidate(child, depth + 1, u)
                 if found is not None:
@@ -225,6 +343,14 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
                     generators.append(perm)
                     for e, image in enumerate(perm):
                         orbits.union(e, image)
+
+    try:
+        try:
+            search(no_incidence)
+        except _BlindPairCounts:
+            # generators of the first pass need not fix the new first path
+            generators.clear()
+            search(incidence_round)
     except _OutOfBudget:
         pass
     return tuple(generators)

@@ -1,15 +1,17 @@
 """Matroid automorphisms: the generator search against a brute-force oracle,
 and the exact sweep and the all-pairs audit with and without orbit reuse."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import curvatroid as cv
 from curvatroid import curvature, symmetry
 from conftest import build_test_set
-from oracles import automorphisms, small_specs, unpruned_global_curvature
+from oracles import (automorphisms, explicit_families, permuted_explicit_specs, small_specs,
+                     unpruned_global_curvature)
 from test_curvature import TIE_GRAPHS
 
 
@@ -58,8 +60,39 @@ def test_generators_generate_the_oracle_group(name):
     assert len(group) == GROUP_ORDERS[name]
 
 
-@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@hypothesis.given(small_specs())
+def projective_plane_3() -> cv.Matroid:
+    """PG(2, 3): the 13 points of the projective plane over GF(3), each
+    triple of points off a common line a basis. Its pair counts are
+    uniform, so P splits nothing the individualized elements do not."""
+    points = [p for p in product(range(3), repeat=3)
+              if any(p) and next(x for x in p if x) == 1]
+
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])) % 3
+
+    labels = tuple(f"p{i}" for i in range(len(points)))
+    return cv.build_matroid(cv.ExplicitSpec(ground=labels, bases=tuple(
+        tuple(labels[i] for i in triple) for triple in combinations(range(len(points)), 3)
+        if det(*(points[i] for i in triple)))))
+
+
+def test_generators_of_a_plane_with_uniform_pair_counts():
+    # every generator maps the family onto itself, so they generate all of
+    # Aut PG(2, 3) = PGL(3, 3), of order 13 * 12 * 9 * 4, iff their closure
+    # is that large; the oracle's brute force is too slow on 13 elements
+    m = projective_plane_3()
+    generators = cv.automorphism_generators(m)
+    for p in generators:
+        assert {sum(1 << p[e] for e in cv.bits(b)) for b in m.bases} == m.bases
+    assert len(generated_group(generators, m.n)) == 5616
+
+
+# permuted explicit files give the search another element order; explicit
+# families are mostly not matroids, and on at most 6 elements maps that keep
+# every pair count but not the family are common
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(small_specs(), permuted_explicit_specs(), explicit_families()))
 def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
     m = cv.build_matroid(spec)
     generators = cv.automorphism_generators(m)
@@ -67,6 +100,25 @@ def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
         assert sorted(p) == list(range(m.n)), spec
         assert {sum(1 << p[e] for e in cv.bits(b)) for b in m.bases} == m.bases, spec
     assert generated_group(generators, m.n) == set(automorphisms(m)), spec
+
+
+# at most this many _is_automorphism calls per search: each family's count
+# before the incidence round, except Fano, which made 162 then
+LEAF_CHECKS = {"k4": 5, "fano": 8, "vamos": 6, "k24": 4, "k33": 3, "k5": 4, "w5": 2}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_CHECKS))
+def test_the_search_checks_few_leaves(name, monkeypatch):
+    checked = []
+    check = symmetry._is_automorphism
+
+    def counted(perm, weights, bases):
+        checked.append(perm)
+        return check(perm, weights, bases)
+
+    monkeypatch.setattr(symmetry, "_is_automorphism", counted)
+    cv.automorphism_generators(FAMILIES[name]())
+    assert len(checked) <= LEAF_CHECKS[name]
 
 
 def tie_graphs() -> dict[str, cv.Matroid]:
