@@ -19,8 +19,10 @@ of input:
   first path's at every level gives a candidate, the permutation taking the
   element of each colour in the first leaf to the element of that colour
   in the other.
-* A candidate is kept only when it preserves P and maps every basis to a
-  basis: P alone does not determine the family.
+* A candidate is kept only when it maps every basis to a basis, the one
+  proof that it is an automorphism. The leaf's P round has already
+  compared P, whose digest is part of the invariant the leaf matched; P
+  alone does not determine the family.
 
 P can be blind where the family is not: the pair counts of a 2-design such
 as the Fano plane are uniform, so no individualization splits anything but
@@ -233,14 +235,11 @@ def _leaf_permutation(first: list[int], leaf: list[int]) -> Permutation:
     return tuple(perm)
 
 
-def _is_automorphism(perm: Permutation, weights: list[list[int]],
-                     bases: frozenset[Mask]) -> bool:
-    """perm preserves P and maps every basis to a basis (so, being a
-    bijection, maps the family onto itself)."""
-    for e, row in enumerate(weights):
-        image_row = weights[perm[e]]
-        if [image_row[f] for f in perm] != row:
-            return False
+def _is_automorphism(perm: Permutation, bases: frozenset[Mask]) -> bool:
+    """perm maps every basis to a basis, so, being a bijection, maps the
+    family onto itself. P needs no comparison here: the leaf's own P round
+    compared it, its digest being part of the invariant the leaf matched,
+    and a permutation that changes P fails this check too."""
     image = mask_image(perm)
     return all(image(b) in bases for b in bases)
 
@@ -321,7 +320,7 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
                 return None
             if depth + 1 == len(path):
                 perm = _leaf_permutation(first, child)
-                if _is_automorphism(perm, weights, m.bases):
+                if _is_automorphism(perm, m.bases):
                     return perm
                 if blind and incidence is no_incidence:
                     raise _BlindPairCounts

@@ -77,6 +77,8 @@ def test_deleted_knobs_are_gone():
     assert list(inspect.signature(cv.global_curvature).parameters) == [
         "m", "exact", "audit_all_pairs"]
     assert list(inspect.signature(cv.automorphism_generators).parameters) == ["m"]
+    # one proof per candidate: the basis check, with no second comparison of P
+    assert list(inspect.signature(symmetry._is_automorphism).parameters) == ["perm", "bases"]
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
     assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
     for bound in (cv.downstep_lb_pair, cv.theorem_ub_pair, cv.theorem_ub_values):

@@ -1,6 +1,7 @@
 """Matroid automorphisms: the generator search against a brute-force oracle,
 and the exact sweep and the all-pairs audit with and without orbit reuse."""
 
+from fractions import Fraction as F
 from itertools import combinations, product
 
 import hypothesis
@@ -38,7 +39,19 @@ def wheel(rim: int) -> list[tuple[int, int]]:
     return [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
 
 
+def affine_cube() -> cv.Matroid:
+    """AG(3, 2): the 8 points of GF(2)^3, each 4-set off the 14 planes
+    {a, b, c, d : a ^ b ^ c ^ d = 0} a basis. Its pair counts are uniform,
+    and an incidence round splits nothing after two individualizations,
+    only after the third."""
+    labels = tuple(f"p{i}" for i in range(8))
+    return cv.build_matroid(cv.ExplicitSpec(ground=labels, bases=tuple(
+        tuple(labels[i] for i in quad) for quad in combinations(range(8), 4)
+        if quad[0] ^ quad[1] ^ quad[2] ^ quad[3])))
+
+
 FAMILIES = {
+    "ag32": affine_cube,
     "k4": lambda: cv.build_named("k4"),
     "fano": lambda: cv.build_named("fano"),
     "vamos": lambda: cv.build_named("vamos"),
@@ -46,10 +59,11 @@ FAMILIES = {
     "k33": lambda: graphic(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
     "k5": lambda: graphic(5, list(combinations(range(5), 2))),
     "w5": lambda: graphic(6, wheel(5)),
+    "u36": lambda: cv.build_matroid(cv.UniformSpec(n=6, k=3)),
 }
 # |Aut M|; the vertex group of K(2,4) has order 48, its matroid's is 384
 GROUP_ORDERS = {"k4": 24, "fano": 168, "vamos": 64, "k24": 384, "k33": 72,
-                "k5": 120, "w5": 10}
+                "k5": 120, "w5": 10, "ag32": 1344, "u36": 720}
 
 
 @pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
@@ -103,8 +117,13 @@ def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
 
 
 # at most this many _is_automorphism calls per search: each family's count
-# before the incidence round, except Fano, which made 162 then
-LEAF_CHECKS = {"k4": 5, "fano": 8, "vamos": 6, "k24": 4, "k33": 3, "k5": 4, "w5": 2}
+# before the incidence round, except Fano, which made 162 then. AG(3, 2)
+# pins the restart: an incidence round decided once, at the first node that
+# asks for it, splits nothing at depth 2 and leaves 164 leaf checks. U(3, 6)
+# pins the first pass without it: P is blind there, no leaf fails, and the
+# incidence round is asked for but never run.
+LEAF_CHECKS = {"k4": 5, "fano": 8, "vamos": 6, "k24": 4, "k33": 3, "k5": 4, "w5": 2,
+               "ag32": 7, "u36": 5}
 
 
 @pytest.mark.parametrize("name", sorted(LEAF_CHECKS))
@@ -112,13 +131,33 @@ def test_the_search_checks_few_leaves(name, monkeypatch):
     checked = []
     check = symmetry._is_automorphism
 
-    def counted(perm, weights, bases):
+    def counted(perm, bases):
         checked.append(perm)
-        return check(perm, weights, bases)
+        return check(perm, bases)
 
     monkeypatch.setattr(symmetry, "_is_automorphism", counted)
     cv.automorphism_generators(FAMILIES[name]())
     assert len(checked) <= LEAF_CHECKS[name]
+
+
+# the incidence round runs only after a leaf failed the basis check below a
+# node that asked for it; run whenever asked, it took U(5, 12)'s search from
+# 2.8 to 50 ms and the rank-3 counterexample's from 1.2 to 5.9 ms
+@pytest.mark.parametrize("name,runs", [("u36", False), ("ag32", True)])
+def test_the_incidence_round_runs_only_where_a_leaf_failed(name, runs, monkeypatch):
+    ran = []  # per request: whether an incidence round was run
+    refine = symmetry._refine
+
+    def counted(colours, pivot, weights, width, incidence, charge):
+        def counted_incidence(node):
+            rounded = incidence(node)
+            ran.append(rounded is not None)
+            return rounded
+        return refine(colours, pivot, weights, width, counted_incidence, charge)
+
+    monkeypatch.setattr(symmetry, "_refine", counted)
+    cv.automorphism_generators(FAMILIES[name]())
+    assert ran and any(ran) == runs
 
 
 def tie_graphs() -> dict[str, cv.Matroid]:
@@ -177,6 +216,30 @@ def swap(n: int, a: int, b: int) -> tuple[int, ...]:
     p = list(range(n))
     p[a], p[b] = b, a
     return tuple(p)
+
+
+def test_the_exact_walk_maps_tied_pairs_along_the_key_orbits(monkeypatch):
+    # every pair of U(5, 12) has equal bounds and ties at the minimum, so
+    # each visited pair's first image decides the argmin; those images come
+    # from the key orbit's Schreier rows, not from a pair_orbit walk (one per
+    # visited pair took u(5,12) --exact from 14 to 1,857 ms) nor from a
+    # transport solve
+    m = cv.build_matroid(cv.UniformSpec(n=12, k=5))
+    solved = count_solves(monkeypatch)
+    walked = []
+    orbit = curvature.pair_orbit
+
+    def counted(images, x, y):
+        walked.append((x, y))
+        return orbit(images, x, y)
+
+    monkeypatch.setattr(curvature, "pair_orbit", counted)
+    report = cv.global_curvature(m)
+    position = {b: i for i, b in enumerate(m.sorted_bases())}
+    first = min(cv.canonical_pairs(m), key=lambda pair: (position[pair[0]], position[pair[1]]))
+    assert (report.kappa_exact, report.pair_count) == (F(3, 10), 13_860)
+    assert report.argmin_pair == first
+    assert solved == [] and walked == []
 
 
 # (matroid, planted candidate, solves of the sweep without orbits). Any two
