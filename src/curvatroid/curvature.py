@@ -621,7 +621,11 @@ def global_curvature(m: Matroid, exact: bool = True,
                        f"{ENUMERATION_LIMIT}")
     m.require_matroid()
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
-    images = [mask_image(p) for p in automorphism_generators(m)] if exact else []
+    generators = automorphism_generators(m) if exact else ()
+    table = m._completion_table()
+    # the key orbits map every key once per generator, the audit both bases of every pair
+    masks = len(table) + (2 * comb(len(m.bases), 2) if audit_all_pairs else 0)
+    images = [mask_image(p, masks) for p in generators]
 
     # signature -> (downstepLB, theoremUB), numerators over k * scale
     scale = bound_scale(m.rank, m.n)
@@ -629,7 +633,7 @@ def global_curvature(m: Matroid, exact: bool = True,
     pair_count = 0
     seen: set[Mask] = set()
     kept = []  # exact: (lb, ub, S, T, Schreier rows of the orbit) per first-key pair
-    for rest, members in m._completion_table().items():
+    for rest, members in table.items():
         if rest in seen:
             continue
         rows = _key_orbit(rest, images, seen)

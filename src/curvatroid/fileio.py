@@ -41,7 +41,7 @@ from .matroid import (
 )
 from .walk import exchange_distance
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")  # not \d: it takes any Unicode digit
 
 
 # ── rationals ───────────────────────────────────────────────────────────────

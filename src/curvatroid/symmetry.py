@@ -51,9 +51,18 @@ Each call of automorphism_generators runs a search. An exact
 global_curvature run searches once, before its sweep, and uses the
 generators three times: the sweep walks the orbits of the completion-table
 keys, the exact walk maps a pair of an orbit's first key to its images on
-the rest of the orbit to find the canonical-first one, and the set maps
-(mask_image) let the exact walk and the all-pairs audit reuse a solved
-value across an orbit of pairs. A bounds-only run does not search.
+the rest of the orbit to find the canonical-first one, and the exact walk
+and the all-pairs audit reuse a solved value across an orbit of pairs. A
+bounds-only run does not search.
+
+Every set map, the leaf's basis check included, goes through one kernel,
+mask_image: a permutation's image of a set is the OR of one table lookup
+per chunk of consecutive elements, each table built by doubling. The chunk
+width follows from the number of elements and the number of sets the
+caller will map (_chunk_width), so that the tables cost no more to build
+than the lookups they save: a ground set one table covers is mapped by
+that table's own __getitem__, with no Python frame per set, and a larger
+one by the fewest chunks that pay, two halves of 14 bits for K8.
 """
 
 from __future__ import annotations
@@ -68,25 +77,60 @@ Permutation = tuple[int, ...]
 Incidence = Callable[[list[int]], tuple[list[int], int, int] | None]
 
 SEARCH_BUDGET = 1_000_000  # entries of P and basis incidences read by one search
+TABLE_BITS = 14  # widest chunk of a set map: 2^14 table entries, about 0.6 MB
 
 
-def mask_image(perm: Permutation) -> Callable[[Mask], Mask]:
-    """The map of element sets induced by perm, by one table lookup per byte.
-    Each byte's table doubles once per element: the images of the sets
-    without the element, then the same with its image added."""
-    tables = []
-    for start in range(0, len(perm), 8):
-        table = [0]
-        for e in perm[start:start + 8]:
-            bit = 1 << e
-            table += [t | bit for t in table]
-        tables.append(table)
+def _table(elements: Permutation) -> list[Mask]:
+    """The images of the subsets of a chunk of elements: entry i is the
+    image of the subset whose j-th element is in it iff bit j of i is set.
+    The table doubles once per element: the images of the subsets without
+    the element, then the same with its image added."""
+    table = [0]
+    for e in elements:
+        bit = 1 << e
+        table += [t | bit for t in table]
+    return table
+
+
+def _chunk_width(n: int, count: int) -> int:
+    """The chunk width, 1 to TABLE_BITS, of least estimated cost for mapping
+    count subsets of n elements, in units of one table entry built
+    (20-40 ns). Cut into c chunks of that width, the tables hold c * 2^width
+    entries. A map with one table looks a set up at about one unit, and one
+    with c >= 2 runs a Python call, about four units, plus about one per
+    chunk. So at the width chosen, wider tables would cost more to build
+    than the lookups they save."""
+    least, best = None, 1
+    for width in range(1, min(n, TABLE_BITS) + 1):
+        chunks = -(-n // width)
+        cost = (chunks << width) + count * (chunks + 4 if chunks > 1 else 1)
+        if least is None or cost < least:
+            least, best = cost, width
+    return best
+
+
+def mask_image(perm: Permutation, count: int) -> Callable[[Mask], Mask]:
+    """The map of element sets induced by perm, sized for a caller that maps
+    about count sets. The elements are cut into chunks of consecutive
+    elements, _chunk_width wide, each with a table of the images of its
+    subsets (_table), and a set's image is the OR of one lookup per chunk.
+    With one chunk the map is the table's own __getitem__, so mapping a set
+    runs no Python frame; two chunks are looked up in one expression."""
+    n = len(perm)
+    width = _chunk_width(n, count)
+    tables = [_table(perm[start:start + width]) for start in range(0, n, width)]
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    below = (1 << width) - 1
+    if len(tables) == 2:
+        low, high = tables
+        return lambda mask: low[mask & below] | high[mask >> width]
 
     def image(mask: Mask) -> Mask:
         out = 0
         for table in tables:
-            out |= table[mask & 255]
-            mask >>= 8
+            out |= table[mask & below]
+            mask >>= width
         return out
 
     return image
@@ -239,9 +283,10 @@ def _is_automorphism(perm: Permutation, bases: frozenset[Mask]) -> bool:
     """perm maps every basis to a basis, so, being a bijection, maps the
     family onto itself. P needs no comparison here: the leaf's own P round
     compared it, its digest being part of the invariant the leaf matched,
-    and a permutation that changes P fails this check too."""
-    image = mask_image(perm)
-    return all(image(b) in bases for b in bases)
+    and a permutation that changes P fails this check too. The map is sized
+    to the family, and the whole family goes through it in one pass of
+    map and all."""
+    return all(map(bases.__contains__, map(mask_image(perm, len(bases)), bases)))
 
 
 def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:

@@ -390,6 +390,54 @@ def automorphisms(m):
     return found
 
 
+def group_order(generators, n):
+    """The order of the permutation group the tuples generate, by the
+    Schreier-Sims algorithm (Sims 1970), for groups too large to list.
+
+    Row i of the table holds, for each image of i under the pointwise
+    stabilizer of 0, ..., i-1, one element taking i there. An element is
+    sifted through the rows from the first point it may move; a residue
+    that stops at row i becomes that row's element for its image of i and a
+    generator at level i. Every product of a generator with a row element
+    at a level no deeper than the generator's is sifted in turn. When none
+    is left each row is an orbit and the stabilizers are generated by the
+    deeper rows (Schreier's lemma), so the order is the product of the row
+    sizes.
+    """
+    identity = tuple(range(n))
+
+    def mul(p, q):  # q first, then p
+        return tuple(p[x] for x in q)
+
+    def inverse(p):
+        out = [0] * n
+        for x, y in enumerate(p):
+            out[y] = x
+        return tuple(out)
+
+    rows = [{i: identity} for i in range(n)]
+    kept = []  # (level, generator); a generator at level i fixes 0, ..., i-1
+    work = [(0, g) for g in generators]  # (level, element fixing 0, ..., level-1)
+    while work:
+        level, p = work.pop()
+        for i in range(level, n):
+            element = rows[i].get(p[i])
+            if element is None:
+                break
+            p = mul(inverse(element), p)
+        else:
+            continue
+        rows[i][p[i]] = p
+        kept.append((i, p))
+        work += [(row, mul(p, element)) for row in range(i + 1)
+                 for element in rows[row].values()]
+        work += [(i, mul(g, p)) for at, g in kept if at >= i]
+    order = 1
+    for row in rows:
+        order *= len(row)
+    return order
+
+
 def fraction_downstep_lb(m, frame, witness):
     """The pair's down-step lower bound in Fraction arithmetic: 1/k minus
     (number of crossing drops)/k plus, per crossing drop u,

@@ -37,7 +37,8 @@ def test_parse_rational():
     assert cv.parse_rational("7") == F(7)
     assert cv.parse_rational(7) == F(7)
     assert cv.parse_rational("+2/6") == F(1, 3)
-    for bad in ("1.5", "a", "1/0", "", "1/2/3", True, 3.2, None):
+    # a str pattern's \d and Fraction both read any Unicode decimal digit
+    for bad in ("1.5", "a", "1/0", "", "1/2/3", True, 3.2, None, "\u0663", "\uff13/\uff14"):
         with pytest.raises(cv.BadRational):
             cv.parse_rational(bad)
 
@@ -432,6 +433,15 @@ def test_cli_contract_on_huge_inputs(capsys, tmp_path, text, code, message):
         assert message in err and len(err) < 200
     else:
         assert json.loads(out)["rank"] == 1 and err == ""
+
+
+def test_cli_rejects_non_ascii_digits(capsys, tmp_path):
+    # an Arabic-Indic three used to build as if it were 3
+    path = write_json(tmp_path, "arabic.json",
+                      {"type": "linear", "matrix": [["1", "\u0663"], ["0", "1"]]})
+    code, out, err = run_cli(capsys, "bases", "--input", path)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: not a p/q rational")
 
 
 def test_cli_all_pairs_audit_too_large_fails_fast(capsys, tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import curvatroid as cv
 from curvatroid import curvature, symmetry
 from conftest import build_test_set
-from oracles import (automorphisms, explicit_families, permuted_explicit_specs, small_specs,
-                     unpruned_global_curvature)
+from oracles import (automorphisms, explicit_families, group_order, permuted_explicit_specs,
+                     small_specs, unpruned_global_curvature)
 from test_curvature import TIE_GRAPHS
 
 
@@ -50,30 +50,6 @@ def affine_cube() -> cv.Matroid:
         if quad[0] ^ quad[1] ^ quad[2] ^ quad[3])))
 
 
-FAMILIES = {
-    "ag32": affine_cube,
-    "k4": lambda: cv.build_named("k4"),
-    "fano": lambda: cv.build_named("fano"),
-    "vamos": lambda: cv.build_named("vamos"),
-    "k24": lambda: graphic(6, [(i, 2 + j) for i in range(2) for j in range(4)]),
-    "k33": lambda: graphic(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
-    "k5": lambda: graphic(5, list(combinations(range(5), 2))),
-    "w5": lambda: graphic(6, wheel(5)),
-    "u36": lambda: cv.build_matroid(cv.UniformSpec(n=6, k=3)),
-}
-# |Aut M|; the vertex group of K(2,4) has order 48, its matroid's is 384
-GROUP_ORDERS = {"k4": 24, "fano": 168, "vamos": 64, "k24": 384, "k33": 72,
-                "k5": 120, "w5": 10, "ag32": 1344, "u36": 720}
-
-
-@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
-def test_generators_generate_the_oracle_group(name):
-    m = FAMILIES[name]()
-    group = generated_group(cv.automorphism_generators(m), m.n)
-    assert group == set(automorphisms(m))
-    assert len(group) == GROUP_ORDERS[name]
-
-
 def projective_plane_3() -> cv.Matroid:
     """PG(2, 3): the 13 points of the projective plane over GF(3), each
     triple of points off a common line a basis. Its pair counts are
@@ -89,6 +65,33 @@ def projective_plane_3() -> cv.Matroid:
     return cv.build_matroid(cv.ExplicitSpec(ground=labels, bases=tuple(
         tuple(labels[i] for i in triple) for triple in combinations(range(len(points)), 3)
         if det(*(points[i] for i in triple)))))
+
+
+FAMILIES = {
+    "ag32": affine_cube,
+    "k4": lambda: cv.build_named("k4"),
+    "fano": lambda: cv.build_named("fano"),
+    "vamos": lambda: cv.build_named("vamos"),
+    "k24": lambda: graphic(6, [(i, 2 + j) for i in range(2) for j in range(4)]),
+    "k33": lambda: graphic(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    "k5": lambda: graphic(5, list(combinations(range(5), 2))),
+    "w5": lambda: graphic(6, wheel(5)),
+    "u36": lambda: cv.build_matroid(cv.UniformSpec(n=6, k=3)),
+    "rank3": lambda: cv.build_named("rank3-counterexample"),
+    "pg23": projective_plane_3,
+    "k7": lambda: graphic(7, list(combinations(range(7), 2))),
+}
+# |Aut M|; the vertex group of K(2,4) has order 48, its matroid's is 384
+GROUP_ORDERS = {"k4": 24, "fano": 168, "vamos": 64, "k24": 384, "k33": 72,
+                "k5": 120, "w5": 10, "ag32": 1344, "u36": 720}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+def test_generators_generate_the_oracle_group(name):
+    m = FAMILIES[name]()
+    group = generated_group(cv.automorphism_generators(m), m.n)
+    assert group == set(automorphisms(m))
+    assert len(group) == GROUP_ORDERS[name]
 
 
 def test_generators_of_a_plane_with_uniform_pair_counts():
@@ -121,9 +124,11 @@ def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
 # pins the restart: an incidence round decided once, at the first node that
 # asks for it, splits nothing at depth 2 and leaves 164 leaf checks. U(3, 6)
 # pins the first pass without it: P is blind there, no leaf fails, and the
-# incidence round is asked for but never run.
+# incidence round is asked for but never run. The rank-3 counterexample
+# (14 elements), PG(2, 3) (13) and K7 (21) pin searches whose basis checks
+# map sets through two or more table chunks.
 LEAF_CHECKS = {"k4": 5, "fano": 8, "vamos": 6, "k24": 4, "k33": 3, "k5": 4, "w5": 2,
-               "ag32": 7, "u36": 5}
+               "ag32": 7, "u36": 5, "rank3": 11, "pg23": 8, "k7": 6}
 
 
 @pytest.mark.parametrize("name", sorted(LEAF_CHECKS))
@@ -138,6 +143,85 @@ def test_the_search_checks_few_leaves(name, monkeypatch):
     monkeypatch.setattr(symmetry, "_is_automorphism", counted)
     cv.automorphism_generators(FAMILIES[name]())
     assert len(checked) <= LEAF_CHECKS[name]
+
+
+# |Aut M| of the families whose basis checks take two or more chunks, too
+# large for the brute-force oracle; the rank-3 counterexample's group has
+# 2,073,600 elements, too many to list
+CHUNKED_GROUP_ORDERS = {"rank3": 2_073_600, "pg23": 5_616, "k7": 5_040}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_GROUP_ORDERS))
+def test_chunked_searches_generate_the_whole_group(name):
+    m = FAMILIES[name]()
+    assert symmetry._chunk_width(m.n, len(m.bases)) < m.n
+    generators = cv.automorphism_generators(m)
+    for p in generators:
+        assert {sum(1 << p[e] for e in cv.bits(b)) for b in m.bases} == m.bases
+    assert group_order(generators, m.n) == CHUNKED_GROUP_ORDERS[name]
+
+
+# the numbers of sets the callers map: the bases of a leaf check and the
+# keys of an exact sweep, on one basis, Fano (28 bases, 21 keys, 777 with
+# the audit), the rank-3 counterexample (84), PG(2, 3) (234), K7 (16,807
+# bases, 13,377 keys) and K8 (262,144 bases, 200,704 keys)
+CALLER_COUNTS = (1, 21, 28, 84, 234, 777, 13_377, 16_807, 200_704, 262_144)
+
+
+def chunks(n: int, count: int) -> int:
+    return -(-n // symmetry._chunk_width(n, count))
+
+
+# (count, n) at every edge of the width rule: n = 1, n = 40, and the last n
+# of each chunk count with the first n past it
+SHAPES = sorted({(count, n) for count in CALLER_COUNTS for n in (1, 40)}
+                | {(count, edge) for count in CALLER_COUNTS for n in range(1, 40)
+                   if chunks(n, count) != chunks(n + 1, count) for edge in (n, n + 1)})
+
+
+@st.composite
+def set_maps(draw):
+    count, n = draw(st.sampled_from(SHAPES))
+    perm = tuple(draw(st.permutations(range(n))))
+    top = 1 << n - 1
+    masks = draw(st.lists(st.one_of(st.integers(0, 2 * top - 1),
+                                    st.integers(0, top - 1).map(top.__or__)),
+                          min_size=1, max_size=20))
+    return count, perm, [0, 2 * top - 1, top, *masks]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(set_maps())
+def test_mask_image_matches_the_element_wise_image(drawn):
+    count, perm, masks = drawn
+    image = symmetry.mask_image(perm, count)
+    for mask in masks:
+        assert image(mask) == sum(1 << perm[e] for e in cv.bits(mask)), (count, perm, mask)
+
+
+def test_set_maps_take_the_fewest_chunks_that_pay():
+    # Fano's 28 bases map through one table, its own __getitem__; K7 and K8
+    # through two halves, for their bases and for their keys alike
+    assert symmetry._chunk_width(7, 28) == 7
+    assert type(symmetry.mask_image(tuple(range(7)), 28).__self__) is list
+    assert symmetry._chunk_width(21, 16_807) == symmetry._chunk_width(21, 13_377) == 11
+    assert symmetry._chunk_width(28, 262_144) == symmetry._chunk_width(28, 200_704) == 14
+    # a table never passes TABLE_BITS, however many sets are mapped
+    assert symmetry._chunk_width(40, 10 ** 9) == symmetry.TABLE_BITS
+
+
+# (n, k): all k-sets of n elements but {1, ..., k - 1, n - 1}, so a
+# transposition is an automorphism iff it fixes that set; the basis check
+# maps them through one table, two chunks and five
+@pytest.mark.parametrize("n,k,pieces", [(7, 3, 1), (13, 3, 2), (40, 2, 5)])
+def test_a_planted_transposition_fails_the_basis_check_in_each_shape(n, k, pieces):
+    missing = 1 << n - 1 | (1 << k) - 2
+    bases = frozenset(sum(1 << e for e in c) for c in combinations(range(n), k)) - {missing}
+    assert chunks(n, len(bases)) == pieces
+    assert symmetry._is_automorphism(tuple(range(n)), bases)
+    assert symmetry._is_automorphism(swap(n, 0, n - 2), bases)
+    assert not symmetry._is_automorphism(swap(n, 0, n - 1), bases)
+    assert not symmetry._is_automorphism(swap(n, 0, 1), bases)
 
 
 # the incidence round runs only after a leaf failed the basis check below a
