@@ -58,7 +58,6 @@ from .curvature import (
     GlobalReport,
     PairFrame,
     PairReport,
-    PairWitness,
     canonical_pairs,
     compute_pair_report,
     compute_pair_witness,
@@ -98,7 +97,7 @@ __all__ = [
     "TransportProblem", "verify_transport_certificate", "wasserstein1",
     # curvature
     "DownstepCoupling", "DropWitness", "GlobalReport",
-    "PairFrame", "PairReport", "PairWitness", "canonical_pairs",
+    "PairFrame", "PairReport", "canonical_pairs",
     "compute_pair_report", "compute_pair_witness", "downstep_coupling_table",
     "downstep_lb_pair", "exact_pair_curvature", "global_curvature",
     "make_pair_frame", "theorem_lb_global",

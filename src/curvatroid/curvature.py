@@ -73,24 +73,6 @@ class DropWitness:
     s_only_adds: Mask    # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
 
 
-@dataclass(frozen=True)
-class PairWitness:
-    """Crossing drops of a pair frame with their neighborhood statistics."""
-
-    entries: tuple[DropWitness, ...]
-
-    @property
-    def crossing_drops(self) -> tuple[int, ...]:
-        return tuple(e.drop for e in self.entries)
-
-    @property
-    def signature(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted (#N(S-u), #N(T-u), overlap) over the crossing drops u: with
-        the rank and n it determines every closed-form bound of the pair."""
-        return tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
-                            for e in self.entries))
-
-
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
     if frame.s_basis not in m.bases or frame.t_basis not in m.bases:
         raise NotABasis("pair frame names a set that is not a basis")
@@ -105,8 +87,9 @@ def make_pair_frame(m: Matroid, s: Mask, t: Mask) -> PairFrame:
     return PairFrame(s, t)
 
 
-def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
-    """Scan the shared elements and record the crossing drops.
+def compute_pair_witness(m: Matroid, frame: PairFrame) -> tuple[DropWitness, ...]:
+    """Scan the shared elements and record the crossing drops, in the order
+    of frame.shared.
 
     A shared u is a crossing drop when the S side can add t_elem after
     dropping u, that is when S - u + t is a basis; that set is T - u + s,
@@ -122,20 +105,20 @@ def compute_pair_witness(m: Matroid, frame: PairFrame) -> PairWitness:
     table = m._completions
     s_basis, t_basis = frame.s_basis, frame.t_basis
     t_bit = 1 << frame.t_elem
-    entries = []
+    drops = []
     for u in frame.shared:
         u_bit = 1 << u
         ns = table[s_basis ^ u_bit]
         if ns & t_bit:
             nt = table[t_basis ^ u_bit]
-            entries.append(DropWitness(
+            drops.append(DropWitness(
                 drop=u,
                 ns_size=ns.bit_count(),
                 nt_size=nt.bit_count(),
                 overlap_size=(ns & nt).bit_count(),
                 s_only_adds=ns & ~nt & ~t_bit,
             ))
-    return PairWitness(tuple(entries))
+    return tuple(drops)
 
 
 # ── closed-form bounds ──────────────────────────────────────────────────────
@@ -202,9 +185,11 @@ def bound_numerators(scale: int, signature: Iterable[tuple[int, int, int]],
     return lb, forward, reverse
 
 
-def _pair_numerators(m: Matroid, witness: PairWitness) -> tuple[tuple[int, int, int], int]:
+def _pair_numerators(m: Matroid, drops: tuple[DropWitness, ...],
+                     ) -> tuple[tuple[int, int, int], int]:
     scale = bound_scale(m.rank, m.n)
-    return bound_numerators(scale, witness.signature), m.rank * scale
+    return bound_numerators(scale, ((d.ns_size, d.nt_size, d.overlap_size)
+                                    for d in drops)), m.rank * scale
 
 
 def downstep_lb_pair(m: Matroid, frame: PairFrame) -> Fraction:
@@ -371,7 +356,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
 @dataclass(frozen=True)
 class PairReport:
     frame: PairFrame
-    witness: PairWitness
+    witness: tuple[DropWitness, ...]
     downstep_lb: Fraction
     ub_forward: Fraction
     ub_reverse: Fraction
@@ -639,7 +624,8 @@ def global_curvature(m: Matroid, exact: bool = True,
         rows = _key_orbit(rest, images, seen)
         pair_count += (len(rows) + 1) * comb(members.bit_count(), 2)
         for x, y in combinations([rest | 1 << e for e in bits(members)], 2):
-            signature = compute_pair_witness(m, PairFrame(x, y)).signature
+            signature = tuple(sorted((d.ns_size, d.nt_size, d.overlap_size)
+                                     for d in compute_pair_witness(m, PairFrame(x, y))))
             bounds = bounds_of.get(signature)
             if bounds is None:
                 lb, forward, reverse = bound_numerators(scale, signature)

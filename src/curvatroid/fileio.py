@@ -22,10 +22,10 @@ from . import __version__
 from .catalog import CATALOG_NAMES, build_named
 from .curvature import (
     DownstepCoupling,
+    DropWitness,
     GlobalReport,
     PairFrame,
     PairReport,
-    PairWitness,
 )
 from .errors import BadRational, ParseError, UnknownType, ValidationResult
 from .matroid import (
@@ -202,9 +202,9 @@ def frame_to_obj(m: Matroid, frame: PairFrame) -> dict:
     }
 
 
-def witness_to_obj(m: Matroid, witness: PairWitness) -> dict:
+def witness_to_obj(m: Matroid, witness: tuple[DropWitness, ...]) -> dict:
     return {
-        "J": [m.labels[u] for u in witness.crossing_drops],
+        "J": [m.labels[e.drop] for e in witness],
         "entries": [
             {
                 "u": m.labels[e.drop],
@@ -213,7 +213,7 @@ def witness_to_obj(m: Matroid, witness: PairWitness) -> dict:
                 "sizeCap": e.overlap_size,
                 "A": _labels(m, e.s_only_adds),
             }
-            for e in witness.entries
+            for e in witness
         ],
     }
 

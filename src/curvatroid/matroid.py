@@ -102,9 +102,11 @@ class Matroid:
     theorem (uniform, graphic and linear constructions); any other family is
     checked once, by require_matroid, before its first curvature result.
 
-    A construction that enumerates its family in canonical order passes
-    keys, the index tuple of each basis of bases in the same order;
-    sorted_bases() and origin_hash() then use that order instead of sorting.
+    The canonical order of the family is fixed at construction: a
+    construction that enumerates its family in that order passes keys, the
+    index tuple of each basis of bases in the same order; otherwise the
+    family is sorted once here. sorted_bases(), origin_hash() and the
+    automorphism search read that order and the index tuples (_keys).
 
     The completion set N(R) of a (k-1)-set R holds the elements x with
     R + x a basis; _completions is their one store (_CompletionSets). The
@@ -123,10 +125,7 @@ class Matroid:
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise UnknownElement("duplicate ground labels")
-        self._sorted: list[Mask] | None = None
-        self._keys = keys
-        if keys is not None:
-            bases = self._sorted = list(bases)
+        bases = list(bases)
         family = frozenset(bases)
         if not family:
             raise EmptyBasisFamily("basis family is empty")
@@ -140,7 +139,13 @@ class Matroid:
         for m in family:
             if m & ~full:
                 raise UnknownElement("basis uses an element outside the ground set")
+        if keys is None:
+            keyed = sorted((basis_sort_key(b), b) for b in family)
+            keys = [key for key, _ in keyed]
+            bases = [b for _, b in keyed]
         self.bases = family
+        self._sorted = bases
+        self._keys = keys
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions = _CompletionSets(family, full)
@@ -181,10 +186,6 @@ class Matroid:
 
     def sorted_bases(self) -> list[Mask]:
         """All bases in canonical order."""
-        if self._sorted is None:
-            keyed = sorted((basis_sort_key(b), b) for b in self.bases)
-            self._keys = [key for key, _ in keyed]
-            self._sorted = [b for _, b in keyed]
         return self._sorted
 
     # -- exchange structure ----------------------------------------------
@@ -214,7 +215,6 @@ class Matroid:
 
     def origin_hash(self) -> str:
         """Stable digest of the canonical description (labels + basis list)."""
-        self.sorted_bases()  # fills in the index tuples, self._keys
         doc = {
             "labels": list(self.labels),
             "rank": self.rank,

@@ -163,7 +163,6 @@ class _BlindPairCounts(Exception):
 def _pair_counts(m: Matroid) -> list[list[int]]:
     """P[e][f] as the popcount of the AND of two columns: column e has bit i
     set when the i-th basis in canonical order contains e."""
-    m.sorted_bases()  # fills in the index tuples, m._keys
     columns = [bytearray((len(m._keys) + 7) // 8) for _ in range(m.n)]
     for i, key in enumerate(m._keys):
         byte, bit = i >> 3, 1 << (i & 7)

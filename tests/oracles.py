@@ -444,8 +444,8 @@ def fraction_downstep_lb(m, frame, witness):
     (1 + overlap)/(k max) + 1/(k min), max and min over #N(S-u), #N(T-u).
     """
     k = m.rank
-    total = Fraction(1, k) - Fraction(len(witness.entries), k)
-    for e in witness.entries:
+    total = Fraction(1, k) - Fraction(len(witness), k)
+    for e in witness:
         hi = max(e.ns_size, e.nt_size)
         lo = min(e.ns_size, e.nt_size)
         total += Fraction(1 + e.overlap_size, k * hi) + Fraction(1, k * lo)
@@ -463,7 +463,7 @@ def fraction_theorem_ub_values(m, frame, witness):
     k = m.rank
     s_bit, t_bit = 1 << frame.s_elem, 1 << frame.t_elem
     forward = reverse = Fraction(1, k)
-    for e in witness.entries:
+    for e in witness:
         ns = exchange_neighborhood(m, frame.s_basis, e.drop)
         nt = exchange_neighborhood(m, frame.t_basis, e.drop)
         s_only = (ns & ~nt & ~t_bit).bit_count()
@@ -684,12 +684,10 @@ def proposition_distance_check(m, frame, u, a=None):
     and T-t+a (those that are bases). With a=None every such a is checked;
     a vacuous pass is reported when there are none.
     """
-    witness = cv.compute_pair_witness(m, frame)
-    try:
-        idx = witness.crossing_drops.index(u)
-    except ValueError:
-        raise cv.CurvatroidError(f"{m.labels[u]!r} is not a crossing drop") from None
-    adds_mask = witness.entries[idx].s_only_adds
+    entry = next((e for e in cv.compute_pair_witness(m, frame) if e.drop == u), None)
+    if entry is None:
+        raise cv.CurvatroidError(f"{m.labels[u]!r} is not a crossing drop")
+    adds_mask = entry.s_only_adds
     if a is None:
         adds = list(cv.bits(adds_mask))
         if not adds:

@@ -54,7 +54,7 @@ def test_criterion_02_k6_negative_curvature():
     m = cv.build_named("k6")
     frame = distinguished_frame(m, "k6")
     witness = cv.compute_pair_witness(m, frame)
-    by_label = {m.labels[e.drop]: e for e in witness.entries}
+    by_label = {m.labels[e.drop]: e for e in witness}
     table = [by_label[label] for label in ("1", "2", "3", "4")]
     assert tuple(e.ns_size for e in table) == (8, 5, 5, 8)
     assert tuple(e.nt_size for e in table) == (5, 8, 8, 5)

@@ -12,14 +12,25 @@ from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmet
 # coupling layer and the kernel cache (BasisGraph), and format_rational, which
 # only called str; proposition_distance_check,
 # distribution_to_obj, items_sorted, ElementNotInBasis and the Fraction
-# coupling cell are test helpers in tests/oracles.py, and the rank wrapper
-# matrix_rank is gone
+# coupling cell are test helpers in tests/oracles.py, the rank wrapper
+# matrix_rank is gone, and PairWitness is the tuple of DropWitness records
+# that compute_pair_witness returns
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
            "ElementNotInBasis", "BasisGraph", "format_rational", "CouplingCell",
-           "matrix_rank")
+           "matrix_rank", "PairWitness")
+
+# exported names that nothing under src/curvatroid/ uses, each with its reason
+UNUSED_EXPORTS = {
+    # traced by bench/spans.py; they move to tests/oracles.py once the
+    # bench's bound spans read bound_numerators
+    "downstep_lb_pair": "bench span target",
+    "theorem_ub_pair": "bench span target",
+    "theorem_ub_values": "bench span target",
+    "DISTINGUISHED_PAIRS": "catalog test data",
+}
 
 
 def test_public_names_resolve_and_deleted_names_are_gone():
@@ -69,6 +80,27 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     # one parser function, built once per process
     assert not hasattr(cli, "build_parser")
     assert cli._parser() is cli._parser()
+
+
+def test_every_public_name_is_used_inside_the_package():
+    """A name in __all__ occurs at least twice in the package outside
+    __init__.py, its definition and one use, or is listed with its reason."""
+    package = Path(cv.__file__).parent
+    source = "".join(path.read_text(encoding="utf-8") for path in package.glob("*.py")
+                     if path.name != "__init__.py")
+    unused = {name for name in cv.__all__
+              if len(re.findall(rf"\b{re.escape(name)}\b", source)) < 2}
+    assert unused == set(UNUSED_EXPORTS)
+
+
+def test_pair_witness_is_its_drop_records():
+    m = cv.build_named("k6")
+    frame = cv.make_pair_frame(m, *(m.mask_from_labels(p)
+                                    for p in cv.DISTINGUISHED_PAIRS["k6"]))
+    witness = cv.compute_pair_witness(m, frame)
+    assert type(witness) is tuple and witness
+    assert all(type(e) is cv.DropWitness for e in witness)
+    assert cv.compute_pair_report(m, frame.s_basis, frame.t_basis).witness == witness
 
 
 def test_deleted_knobs_are_gone():

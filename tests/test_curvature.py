@@ -99,8 +99,8 @@ def test_frame_refuses_anything_but_one_exchange(s, t):
 def test_witness_u42():
     m = u42()
     witness = cv.compute_pair_witness(m, frame_of(m, ("a", "b"), ("a", "c")))
-    assert [m.labels[u] for u in witness.crossing_drops] == ["a"]
-    (entry,) = witness.entries
+    (entry,) = witness
+    assert m.labels[entry.drop] == "a"
     assert (entry.ns_size, entry.nt_size, entry.overlap_size) == (3, 3, 2)
     assert entry.s_only_adds == 0
     assert entry.nt_size - 1 - entry.overlap_size == 0  # no T-only adds either
@@ -113,7 +113,7 @@ def test_witness_k6():
     witness = cv.compute_pair_witness(m, frame)
     rows = {m.labels[e.drop]: (e.ns_size, e.nt_size, e.overlap_size,
                                e.s_only_adds.bit_count())
-            for e in witness.entries}
+            for e in witness}
     assert rows == {"1": (8, 5, 2, 5), "2": (5, 8, 2, 2),
                     "3": (5, 8, 2, 2), "4": (8, 5, 2, 5)}
 
@@ -121,8 +121,7 @@ def test_witness_k6():
 def test_witness_no_crossing():
     m, frame = separated_pair()
     witness = cv.compute_pair_witness(m, frame)
-    assert witness.crossing_drops == ()
-    assert witness.entries == ()
+    assert witness == ()
 
 
 def test_witness_rejects_inconsistent_frame():
@@ -235,7 +234,7 @@ def test_proposition_rank3():
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["rank3-counterexample"])
     frame = cv.make_pair_frame(m, s, t)
     witness = cv.compute_pair_witness(m, frame)
-    for entry in witness.entries:
+    for entry in witness:
         result = proposition_distance_check(m, frame, entry.drop)
         assert result.ok and "5 add(s)" in result.detail
         for a in cv.bits(entry.s_only_adds):
@@ -545,7 +544,7 @@ def test_bounds_are_computed_once_per_signature(test_set, monkeypatch):
             bounds = (fraction_downstep_lb(m, frame, witness),
                       min(fraction_theorem_ub_values(m, frame, witness)))
             signature = tuple(sorted((e.ns_size, e.nt_size, e.overlap_size)
-                                     for e in witness.entries))
+                                     for e in witness))
             assert by_signature.setdefault(signature, bounds) == bounds, name
         calls.clear()
         report = cv.global_curvature(m, exact=False)

@@ -30,11 +30,13 @@ PAIRS = {
     "fano": (("1", "2", "4"), ("1", "2", "5")),
     "rank3-linear": DISTINGUISHED_PAIRS["rank3-counterexample"],
     "linear-4x9": (("v1", "v3", "v4"), ("v2", "v3", "v4")),
+    # downstepLB 1/3 < kappa = theoremUB = 11/30
+    "linear-5x7": (("v0", "v1", "v2", "v3", "v4"), ("v0", "v1", "v2", "v3", "v5")),
 }
 
 # description files, written to a temporary file per render (a report's
 # origin describes the construction, not the path): two explicit
-# non-matroids for the validate witness goldens, then two linear inputs
+# non-matroids for the validate witness goldens, then three linear inputs
 FILES = {
     "split": {"type": "explicit", "ground": list("abcdef"),
               "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]},
@@ -55,6 +57,15 @@ FILES = {
                    [0, 2, -4, 0, 1, 1, -1, 0, 2],
                    [0, 0, 0, 1, 1, 0, 2, -1, 1],
                    [0, 1, -2, 0, -1, 2, -1, 4, -1]]},
+    # rank 5 on 7 columns, 2k > n: the bases come from the dual's minors;
+    # some pairs have downstepLB < theoremUB; default labels
+    "linear-5x7": {
+        "type": "linear",
+        "matrix": [[0, 2, 1, 1, -1, -1, 0],
+                   [0, 0, -1, 1, 0, 0, 2],
+                   [0, -1, 0, 0, -1, 1, 0],
+                   [0, -1, 1, 0, -1, 2, 0],
+                   [2, -1, -1, 1, -1, 1, 1]]},
 }
 NON_MATROIDS = ("split", "two-triangles")
 
@@ -73,6 +84,9 @@ CASES = (
     # appended last so the generated ids of the cases above stay as they were
     + [("curvature", name, ("--all-pairs",)) for name in ("k4", "fano")]
     + [(command, name, flags) for name in ("rank3-linear", "linear-4x9")
+       for command, flags in (("bases", ()), ("curvature", ()),
+                              ("curvature", ("--exact",)), ("pair", ()))]
+    + [(command, "linear-5x7", flags)
        for command, flags in (("bases", ()), ("curvature", ()),
                               ("curvature", ("--exact",)), ("pair", ()))]
 )

@@ -74,8 +74,10 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     assert m.sorted_bases() == expected
     assert_canonical(m)
     # the same family listed backwards takes the explicit route, which sorts
+    # when the matroid is built
     explicit = cv.build_matroid(cv.ExplicitSpec(
         ground=m.labels, bases=tuple(m.labels_of(b) for b in reversed(expected))))
+    assert explicit._keys == m._keys
     assert explicit.sorted_bases() == expected
     assert_canonical(explicit)
     assert explicit.origin_hash() == m.origin_hash()
