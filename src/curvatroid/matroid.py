@@ -7,10 +7,11 @@ arithmetic. Bases are enumerated explicitly, which is exact and
 comfortably fast at desk scale (n up to ~20): the uniform construction
 lists the k-subsets; the linear one computes every maximal minor in one
 Laplace pass over the rows, on the dual when 2k > n; the graphic one grows
-spanning forests edge by edge. It grows no dead prefix: forest F plus edge
-i extends to a basis by later edges iff rank(F + E>=i) = k, since
-F + i + E>i is that same set. Every construction emits its family in
-canonical order.
+spanning forests edge by edge, by a depth-first search whose last level
+(a forest two edges short) runs as one flat loop. It grows no dead prefix:
+forest F plus edge i extends to a basis by later edges iff
+rank(F + E>=i) = k, since F + i + E>i is that same set. Every construction
+emits its family in canonical order, and origin_hash() digests that order.
 """
 
 from __future__ import annotations
@@ -136,9 +137,8 @@ class Matroid:
         if self.rank == 0:
             raise EmptyBasisFamily("rank-0 family (only the empty set)")
         full = (1 << len(self.labels)) - 1
-        for m in family:
-            if m & ~full:
-                raise UnknownElement("basis uses an element outside the ground set")
+        if min(family) < 0 or max(family) > full:
+            raise UnknownElement("basis uses an element outside the ground set")
         if keys is None:
             keyed = sorted((basis_sort_key(b), b) for b in family)
             keys = [key for key, _ in keyed]
@@ -214,13 +214,15 @@ class Matroid:
     # -- identity ---------------------------------------------------------
 
     def origin_hash(self) -> str:
-        """Stable digest of the canonical description (labels + basis list)."""
-        doc = {
-            "labels": list(self.labels),
-            "rank": self.rank,
-            "bases": self._keys,  # tuples serialise as JSON arrays
-        }
-        blob = json.dumps(doc, separators=(",", ":")).encode()
+        """SHA-256 of json.dumps({"labels", "rank", "bases"},
+        separators=(",", ":")), where "bases" lists the index tuples in
+        canonical order. The index arrays are joined from decimal strings,
+        the same text json.dumps writes for them."""
+        digits = [str(i) for i in range(self.n)]
+        rows = "],[".join([",".join([digits[i] for i in key]) for key in self._keys])
+        head = json.dumps({"labels": list(self.labels), "rank": self.rank},
+                          separators=(",", ":"))
+        blob = f'{head[:-1]},"bases":[[{rows}]]}}'.encode()
         return hashlib.sha256(blob).hexdigest()
 
     def __repr__(self) -> str:
@@ -387,52 +389,55 @@ def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
     prefix forest F only by live edges: i joins two components of F and
     rank(F + E>=i) = k, as F + i + E>i is that same set. The rank only falls
     as i grows, so one backward scan that merges components until k - |F|
-    unions are found gives the last live index. Labels are a str, one chr
-    per vertex, merged by str.replace; children one edge short of k are
-    expanded in place. The stack is explicit, since k can exceed the
-    recursion limit.
+    unions are found gives the last live index. Endpoints are read from
+    two flat lists, heads and tails; component labels are a str, one chr
+    per vertex, merged by str.replace. A prefix two edges short of k has
+    its own loop, which emits each child's bases in place; a longer one
+    pushes its live children largest index first, so the smallest is
+    popped first. The stack is explicit, since k can exceed the recursion
+    limit.
     """
     n = len(ends)
     if k == 1:
         live = [j for j, (a, b) in enumerate(ends) if a != b]
         return [1 << j for j in live], [(j,) for j in live]
+    heads = [a for a, _ in ends]
+    tails = [b for _, b in ends]
     bases: list[Mask] = []
     keys: list[tuple[int, ...]] = []
     # (next edge index, prefix mask, prefix tuple, labels) of live prefixes
-    # two or more edges short; children are pushed in reverse, so the
-    # smallest index is explored first
+    # two or more edges short
     stack = [(0, 0, (), "".join(map(chr, range(vertex_count))))]
+    pop, push = stack.pop, stack.append
     while stack:
-        start, prefix, key, root = stack.pop()
+        start, prefix, key, root = pop()
         need = k - len(key)
+        short = need == 2
         last = n - need  # a later edge leaves too few behind it
         if last > start:  # else all the rest is needed, and F is live
             comp, last = root, n
             while need:
                 last -= 1
-                a, b = ends[last]
-                x, y = comp[a], comp[b]
+                x, y = comp[heads[last]], comp[tails[last]]
                 if x != y:
                     need -= 1
                     comp = comp.replace(y, x)
-        short = len(key) + 2 == k
-        children = []
-        for i in range(start, last + 1):
-            a, b = ends[i]
-            x, y = root[a], root[b]
-            if x == y:
-                continue
-            child = root.replace(y, x)
-            if short:  # each later edge that joins two components ends a basis
+        if short:  # each later edge that joins two components ends a basis
+            for i in range(start, last + 1):
+                x, y = root[heads[i]], root[tails[i]]
+                if x == y:
+                    continue
+                child = root.replace(y, x)
                 mask, stem = prefix | 1 << i, key + (i,)
                 for j in range(i + 1, n):
-                    a, b = ends[j]
-                    if child[a] != child[b]:
+                    if child[heads[j]] != child[tails[j]]:
                         bases.append(mask | 1 << j)
                         keys.append(stem + (j,))
-            else:
-                children.append((i + 1, prefix | 1 << i, key + (i,), child))
-        stack.extend(reversed(children))
+        else:  # pushed largest index first, so the smallest is explored first
+            for i in range(last, start - 1, -1):
+                x, y = root[heads[i]], root[tails[i]]
+                if x != y:
+                    push((i + 1, prefix | 1 << i, key + (i,), root.replace(y, x)))
     return bases, keys
 
 

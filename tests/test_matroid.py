@@ -172,6 +172,14 @@ def test_explicit_errors():
         cv.build_matroid(cv.ExplicitSpec(ground=("a", "b"), bases=(("a", "a"),)))
 
 
+def test_ground_set_check():
+    labels = ("a", "b", "c")
+    assert cv.Matroid(labels, [0b011, 0b110], "t").bases == {0b011, 0b110}
+    for bases in ([0b011, 0b1001], [0b1000, 0b001], [0b001, -4], [-2]):
+        with pytest.raises(cv.UnknownElement, match="outside the ground set"):
+            cv.Matroid(labels, bases, "t")
+
+
 def test_enumeration_guard():
     with pytest.raises(cv.TooLarge):
         cv.build_matroid(cv.UniformSpec(n=30, k=15))

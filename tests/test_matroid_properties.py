@@ -1,7 +1,8 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
 Fraction elimination, the graphic spanning-forest search and the linear
-minor pass against per-subset enumeration, and the completion-set store,
-read one set at a time and then filled, against a fresh completion table."""
+minor pass against per-subset enumeration, the origin hash on labels that
+JSON escapes against json.dumps, and the completion-set store, read one set
+at a time and then filled, against a fresh completion table."""
 
 from fractions import Fraction
 
@@ -81,6 +82,34 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     assert explicit.sorted_bases() == expected
     assert_canonical(explicit)
     assert explicit.origin_hash() == m.origin_hash()
+
+
+# a quote, a backslash, control characters, non-ASCII and an astral
+# character: json.dumps escapes each of them in a label
+ESCAPED = ('"', "\\", "\x01", "\n", "\u00e9", "\u2028", "\U0001d11e")
+
+
+@st.composite
+def escaped_families(draw):
+    """An explicit family over 1..14 labels written from characters JSON
+    must escape: k = 1 and n >= 11 both occur, as do bases listed out of
+    canonical order."""
+    n = draw(st.integers(1, 14))
+    labels = draw(st.lists(st.text(st.sampled_from(ESCAPED + ("a",)), min_size=1, max_size=3),
+                           min_size=n, max_size=n, unique=True))
+    k = draw(st.sampled_from(sorted({1, min(2, n), min(3, n), max(n - 1, 1), n})))
+    subsets = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(sorted)
+    bases = draw(st.lists(subsets, min_size=1, max_size=40, unique_by=tuple))
+    return cv.ExplicitSpec(ground=tuple(labels),
+                           bases=tuple(tuple(labels[i] for i in b) for b in bases))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(escaped_families())
+@hypothesis.example(cv.ExplicitSpec(ground=ESCAPED + tuple(f"x{i}" for i in range(5)),
+                                    bases=tuple((x,) for x in reversed(ESCAPED))))
+def test_origin_hash_escapes_labels_as_json_does(spec):
+    assert_canonical(cv.build_matroid(spec))
 
 
 @st.composite
