@@ -38,7 +38,9 @@ class Distribution:
     """Probability distribution over bases (masks): positive integer weights
     over a common denominator, so the mass of b is weights[b] / denominator.
 
-    The weights need not be in lowest terms; equality is identity.
+    The weights need not be in lowest terms; equality is identity. A weight
+    or denominator that is not an int (a float, a Fraction) raises
+    ValueError, like every other broken invariant.
     """
 
     weights: Mapping[Mask, int]
@@ -52,6 +54,10 @@ class Distribution:
             if w <= 0:
                 raise ValueError(f"nonpositive weight {w} on {b}")
             total += w
+        # a sum of ints is an int; one float or Fraction weight makes it not
+        if type(total) is not int or type(self.denominator) is not int:
+            raise ValueError(f"weights and denominator must be ints: weights sum to "
+                             f"{total!r} over {self.denominator!r}")
         if total != self.denominator or total <= 0:
             raise ValueError(f"weights sum to {total}, not the denominator "
                              f"{self.denominator}")

@@ -132,6 +132,19 @@ def test_unbalanced_marginals_rejected():
         cv.wasserstein1(cv.TransportProblem.from_distance(mu, half, d))
 
 
+@pytest.mark.parametrize("bad", [0.5, -1, F(1, 2), "1", None])
+def test_cost_that_is_not_a_nonnegative_int_is_named(bad):
+    # row 0 is clean; row 1 holds the first bad cost at its second column
+    # and another, nonnegative, after it
+    mu = cv.Distribution({1: 1, 2: 1}, 2)
+    nu = cv.Distribution({10: 1, 20: 1, 30: 1}, 3)
+    costs = {(1, 10): 1, (1, 20): 2, (1, 30): 3, (2, 10): 0, (2, 20): bad, (2, 30): 2.5}
+    with pytest.raises(cv.CurvatroidError) as caught:
+        cv.TransportProblem.from_distance(mu, nu, lambda x, y: costs[(x, y)])
+    assert not isinstance(caught.value, cv.UnbalancedMarginals)
+    assert str(caught.value) == f"cost {bad!r} from 2 to 20 is not a nonnegative int"
+
+
 # ── the coupling oracle ─────────────────────────────────────────────────────
 
 
@@ -307,6 +320,27 @@ def test_certificate_rejects_tampering():
 
     result = verify(supply, demand, cost, flow, [-1, -2], v)  # feasible, gap 2
     assert not result.ok and result.witness == ("gap", 5, 3)
+
+    # row 0 feasible, row 1 violated at (1, 0) only: -3 + 6 = 3 > 2
+    result = verify(supply, demand, cost, flow, [-5, -3], [6, 4])
+    assert not result.ok and result.witness == ("dual", 1, 0)
+
+    # two violations in row 1, the later one larger: 2 + 1 = 3 > 2 at
+    # (1, 0) and 2 + 3 = 5 > 1 at (1, 1); the first in row-major order is named
+    result = verify(supply, demand, cost, flow, [0, 2], v)
+    assert not result.ok and result.witness == ("dual", 1, 0)
+
+
+def test_warm_start_fills_a_tight_problem_without_dijkstra(monkeypatch):
+    # the column minima make both diagonal cells tight, and the direct fill
+    # ships the whole problem along them before any Dijkstra
+    def no_heap(*args):
+        raise AssertionError("Dijkstra ran")
+
+    monkeypatch.setattr(transport, "heappop", no_heap)
+    monkeypatch.setattr(transport, "heappush", no_heap)
+    flow, u, v = transport._solve_integer_transport([1, 2], [1, 2], [[3, 9], [9, 5]])
+    assert flow == {(0, 0): 1, (1, 1): 2} and u == [0, 0] and v == [3, 5]
 
 
 def test_failed_certificate_stops_the_solve(monkeypatch, capsys):

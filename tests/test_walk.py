@@ -111,6 +111,11 @@ def test_distribution_invariants():
         cv.Distribution(MappingProxyType({1: 1, 2: 0, 4: 1}), 2)
     with pytest.raises(ValueError):
         cv.Distribution(MappingProxyType({1: 3, 2: 2}), 6)
+    # weights and denominator are ints: no float or Fraction masses
+    for weights, denominator in (({1: 0.5, 2: 0.5}, 1), ({1: F(1, 2), 2: F(1, 2)}, 1),
+                                 ({1: 1}, 1.0)):
+        with pytest.raises(ValueError, match="ints"):
+            cv.Distribution(weights, denominator)
     d = cv.Distribution(MappingProxyType({4: 1, 1: 1}), 2)
     assert support(d) == [1, 4]
     assert mass(d, 2) == 0
