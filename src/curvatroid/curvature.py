@@ -347,7 +347,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
     """1 - W1 between the two one-step distributions."""
     m.require_matroid()
     mu, nu = (transition_distribution(m, b) for b in (frame.s_basis, frame.t_basis))
-    return 1 - wasserstein1(TransportProblem.from_distance(mu, nu, exchange_distance))
+    return 1 - wasserstein1(TransportProblem.from_distance(mu, nu))
 
 
 # ── reports ─────────────────────────────────────────────────────────────────
@@ -499,7 +499,7 @@ def _audit_minimum(m: Matroid, images: list[Callable[[Mask], Mask]]) -> Fraction
             if done[i * size + j]:
                 continue
             y = order[j]
-            problem = TransportProblem.from_distance(rows[x], rows[y], exchange_distance)
+            problem = TransportProblem.from_distance(rows[x], rows[y])
             ratio = 1 - wasserstein1(problem) / exchange_distance(x, y)
             if worst is None or ratio < worst:
                 worst = ratio

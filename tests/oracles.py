@@ -31,6 +31,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import curvatroid as cv
 from curvatroid import curvature, matroid
@@ -341,6 +342,18 @@ def full_transport_problem(mu, nu, dist=set_difference_size):
     return FullProblem(rows, cols, [mass(mu, x) for x in rows],
                        [mass(nu, y) for y in cols],
                        [[dist(x, y) for y in cols] for x in rows])
+
+
+def as_transport_problem(full):
+    """The unreduced problem in integers over its common denominator, with
+    no shared mass fixed, so wasserstein1 routes every unit; its costs are
+    full.cost as given, any nonnegative ints."""
+    scale = lcm(*(q.denominator for q in full.supply + full.demand))
+    return cv.TransportProblem(
+        tuple(full.row_keys), tuple(full.col_keys),
+        tuple(int(q * scale) for q in full.supply),
+        tuple(int(q * scale) for q in full.demand),
+        tuple(map(tuple, full.cost)), scale)
 
 
 def fraction_kernel(m, s):

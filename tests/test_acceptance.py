@@ -167,7 +167,7 @@ def test_criterion_10_transport_and_distance_oracles(sweep):
         for x, y in cv.canonical_pairs(m):
             mu = cv.transition_distribution(m, x)
             nu = cv.transition_distribution(m, y)
-            problem = cv.TransportProblem.from_distance(mu, nu, partial(distance, m))
+            problem = cv.TransportProblem.from_distance(mu, nu)
             value = cv.wasserstein1(problem)
 
             rows = [b for b in support(mu) if mass(mu, b) > mass(nu, b)]

@@ -118,6 +118,11 @@ def test_deleted_knobs_are_gone():
     # the exact walk takes one candidate list and returns its pair
     assert list(inspect.signature(curvature._pruned_minimum).parameters) == [
         "m", "candidates", "denominator", "images"]
+    # transport prices exchange distances itself: no metric callback, and no
+    # check of costs that a popcount cannot get wrong
+    assert list(inspect.signature(cv.TransportProblem.from_distance).parameters) == [
+        "mu", "nu"]
+    assert not hasattr(transport, "_reject_cost")
 
 
 # per-pair checks that a one-exchange PairFrame and the matroid gate make

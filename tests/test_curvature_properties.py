@@ -31,7 +31,6 @@ decimals, must equal the route that builds one Fraction per cell.
 
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -42,7 +41,6 @@ from curvatroid.fileio import (coupling_table_to_obj, global_report_to_obj,
                                pair_report_to_obj, render_csv, render_json,
                                report_to_csv_rows, validation_to_obj)
 from oracles import (
-    distance,
     explicit_families,
     fraction_cells,
     fraction_coupling_cells,
@@ -150,8 +148,7 @@ def test_integer_kernels_and_w1_match_the_oracles(spec, data):
         x = data.draw(st.sampled_from(order))
         y = data.draw(st.sampled_from(order))
         mu, nu = g[x], g[y]
-        value = cv.wasserstein1(cv.TransportProblem.from_distance(
-            mu, nu, partial(distance, m)))
+        value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu))
         full = full_transport_problem(mu, nu)
         assert value == network_simplex_value(full.supply, full.demand, full.cost), \
             (spec, x, y)

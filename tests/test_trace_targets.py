@@ -19,7 +19,6 @@ import pytest
 
 import curvatroid as cv
 from curvatroid.catalog import k4_spec
-from curvatroid.walk import exchange_distance
 from oracles import fraction_coupling_cells, quadratic_adjacent_pairs
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -66,7 +65,7 @@ def _calls() -> dict[tuple[str, str], tuple[tuple, object, int]]:
     frame = cv.make_pair_frame(m, *pairs[0])
     mu = cv.transition_distribution(m, frame.s_basis)
     nu = cv.transition_distribution(m, frame.t_basis)
-    problem = cv.TransportProblem.from_distance(mu, nu, exchange_distance)
+    problem = cv.TransportProblem.from_distance(mu, nu)
     # the residual rows and columns: masses compared by cross-multiplying
     # the weights with the other side's denominator
     p, q = mu.weights, nu.weights
@@ -80,7 +79,7 @@ def _calls() -> dict[tuple[str, str], tuple[tuple, object, int]]:
             ((m, frame), cv.downstep_coupling_table(m, frame),
              len(fraction_coupling_cells(m, frame))),
         ("curvatroid.transport", "TransportProblem.from_distance"):
-            ((mu, nu, exchange_distance), problem, rows * cols),
+            ((mu, nu), problem, rows * cols),
         ("curvatroid.transport", "wasserstein1"):
             ((problem,), cv.wasserstein1(problem), max(rows, cols)),
     }

@@ -3,7 +3,7 @@
 import pytest
 
 import curvatroid as cv
-from oracles import full_transport_problem, network_simplex_value
+from oracles import as_transport_problem, full_transport_problem, network_simplex_value
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,8 +29,8 @@ def assert_matches_network_simplex(mu, nu, cost):
     def dist(x, y):
         return cost[x][y - 100]
 
-    value = cv.wasserstein1(cv.TransportProblem.from_distance(mu, nu, dist))
     full = full_transport_problem(mu, nu, dist)
+    value = cv.wasserstein1(as_transport_problem(full))
     assert value == network_simplex_value(full.supply, full.demand, full.cost)
 
 
