@@ -20,6 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
@@ -104,10 +105,10 @@ class Matroid:
     checked once, by require_matroid, before its first curvature result.
 
     The canonical order of the family is fixed at construction: a
-    construction that enumerates its family in that order passes keys, the
-    index tuple of each basis of bases in the same order; otherwise the
-    family is sorted once here. sorted_bases(), origin_hash() and the
-    automorphism search read that order and the index tuples (_keys).
+    construction that enumerates its family in that order says so with
+    ordered; otherwise the family is sorted once here. sorted_bases(),
+    origin_hash() and the automorphism search read that order, and bases
+    are held as masks only.
 
     The completion set N(R) of a (k-1)-set R holds the elements x with
     R + x a basis; _completions is their one store (_CompletionSets). The
@@ -118,11 +119,10 @@ class Matroid:
     """
 
     __slots__ = ("labels", "rank", "bases", "origin", "_index", "_completions",
-                 "_sorted", "_keys", "_exchange", "__weakref__")
+                 "_sorted", "_exchange", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
-                 known_matroid: bool = False,
-                 keys: list[tuple[int, ...]] | None = None):
+                 known_matroid: bool = False, ordered: bool = False):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise UnknownElement("duplicate ground labels")
@@ -139,13 +139,8 @@ class Matroid:
         full = (1 << len(self.labels)) - 1
         if min(family) < 0 or max(family) > full:
             raise UnknownElement("basis uses an element outside the ground set")
-        if keys is None:
-            keyed = sorted((basis_sort_key(b), b) for b in family)
-            keys = [key for key, _ in keyed]
-            bases = [b for _, b in keyed]
         self.bases = family
-        self._sorted = bases
-        self._keys = keys
+        self._sorted = bases if ordered else sorted(family, key=basis_sort_key)
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions = _CompletionSets(family, full)
@@ -216,10 +211,12 @@ class Matroid:
     def origin_hash(self) -> str:
         """SHA-256 of json.dumps({"labels", "rank", "bases"},
         separators=(",", ":")), where "bases" lists the index tuples in
-        canonical order. The index arrays are joined from decimal strings,
-        the same text json.dumps writes for them."""
-        digits = [str(i) for i in range(self.n)]
-        rows = "],[".join([",".join([digits[i] for i in key]) for key in self._keys])
+        canonical order. Each index array is written from its mask, one
+        8-element chunk at a time (_chunk_digits); dropping the comma before
+        its first index leaves the same text json.dumps writes for it."""
+        columns = [[digits[mask >> shift & 255] for mask in self._sorted]
+                   for shift, digits in _chunk_digits(self.n)]
+        rows = "],[".join(map("".join, zip(*columns))).replace("[,", "[")[1:]
         head = json.dumps({"labels": list(self.labels), "rank": self.rank},
                           separators=(",", ":"))
         blob = f'{head[:-1]},"bases":[[{rows}]]}}'.encode()
@@ -228,6 +225,14 @@ class Matroid:
     def __repr__(self) -> str:
         return (f"Matroid(origin={self.origin!r}, n={self.n}, rank={self.rank}, "
                 f"bases={len(self.bases)})")
+
+
+@lru_cache(maxsize=None)
+def _chunk_digits(n: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """Per 8-element chunk of n elements: its first element s, and a table whose
+    entry b is the text ",s+j" for each set bit j of b, doubled per element."""
+    return tuple((s, tuple(reduce(lambda table, i: table + [t + f",{i}" for t in table],
+                                  range(s, min(s + 8, n)), [""]))) for s in range(0, n, 8))
 
 
 class _CompletionSets(dict):
@@ -318,10 +323,9 @@ def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
     if not (1 <= k <= n):
         raise InvalidRank(f"uniform matroid needs 1 <= k <= n, got k={k}, n={n}")
     _guard_enumeration(n, k)
-    keys = list(combinations(range(n), k))
-    bases = [sum(1 << i for i in key) for key in keys]
+    bases = list(map(sum, combinations([1 << i for i in range(n)], k)))
     return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})",
-                   known_matroid=True, keys=keys)
+                   known_matroid=True, ordered=True)
 
 
 class _UnionFind:
@@ -375,15 +379,15 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     _guard_enumeration(n, k)
     # k is the size of the greedy spanning forest above, so acyclic k-subsets
     # are maximum forests, and at least one exists
-    bases, keys = _spanning_forests(ends, len(touched), k)
+    bases = _spanning_forests(ends, len(touched), k)
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
-                   known_matroid=True, keys=keys)
+                   known_matroid=True, ordered=True)
 
 
 def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
-                      k: int) -> tuple[list[Mask], list[tuple[int, ...]]]:
-    """Masks and index tuples of the acyclic k-subsets of the edges, in
-    lexicographic order of the tuples.
+                      k: int) -> list[Mask]:
+    """Masks of the acyclic k-subsets of the edges, in canonical order:
+    lexicographic on their index tuples.
 
     A depth-first search adds edges in increasing index order and expands a
     prefix forest F only by live edges: i joins two components of F and
@@ -399,46 +403,41 @@ def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
     """
     n = len(ends)
     if k == 1:
-        live = [j for j, (a, b) in enumerate(ends) if a != b]
-        return [1 << j for j in live], [(j,) for j in live]
+        return [1 << j for j, (a, b) in enumerate(ends) if a != b]
     heads = [a for a, _ in ends]
     tails = [b for _, b in ends]
     bases: list[Mask] = []
-    keys: list[tuple[int, ...]] = []
-    # (next edge index, prefix mask, prefix tuple, labels) of live prefixes
-    # two or more edges short
-    stack = [(0, 0, (), "".join(map(chr, range(vertex_count))))]
+    # (next edge index, prefix mask, edges still needed, labels) of live
+    # prefixes two or more edges short
+    stack = [(0, 0, k, "".join(map(chr, range(vertex_count))))]
     pop, push = stack.pop, stack.append
     while stack:
-        start, prefix, key, root = pop()
-        need = k - len(key)
-        short = need == 2
+        start, prefix, need, root = pop()
         last = n - need  # a later edge leaves too few behind it
         if last > start:  # else all the rest is needed, and F is live
-            comp, last = root, n
-            while need:
+            comp, last, unions = root, n, need
+            while unions:
                 last -= 1
                 x, y = comp[heads[last]], comp[tails[last]]
                 if x != y:
-                    need -= 1
+                    unions -= 1
                     comp = comp.replace(y, x)
-        if short:  # each later edge that joins two components ends a basis
+        if need == 2:  # each later edge that joins two components ends a basis
             for i in range(start, last + 1):
                 x, y = root[heads[i]], root[tails[i]]
                 if x == y:
                     continue
                 child = root.replace(y, x)
-                mask, stem = prefix | 1 << i, key + (i,)
+                mask = prefix | 1 << i
                 for j in range(i + 1, n):
                     if child[heads[j]] != child[tails[j]]:
                         bases.append(mask | 1 << j)
-                        keys.append(stem + (j,))
         else:  # pushed largest index first, so the smallest is explored first
             for i in range(last, start - 1, -1):
                 x, y = root[heads[i]], root[tails[i]]
                 if x != y:
-                    push((i + 1, prefix | 1 << i, key + (i,), root.replace(y, x)))
-    return bases, keys
+                    push((i + 1, prefix | 1 << i, need - 1, root.replace(y, x)))
+    return bases
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -512,22 +511,20 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     _guard_enumeration(width, k, len(scaled) * k * k)
     top = echelon[:k]
     if 2 * k <= width:
-        bases, keys = _nonzero_maximal_minors(top, width)
+        bases = _nonzero_maximal_minors(top, width)
     else:
         # bases are the complements of the dual's, and complementing
         # reverses the lexicographic order of equal-size sets
         full = (1 << width) - 1
-        dual, _ = _nonzero_maximal_minors(_dual_rows(top, width), width)
+        dual = _nonzero_maximal_minors(_dual_rows(top, width), width)
         bases = [full ^ mask for mask in reversed(dual)]
-        keys = list(map(basis_sort_key, bases))
     return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})",
-                   known_matroid=True, keys=keys)
+                   known_matroid=True, ordered=True)
 
 
-def _nonzero_maximal_minors(rows: list[list[int]],
-                            width: int) -> tuple[list[Mask], list[tuple[int, ...]]]:
-    """Masks and index tuples of the column sets whose maximal minor is
-    nonzero, in lexicographic order of the tuples; rows must be independent.
+def _nonzero_maximal_minors(rows: list[list[int]], width: int) -> list[Mask]:
+    """Masks of the column sets whose maximal minor is nonzero, in canonical
+    order (lexicographic on their index tuples); rows must be independent.
 
     Laplace expansion along the rows: level j maps each j-column set with a
     nonzero minor on the last j rows to that minor, and is built from level
@@ -538,10 +535,9 @@ def _nonzero_maximal_minors(rows: list[list[int]],
     """
     height = len(rows)
     if not height:  # the empty minor is 1
-        return [0], [()]
+        return [0]
     level = {0: 1}
     bases: list[Mask] = []
-    keys: list[tuple[int, ...]] = []
     for j in range(1, height + 1):
         row = rows[height - j]
         below = level
@@ -566,8 +562,7 @@ def _nonzero_maximal_minors(rows: list[list[int]],
                 level[mask] = det
             else:
                 bases.append(mask)
-                keys.append(key)
-    return bases, keys
+    return bases
 
 
 def _dual_rows(rows: list[list[int]], width: int) -> list[list[int]]:

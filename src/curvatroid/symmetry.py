@@ -71,13 +71,15 @@ from collections import Counter
 from collections.abc import Callable
 from operator import add
 
-from .matroid import Mask, Matroid, _UnionFind
+from .matroid import Mask, Matroid, _UnionFind, basis_sort_key
 
 Permutation = tuple[int, ...]
 Incidence = Callable[[list[int]], tuple[list[int], int, int] | None]
 
 SEARCH_BUDGET = 1_000_000  # entries of P and basis incidences read by one search
 TABLE_BITS = 14  # widest chunk of a set map: 2^14 table entries, about 0.6 MB
+# bit j of each byte b: runs of 2^j zeros and 2^j ones
+_BIT_OF_BYTE = tuple((bytes(1 << j) + b"\1" * (1 << j)) * (128 >> j) for j in range(8))
 
 
 def _table(elements: Permutation) -> list[Mask]:
@@ -161,15 +163,17 @@ class _BlindPairCounts(Exception):
 
 
 def _pair_counts(m: Matroid) -> list[list[int]]:
-    """P[e][f] as the popcount of the AND of two columns: column e has bit i
-    set when the i-th basis in canonical order contains e."""
-    columns = [bytearray((len(m._keys) + 7) // 8) for _ in range(m.n)]
-    for i, key in enumerate(m._keys):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for e in key:
-            columns[e][byte] |= bit
-    ints = [int.from_bytes(column, "little") for column in columns]
-    return [[(a & b).bit_count() for b in ints] for a in ints]
+    """P[e][f] as the popcount of the AND of two columns: byte i of column e
+    is 1 if the i-th basis in canonical order contains e, else 0. Each chunk
+    of 8 elements is one byte per basis, from which translate picks each
+    element's bit. P is symmetric, so each unordered pair is counted once."""
+    masks, n, columns = m.sorted_bases(), m.n, []
+    for shift in range(0, n, 8):
+        chunk = bytes([mask >> shift & 255 for mask in masks])
+        columns += [int.from_bytes(chunk.translate(table), "little")
+                    for table in _BIT_OF_BYTE[:n - shift]]
+    below = [[(a & b).bit_count() for b in columns[:e + 1]] for e, a in enumerate(columns)]
+    return [row + [below[f][e] for f in range(e + 1, n)] for e, row in enumerate(below)]
 
 
 def _relabel(signatures: list) -> tuple[list[int], int, int]:
@@ -308,15 +312,16 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
         if left < 0:
             raise _OutOfBudget
 
+    keys: list[tuple[int, ...]] = []  # each basis's elements, from the first round
     containing: list[list[int]] = []  # positions of the bases through e
 
     def incidence_round(colours: list[int]) -> tuple[list[int], int, int]:
         """A basis's colour is the sorted tuple of its elements' colours,
         ranked; e's signature is (colour of e, sorted multiset of the
         colours of the bases through e)."""
-        keys = m._keys
-        charge(len(keys) * m.rank)
-        if not containing:
+        charge(len(m.bases) * m.rank)
+        if not keys:
+            keys.extend(map(basis_sort_key, m.sorted_bases()))
             containing.extend([] for _ in range(n))
             for i, key in enumerate(keys):
                 for e in key:

@@ -9,7 +9,8 @@ exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, spanning forests by testing every k-subset of the edges
 with its own union-find, linear bases by ranking every k-subset of the
 columns (the construction's route before its minor pass), the origin hash
-by sorting the family afresh,
+by sorting the family afresh, the pair counts of the automorphism search
+by testing two bits of every basis,
 pair order by comparing sorted index tuples, a pair frame's exchange
 from the symmetric difference of its two bases, and matroid automorphisms
 by extending element maps one element at a time, the closed-form
@@ -243,6 +244,13 @@ def origin_hash_by_sort(m):
     doc = {"labels": list(m.labels), "rank": m.rank,
            "bases": [list(index_tuple(b)) for b in sorted(m.bases, key=index_tuple)]}
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def pair_counts_by_bases(m):
+    """P[e][f], the number of bases that hold both e and f (P[e][e]: the
+    number that hold e), counted basis by basis."""
+    return [[sum(1 for b in m.bases if b >> e & 1 and b >> f & 1) for f in range(m.n)]
+            for e in range(m.n)]
 
 
 def failing_exchange_triples(bases):

@@ -58,6 +58,9 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(walk, "_graphs")
     for name in ("s_only_count", "t_only_count"):
         assert not hasattr(cv.DropWitness, name), name
+    # a matroid holds its bases as masks only: no index tuple per basis
+    assert "_keys" not in cv.Matroid.__slots__
+    assert "keys" not in inspect.signature(cv.Matroid).parameters
     assert not hasattr(matroid, "_bit_list")
     for name in ("is_basis", "exchange_neighborhood"):  # test helpers, tests/oracles.py
         assert not hasattr(cv.Matroid, name), name

@@ -692,13 +692,17 @@ def test_k7_exact():
         ("e01", "e13", "e24", "e35", "e46", "e56")]
 
 
+# K8's kappa, downstepLB, theoremUB and adjacent pairs, which the README's
+# table of complete graphs quotes
+K8_REPORT = (F(-232, 735), F(-248, 735), F(-40, 147), 8_498_784)
+
+
 @pytest.mark.slow
 def test_k8_exact():
     m = complete_graph(8)
     report = cv.global_curvature(m)
-    assert (report.kappa_exact, report.downstep_lb, report.theorem_ub) == (
-        F(-232, 735), F(-248, 735), F(-40, 147))
-    assert report.pair_count == 8_498_784
+    assert (report.kappa_exact, report.downstep_lb, report.theorem_ub,
+            report.pair_count) == K8_REPORT
     assert [m.labels_of(b) for b in report.argmin_pair] == [
         ("e01", "e02", "e13", "e24", "e35", "e46", "e57"),
         ("e02", "e13", "e24", "e35", "e46", "e57", "e67")]

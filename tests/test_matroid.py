@@ -1,5 +1,6 @@
 """Construction, validation, and exchange structure of the matroid core."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -113,6 +114,21 @@ def test_graphic_complete_graph_cayley_count(v):
     assert len(m.bases) == v ** (v - 2)
     assert m.sorted_bases() == sorted(m.bases, key=cv.basis_sort_key)
     assert m.origin_hash() == origin_hash_by_sort(m)
+
+
+def test_graphic_build_holds_masks_only():
+    """A built K7 keeps under 100 bytes per basis (16,807 trees): the sorted
+    mask list and the frozenset take about 70, and an index tuple per basis
+    would bring it to about 167."""
+    spec = graphic(7, list(combinations(range(7), 2)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = cv.build_matroid(spec)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100 * len(m.bases), retained / len(m.bases)
 
 
 def test_linear_identity_single_basis():

@@ -1,7 +1,8 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
 Fraction elimination, the graphic spanning-forest search and the linear
 minor pass against per-subset enumeration, the origin hash on labels that
-JSON escapes against json.dumps, and the completion-set store, read one set
+JSON escapes against json.dumps, the automorphism search's pair counts
+against a basis-by-basis count, and the completion-set store, read one set
 at a time and then filled, against a fresh completion table."""
 
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 
 import curvatroid as cv
 from curvatroid.matroid import _integer_rank, _integer_rows
+from curvatroid.symmetry import _pair_counts
 from oracles import (exchange_neighborhood, explicit_families, fraction_matrix_rank,
                      graphic_bases_by_subsets, linear_bases_by_subsets, origin_hash_by_sort,
-                     small_specs)
+                     pair_counts_by_bases, small_specs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -78,7 +80,6 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     # when the matroid is built
     explicit = cv.build_matroid(cv.ExplicitSpec(
         ground=m.labels, bases=tuple(m.labels_of(b) for b in reversed(expected))))
-    assert explicit._keys == m._keys
     assert explicit.sorted_bases() == expected
     assert_canonical(explicit)
     assert explicit.origin_hash() == m.origin_hash()
@@ -144,15 +145,14 @@ def linear_specs(draw):
 
 
 def assert_linear_matches_subsets(spec: cv.LinearSpec) -> None:
-    """The construction's keys, order and hash equal those of the family
-    listed by ranking every k-subset, built as an explicit family."""
+    """The construction's order and hash equal those of the family listed
+    by ranking every k-subset, built as an explicit family."""
     expected = linear_bases_by_subsets(spec)
     if expected == [()]:  # rank 0: the empty set is the only independent set
         with pytest.raises(cv.EmptyBasisFamily):
             cv.build_matroid(spec)
         return
     m = cv.build_matroid(spec)
-    assert m._keys == expected
     assert m.sorted_bases() == [sum(1 << c for c in key) for key in expected]
     explicit = cv.build_matroid(cv.ExplicitSpec(
         ground=m.labels, bases=tuple(tuple(m.labels[c] for c in key) for key in expected)))
@@ -181,6 +181,35 @@ def test_minor_pass_on_fixed_shapes():
         assert_linear_matches_subsets(spec)
         ranks.append(_integer_rank(_integer_rows(matrix)))
     assert ranks == [12, 1, 4, 4]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(multigraphs(), linear_specs(), escaped_families()))
+def test_pair_counts_match_a_count_over_the_bases(spec):
+    """_pair_counts reads each basis one byte per 8-element chunk; the
+    graphs, matrices and labelled families here have up to 14 elements, so
+    two chunks occur."""
+    try:
+        m = cv.build_matroid(spec)
+    except (cv.DegenerateGraph, cv.EmptyBasisFamily):  # loops only, or rank 0
+        hypothesis.reject()
+    assert _pair_counts(m) == pair_counts_by_bases(m)
+
+
+def wide_specs() -> list[cv.MatroidSpec]:
+    """Ground sets of three 8-element chunks, with few bases: U(2, 20) and
+    the 18-cycle, whose 18 spanning trees each leave out one edge."""
+    return [cv.UniformSpec(n=20, k=2),
+            cv.GraphicSpec(vertex_count=18, edges=tuple(
+                (i, (i + 1) % 18, f"c{i}") for i in range(18)))]
+
+
+@pytest.mark.parametrize("spec", [cv.NamedSpec(name) for name in cv.CATALOG_NAMES]
+                         + wide_specs())
+def test_pair_counts_and_hash_on_the_catalog_and_wide_ground_sets(spec):
+    m = cv.build_matroid(spec)
+    assert _pair_counts(m) == pair_counts_by_bases(m)
+    assert_canonical(m)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,15 +1,20 @@
-"""The README's Library snippet runs and prints what its comments say.
+"""The README's Library snippet runs and prints what its comments say, and
+its table of complete graphs holds the values the sweep reports.
 
 The snippet is read out of README.md, executed, and every line of the form
 `expression  # Fraction(p, q) ...` is evaluated in the snippet's namespace
-and compared with the Fraction its comment names. A change to the public
-API or to a reported value then fails here instead of leaving the README
-stale.
+and compared with the Fraction its comment names. The K4-K7 rows of the
+table are recomputed, and the K8 row is held to test_k8_exact's constants.
+A change to the public API or to a reported value then fails here instead
+of leaving the README stale.
 """
 
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import curvatroid as cv
+from test_curvature import K8_REPORT, complete_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CLAIM = re.compile(r"^(?P<expr>[^#]+?)\s+#\s*Fraction\((?P<p>-?\d+), (?P<q>\d+)\)")
@@ -31,3 +36,31 @@ def test_library_snippet_values_match_its_comments():
     for claim in claims:
         got = eval(claim["expr"], namespace)
         assert got == Fraction(int(claim["p"]), int(claim["q"])), claim["expr"]
+
+
+def complete_graph_rows() -> list[list[str]]:
+    """The cells of the rows of the README's table of complete graphs."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Complete graphs\n", 1)[1].split("\n## ", 1)[0]
+    return [[cell.strip().replace(",", "").replace("\u2212", "-")
+             for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| K")]
+
+
+def test_complete_graph_table_matches_the_sweep():
+    rows = {row[0]: row[1:] for row in complete_graph_rows()}
+    assert list(rows) == ["K4", "K5", "K6", "K7", "K8"]
+    for v in range(4, 9):
+        n, k = v * (v - 1) // 2, v - 1
+        if v < 8:
+            m = complete_graph(v)
+            report = cv.global_curvature(m)
+            assert (m.n, m.rank, len(m.bases)) == (n, k, v ** (v - 2))
+            values = (report.kappa_exact, report.downstep_lb, report.theorem_ub,
+                      report.pair_count)
+            assert report.theorem_lb == cv.theorem_lb_global(k, n)
+        else:
+            values = K8_REPORT
+        kappa, lb, ub, pairs = values
+        expected = [n, k, v ** (v - 2), pairs, kappa, lb, ub, cv.theorem_lb_global(k, n)]
+        assert rows[f"K{v}"] == [str(x) for x in expected], v
