@@ -65,7 +65,6 @@ from .curvature import (
     downstep_lb_pair,
     exact_pair_curvature,
     global_curvature,
-    make_pair_frame,
     theorem_lb_global,
     theorem_ub_pair,
     theorem_ub_values,
@@ -100,8 +99,7 @@ __all__ = [
     "PairFrame", "PairReport", "canonical_pairs",
     "compute_pair_report", "compute_pair_witness", "downstep_coupling_table",
     "downstep_lb_pair", "exact_pair_curvature", "global_curvature",
-    "make_pair_frame", "theorem_lb_global",
-    "theorem_ub_pair", "theorem_ub_values",
+    "theorem_lb_global", "theorem_ub_pair", "theorem_ub_values",
     # file input and serialization
     "approx_decimal", "load_input", "parse_matroid_file",
     "parse_matroid_obj", "parse_rational",

@@ -13,11 +13,11 @@ import functools
 import sys
 
 from .curvature import (
+    PairFrame,
     canonical_pairs,
     compute_pair_report,
     downstep_coupling_table,
     global_curvature,
-    make_pair_frame,
 )
 from .errors import (
     CurvatroidError,
@@ -112,11 +112,11 @@ def _basis_argument(m: Matroid, text: str, flag: str) -> Mask:
     return mask
 
 
-def _pair_frame_from_args(m: Matroid, args: argparse.Namespace):
+def _pair_frame_from_args(m: Matroid, args: argparse.Namespace) -> PairFrame:
     s = _basis_argument(m, args.s, "s")
     t = _basis_argument(m, args.t, "t")
     try:
-        return make_pair_frame(m, s, t)
+        return PairFrame(s, t)
     except NotAdjacent:
         raise InvalidBasisArgument(
             "--s and --t must differ by exactly one exchange") from None
@@ -144,8 +144,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         return global_report_to_obj(m, report, with_decimal=args.decimal), 0
 
     if args.command == "pair":
-        frame = _pair_frame_from_args(m, args)
-        report = compute_pair_report(m, frame.s_basis, frame.t_basis)
+        report = compute_pair_report(m, _pair_frame_from_args(m, args))
         return pair_report_to_obj(m, report, with_decimal=args.decimal), 0
 
     if args.command == "coupling":

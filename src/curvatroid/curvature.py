@@ -41,8 +41,9 @@ class PairFrame:
     Built from the two sets alone: s_elem is the element of S - T, t_elem
     the element of T - S, and shared lists S ∩ T in canonical order. The
     constructor raises NotAdjacent unless S and T differ by exactly one
-    exchange, so every frame is consistent; whether S and T are bases of a
-    given family is checked by the functions that take the family.
+    exchange, so every frame is consistent. It is the one way to build a
+    pair; every pair function takes (m, frame) and checks itself that S and
+    T are bases of m.
     """
 
     s_basis: Mask
@@ -76,15 +77,6 @@ class DropWitness:
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
     if frame.s_basis not in m.bases or frame.t_basis not in m.bases:
         raise NotABasis("pair frame names a set that is not a basis")
-
-
-def make_pair_frame(m: Matroid, s: Mask, t: Mask) -> PairFrame:
-    """Orient an adjacent pair: the first-listed basis supplies s_elem."""
-    if s not in m.bases:
-        raise NotABasis("first basis is not in the family")
-    if t not in m.bases:
-        raise NotABasis("second basis is not in the family")
-    return PairFrame(s, t)
 
 
 def compute_pair_witness(m: Matroid, frame: PairFrame) -> tuple[DropWitness, ...]:
@@ -248,8 +240,9 @@ class DownstepCoupling:
     @property
     def cells(self) -> tuple[tuple[int, int, int, int, Mask, Mask, int, int], ...]:
         """Every outcome, unaggregated, in drop order: (drop from S, drop
-        from T, add to S, add to T, X, Y, weight, denominator). Only the
-        benchmark's coupling-cell count (bench/spans.py _n_cells) reads it."""
+        from T, add to S, add to T, X, Y, weight, denominator). The
+        benchmark's coupling-cell count (bench/spans.py _n_cells) and the
+        tests' Fraction cell oracles read it; no route of the package does."""
         return tuple((drop_s, drop_t, add_s, add_t, x, y, w, denominator)
                      for drop_s, drop_t, denominator, cells in self.drops
                      for add_s, add_t, x, y, w in cells)
@@ -377,19 +370,18 @@ class GlobalReport:
     audited: bool = False
 
 
-def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
+def compute_pair_report(m: Matroid, frame: PairFrame) -> PairReport:
     """All per-pair quantities for one adjacent pair.
 
-    s and t must be bases of m differing by one exchange; the witness runs
-    the matroid gate, so a non-matroid fails with the exchange axiom's
-    witness before any bound is computed. The bounds are integers over
-    k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
+    The witness runs the matroid gate and then checks that both sets of
+    the frame are bases of m, so a non-matroid fails with the exchange
+    axiom's witness before any bound is computed. The bounds are integers
+    over k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
     divides. The closed-form down-step bound is cross-checked against the
     coupling's expected distance, summed in integer weights over the cells
     of _coupling_drops (_expected_distance) without keeping them, and the
     exact value is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
     """
-    frame = make_pair_frame(m, s, t)
     witness = compute_pair_witness(m, frame)
     numerators, denominator = _pair_numerators(m, witness)
     lb, forward, reverse = (Fraction(x, denominator) for x in numerators)
@@ -397,7 +389,7 @@ def compute_pair_report(m: Matroid, s: Mask, t: Mask) -> PairReport:
     if lb != 1 - expected:
         raise CurvatroidError("down-step bound disagrees with its coupling")
     kappa = exact_pair_curvature(m, frame)
-    _check_sandwich(m, s, t, lb, kappa, min(forward, reverse))
+    _check_sandwich(m, frame.s_basis, frame.t_basis, lb, kappa, min(forward, reverse))
     return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
                       expected, kappa)
 

@@ -98,17 +98,14 @@ MatroidSpec = Union[UniformSpec, GraphicSpec, LinearSpec, ExplicitSpec, NamedSpe
 class Matroid:
     """Ground labels plus an enumerated basis family, with exchange helpers.
 
-    Instances are immutable once built; use build_matroid() rather than the
-    constructor so the family is validated for shape (nonempty, equal ranks).
-    known_matroid marks a family that satisfies the exchange axiom by
-    theorem (uniform, graphic and linear constructions); any other family is
-    checked once, by require_matroid, before its first curvature result.
-
-    The canonical order of the family is fixed at construction: a
-    construction that enumerates its family in that order says so with
-    ordered; otherwise the family is sorted once here. sorted_bases(),
-    origin_hash() and the automorphism search read that order, and bases
-    are held as masks only.
+    Instances are immutable once built. The constructor is the one check of
+    a family's shape: nonempty, of equal sizes and positive rank, within a
+    ground set of distinct labels. constructed marks a family that the uniform,
+    graphic or linear construction enumerated: a matroid by theorem, listed
+    in canonical order. Any other family is sorted once here, and checked
+    against the exchange axiom once, by require_matroid, before its first
+    curvature result. sorted_bases(), origin_hash() and the automorphism
+    search read the canonical order, and bases are held as masks only.
 
     The completion set N(R) of a (k-1)-set R holds the elements x with
     R + x a basis; _completions is their one store (_CompletionSets). The
@@ -122,14 +119,14 @@ class Matroid:
                  "_sorted", "_exchange", "__weakref__")
 
     def __init__(self, labels: Sequence[str], bases: Iterable[Mask], origin: str,
-                 known_matroid: bool = False, ordered: bool = False):
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise UnknownElement("duplicate ground labels")
+                 constructed: bool = False):
         bases = list(bases)
         family = frozenset(bases)
         if not family:
             raise EmptyBasisFamily("basis family is empty")
+        self.labels = tuple(labels)
+        if len(set(self.labels)) != len(self.labels):
+            raise UnknownElement("duplicate ground labels")
         ranks = {m.bit_count() for m in family}
         if len(ranks) != 1:
             raise RankMismatch(f"bases of different sizes: {sorted(ranks)}")
@@ -140,12 +137,12 @@ class Matroid:
         if min(family) < 0 or max(family) > full:
             raise UnknownElement("basis uses an element outside the ground set")
         self.bases = family
-        self._sorted = bases if ordered else sorted(family, key=basis_sort_key)
+        self._sorted = bases if constructed else sorted(family, key=basis_sort_key)
         self.origin = origin
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._completions = _CompletionSets(family, full)
         self._exchange: ValidationResult | None = (
-            ValidationResult.passed("matroid by construction") if known_matroid else None)
+            ValidationResult.passed("matroid by construction") if constructed else None)
 
     # -- ground set -----------------------------------------------------
 
@@ -294,14 +291,12 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-def _guard_enumeration(n: int, k: int, rank_steps: int = 0) -> None:
+def _guard_enumeration(n: int, k: int) -> None:
     """Raise TooLarge when C(n, k) exceeds ENUMERATION_LIMIT, or when the
-    estimated work C(n, k) * (k * ceil(n / 64) + rank_steps) exceeds
-    WORK_LIMIT.
+    estimated work C(n, k) * k * ceil(n / 64) exceeds WORK_LIMIT.
 
     Every enumerated subset sets k bits of an n-bit mask, ceil(n / 64)
-    machine words wide, and rank_steps is any further per-subset test (the
-    linear construction's rank). The binomial is multiplied out over
+    machine words wide. The binomial is multiplied out over
     min(k, n - k) factors, and the partial products C(n - r + i, i) only
     grow, so the loop stops as soon as one passes the limit instead of
     computing a huge C(n, k) in full.
@@ -313,7 +308,7 @@ def _guard_enumeration(n: int, k: int, rank_steps: int = 0) -> None:
         if count > ENUMERATION_LIMIT:
             raise TooLarge(f"C({n},{k}) exceeds the enumeration limit of "
                            f"{ENUMERATION_LIMIT} subsets")
-    if count * (k * -(-n // 64) + rank_steps) > WORK_LIMIT:
+    if count * k * -(-n // 64) > WORK_LIMIT:
         raise TooLarge(f"enumerating C({n},{k}) subsets exceeds the work limit of "
                        f"{WORK_LIMIT} steps")
 
@@ -325,7 +320,7 @@ def _build_uniform(spec: UniformSpec, origin: str | None) -> Matroid:
     _guard_enumeration(n, k)
     bases = list(map(sum, combinations([1 << i for i in range(n)], k)))
     return Matroid(_default_labels(n), bases, origin or f"uniform(n={n},k={k})",
-                   known_matroid=True, ordered=True)
+                   constructed=True)
 
 
 class _UnionFind:
@@ -381,7 +376,7 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     # are maximum forests, and at least one exists
     bases = _spanning_forests(ends, len(touched), k)
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
-                   known_matroid=True, ordered=True)
+                   constructed=True)
 
 
 def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
@@ -501,14 +496,11 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
     if len(rows) * width * min(len(rows), width) > WORK_LIMIT:
         raise TooLarge(f"ranking a {len(rows)} x {width} matrix exceeds the work "
                        f"limit of {WORK_LIMIT} steps")
-    scaled = _integer_rows(rows)
-    echelon = list(scaled)
+    echelon = _integer_rows(rows)
     k = _integer_rank(echelon)
     if k == 0:
         raise EmptyBasisFamily("zero matrix has no independent columns")
-    # the estimate of a height x k rank test per subset: the minor pass
-    # below costs less on every shape, so the guard admits the same shapes
-    _guard_enumeration(width, k, len(scaled) * k * k)
+    _guard_enumeration(width, k)
     top = echelon[:k]
     if 2 * k <= width:
         bases = _nonzero_maximal_minors(top, width)
@@ -519,7 +511,7 @@ def _build_linear(spec: LinearSpec, origin: str | None) -> Matroid:
         dual = _nonzero_maximal_minors(_dual_rows(top, width), width)
         bases = [full ^ mask for mask in reversed(dual)]
     return Matroid(labels, bases, origin or f"linear({len(rows)}x{width})",
-                   known_matroid=True, ordered=True)
+                   constructed=True)
 
 
 def _nonzero_maximal_minors(rows: list[list[int]], width: int) -> list[Mask]:
@@ -598,15 +590,10 @@ def _dual_rows(rows: list[list[int]], width: int) -> list[list[int]]:
 
 
 def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:
-    ground = tuple(spec.ground)
-    if not spec.bases:
-        raise EmptyBasisFamily("no bases given")
-    index = {lab: i for i, lab in enumerate(ground)}
-    if len(index) != len(ground):
-        raise UnknownElement("duplicate ground labels")
-    sizes = {len(b) for b in spec.bases}
-    if len(sizes) != 1:
-        raise RankMismatch(f"bases of different sizes: {sorted(sizes)}")
+    """Map each basis's labels to a mask; Matroid checks the family's shape.
+    A basis of distinct labels has as many bits as labels, so a family of
+    unequal sizes fails there as RankMismatch."""
+    index = {lab: i for i, lab in enumerate(spec.ground)}
     masks = []
     for b in spec.bases:
         mask = 0
@@ -618,7 +605,7 @@ def _build_explicit(spec: ExplicitSpec, origin: str | None) -> Matroid:
                 raise UnknownElement(f"repeated element {lab!r} in a basis")
             mask |= bit
         masks.append(mask)
-    return Matroid(ground, masks, origin or "explicit")
+    return Matroid(spec.ground, masks, origin or "explicit")
 
 
 def build_matroid(spec: MatroidSpec, origin: str | None = None) -> Matroid:

@@ -83,7 +83,7 @@ def sweep(test_set) -> dict[str, SweepResult]:
         report = cv.global_curvature(m, exact=True)
         pairs = []
         for x, y in cv.canonical_pairs(m):
-            frame = cv.make_pair_frame(m, x, y)
+            frame = cv.PairFrame(x, y)
             lb = cv.downstep_lb_pair(m, frame)
             forward, reverse = cv.theorem_ub_values(m, frame)
             table = cv.downstep_coupling_table(m, frame)

@@ -31,7 +31,7 @@ import hashlib
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import curvatroid as cv
@@ -560,7 +560,7 @@ def unpruned_global_curvature(m):
     pairs = cv.canonical_pairs(m)
     kappas = []
     for x, y in pairs:
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         witness = cv.compute_pair_witness(m, frame)
         lb = fraction_downstep_lb(m, frame, witness)
         ub = min(fraction_theorem_ub_values(m, frame, witness))
@@ -587,7 +587,7 @@ def pruned_solve_order(m):
     pairs = cv.canonical_pairs(m)
     order = []
     for i, (x, y) in enumerate(pairs):
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         witness = cv.compute_pair_witness(m, frame)
         order.append((fraction_downstep_lb(m, frame, witness), i,
                       min(fraction_theorem_ub_values(m, frame, witness))))
@@ -788,3 +788,14 @@ def rank3_counterexample_linear_spec():
     matrix = tuple(tuple(Fraction(cols[c][r]) for c in range(len(cols)))
                    for r in range(3))
     return cv.LinearSpec(matrix=matrix, labels=RANK3_GROUND)
+
+
+def direct_sum(*ms):
+    """The direct sum of the given matroids as an explicit family: summand
+    i's labels prefixed by "i.", and each basis the union of one basis of
+    every summand."""
+    parts = [[tuple(f"{i}.{label}" for label in m.labels_of(b)) for b in m.sorted_bases()]
+             for i, m in enumerate(ms)]
+    return cv.build_matroid(cv.ExplicitSpec(
+        ground=tuple(f"{i}.{label}" for i, m in enumerate(ms) for label in m.labels),
+        bases=tuple(sum(choice, ()) for choice in product(*parts))))

@@ -32,8 +32,7 @@ F = Fraction
 
 def distinguished_frame(m: cv.Matroid, name: str) -> cv.PairFrame:
     s_labels, t_labels = cv.DISTINGUISHED_PAIRS[name]
-    return cv.make_pair_frame(m, m.mask_from_labels(s_labels),
-                              m.mask_from_labels(t_labels))
+    return cv.PairFrame(m.mask_from_labels(s_labels), m.mask_from_labels(t_labels))
 
 
 def test_criterion_01_rank3_negative_curvature():

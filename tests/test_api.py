@@ -7,20 +7,22 @@ from pathlib import Path
 import curvatroid as cv
 from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmetry,
                         transport, walk)
+from test_curvature import PAIR_FUNCTIONS
 
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
 # coupling layer and the kernel cache (BasisGraph), and format_rational, which
 # only called str; proposition_distance_check,
 # distribution_to_obj, items_sorted, ElementNotInBasis and the Fraction
 # coupling cell are test helpers in tests/oracles.py, the rank wrapper
-# matrix_rank is gone, and PairWitness is the tuple of DropWitness records
-# that compute_pair_witness returns
+# matrix_rank is gone, PairWitness is the tuple of DropWitness records
+# that compute_pair_witness returns, and PairFrame is the one pair
+# constructor, with no checked second route
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
            "ElementNotInBasis", "BasisGraph", "format_rational", "CouplingCell",
-           "matrix_rank", "PairWitness")
+           "matrix_rank", "PairWitness", "make_pair_frame")
 
 # exported names that nothing under src/curvatroid/ uses, each with its reason
 UNUSED_EXPORTS = {
@@ -98,12 +100,11 @@ def test_every_public_name_is_used_inside_the_package():
 
 def test_pair_witness_is_its_drop_records():
     m = cv.build_named("k6")
-    frame = cv.make_pair_frame(m, *(m.mask_from_labels(p)
-                                    for p in cv.DISTINGUISHED_PAIRS["k6"]))
+    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"]))
     witness = cv.compute_pair_witness(m, frame)
     assert type(witness) is tuple and witness
     assert all(type(e) is cv.DropWitness for e in witness)
-    assert cv.compute_pair_report(m, frame.s_basis, frame.t_basis).witness == witness
+    assert cv.compute_pair_report(m, frame).witness == witness
 
 
 def test_deleted_knobs_are_gone():
@@ -115,9 +116,13 @@ def test_deleted_knobs_are_gone():
     # one proof per candidate: the basis check, with no second comparison of P
     assert list(inspect.signature(symmetry._is_automorphism).parameters) == ["perm", "bases"]
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
-    assert "exact" not in inspect.signature(cv.compute_pair_report).parameters
-    for bound in (cv.downstep_lb_pair, cv.theorem_ub_pair, cv.theorem_ub_values):
-        assert list(inspect.signature(bound).parameters) == ["m", "frame"], bound
+    # every function of one pair takes the matroid and one frame
+    for pair_function in PAIR_FUNCTIONS:
+        assert list(inspect.signature(pair_function).parameters) == ["m", "frame"], \
+            pair_function
+    # one construction flag: a matroid by theorem, listed in canonical order
+    assert list(inspect.signature(cv.Matroid).parameters) == [
+        "labels", "bases", "origin", "constructed"]
     # the exact walk takes one candidate list and returns its pair
     assert list(inspect.signature(curvature._pruned_minimum).parameters) == [
         "m", "candidates", "denominator", "images"]

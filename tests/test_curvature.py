@@ -25,8 +25,7 @@ def u42() -> cv.Matroid:
 
 
 def frame_of(m: cv.Matroid, s_labels, t_labels) -> cv.PairFrame:
-    return cv.make_pair_frame(m, m.mask_from_labels(s_labels),
-                              m.mask_from_labels(t_labels))
+    return cv.PairFrame(m.mask_from_labels(s_labels), m.mask_from_labels(t_labels))
 
 
 def separated_pair() -> tuple[cv.Matroid, cv.PairFrame]:
@@ -55,20 +54,23 @@ def test_frame_orientation():
 def test_frame_k6_shared():
     m = cv.build_named("k6")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
-    frame = cv.make_pair_frame(m, s, t)
+    frame = cv.PairFrame(s, t)
     assert tuple(m.labels[i] for i in frame.shared) == ("1", "2", "3", "4")
     assert m.labels[frame.s_elem] == "s" and m.labels[frame.t_elem] == "t"
 
 
 def test_frame_errors():
     m = u42()
-    ab = m.mask_from_labels(["a", "b"])
+    ab, c, d = (m.mask_from_labels(labels) for labels in ("ab", "c", "d"))
     with pytest.raises(cv.NotAdjacent):
-        cv.make_pair_frame(m, ab, ab)
+        cv.PairFrame(ab, ab)
     with pytest.raises(cv.NotAdjacent):
-        cv.make_pair_frame(m, ab, m.mask_from_labels(["c", "d"]))
+        cv.PairFrame(ab, c | d)
+    with pytest.raises(cv.NotAdjacent):
+        cv.PairFrame(ab | c, ab)
+    # one exchange apart, but neither set is a basis of U(2,4)
     with pytest.raises(cv.NotABasis):
-        cv.make_pair_frame(m, ab | m.mask_from_labels(["c"]), ab)
+        cv.compute_pair_witness(m, cv.PairFrame(ab | c, ab | d))
 
 
 def test_frame_is_derived_from_its_two_bases(test_set):
@@ -79,7 +81,6 @@ def test_frame_is_derived_from_its_two_bases(test_set):
                 frame = cv.PairFrame(s, t)
                 assert (frame.s_elem, frame.t_elem, frame.shared) == \
                     frame_by_symmetric_difference(s, t), name
-                assert frame == cv.make_pair_frame(m, s, t), name
 
 
 @pytest.mark.parametrize("s,t", [
@@ -109,7 +110,7 @@ def test_witness_u42():
 def test_witness_k6():
     m = cv.build_named("k6")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
-    frame = cv.make_pair_frame(m, s, t)
+    frame = cv.PairFrame(s, t)
     witness = cv.compute_pair_witness(m, frame)
     rows = {m.labels[e.drop]: (e.ns_size, e.nt_size, e.overlap_size,
                                e.s_only_adds.bit_count())
@@ -124,9 +125,15 @@ def test_witness_no_crossing():
     assert witness == ()
 
 
+# every public function of one pair: each takes (m, frame)
+PAIR_FUNCTIONS = (cv.compute_pair_witness, cv.downstep_lb_pair, cv.theorem_ub_values,
+                  cv.theorem_ub_pair, cv.downstep_coupling_table, cv.exact_pair_curvature,
+                  cv.compute_pair_report)
+
+
 def test_witness_rejects_inconsistent_frame():
-    # frames built by hand rather than by make_pair_frame: a frame is always
-    # one exchange, and the functions taking the family check membership
+    # a frame is always one exchange, and every function taking the family
+    # checks membership itself
     m, _ = separated_pair()
     a, b, c, d = (1 << m.element_index(x) for x in "abcd")
     with pytest.raises(cv.NotAdjacent):
@@ -136,10 +143,9 @@ def test_witness_rejects_inconsistent_frame():
     # adjacent sets outside the family: ab is not a basis, acd not even a k-set
     for frame in (cv.PairFrame(a | b, a | c), cv.PairFrame(a | c, a | b),
                   cv.PairFrame(a | c | d, b | c | d)):
-        with pytest.raises(cv.NotABasis):
-            cv.compute_pair_witness(m, frame)
-        with pytest.raises(cv.NotABasis):
-            cv.downstep_coupling_table(m, frame)
+        for call in PAIR_FUNCTIONS:
+            with pytest.raises(cv.NotABasis):
+                call(m, frame)
 
 
 # ── closed-form bounds ──────────────────────────────────────────────────────
@@ -185,7 +191,7 @@ def test_forward_reverse_swap_symmetry(sweep):
         data = sweep[name]
         m = data.matroid
         for pair in data.pairs[:8]:
-            frame = cv.make_pair_frame(m, pair.x, pair.y)
+            frame = cv.PairFrame(pair.x, pair.y)
             back = swapped(frame)
             assert cv.downstep_lb_pair(m, back) == pair.lb
             fwd, rev = cv.theorem_ub_values(m, back)
@@ -205,7 +211,7 @@ def test_coupling_matches_bound_and_marginals(sweep):
 def test_coupling_cells_stay_within_distance_two():
     m = cv.build_named("k4")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
-    table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, s, t))
+    table = cv.downstep_coupling_table(m, cv.PairFrame(s, t))
     cells = fraction_cells(table.cells)
     for cell in cells:
         assert cell.distance == distance(m, cell.x, cell.y) <= 2
@@ -216,7 +222,7 @@ def test_coupling_aggregation_merges_duplicate_targets():
     m = cv.build_named("k4")
     s = m.mask_from_labels(("ab", "bc", "cd"))
     t = m.mask_from_labels(("ab", "cd", "da"))
-    frame = cv.make_pair_frame(m, s, t)
+    frame = cv.PairFrame(s, t)
     table = cv.downstep_coupling_table(m, frame)
     aggregated = cell_masses(fraction_cells(table.cells))
     assert len(table.cells) > len(aggregated)
@@ -232,7 +238,7 @@ def test_coupling_aggregation_merges_duplicate_targets():
 def test_proposition_rank3():
     m = cv.build_named("rank3-counterexample")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["rank3-counterexample"])
-    frame = cv.make_pair_frame(m, s, t)
+    frame = cv.PairFrame(s, t)
     witness = cv.compute_pair_witness(m, frame)
     for entry in witness:
         result = proposition_distance_check(m, frame, entry.drop)
@@ -256,7 +262,7 @@ def test_proposition_vacuous_and_errors():
 def test_proposition_k6_crossing_edge():
     m = cv.build_named("k6")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
-    frame = cv.make_pair_frame(m, s, t)
+    frame = cv.PairFrame(s, t)
     assert proposition_distance_check(m, frame, m.element_index("1")).ok
 
 
@@ -272,8 +278,7 @@ def test_sandwich_everywhere(sweep):
 
 def test_pair_report_u42():
     m = u42()
-    report = cv.compute_pair_report(m, m.mask_from_labels(["a", "b"]),
-                                    m.mask_from_labels(["a", "c"]))
+    report = cv.compute_pair_report(m, frame_of(m, ("a", "b"), ("a", "c")))
     assert report.downstep_lb == report.kappa_exact == report.theorem_ub == F(2, 3)
     assert report.coupling_expected_distance == F(1, 3)
     assert report.ub_forward == report.ub_reverse == F(2, 3)
@@ -286,7 +291,7 @@ def test_pair_report_rejects_a_closed_form_off_by_one_unit(monkeypatch):
     m = cv.build_named("k4")
     s, t = m.mask_from_labels(["ab", "cd", "da"]), m.mask_from_labels(["bd", "cd", "da"])
     denominator = m.rank * curvature.bound_scale(m.rank, m.n)
-    honest = cv.compute_pair_report(m, s, t)
+    honest = cv.compute_pair_report(m, cv.PairFrame(s, t))
     numerators = curvature.bound_numerators
 
     def off_by_one(scale, signature):
@@ -294,11 +299,11 @@ def test_pair_report_rejects_a_closed_form_off_by_one_unit(monkeypatch):
         return lb + 1, forward, reverse
 
     monkeypatch.setattr(curvature, "bound_numerators", off_by_one)
-    assert cv.downstep_lb_pair(m, cv.make_pair_frame(m, s, t)) == \
+    assert cv.downstep_lb_pair(m, cv.PairFrame(s, t)) == \
         honest.downstep_lb + F(1, denominator)
     with pytest.raises(cv.CurvatroidError,
                        match="down-step bound disagrees with its coupling"):
-        cv.compute_pair_report(m, s, t)
+        cv.compute_pair_report(m, cv.PairFrame(s, t))
 
 
 def test_global_report_matches_pair_minima(sweep):
@@ -342,7 +347,7 @@ def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, caps
         cv.global_curvature(m)
     s, t = cv.canonical_pairs(m)[0]
     with pytest.raises(cv.CurvatroidError, match=message):
-        cv.compute_pair_report(m, s, t)
+        cv.compute_pair_report(m, cv.PairFrame(s, t))
     capsys.readouterr()
     code = cli.main(["pair", "--input", "named:vamos",
                      "--s", ",".join(m.labels_of(s)), "--t", ",".join(m.labels_of(t))])
@@ -378,7 +383,7 @@ def test_pruned_sweep_solves_only_pairs_that_can_reach_the_minimum(name, monkeyp
     kappa = cv.global_curvature(m).kappa_exact
     open_pairs = 0
     for x, y in cv.canonical_pairs(m):
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         open_pairs += cv.downstep_lb_pair(m, frame) <= kappa < cv.theorem_ub_pair(m, frame)
     assert all(cv.downstep_lb_pair(m, frame) <= kappa for frame in solved)
     assert len(solved) <= open_pairs
@@ -406,7 +411,7 @@ def test_pruned_sweep_keeps_the_first_canonical_argmin_on_ties(name):
     kappa, argmin = unpruned_global_curvature(m)
     reaching = []  # down-step bounds of the pairs reaching kappa, canonical order
     for x, y in cv.canonical_pairs(m):
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         if cv.exact_pair_curvature(m, frame) == kappa:
             reaching.append(((x, y), cv.downstep_lb_pair(m, frame)))
     (first, first_lb), later = reaching[0], reaching[1:]
@@ -478,14 +483,12 @@ def test_every_curvature_entry_point_runs_the_matroid_gate(family):
         "coupling": lambda: cv.downstep_coupling_table(m, frame),
         "exact_pair": lambda: cv.exact_pair_curvature(m, frame),
         "basis_graph": lambda: cv.basis_graph(m),
+        "pair_report": lambda: cv.compute_pair_report(m, frame),
     }
-    if family == "split":
-        entry_points["pair_report"] = lambda: cv.compute_pair_report(m, s, t)
-    else:
-        # no adjacent pair to report on: the pair's own checks refuse first
-        assert cv.canonical_pairs(m) == []
-        with pytest.raises(cv.NotABasis):
-            cv.compute_pair_report(m, s, t)
+    # the gate comes before the pair's own membership check: "disjoint" has
+    # no adjacent pair, and its frame names abd outside the family
+    assert (t in m.bases) == (family == "split")
+    assert (cv.canonical_pairs(m) == []) == (family == "disjoint")
     want = "not a matroid: " + cv.validate_exchange_axiom(m).detail
     assert "'a' dropped from ('a', 'b'" in want
     for name, call in entry_points.items():
@@ -539,7 +542,7 @@ def test_bounds_are_computed_once_per_signature(test_set, monkeypatch):
     for name, m in bound_test_set(test_set).items():
         by_signature = {}
         for x, y in cv.canonical_pairs(m):
-            frame = cv.make_pair_frame(m, x, y)
+            frame = cv.PairFrame(x, y)
             witness = cv.compute_pair_witness(m, frame)
             bounds = (fraction_downstep_lb(m, frame, witness),
                       min(fraction_theorem_ub_values(m, frame, witness)))
@@ -584,17 +587,16 @@ def test_bounds_only_builds_no_kernel_and_exact_two_per_solve(monkeypatch):
 
 
 def test_sweep_keeps_no_list_of_every_pair(monkeypatch):
-    # the sweep walks the completion table and solves through PairFrame: with
-    # the pair list and the checked frame constructor gone it runs unchanged
+    # the sweep walks the completion table: with the pair list gone it runs
+    # unchanged
     families = (cv.build_named("vamos"), cv.build_named("fano"), cv.build_named("k4"))
     want = [(cv.global_curvature(m, exact=False), cv.global_curvature(m),
              cv.global_curvature(m, audit_all_pairs=True)) for m in families]
 
     def refuse(*args):
-        raise AssertionError("the sweep built a pair list or a checked frame")
+        raise AssertionError("the sweep built a pair list")
 
     monkeypatch.setattr(curvature, "canonical_pairs", refuse)
-    monkeypatch.setattr(curvature, "make_pair_frame", refuse)
     for m, reports in zip(families, want):
         assert (cv.global_curvature(m, exact=False), cv.global_curvature(m),
                 cv.global_curvature(m, audit_all_pairs=True)) == reports, m.origin

@@ -72,7 +72,7 @@ def test_exact_curvature_is_sandwiched_on_every_pair(spec):
     pairs = cv.canonical_pairs(m)
     kappas = []
     for x, y in pairs:
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         kappa = cv.exact_pair_curvature(m, frame)
         lb = max(global_lb, cv.downstep_lb_pair(m, frame))
         assert lb <= kappa <= cv.theorem_ub_pair(m, frame), (spec, x, y)
@@ -160,7 +160,7 @@ def assert_integer_bounds_match_the_oracles(m, label):
     down-step coupling equals the Fraction sum over its cells."""
     for x, y in cv.canonical_pairs(m):
         for s, t in ((x, y), (y, x)):
-            frame = cv.make_pair_frame(m, s, t)
+            frame = cv.PairFrame(s, t)
             witness = cv.compute_pair_witness(m, frame)
             ub = fraction_theorem_ub_values(m, frame, witness)
             lb = fraction_downstep_lb(m, frame, witness)
@@ -210,8 +210,8 @@ def test_whole_family_passes_ignore_the_completion_key_order(spec, data):
     pairs = cv.canonical_pairs(scanned)
     for x, y in data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else ():
         try:
-            render_json(pair_report_to_obj(m, cv.compute_pair_report(m, x, y)))
-            table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, y, x))
+            render_json(pair_report_to_obj(m, cv.compute_pair_report(m, cv.PairFrame(x, y))))
+            table = cv.downstep_coupling_table(m, cv.PairFrame(y, x))
             render_json(coupling_table_to_obj(m, table))
         except cv.NotAMatroid:
             pass
@@ -250,7 +250,7 @@ def test_coupling_report_matches_the_fraction_route(spec, data):
         x, y = data.draw(st.sampled_from(pairs))
         if data.draw(st.booleans()):
             x, y = y, x
-        frame = cv.make_pair_frame(m, x, y)
+        frame = cv.PairFrame(x, y)
         table = cv.downstep_coupling_table(m, frame)
         where = (spec, x, y)
         assert fraction_cells(table.cells) == fraction_coupling_cells(m, frame), where

@@ -137,7 +137,7 @@ def test_load_input(tmp_path):
 def test_pair_report_round_trip():
     m = cv.build_named("k4")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
-    report = cv.compute_pair_report(m, s, t)
+    report = cv.compute_pair_report(m, cv.PairFrame(s, t))
     obj = fio.pair_report_to_obj(m, report)
     assert cv.parse_rational(obj["exactKappa"]) == report.kappa_exact == F(13, 36)
     assert cv.parse_rational(obj["downstepLB"]) == F(13, 36)
@@ -259,8 +259,9 @@ CONSTRUCTED = {"graphic": catalog.k6_spec(), "uniform": cv.UniformSpec(n=6, k=3)
 
 
 def pair_and_coupling_text(m: cv.Matroid, x: int, y: int) -> str:
-    report = fio.pair_report_to_obj(m, cv.compute_pair_report(m, x, y))
-    table = cv.downstep_coupling_table(m, cv.make_pair_frame(m, x, y))
+    frame = cv.PairFrame(x, y)
+    report = fio.pair_report_to_obj(m, cv.compute_pair_report(m, frame))
+    table = cv.downstep_coupling_table(m, frame)
     return fio.render_json(report) + fio.render_json(fio.coupling_table_to_obj(m, table))
 
 
@@ -403,6 +404,35 @@ def test_cli_exit_codes(capsys, tmp_path):
         main(["curvature", "--input", "named:k4", "--all-pairs", "--bounds-only"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+# malformed explicit specs: (ground, bases, error, message); Matroid checks
+# the family's shape and the explicit builder only maps labels, so an
+# unknown label is reported before unequal sizes
+MALFORMED_EXPLICIT = {
+    "no-bases": ("a", (), cv.EmptyBasisFamily, "basis family is empty"),
+    "duplicate-ground-label": ("aa", ("a",), cv.UnknownElement,
+                               "duplicate ground labels"),
+    "unequal-sizes": ("abc", ("ab", "c"), cv.RankMismatch,
+                      "bases of different sizes: [1, 2]"),
+    "unknown-label": ("ab", ("az",), cv.UnknownElement,
+                      "basis element 'z' not in the ground set"),
+    "repeated-label": ("ab", ("aa",), cv.UnknownElement, "repeated element 'a' in a basis"),
+    "unknown-label-and-unequal-sizes": ("abc", ("ab", "z"), cv.UnknownElement,
+                                        "basis element 'z' not in the ground set"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EXPLICIT))
+def test_malformed_explicit_spec_keeps_its_error_and_exit_code(name, capsys, tmp_path):
+    ground, bases, error, message = MALFORMED_EXPLICIT[name]
+    with pytest.raises(error) as info:
+        cv.build_matroid(cv.ExplicitSpec(ground=tuple(ground),
+                                         bases=tuple(map(tuple, bases))))
+    assert str(info.value) == message
+    path = write_json(tmp_path, "malformed.json", {
+        "type": "explicit", "ground": list(ground), "bases": [list(b) for b in bases]})
+    assert run_cli(capsys, "validate", "--input", path) == (1, "", f"error: {message}\n")
 
 
 HUGE = "9" * 5000  # past the interpreter's default integer digit limit of 4300

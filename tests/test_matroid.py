@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -199,13 +200,20 @@ def test_ground_set_check():
 def test_enumeration_guard():
     with pytest.raises(cv.TooLarge):
         cv.build_matroid(cv.UniformSpec(n=30, k=15))
-    # few subsets, but each one is a huge mask or a large rank computation
+    # few subsets, but each one is a huge mask
     with pytest.raises(cv.TooLarge, match="work limit"):
         cv.build_matroid(cv.UniformSpec(n=10**7, k=10**7))
-    # a 10 x 20 Vandermonde matrix: rank 10, so C(20, 10) ranks of 10 x 10
-    wide = tuple(tuple(Fraction((j + 1) ** i) for j in range(20)) for i in range(10))
-    with pytest.raises(cv.TooLarge, match="work limit"):
-        cv.build_matroid(cv.LinearSpec(matrix=wide))
+    # a linear input is charged like any other: the 10 x 20 Vandermonde
+    # matrix, every 10 columns independent, lists its C(20, 10) bases, and
+    # the 12 x 24 one has too many subsets
+    def vandermonde(height):
+        return cv.LinearSpec(matrix=tuple(tuple(Fraction((j + 1) ** i)
+                                                for j in range(2 * height))
+                                          for i in range(height)))
+
+    assert len(cv.build_matroid(vandermonde(10)).bases) == comb(20, 10)
+    with pytest.raises(cv.TooLarge, match=r"C\(24,12\) exceeds the enumeration limit"):
+        cv.build_matroid(vandermonde(12))
     square = ((Fraction(1),) * 400,) * 400
     with pytest.raises(cv.TooLarge, match="ranking a 400 x 400 matrix"):
         cv.build_matroid(cv.LinearSpec(matrix=square))

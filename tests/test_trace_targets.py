@@ -62,7 +62,7 @@ def _calls() -> dict[tuple[str, str], tuple[tuple, object, int]]:
     spec = k4_spec()
     m = cv.build_matroid(spec)
     pairs = cv.canonical_pairs(m)
-    frame = cv.make_pair_frame(m, *pairs[0])
+    frame = cv.PairFrame(*pairs[0])
     mu = cv.transition_distribution(m, frame.s_basis)
     nu = cv.transition_distribution(m, frame.t_basis)
     problem = cv.TransportProblem.from_distance(mu, nu)

@@ -193,11 +193,11 @@ def test_basis_graph_rejects_non_matroid():
     with pytest.raises(cv.NotAMatroid, match=r"'a' dropped from \('a', 'b'\)"):
         cv.basis_graph(m)
     with pytest.raises(cv.NotAMatroid):
-        cv.exact_pair_curvature(m, cv.make_pair_frame(
-            m, m.mask_from_labels("ab"), m.mask_from_labels("ac")))
+        cv.exact_pair_curvature(m, cv.PairFrame(m.mask_from_labels("ab"),
+                                                m.mask_from_labels("ac")))
     with pytest.raises(cv.NotAMatroid):
-        cv.downstep_coupling_table(m, cv.make_pair_frame(
-            m, m.mask_from_labels("ab"), m.mask_from_labels("ac")))
+        cv.downstep_coupling_table(m, cv.PairFrame(m.mask_from_labels("ab"),
+                                                   m.mask_from_labels("ac")))
     # the bounds are theorems about matroids: bounds-only runs are gated too
     with pytest.raises(cv.NotAMatroid, match=r"'a' dropped from \('a', 'b'\)"):
         cv.global_curvature(m, exact=False)
@@ -239,7 +239,7 @@ def test_rank3_one_sided_adds_sit_at_distance_two():
     m = cv.build_named("rank3-counterexample")
     s_mask = m.mask_from_labels(["s", "u", "u'"])
     t_mask = m.mask_from_labels(["t", "u", "u'"])
-    frame = cv.make_pair_frame(m, s_mask, t_mask)
+    frame = cv.PairFrame(s_mask, t_mask)
     witness = cv.compute_pair_witness(m, frame)
     assert witness, "both shared elements should cross"
     checked = 0
@@ -262,7 +262,7 @@ def test_curvature_calls_keep_no_reference_to_the_matroid():
     # with its tables and kernels
     m = cv.build_named("k4")
     s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
-    cv.compute_pair_report(m, s, t)
+    cv.compute_pair_report(m, cv.PairFrame(s, t))
     cv.global_curvature(m)
     cv.global_curvature(m, audit_all_pairs=True)
     dead = weakref.ref(m)
