@@ -18,24 +18,23 @@ integer numerators over one denominator per matroid (bound_scale).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLarge
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
 from .symmetry import automorphism_generators, mask_image, pair_orbit
 from .transport import TransportProblem, wasserstein1
-from .walk import basis_graph, exchange_distance, transition_distribution
+from .walk import Frozen, basis_graph, exchange_distance, transition_distribution
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class PairFrame:
+class PairFrame(Frozen):
     """An adjacent basis pair S, T with the exchange made explicit.
 
     Built from the two sets alone: s_elem is the element of S - T, t_elem
@@ -43,35 +42,45 @@ class PairFrame:
     constructor raises NotAdjacent unless S and T differ by exactly one
     exchange, so every frame is consistent. It is the one way to build a
     pair; every pair function takes (m, frame) and checks itself that S and
-    T are bases of m.
+    T are bases of m. A Frozen record: its fields cannot be assigned or
+    deleted, and two frames of the same pair are equal and hash equal.
     """
 
-    s_basis: Mask
-    t_basis: Mask
-    s_elem: int = field(init=False)
-    t_elem: int = field(init=False)
-    shared: tuple[int, ...] = field(init=False)
+    __slots__ = ("s_basis", "t_basis", "s_elem", "t_elem", "shared")
 
-    def __post_init__(self):
-        s_only = self.s_basis & ~self.t_basis
-        t_only = self.t_basis & ~self.s_basis
+    def __init__(self, s_basis: Mask, t_basis: Mask):
+        s_only = s_basis & ~t_basis
+        t_only = t_basis & ~s_basis
         if s_only.bit_count() != 1 or t_only.bit_count() != 1:
             raise NotAdjacent("bases do not differ by a single exchange")
-        object.__setattr__(self, "s_elem", s_only.bit_length() - 1)
-        object.__setattr__(self, "t_elem", t_only.bit_length() - 1)
-        object.__setattr__(self, "shared", tuple(bits(self.s_basis & self.t_basis)))
+        write = object.__setattr__
+        write(self, "s_basis", s_basis)
+        write(self, "t_basis", t_basis)
+        write(self, "s_elem", s_only.bit_length() - 1)
+        write(self, "t_elem", t_only.bit_length() - 1)
+        write(self, "shared", tuple(bits(s_basis & t_basis)))
 
 
-@dataclass(frozen=True)
-class DropWitness:
+class DropWitness(Frozen):
     """Neighborhood data for one crossing drop u (a shared element whose
-    removal lets the S-side walk add t_elem directly)."""
+    removal lets the S-side walk add t_elem directly). A Frozen record: its
+    fields cannot be assigned or deleted, and it compares and hashes by
+    value."""
 
-    drop: int            # the shared element u
-    ns_size: int         # #N(S - u)
-    nt_size: int         # #N(T - u)
-    overlap_size: int    # #(N(S - u) ∩ N(T - u))
-    s_only_adds: Mask    # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
+    __slots__ = ("drop",           # the shared element u
+                 "ns_size",        # #N(S - u)
+                 "nt_size",        # #N(T - u)
+                 "overlap_size",   # #(N(S - u) ∩ N(T - u))
+                 "s_only_adds")    # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
+
+    def __init__(self, drop: int, ns_size: int, nt_size: int, overlap_size: int,
+                 s_only_adds: Mask):
+        write = object.__setattr__
+        write(self, "drop", drop)
+        write(self, "ns_size", ns_size)
+        write(self, "nt_size", nt_size)
+        write(self, "overlap_size", overlap_size)
+        write(self, "s_only_adds", s_only_adds)
 
 
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
@@ -223,8 +232,7 @@ def theorem_ub_pair(m: Matroid, frame: PairFrame) -> Fraction:
 # ── the down-step coupling ──────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class DownstepCoupling:
+class DownstepCoupling(NamedTuple):
     """The down-step coupling of one pair, drop by drop as _coupling_drops
     yields it: per drop (drop from S, drop from T, denominator, cells), each
     cell (add to S, add to T, X, Y, weight) with a positive integer weight
@@ -346,8 +354,7 @@ def exact_pair_curvature(m: Matroid, frame: PairFrame) -> Fraction:
 # ── reports ─────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     frame: PairFrame
     witness: tuple[DropWitness, ...]
     downstep_lb: Fraction
@@ -358,8 +365,7 @@ class PairReport:
     kappa_exact: Fraction
 
 
-@dataclass(frozen=True)
-class GlobalReport:
+class GlobalReport(NamedTuple):
     kappa_exact: Fraction | None
     argmin_pair: tuple[Mask, Mask] | None
     theorem_lb: Fraction | None

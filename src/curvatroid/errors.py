@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class CurvatroidError(Exception):
@@ -65,13 +65,15 @@ class InvalidBasisArgument(CurvatroidError):
     """A --s/--t argument that is not a basis, or a pair that is not adjacent."""
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of a check; failure is a value carrying a witness, not an exception."""
+class ValidationResult(NamedTuple):
+    """Outcome of a check; failure is a value carrying a witness, not an exception.
+
+    Truth is ok, not the tuple's length: `if not check:` reads a failure.
+    """
 
     ok: bool
     detail: str = ""
-    witness: tuple = field(default=())
+    witness: tuple = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     DegenerateGraph,
@@ -60,32 +59,27 @@ def basis_sort_key(mask: Mask) -> tuple[int, ...]:
 # ── construction specs ──────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class UniformSpec:
+class UniformSpec(NamedTuple):
     n: int
     k: int
 
 
-@dataclass(frozen=True)
-class GraphicSpec:
+class GraphicSpec(NamedTuple):
     vertex_count: int
     edges: tuple[tuple[int, int, str], ...]  # (endpoint, endpoint, label)
 
 
-@dataclass(frozen=True)
-class LinearSpec:
+class LinearSpec(NamedTuple):
     matrix: tuple[tuple[Fraction, ...], ...]  # rows; columns are the elements
     labels: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ExplicitSpec:
+class ExplicitSpec(NamedTuple):
     ground: tuple[str, ...]
     bases: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class NamedSpec:
+class NamedSpec(NamedTuple):
     name: str
 
 

@@ -34,20 +34,18 @@ state between calls, so it is deterministic and concurrent calls are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 from operator import sub
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import CurvatroidError, UnbalancedMarginals, ValidationResult
 from .matroid import Mask
 from .walk import Distribution, exchange_distance
 
 
-@dataclass(frozen=True)
-class TransportProblem:
+class TransportProblem(NamedTuple):
     """The residual integer transportation problem between two distributions.
 
     row_keys and col_keys are the residual supports in ascending mask order;

@@ -15,11 +15,15 @@ explicit family against the exchange axiom once and rejects a non-matroid
 with the validator's witness. basis_graph then returns every kernel row in
 a plain dict, cached nowhere; it keeps its name because the benchmark's
 walk.graph span traces it.
+
+Distribution, like the curvature module's PairFrame and DropWitness, is a
+Frozen record: a __slots__ class whose own __init__ writes each field once
+and whose fields can then be neither assigned nor deleted. No class code is
+generated at import, which keeps a one-pair command's start-up short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -33,34 +37,71 @@ def exchange_distance(x: Mask, y: Mask) -> int:
     return (x & ~y).bit_count()
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Frozen:
+    """Base of the immutable __slots__ records: a subclass's __init__ writes
+    each field once through object.__setattr__, after which assigning or
+    deleting a field raises AttributeError. Records compare and hash by
+    their fields, in __slots__ order, and the repr names every field.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+
+class Distribution(Frozen):
     """Probability distribution over bases (masks): positive integer weights
     over a common denominator, so the mass of b is weights[b] / denominator.
 
-    The weights need not be in lowest terms; equality is identity. A weight
-    or denominator that is not an int (a float, a Fraction) raises
-    ValueError, like every other broken invariant.
+    A Frozen record whose weights are a read-only copy of the mapping
+    given. The weights need not be in lowest terms, so equality is
+    identity. A weight or denominator that is not an int (a float, a
+    Fraction) raises ValueError, like every other broken invariant.
     """
 
-    weights: Mapping[Mask, int]
-    denominator: int
+    __slots__ = ("weights", "denominator")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        frozen = MappingProxyType(dict(self.weights))
-        object.__setattr__(self, "weights", frozen)
+    def __init__(self, weights: Mapping[Mask, int], denominator: int):
+        frozen = MappingProxyType(dict(weights))
         total = 0
         for b, w in frozen.items():
             if w <= 0:
                 raise ValueError(f"nonpositive weight {w} on {b}")
             total += w
         # a sum of ints is an int; one float or Fraction weight makes it not
-        if type(total) is not int or type(self.denominator) is not int:
+        if type(total) is not int or type(denominator) is not int:
             raise ValueError(f"weights and denominator must be ints: weights sum to "
-                             f"{total!r} over {self.denominator!r}")
-        if total != self.denominator or total <= 0:
+                             f"{total!r} over {denominator!r}")
+        if total != denominator or total <= 0:
             raise ValueError(f"weights sum to {total}, not the denominator "
-                             f"{self.denominator}")
+                             f"{denominator}")
+        object.__setattr__(self, "weights", frozen)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def transition_distribution(m: Matroid, s: Mask) -> Distribution:

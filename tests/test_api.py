@@ -1,8 +1,12 @@
 """The public surface: every exported name resolves, deleted ones stay gone."""
 
+import copy
 import inspect
+import pickle
 import re
 from pathlib import Path
+
+import pytest
 
 import curvatroid as cv
 from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmetry,
@@ -153,3 +157,75 @@ def test_unreachable_pair_checks_and_metric_copies_are_gone():
     assert not hasattr(cv.PairFrame, "swapped")  # a test helper, tests/oracles.py
     assert not hasattr(curvature, "_exchange_distance")
     assert curvature.exchange_distance is walk.exchange_distance
+
+
+# the value records are NamedTuples: built by position (GlobalReport(None,
+# None, theorem_lb, *bounds, ...), TransportProblem(rows, cols, ...)) and
+# unpacked in this order
+RECORD_FIELDS = {
+    cv.UniformSpec: ("n", "k"),
+    cv.GraphicSpec: ("vertex_count", "edges"),
+    cv.LinearSpec: ("matrix", "labels"),
+    cv.ExplicitSpec: ("ground", "bases"),
+    cv.NamedSpec: ("name",),
+    cv.ValidationResult: ("ok", "detail", "witness"),
+    cv.TransportProblem: ("row_keys", "col_keys", "supply", "demand", "cost", "scale"),
+    cv.DownstepCoupling: ("frame", "drops"),
+    cv.PairReport: ("frame", "witness", "downstep_lb", "ub_forward", "ub_reverse",
+                    "theorem_ub", "coupling_expected_distance", "kappa_exact"),
+    cv.GlobalReport: ("kappa_exact", "argmin_pair", "theorem_lb", "downstep_lb",
+                      "theorem_ub", "pair_count", "degenerate", "audited"),
+}
+
+
+def test_value_records_keep_their_field_order():
+    for record, fields in RECORD_FIELDS.items():
+        assert record._fields == fields, record
+    assert cv.LinearSpec._field_defaults == {"labels": None}
+    assert cv.ValidationResult._field_defaults == {"detail": "", "witness": ()}
+    assert cv.GlobalReport._field_defaults == {"degenerate": False, "audited": False}
+    # truth is the outcome, not the tuple's length (wasserstein1's `if not check:`)
+    assert not cv.ValidationResult.failed("no", (1, 2, 3))
+    assert cv.ValidationResult.passed()
+
+
+def k6_frame_and_witness():
+    m = cv.build_named("k6")
+    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"]))
+    return m, frame, cv.compute_pair_witness(m, frame)
+
+
+def test_frozen_records_refuse_assignment_and_deletion():
+    m, frame, witness = k6_frame_and_witness()
+    distribution = cv.transition_distribution(m, frame.s_basis)
+    for record in (frame, witness[0], distribution):
+        for name in type(record).__slots__:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    with pytest.raises(TypeError):  # the weights are a read-only view
+        distribution.weights[frame.s_basis] = 1
+
+
+def test_pair_frame_and_drop_witness_are_values():
+    _, frame, witness = k6_frame_and_witness()
+    again = cv.PairFrame(frame.s_basis, frame.t_basis)
+    assert again is not frame and again == frame and hash(again) == hash(frame)
+    assert cv.PairFrame(frame.t_basis, frame.s_basis) != frame
+    fields = [getattr(witness[0], name) for name in cv.DropWitness.__slots__]
+    twin = cv.DropWitness(*fields)
+    assert twin == witness[0] and hash(twin) == hash(witness[0])
+    assert cv.DropWitness(*fields[:-1], fields[-1] + 1) != witness[0]
+    assert witness[0] != tuple(fields) and frame != (frame.s_basis, frame.t_basis)
+    # copy and pickle rebuild the slots past the frozen __setattr__
+    assert copy.copy(frame) == frame and pickle.loads(pickle.dumps(witness)) == witness
+    assert repr(frame) == (f"PairFrame(s_basis={frame.s_basis}, t_basis={frame.t_basis}, "
+                           f"s_elem={frame.s_elem}, t_elem={frame.t_elem}, "
+                           f"shared={frame.shared!r})")
+    assert repr(twin) == "DropWitness(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(cv.DropWitness.__slots__, fields)) + ")"
