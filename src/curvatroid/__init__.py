@@ -40,7 +40,7 @@ from .matroid import (
     build_matroid,
     validate_exchange_axiom,
 )
-from .catalog import CATALOG_NAMES, DISTINGUISHED_PAIRS, build_named
+from .catalog import CATALOG_NAMES, build_named
 from .symmetry import automorphism_generators
 from .walk import (
     Distribution,
@@ -88,7 +88,7 @@ __all__ = [
     "ENUMERATION_LIMIT", "ExplicitSpec", "GraphicSpec", "LinearSpec", "Mask",
     "Matroid", "MatroidSpec", "NamedSpec", "UniformSpec", "basis_sort_key",
     "bits", "build_matroid", "validate_exchange_axiom",
-    "CATALOG_NAMES", "DISTINGUISHED_PAIRS", "build_named",
+    "CATALOG_NAMES", "build_named",
     "automorphism_generators",
     # walk
     "Distribution", "basis_graph", "transition_distribution",

@@ -15,16 +15,6 @@ from .matroid import (
     build_matroid,
 )
 
-CATALOG_NAMES = ("vamos", "fano", "k4", "k6", "rank3-counterexample")
-
-# distinguished adjacent pairs (label sets) used in docs and the test suite
-DISTINGUISHED_PAIRS = {
-    "k4": (("ab", "cd", "da"), ("bd", "cd", "da")),
-    "k6": (("s", "1", "2", "3", "4"), ("t", "1", "2", "3", "4")),
-    "rank3-counterexample": (("s", "u", "u'"), ("t", "u", "u'")),
-}
-
-
 def vamos_spec() -> ExplicitSpec:
     """Rank-4 matroid on 8 elements, 65 of the 70 possible bases.
 
@@ -137,10 +127,12 @@ _BUILDERS = {
     "k6": k6_spec,
     "rank3-counterexample": rank3_counterexample_spec,
 }
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def build_named(name: str) -> Matroid:
-    """Look up and build a catalog matroid; unknown names fail fast."""
+    """Look up and build a catalog matroid; an unknown name, from named:KEY
+    or from a named description file, raises ParseError here and only here."""
     try:
         spec = _BUILDERS[name]()
     except KeyError:

@@ -52,14 +52,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, with_input: bool = True,
+               rationals: bool = False) -> None:
         if with_input:
             p.add_argument("--input", required=True,
                            help="description file path, or named:KEY for a built-in")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--decimal", action="store_true",
-                       help="append 6-significant-digit decimal approximations")
+        if rationals:
+            p.add_argument("--decimal", action="store_true",
+                           help="append 6-significant-digit decimal approximations")
 
     p = sub.add_parser("validate", help="check the basis exchange axiom")
     common(p)
@@ -70,26 +72,24 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="list all adjacent basis pairs")
     common(p)
 
-    p = sub.add_parser("curvature", help="global curvature report")
-    common(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="solve optimal transport for every adjacent pair")
-    mode.add_argument("--bounds-only", action="store_true",
-                      help="closed-form bounds only, no transport (default)")
+    p = sub.add_parser("curvature", help="global curvature report "
+                                         "(closed-form bounds only by default)")
+    common(p, rationals=True)
+    p.add_argument("--exact", action="store_true",
+                   help="solve optimal transport for every adjacent pair")
     p.add_argument("--all-pairs", action="store_true",
                    help="audit: also minimize 1 - W/d over non-adjacent pairs "
                         "(implies --exact)")
 
     p = sub.add_parser("pair", help="full report for one adjacent pair")
-    common(p)
+    common(p, rationals=True)
     p.add_argument("--s", required=True, metavar="LABELS",
                    help="first basis, comma-separated element labels")
     p.add_argument("--t", required=True, metavar="LABELS",
                    help="second basis, comma-separated element labels")
 
     p = sub.add_parser("coupling", help="down-step coupling table for one pair")
-    common(p)
+    common(p, rationals=True)
     p.add_argument("--s", required=True, metavar="LABELS")
     p.add_argument("--t", required=True, metavar="LABELS")
 
@@ -156,10 +156,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "all_pairs", False) and getattr(args, "bounds_only", False):
-        parser.error("--all-pairs needs exact values; drop --bounds-only")
+    args = _parser().parse_args(argv)
     try:
         obj, code = _run(args)
     except ParseError as e:

@@ -407,12 +407,18 @@ def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
     which is the same order as comparing basis_sort_key tuples. Every pair
     is (R + a, R + b) for one completion-table group R = S ∩ T and a < b in
     N(R), and R + a comes first: the two sets agree below a, and R + b holds
-    a larger element at a's place.
+    a larger element at a's place. Raises TooLarge, before listing any,
+    when there are more than ENUMERATION_LIMIT pairs.
     """
+    table = m._completion_table()
+    count = sum(comb(members.bit_count(), 2) for members in table.values())
+    if count > ENUMERATION_LIMIT:
+        raise TooLarge(f"listing {count} adjacent pairs exceeds the enumeration limit "
+                       f"of {ENUMERATION_LIMIT} pairs")
     order = m.sorted_bases()
     position = {b: i for i, b in enumerate(order)}
     pairs = []
-    for rest, members in m._completion_table().items():
+    for rest, members in table.items():
         pairs += combinations([position[rest | 1 << x] for x in bits(members)], 2)
     pairs.sort()
     return [(order[i], order[j]) for i, j in pairs]

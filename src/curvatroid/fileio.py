@@ -146,11 +146,7 @@ def parse_matroid_obj(obj: Any) -> MatroidSpec:
         return ExplicitSpec(ground=ground, bases=tuple(bases))
 
     if kind == "named":
-        name = _field(obj, "name", str, "named")
-        if name not in CATALOG_NAMES:
-            raise ParseError(f"unknown catalog name {name!r}; "
-                             f"choices: {', '.join(CATALOG_NAMES)}")
-        return NamedSpec(name=name)
+        return NamedSpec(name=_field(obj, "name", str, "named"))
 
     raise UnknownType(f"unknown matroid type {kind!r}")
 

@@ -22,7 +22,8 @@ the distribution rendering and masses, the random-matroid and
 explicit-family strategies, the
 exchange distance between bases, basis membership by labels, one
 exchange neighbourhood by membership tests and the vector realization of
-the rank-3 catalog matroid) use the public library API.
+the rank-3 catalog matroid) use the public library API, and
+DISTINGUISHED_PAIRS names the catalog pairs the tests pin down.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ import curvatroid as cv
 from curvatroid import curvature, matroid
 from curvatroid.catalog import RANK3_GROUND
 from curvatroid.walk import exchange_distance
+
+# one distinguished adjacent pair (label sets) per catalog entry whose
+# couplings and witness tables the tests pin down
+DISTINGUISHED_PAIRS = {
+    "k4": (("ab", "cd", "da"), ("bd", "cd", "da")),
+    "k6": (("s", "1", "2", "3", "4"), ("t", "1", "2", "3", "4")),
+    "rank3-counterexample": (("s", "u", "u'"), ("t", "u", "u'")),
+}
 
 
 def transport_vertices(supply, demand):

@@ -13,6 +13,7 @@ from functools import partial
 import curvatroid as cv
 from curvatroid.walk import exchange_distance
 from oracles import (
+    DISTINGUISHED_PAIRS,
     bfs_distances,
     cell_masses,
     coupling_cost,
@@ -31,7 +32,7 @@ F = Fraction
 
 
 def distinguished_frame(m: cv.Matroid, name: str) -> cv.PairFrame:
-    s_labels, t_labels = cv.DISTINGUISHED_PAIRS[name]
+    s_labels, t_labels = DISTINGUISHED_PAIRS[name]
     return cv.PairFrame(m.mask_from_labels(s_labels), m.mask_from_labels(t_labels))
 
 

@@ -11,6 +11,7 @@ import pytest
 import curvatroid as cv
 from curvatroid import (catalog, cli, curvature, errors, fileio, matroid, symmetry,
                         transport, walk)
+from oracles import DISTINGUISHED_PAIRS
 from test_curvature import PAIR_FUNCTIONS
 
 # removed with the BFS exchange graph, the thread fan-out, the Fraction
@@ -20,13 +21,14 @@ from test_curvature import PAIR_FUNCTIONS
 # coupling cell are test helpers in tests/oracles.py, the rank wrapper
 # matrix_rank is gone, PairWitness is the tuple of DropWitness records
 # that compute_pair_witness returns, and PairFrame is the one pair
-# constructor, with no checked second route
+# constructor, with no checked second route; the catalog's distinguished
+# pairs are test data in tests/oracles.py
 DELETED = ("basis_distance", "distance_matrix", "resolve_workers",
            "Coupling", "verify_coupling", "expected_distance",
            "build_downstep_coupling", "downstep_lb_via_coupling",
            "proposition_distance_check", "distribution_to_obj", "items_sorted",
            "ElementNotInBasis", "BasisGraph", "format_rational", "CouplingCell",
-           "matrix_rank", "PairWitness", "make_pair_frame")
+           "matrix_rank", "PairWitness", "make_pair_frame", "DISTINGUISHED_PAIRS")
 
 # exported names that nothing under src/curvatroid/ uses, each with its reason
 UNUSED_EXPORTS = {
@@ -35,7 +37,6 @@ UNUSED_EXPORTS = {
     "downstep_lb_pair": "bench span target",
     "theorem_ub_pair": "bench span target",
     "theorem_ub_values": "bench span target",
-    "DISTINGUISHED_PAIRS": "catalog test data",
 }
 
 
@@ -83,9 +84,11 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(symmetry, "_search")
     assert not hasattr(fileio, "format_rational")
     # one route to the coupling's expected distance; the linear realization
-    # of the rank-3 catalog matroid is a test helper, tests/oracles.py
+    # of the rank-3 catalog matroid is a test helper and the distinguished
+    # pairs are test data, both in tests/oracles.py
     assert not hasattr(curvature, "downstep_expected_distance")
-    assert not hasattr(catalog, "rank3_counterexample_linear_spec")
+    for name in ("rank3_counterexample_linear_spec", "DISTINGUISHED_PAIRS"):
+        assert not hasattr(catalog, name), name
     # one parser function, built once per process
     assert not hasattr(cli, "build_parser")
     assert cli._parser() is cli._parser()
@@ -104,7 +107,7 @@ def test_every_public_name_is_used_inside_the_package():
 
 def test_pair_witness_is_its_drop_records():
     m = cv.build_named("k6")
-    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"]))
+    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k6"]))
     witness = cv.compute_pair_witness(m, frame)
     assert type(witness) is tuple and witness
     assert all(type(e) is cv.DropWitness for e in witness)
@@ -191,7 +194,7 @@ def test_value_records_keep_their_field_order():
 
 def k6_frame_and_witness():
     m = cv.build_named("k6")
-    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"]))
+    frame = cv.PairFrame(*(m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k6"]))
     return m, frame, cv.compute_pair_witness(m, frame)
 
 

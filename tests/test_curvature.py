@@ -11,11 +11,11 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import cli, curvature
-from oracles import (as_permuted_explicit, cell_masses, coupling_cost, distance,
-                     fraction_cells, fraction_downstep_lb, fraction_theorem_ub_values,
-                     frame_by_symmetric_difference, masses, proposition_distance_check,
-                     quadratic_adjacent_pairs, sorted_index_pairs, swapped,
-                     unpruned_global_curvature)
+from oracles import (DISTINGUISHED_PAIRS, as_permuted_explicit, cell_masses, coupling_cost,
+                     distance, fraction_cells, fraction_downstep_lb,
+                     fraction_theorem_ub_values, frame_by_symmetric_difference, masses,
+                     proposition_distance_check, quadratic_adjacent_pairs,
+                     sorted_index_pairs, swapped, unpruned_global_curvature)
 
 F = Fraction
 
@@ -53,7 +53,7 @@ def test_frame_orientation():
 
 def test_frame_k6_shared():
     m = cv.build_named("k6")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k6"])
     frame = cv.PairFrame(s, t)
     assert tuple(m.labels[i] for i in frame.shared) == ("1", "2", "3", "4")
     assert m.labels[frame.s_elem] == "s" and m.labels[frame.t_elem] == "t"
@@ -109,7 +109,7 @@ def test_witness_u42():
 
 def test_witness_k6():
     m = cv.build_named("k6")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k6"])
     frame = cv.PairFrame(s, t)
     witness = cv.compute_pair_witness(m, frame)
     rows = {m.labels[e.drop]: (e.ns_size, e.nt_size, e.overlap_size,
@@ -210,7 +210,7 @@ def test_coupling_matches_bound_and_marginals(sweep):
 
 def test_coupling_cells_stay_within_distance_two():
     m = cv.build_named("k4")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k4"])
     table = cv.downstep_coupling_table(m, cv.PairFrame(s, t))
     cells = fraction_cells(table.cells)
     for cell in cells:
@@ -237,7 +237,7 @@ def test_coupling_aggregation_merges_duplicate_targets():
 
 def test_proposition_rank3():
     m = cv.build_named("rank3-counterexample")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["rank3-counterexample"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["rank3-counterexample"])
     frame = cv.PairFrame(s, t)
     witness = cv.compute_pair_witness(m, frame)
     for entry in witness:
@@ -261,7 +261,7 @@ def test_proposition_vacuous_and_errors():
 
 def test_proposition_k6_crossing_edge():
     m = cv.build_named("k6")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k6"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k6"])
     frame = cv.PairFrame(s, t)
     assert proposition_distance_check(m, frame, m.element_index("1")).ok
 

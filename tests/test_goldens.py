@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from curvatroid.catalog import DISTINGUISHED_PAIRS, RANK3_GROUND
+from curvatroid.catalog import RANK3_GROUND
 from curvatroid.cli import main
+from oracles import DISTINGUISHED_PAIRS
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -142,11 +143,13 @@ def test_one_parser_serves_interleaved_calls(capsys, tmp_path):
         for argv, golden in valid:
             assert main(argv) == 0
             assert capsys.readouterr().out.encode("utf-8") == (GOLDENS / golden).read_bytes()
-        for argv in (pair + ["--no-such-flag"],
-                     ["curvature", "--input", "named:k4", "--all-pairs", "--bounds-only"]):
+        for argv, flag in ((pair + ["--no-such-flag"], "--no-such-flag"),
+                           (["curvature", "--input", "named:k4", "--all-pairs",
+                             "--bounds-only"], "--bounds-only")):
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
         assert main(["pair", "--input", str(bad), "--s", "a", "--t", "b"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err

@@ -1,8 +1,10 @@
 """Serialization, file parsing, and the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ import curvatroid as cv
 from curvatroid import catalog, cli, curvature, matroid
 from curvatroid import fileio as fio
 from curvatroid.cli import main
-from oracles import distribution_to_obj, is_basis, rank3_counterexample_linear_spec
+from oracles import (DISTINGUISHED_PAIRS, distribution_to_obj, is_basis,
+                     rank3_counterexample_linear_spec)
+from test_curvature import complete_graph
 
 F = Fraction
 
@@ -93,7 +97,7 @@ def test_parse_matroid_obj_errors():
     with pytest.raises(cv.ParseError):
         cv.parse_matroid_obj({"type": "uniform", "n": 4, "k": "two"})
     with pytest.raises(cv.ParseError):
-        cv.parse_matroid_obj({"type": "named", "name": "petersen"})
+        cv.parse_matroid_obj({"type": "named", "name": 7})
     with pytest.raises(cv.ParseError):
         cv.parse_matroid_obj({"type": "explicit", "ground": ["a", True],
                               "bases": [["a"]]})
@@ -101,6 +105,18 @@ def test_parse_matroid_obj_errors():
         cv.parse_matroid_obj({"type": "linear", "matrix": [["0.5"]]})
     with pytest.raises(cv.ParseError):
         cv.parse_matroid_obj(["not", "an", "object"])
+
+
+def test_unknown_catalog_name_has_one_check_and_one_message(capsys, tmp_path):
+    # a named file parses to its spec; build_named alone knows the catalog
+    spec = cv.parse_matroid_obj({"type": "named", "name": "petersen"})
+    assert spec == cv.NamedSpec(name="petersen")
+    line = ("error: unknown catalog name 'petersen' "
+            "(known: vamos, fano, k4, k6, rank3-counterexample)\n")
+    path = write_json(tmp_path, "petersen.json", {"type": "named", "name": "petersen"})
+    for source in ("named:petersen", path):
+        assert run_cli(capsys, "bases", "--input", source) == (2, "", line)
+    assert cv.CATALOG_NAMES == tuple(catalog._BUILDERS)
 
 
 def test_parse_matroid_file(tmp_path):
@@ -136,7 +152,7 @@ def test_load_input(tmp_path):
 
 def test_pair_report_round_trip():
     m = cv.build_named("k4")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k4"])
     report = cv.compute_pair_report(m, cv.PairFrame(s, t))
     obj = fio.pair_report_to_obj(m, report)
     assert cv.parse_rational(obj["exactKappa"]) == report.kappa_exact == F(13, 36)
@@ -145,7 +161,7 @@ def test_pair_report_round_trip():
     assert cv.parse_rational(obj["theoremUB_reverse"]) == F(5, 12)
     assert cv.parse_rational(obj["theoremUB"]) == F(13, 36)
     assert cv.parse_rational(obj["couplingExpectedDistance"]) == F(23, 36)
-    assert obj["frame"]["S"] == list(cv.DISTINGUISHED_PAIRS["k4"][0])
+    assert obj["frame"]["S"] == list(DISTINGUISHED_PAIRS["k4"][0])
     assert obj["version"] == cv.__version__
     assert obj["originHash"] == m.origin_hash()
     assert "exactKappaApprox" not in obj
@@ -298,7 +314,7 @@ def test_explicit_pair_queries_build_the_completion_table_once(monkeypatch):
     monkeypatch.setattr(matroid._CompletionSets, "fill", counted)
     monkeypatch.setattr(matroid, "validate_exchange_axiom", gate)
     m = cv.build_named("rank3-counterexample")
-    s, t = (m.mask_from_labels(b) for b in catalog.DISTINGUISHED_PAIRS[
+    s, t = (m.mask_from_labels(b) for b in DISTINGUISHED_PAIRS[
         "rank3-counterexample"])
     pair_and_coupling_text(m, s, t)
     assert fills == [(m._completions, True)] and m._completions.complete
@@ -400,10 +416,12 @@ def test_cli_exit_codes(capsys, tmp_path):
                            "--s", "ab,bc,cd", "--t", "ac,bd,da")
     assert code == 1 and "exchange" in err
 
+    # the default mode has no flag: --bounds-only is unknown, as any other
     with pytest.raises(SystemExit) as exit_info:
         main(["curvature", "--input", "named:k4", "--all-pairs", "--bounds-only"])
     assert exit_info.value.code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: --bounds-only\n")
 
 
 # malformed explicit specs: (ground, bases, error, message); Matroid checks
@@ -492,8 +510,7 @@ def test_cli_non_matroid_fails_on_every_distance_path(capsys, tmp_path):
                        "bases": [["a", "b"], ["a", "c"], ["d", "e"], ["d", "f"]]})
     witness = "'a' dropped from ('a', 'b')"
     pair = ("--s", "a,b", "--t", "a,c")
-    for argv in (("curvature",), ("curvature", "--bounds-only"),
-                 ("curvature", "--exact"), ("curvature", "--all-pairs"),
+    for argv in (("curvature",), ("curvature", "--exact"), ("curvature", "--all-pairs"),
                  ("pair", *pair), ("coupling", *pair)):
         code, out, err = run_cli(capsys, argv[0], "--input", path, *argv[1:])
         assert code == 1 and out == "", argv
@@ -513,8 +530,7 @@ def test_cli_gates_every_curvature_command_on_a_family_without_pairs(capsys, tmp
     m = cv.build_matroid(cv.ExplicitSpec(ground=tuple("abcdef"),
                                          bases=tuple(map(tuple, bases))))
     line = f"error: not a matroid: {cv.validate_exchange_axiom(m).detail}\n"
-    for argv in (("curvature",), ("curvature", "--bounds-only"),
-                 ("curvature", "--exact"), ("curvature", "--all-pairs")):
+    for argv in (("curvature",), ("curvature", "--exact"), ("curvature", "--all-pairs")):
         assert run_cli(capsys, argv[0], "--input", path, *argv[1:]) == (1, "", line)
     # no pair to name: the pair commands refuse the arguments instead
     for command in ("pair", "coupling"):
@@ -532,3 +548,70 @@ def test_cli_decimal_flag(capsys):
     assert obj["decimalsAreApproximate"] is True
     assert obj["exactKappaApprox"] == "0.361111"
     assert obj["exactKappa"] == "13/36"
+
+
+def k4_argv(command: str) -> list[str]:
+    """command on named:k4, with the distinguished k4 pair where it needs one."""
+    if command == "catalog":
+        return [command]
+    argv = [command, "--input", "named:k4"]
+    if command in ("pair", "coupling"):
+        s, t = DISTINGUISHED_PAIRS["k4"]
+        argv += ["--s", ",".join(s), "--t", ",".join(t)]
+    return argv
+
+
+def test_every_option_changes_the_report(capsys):
+    # a flag or choice that prints the same bytes as its absence buys nothing;
+    # every optional argument that takes a value must offer choices
+    (commands,) = [a.choices for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    inert = []
+    for command, parser in commands.items():
+        base = k4_argv(command)
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        for action in parser._actions:
+            if (isinstance(action, argparse._HelpAction) or not action.option_strings
+                    or action.required):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                variants = [[flag]]
+            else:
+                assert action.choices, (command, flag)
+                variants = [[flag, c] for c in action.choices if c != action.default]
+            for extra in variants:
+                assert main(base + extra) == 0, (command, extra)
+                if capsys.readouterr().out == default:
+                    inert.append(" ".join([command, *extra]))
+    assert inert == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--input", "named:k4", "--bounds-only"],
+    *(k4_argv(command) + ["--decimal"]
+      for command in ("validate", "bases", "pairs", "catalog")),
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_removed_options_are_unknown_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage: curvatroid") and err.count("usage:") == 1
+    assert err.endswith(f"curvatroid: error: unrecognized arguments: {argv[-1]}\n")
+
+
+def test_cli_pairs_over_the_limit_fails_fast(capsys, tmp_path):
+    # U(2,200) has 19,900 bases, and each element's completion set holds the
+    # 199 others: 200 * C(199, 2) = 3,940,200 adjacent pairs
+    path = write_json(tmp_path, "u2-200.json", {"type": "uniform", "n": 200, "k": 2})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pairs", "--input", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: listing 3940200 adjacent pairs exceeds the enumeration "
+                   "limit of 2000000 pairs\n")
+    assert run_cli(capsys, *k4_argv("pairs"))[0] == 0
+    assert len(cv.canonical_pairs(complete_graph(7))) == 365_085

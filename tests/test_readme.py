@@ -7,14 +7,18 @@ and compared with the Fraction its comment names. The K4-K7 rows of the
 table are recomputed, and the K8 row is held to test_k8_exact's constants;
 so are the rows of the table of direct sums.
 A change to the public API or to a reported value then fails here instead
-of leaving the README stale.
+of leaving the README stale. Every command of the Command line section's
+first block runs through the command-line entry point and must exit 0, so
+a removed flag cannot stay documented.
 """
 
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import curvatroid as cv
+from curvatroid.cli import main
 from oracles import direct_sum
 from test_curvature import K8_REPORT, complete_graph
 
@@ -38,6 +42,26 @@ def test_library_snippet_values_match_its_comments():
     for claim in claims:
         got = eval(claim["expr"], namespace)
         assert got == Fraction(int(claim["p"]), int(claim["q"])), claim["expr"]
+
+
+def command_block() -> list[str]:
+    """The lines of the first sh block under the README's Command line heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_command_line_examples_exit_zero(capsys, monkeypatch, tmp_path):
+    block = command_block()
+    # the description file the validate example names is shown in a comment
+    (example,) = [line[2:] for line in block if line.startswith('# {"type"')]
+    (tmp_path / "my-matroid.json").write_text(example, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for line in block if line.startswith("curvatroid ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def table_rows(heading: str, first_cell: str = "") -> list[list[str]]:

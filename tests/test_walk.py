@@ -10,8 +10,9 @@ import pytest
 import curvatroid as cv
 from curvatroid import matroid
 from curvatroid.walk import exchange_distance
-from oracles import (bfs_distances, distance, exchange_neighborhood, items_sorted,
-                     mass, masses, quadratic_adjacent_pairs, support)
+from oracles import (DISTINGUISHED_PAIRS, bfs_distances, distance,
+                     exchange_neighborhood, items_sorted, mass, masses,
+                     quadratic_adjacent_pairs, support)
 
 F = Fraction
 
@@ -261,7 +262,7 @@ def test_curvature_calls_keep_no_reference_to_the_matroid():
     # no process-wide cache: once the caller drops the matroid it is freed,
     # with its tables and kernels
     m = cv.build_named("k4")
-    s, t = (m.mask_from_labels(p) for p in cv.DISTINGUISHED_PAIRS["k4"])
+    s, t = (m.mask_from_labels(p) for p in DISTINGUISHED_PAIRS["k4"])
     cv.compute_pair_report(m, cv.PairFrame(s, t))
     cv.global_curvature(m)
     cv.global_curvature(m, audit_all_pairs=True)
