@@ -43,17 +43,20 @@ from .matroid import Mask, Matroid, validate_exchange_axiom
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built at the first main() call and reused by later calls
-    in the same process: parse_args keeps no state between calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built at
+    the first main() call and reused by later calls in the same process:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="curvatroid",
         description="Exact curvature of the basis exchange walk on a matroid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True,
-               rationals: bool = False) -> None:
+    def command(name: str, help: str, with_input: bool = True,
+                rationals: bool = False) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help)
         if with_input:
             p.add_argument("--input", required=True,
                            help="description file path, or named:KEY for a built-in")
@@ -62,41 +65,33 @@ def _parser() -> argparse.ArgumentParser:
         if rationals:
             p.add_argument("--decimal", action="store_true",
                            help="append 6-significant-digit decimal approximations")
+        return p
 
-    p = sub.add_parser("validate", help="check the basis exchange axiom")
-    common(p)
+    command("validate", "check the basis exchange axiom")
+    command("bases", "list all bases in canonical order")
+    command("pairs", "list all adjacent basis pairs")
 
-    p = sub.add_parser("bases", help="list all bases in canonical order")
-    common(p)
-
-    p = sub.add_parser("pairs", help="list all adjacent basis pairs")
-    common(p)
-
-    p = sub.add_parser("curvature", help="global curvature report "
-                                         "(closed-form bounds only by default)")
-    common(p, rationals=True)
+    p = command("curvature", "global curvature report "
+                             "(closed-form bounds only by default)", rationals=True)
     p.add_argument("--exact", action="store_true",
                    help="solve optimal transport for every adjacent pair")
     p.add_argument("--all-pairs", action="store_true",
                    help="audit: also minimize 1 - W/d over non-adjacent pairs "
                         "(implies --exact)")
 
-    p = sub.add_parser("pair", help="full report for one adjacent pair")
-    common(p, rationals=True)
+    p = command("pair", "full report for one adjacent pair", rationals=True)
     p.add_argument("--s", required=True, metavar="LABELS",
                    help="first basis, comma-separated element labels")
     p.add_argument("--t", required=True, metavar="LABELS",
                    help="second basis, comma-separated element labels")
 
-    p = sub.add_parser("coupling", help="down-step coupling table for one pair")
-    common(p, rationals=True)
+    p = command("coupling", "down-step coupling table for one pair", rationals=True)
     p.add_argument("--s", required=True, metavar="LABELS")
     p.add_argument("--t", required=True, metavar="LABELS")
 
-    p = sub.add_parser("catalog", help="list built-in matroids")
-    common(p, with_input=False)
+    command("catalog", "list built-in matroids", with_input=False)
 
-    return parser
+    return parser, commands
 
 
 def _basis_argument(m: Matroid, text: str, flag: str) -> Mask:
@@ -155,8 +150,20 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """One argparse pass: a known command's own parser reads the rest of
+    argv, so an unknown flag is reported with that command's usage. The
+    top-level parser handles everything else: no argv, an unknown command,
+    -h and --help."""
+    parser, commands = _parsers()
+    own = commands.get(argv[0]) if argv else None
+    if own is None:
+        return parser.parse_args(argv)
+    return own.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         obj, code = _run(args)
     except ParseError as e:

@@ -610,8 +610,8 @@ def global_curvature(m: Matroid, exact: bool = True,
                        f"{ENUMERATION_LIMIT}")
     m.require_matroid()
     theorem_lb = theorem_lb_global(m.rank, m.n) if m.rank < m.n else None
+    table = m._completion_table()  # before the search, whose leaves read its values
     generators = automorphism_generators(m) if exact else ()
-    table = m._completion_table()
     # the key orbits map every key once per generator, the audit both bases of every pair
     masks = len(table) + (2 * comb(len(m.bases), 2) if audit_all_pairs else 0)
     images = [mask_image(p, masks) for p in generators]

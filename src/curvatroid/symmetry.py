@@ -2,9 +2,9 @@
 
 An automorphism is a permutation of the ground set that maps the basis
 family onto itself. automorphism_generators searches for a generating set
-of that group by partition refinement and backtracking, in the manner of
-McKay ("Practical graph isomorphism", 1981), with one route for every kind
-of input:
+of that group of a matroid by partition refinement and backtracking, in the
+manner of McKay ("Practical graph isomorphism", 1981), with one route for
+every kind of input:
 
 * Colours start from the pair-count matrix P[e][f], the number of bases
   containing both e and f (P[e][e] counts the bases containing e), and are
@@ -19,22 +19,28 @@ of input:
   first path's at every level gives a candidate, the permutation taking the
   element of each colour in the first leaf to the element of that colour
   in the other.
-* A candidate is kept only when it maps every basis to a basis, the one
-  proof that it is an automorphism. The leaf's P round has already
-  compared P, whose digest is part of the invariant the leaf matched; P
-  alone does not determine the family.
+* A candidate is kept only when it maps every cocircuit to a cocircuit,
+  the one proof that it is an automorphism. The cocircuits are the distinct
+  completion sets N(R) = E - cl(R) of the matroid's completion table, the
+  complements of its hyperplanes: 15 sets on K5 against 125 bases, 127 on
+  K8 against 262,144. They determine the family, and a permutation maps
+  them onto themselves iff it maps the bases onto themselves. The leaf's P
+  round has already compared P, whose digest is part of the invariant the
+  leaf matched; P alone does not determine the family. So P is the
+  search's only pass over the bases, apart from the incidence round below
+  and the fill of the completion table, which an exact sweep needs anyway.
 
 P can be blind where the family is not: the pair counts of a 2-design such
 as the Fano plane are uniform, so no individualization splits anything but
 the element itself, every leaf matches the first and most of them fail the
-basis check. A second invariant, in the manner of the vertex invariants of
+cocircuit check. A second invariant, in the manner of the vertex invariants of
 McKay and Piperno ("Practical graph isomorphism, II", 2014), serves there:
 an incidence round colours each basis by the sorted tuple of its elements'
 colours and adds to each element's signature the sorted multiset of its
 bases' colours. It runs at a node only where P split no cell of a
 colouring of three or more cells, not all single; and the search first runs
 without it, switching it on and starting again only when a leaf fails the
-basis check after some node where it would have run. So families whose
+cocircuit check after some node where it would have run. So families whose
 leaves all pass, uniform matroids among them, never pay for it, and K4,
 whose failing leaves lie below nodes that P splits, does not restart.
 
@@ -45,7 +51,7 @@ complete these generate the whole group. One SEARCH_BUDGET covers the
 whole search, restart included: a P round reads n * n entries of P, a
 pivot test the n of one row, and an incidence round the |B| * k
 element-basis incidences. Running out loses generators, never soundness,
-since every kept permutation was checked against the family.
+since every kept permutation was checked against the cocircuits.
 
 Each call of automorphism_generators runs a search. An exact
 global_curvature run searches once, before its sweep, and uses the
@@ -55,14 +61,14 @@ the rest of the orbit to find the canonical-first one, and the exact walk
 and the all-pairs audit reuse a solved value across an orbit of pairs. A
 bounds-only run does not search.
 
-Every set map, the leaf's basis check included, goes through one kernel,
+Every set map, the leaf's cocircuit check included, goes through one kernel,
 mask_image: a permutation's image of a set is the OR of one table lookup
 per chunk of consecutive elements, each table built by doubling. The chunk
 width follows from the number of elements and the number of sets the
 caller will map (_chunk_width), so that the tables cost no more to build
 than the lookups they save: a ground set one table covers is mapped by
 that table's own __getitem__, with no Python frame per set, and a larger
-one by the fewest chunks that pay, two halves of 14 bits for K8.
+one by the fewest chunks that pay, two halves of 14 bits for K8's keys.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ Incidence = Callable[[list[int]], tuple[list[int], int, int] | None]
 
 SEARCH_BUDGET = 1_000_000  # entries of P and basis incidences read by one search
 TABLE_BITS = 14  # widest chunk of a set map: 2^14 table entries, about 0.6 MB
-# bit j of each byte b: runs of 2^j zeros and 2^j ones
-_BIT_OF_BYTE = tuple((bytes(1 << j) + b"\1" * (1 << j)) * (128 >> j) for j in range(8))
+# bit j of each byte b as a binary digit: runs of 2^j b"0"s and 2^j b"1"s
+_BIT_OF_BYTE = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
 
 
 def _table(elements: Permutation) -> list[Mask]:
@@ -159,19 +165,19 @@ class _OutOfBudget(Exception):
 
 
 class _BlindPairCounts(Exception):
-    """A leaf failed the basis check after a node where P split no cell."""
+    """A leaf failed the cocircuit check after a node where P split no cell."""
 
 
 def _pair_counts(m: Matroid) -> list[list[int]]:
-    """P[e][f] as the popcount of the AND of two columns: byte i of column e
-    is 1 if the i-th basis in canonical order contains e, else 0. Each chunk
-    of 8 elements is one byte per basis, from which translate picks each
-    element's bit. P is symmetric, so each unordered pair is counted once."""
+    """P[e][f] as the popcount of the AND of two columns: column e has one
+    bit per basis, set if the basis contains e. Each chunk of 8 elements is
+    one byte per basis, which translate turns into one binary digit per
+    basis for each element, and int(..., 2) packs the digits into bits. P
+    is symmetric, so each unordered pair is counted once."""
     masks, n, columns = m.sorted_bases(), m.n, []
     for shift in range(0, n, 8):
         chunk = bytes([mask >> shift & 255 for mask in masks])
-        columns += [int.from_bytes(chunk.translate(table), "little")
-                    for table in _BIT_OF_BYTE[:n - shift]]
+        columns += [int(chunk.translate(table), 2) for table in _BIT_OF_BYTE[:n - shift]]
     below = [[(a & b).bit_count() for b in columns[:e + 1]] for e, a in enumerate(columns)]
     return [row + [below[f][e] for f in range(e + 1, n)] for e, row in enumerate(below)]
 
@@ -282,27 +288,35 @@ def _leaf_permutation(first: list[int], leaf: list[int]) -> Permutation:
     return tuple(perm)
 
 
-def _is_automorphism(perm: Permutation, bases: frozenset[Mask]) -> bool:
-    """perm maps every basis to a basis, so, being a bijection, maps the
-    family onto itself. P needs no comparison here: the leaf's own P round
-    compared it, its digest being part of the invariant the leaf matched,
-    and a permutation that changes P fails this check too. The map is sized
-    to the family, and the whole family goes through it in one pass of
-    map and all."""
-    return all(map(bases.__contains__, map(mask_image(perm, len(bases)), bases)))
+def _is_automorphism(perm: Permutation, cocircuits: frozenset[Mask]) -> bool:
+    """perm maps every cocircuit to a cocircuit, so, being a bijection, maps
+    the cocircuits onto themselves, and with them the basis family: the
+    cocircuits are the circuits of the dual, which they determine, and the
+    bases of M are the complements of the dual's bases. P needs no
+    comparison here: the leaf's own P round compared it, its digest being
+    part of the invariant the leaf matched, and a permutation that changes
+    P fails this check too. The map is sized to the cocircuits, and they go
+    through it in one pass of map and all."""
+    return all(map(cocircuits.__contains__,
+                   map(mask_image(perm, len(cocircuits)), cocircuits)))
 
 
 def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
     """Generators of the automorphism group of m, each a tuple p with p[e]
-    the image of element e, checked to map the basis family onto itself.
+    the image of element e, checked to map the cocircuits of m, and so its
+    basis family, onto themselves.
 
-    An empty tuple means no non-trivial automorphism was found: the group
-    is trivial, or the search ran out of budget.
+    Raises NotAMatroid unless m is a matroid: the cocircuit check is a
+    theorem about matroids only. An empty tuple means no non-trivial
+    automorphism was found: the group is trivial, or the search ran out of
+    budget.
     """
+    m.require_matroid()
     n = m.n
     left = SEARCH_BUDGET
     if n * n > left:
         return ()
+    cocircuits = frozenset(m._completion_table().values())
     weights = _pair_counts(m)
     width = max(map(max, weights)) + 1
 
@@ -369,7 +383,7 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
                 return None
             if depth + 1 == len(path):
                 perm = _leaf_permutation(first, child)
-                if _is_automorphism(perm, m.bases):
+                if _is_automorphism(perm, cocircuits):
                     return perm
                 if blind and incidence is no_incidence:
                     raise _BlindPairCounts

@@ -12,8 +12,10 @@ columns (the construction's route before its minor pass), the origin hash
 by sorting the family afresh, the pair counts of the automorphism search
 by testing two bits of every basis,
 pair order by comparing sorted index tuples, a pair frame's exchange
-from the symmetric difference of its two bases, and matroid automorphisms
-by extending element maps one element at a time, the closed-form
+from the symmetric difference of its two bases, matroid automorphisms
+by extending element maps one element at a time, the search's leaf check
+by mapping every basis element by element, cocircuits as the minimal sets
+that meet every basis, by a scan of all subsets, the closed-form
 pair bounds by Fraction sums over the witness's drops, and the coupling
 report by one Fraction per cell of the coupling's drops. The test-only
 helpers at the end (the unpruned exact sweep, the pruned sweep's solve
@@ -260,6 +262,24 @@ def pair_counts_by_bases(m):
     number that hold e), counted basis by basis."""
     return [[sum(1 for b in m.bases if b >> e & 1 and b >> f & 1) for f in range(m.n)]
             for e in range(m.n)]
+
+
+def basis_check(perm, bases):
+    """Whether perm maps every basis to a basis, element by element: the
+    leaf check of the automorphism search before it read the cocircuits."""
+    return all(sum(1 << perm[e] for e in index_tuple(b)) in bases for b in bases)
+
+
+def cocircuits_by_subsets(m):
+    """The cocircuits of m as the minimal sets that meet every basis, by a
+    scan of the subsets of the ground set in order of size."""
+    found = []
+    for size in range(1, m.n + 1):
+        for c in combinations(range(m.n), size):
+            s = sum(1 << e for e in c)
+            if not any(f & s == f for f in found) and all(s & b for b in m.bases):
+                found.append(s)
+    return set(found)
 
 
 def failing_exchange_triples(bases):

@@ -89,9 +89,10 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     assert not hasattr(curvature, "downstep_expected_distance")
     for name in ("rank3_counterexample_linear_spec", "DISTINGUISHED_PAIRS"):
         assert not hasattr(catalog, name), name
-    # one parser function, built once per process
-    assert not hasattr(cli, "build_parser")
-    assert cli._parser() is cli._parser()
+    # one parser function, built once per process, that keeps each command's parser
+    for name in ("build_parser", "_parser"):
+        assert not hasattr(cli, name), name
+    assert cli._parsers() is cli._parsers()
 
 
 def test_every_public_name_is_used_inside_the_package():
@@ -120,8 +121,9 @@ def test_deleted_knobs_are_gone():
     assert list(inspect.signature(cv.global_curvature).parameters) == [
         "m", "exact", "audit_all_pairs"]
     assert list(inspect.signature(cv.automorphism_generators).parameters) == ["m"]
-    # one proof per candidate: the basis check, with no second comparison of P
-    assert list(inspect.signature(symmetry._is_automorphism).parameters) == ["perm", "bases"]
+    # one proof per candidate: the cocircuit check, with no second comparison of P
+    assert list(inspect.signature(symmetry._is_automorphism).parameters) == [
+        "perm", "cocircuits"]
     assert "fix_common_mass" not in inspect.signature(cv.wasserstein1).parameters
     # every function of one pair takes the matroid and one frame
     for pair_function in PAIR_FUNCTIONS:

@@ -564,10 +564,8 @@ def k4_argv(command: str) -> list[str]:
 def test_every_option_changes_the_report(capsys):
     # a flag or choice that prints the same bytes as its absence buys nothing;
     # every optional argument that takes a value must offer choices
-    (commands,) = [a.choices for a in cli._parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
     inert = []
-    for command, parser in commands.items():
+    for command, parser in cli._parsers()[1].items():
         base = k4_argv(command)
         assert main(base) == 0
         default = capsys.readouterr().out
@@ -594,13 +592,79 @@ def test_every_option_changes_the_report(capsys):
       for command in ("validate", "bases", "pairs", "catalog")),
 ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
 def test_removed_options_are_unknown_flags(capsys, argv):
+    # the command's own parser reports the flag, with that command's usage
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
-    assert err.startswith("usage: curvatroid") and err.count("usage:") == 1
-    assert err.endswith(f"curvatroid: error: unrecognized arguments: {argv[-1]}\n")
+    assert err.startswith(f"usage: curvatroid {argv[0]} [-h]") and err.count("usage:") == 1
+    assert err.endswith(
+        f"\ncurvatroid {argv[0]}: error: unrecognized arguments: {argv[-1]}\n")
+
+
+TOP_USAGE = ("usage: curvatroid [-h]\n"
+             "                  {validate,bases,pairs,curvature,pair,coupling,catalog} ...\n")
+CHOICES = "'validate', 'bases', 'pairs', 'curvature', 'pair', 'coupling', 'catalog'"
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    ([], 2, "", TOP_USAGE + "curvatroid: error: the following arguments are required: "
+                            "command\n"),
+    (["bogus"], 2, "", TOP_USAGE + "curvatroid: error: argument command: invalid choice: "
+                                   f"'bogus' (choose from {CHOICES})\n"),
+    (["--input", "named:k4"], 2, "", TOP_USAGE + "curvatroid: error: argument command: "
+                                                 f"invalid choice: 'named:k4' (choose from "
+                                                 f"{CHOICES})\n"),
+    (["-h"], 0, TOP_USAGE, ""),
+    (["--help"], 0, TOP_USAGE, ""),
+], ids=["empty", "unknown-command", "no-command", "-h", "--help"])
+def test_the_top_level_parser_answers_without_a_command(capsys, monkeypatch, argv, code,
+                                                        out, err):
+    # argparse wraps usage to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.startswith(out)
+    if code == 0:  # the help lists every command with its one-line help
+        assert captured.out == cli._parsers()[0].format_help()
+        for command in cli._parsers()[1]:
+            assert f"\n    {command} " in captured.out, command
+
+
+def count_parses(monkeypatch) -> list:
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, args=None, namespace=None):
+        parses.append(self.prog)
+        return parse(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return parses
+
+
+@pytest.mark.parametrize("command", sorted(cli._parsers()[1]))
+def test_main_parses_each_call_once_with_the_commands_own_parser(capsys, monkeypatch,
+                                                                 command):
+    parses = count_parses(monkeypatch)
+    for extra in ([], ["--format", "csv"]):
+        argv = k4_argv(command) + extra
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert parses == [f"curvatroid {command}"], argv
+        parses.clear()
+    # an unknown flag is one pass too, and so is a call without a command
+    with pytest.raises(SystemExit):
+        main(k4_argv(command) + ["--bogus"])
+    with pytest.raises(SystemExit):
+        main([])
+    assert parses == [f"curvatroid {command}", "curvatroid"]
+    assert f"curvatroid {command}: error: unrecognized arguments: --bogus" in (
+        capsys.readouterr().err)
 
 
 def test_cli_pairs_over_the_limit_fails_fast(capsys, tmp_path):

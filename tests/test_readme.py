@@ -8,8 +8,8 @@ table are recomputed, and the K8 row is held to test_k8_exact's constants;
 so are the rows of the table of direct sums.
 A change to the public API or to a reported value then fails here instead
 of leaving the README stale. Every command of the Command line section's
-first block runs through the command-line entry point and must exit 0, so
-a removed flag cannot stay documented.
+first block runs through the command-line entry point and must exit 0,
+with one argparse pass each, so a removed flag cannot stay documented.
 """
 
 import re
@@ -21,6 +21,7 @@ import curvatroid as cv
 from curvatroid.cli import main
 from oracles import direct_sum
 from test_curvature import K8_REPORT, complete_graph
+from test_io_cli import count_parses
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CLAIM = re.compile(r"^(?P<expr>[^#]+?)\s+#\s*Fraction\((?P<p>-?\d+), (?P<q>\d+)\)")
@@ -59,9 +60,12 @@ def test_command_line_examples_exit_zero(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     commands = [shlex.split(line)[1:] for line in block if line.startswith("curvatroid ")]
     assert len(commands) >= 7
+    parses = count_parses(monkeypatch)
     for argv in commands:
         assert main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
+        assert parses == [f"curvatroid {argv[0]}"], argv
+        parses.clear()
 
 
 def table_rows(heading: str, first_cell: str = "") -> list[list[str]]:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import curvatroid as cv
 from curvatroid import curvature, symmetry
 from conftest import build_test_set
-from oracles import (automorphisms, explicit_families, group_order, permuted_explicit_specs,
-                     small_specs, unpruned_global_curvature)
+from oracles import (automorphisms, basis_check, cocircuits_by_subsets, explicit_families,
+                     group_order, permuted_explicit_specs, small_specs,
+                     unpruned_global_curvature)
 from test_curvature import TIE_GRAPHS
 
 
@@ -106,12 +107,16 @@ def test_generators_of_a_plane_with_uniform_pair_counts():
 
 
 # permuted explicit files give the search another element order; explicit
-# families are mostly not matroids, and on at most 6 elements maps that keep
-# every pair count but not the family are common
+# families are mostly not matroids, which the search refuses, since its leaf
+# check holds for matroids only
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.one_of(small_specs(), permuted_explicit_specs(), explicit_families()))
 def test_generators_map_the_family_onto_itself_and_generate_the_group(spec):
     m = cv.build_matroid(spec)
+    if not cv.validate_exchange_axiom(m).ok:
+        with pytest.raises(cv.NotAMatroid):
+            cv.automorphism_generators(m)
+        return
     generators = cv.automorphism_generators(m)
     for p in generators:
         assert sorted(p) == list(range(m.n)), spec
@@ -136,9 +141,9 @@ def test_the_search_checks_few_leaves(name, monkeypatch):
     checked = []
     check = symmetry._is_automorphism
 
-    def counted(perm, bases):
+    def counted(perm, cocircuits):
         checked.append(perm)
-        return check(perm, bases)
+        return check(perm, cocircuits)
 
     monkeypatch.setattr(symmetry, "_is_automorphism", counted)
     cv.automorphism_generators(FAMILIES[name]())
@@ -210,13 +215,19 @@ def test_set_maps_take_the_fewest_chunks_that_pay():
     assert symmetry._chunk_width(40, 10 ** 9) == symmetry.TABLE_BITS
 
 
-# (n, k): all k-sets of n elements but {1, ..., k - 1, n - 1}, so a
-# transposition is an automorphism iff it fixes that set; the basis check
-# maps them through one table, two chunks and five
+def planted(n: int, k: int) -> frozenset[int]:
+    """All k-sets of n elements but {1, ..., k - 1, n - 1}: a matroid in
+    which that set is a circuit-hyperplane, so a transposition is an
+    automorphism iff it fixes that set."""
+    missing = 1 << n - 1 | (1 << k) - 2
+    return frozenset(sum(1 << e for e in c) for c in combinations(range(n), k)) - {missing}
+
+
+# _is_automorphism maps any family of sets; here the bases go through one
+# table, two chunks and five
 @pytest.mark.parametrize("n,k,pieces", [(7, 3, 1), (13, 3, 2), (40, 2, 5)])
 def test_a_planted_transposition_fails_the_basis_check_in_each_shape(n, k, pieces):
-    missing = 1 << n - 1 | (1 << k) - 2
-    bases = frozenset(sum(1 << e for e in c) for c in combinations(range(n), k)) - {missing}
+    bases = planted(n, k)
     assert chunks(n, len(bases)) == pieces
     assert symmetry._is_automorphism(tuple(range(n)), bases)
     assert symmetry._is_automorphism(swap(n, 0, n - 2), bases)
@@ -224,7 +235,47 @@ def test_a_planted_transposition_fails_the_basis_check_in_each_shape(n, k, piece
     assert not symmetry._is_automorphism(swap(n, 0, 1), bases)
 
 
-# the incidence round runs only after a leaf failed the basis check below a
+# the search's own family, the cocircuits, through one table, two chunks and
+# five: it gives every transposition the basis check's verdict
+@pytest.mark.parametrize("n,k,pieces", [(7, 4, 1), (7, 3, 2), (20, 2, 5)])
+def test_a_planted_transposition_fails_the_cocircuit_check_in_each_shape(n, k, pieces):
+    bases = planted(n, k)
+    m = cv.Matroid([f"x{e}" for e in range(n)], bases, "planted")
+    m.require_matroid()
+    cocircuits = frozenset(m._completion_table().values())
+    assert chunks(n, len(cocircuits)) == pieces
+    perms = (tuple(range(n)), swap(n, 0, n - 2), swap(n, 0, n - 1), swap(n, 0, 1))
+    verdicts = [symmetry._is_automorphism(perm, cocircuits) for perm in perms]
+    assert verdicts == [basis_check(perm, bases) for perm in perms] == [
+        True, True, False, False]
+
+
+# the leaf check reads the cocircuits, which are the distinct completion
+# sets N(R) = E - cl(R): the minimal sets that meet every basis
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(small_specs(), st.sampled_from(cv.CATALOG_NAMES)))
+def test_the_distinct_completion_sets_are_the_cocircuits(spec):
+    m = cv.build_named(spec) if isinstance(spec, str) else cv.build_matroid(spec)
+    assert set(m._completion_table().values()) == cocircuits_by_subsets(m), spec
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_CHECKS))
+def test_the_cocircuit_check_finds_the_generators_of_the_basis_check(name, monkeypatch):
+    m = FAMILIES[name]()
+    generators = cv.automorphism_generators(m)
+    monkeypatch.setattr(symmetry, "_is_automorphism",
+                        lambda perm, cocircuits: basis_check(perm, m.bases))
+    assert cv.automorphism_generators(m) == generators
+
+
+def test_the_search_refuses_a_family_that_is_not_a_matroid():
+    m = cv.build_matroid(cv.ExplicitSpec(ground=tuple("abcdef"),
+                                         bases=(tuple("abc"), tuple("def"))))
+    with pytest.raises(cv.NotAMatroid):
+        cv.automorphism_generators(m)
+
+
+# the incidence round runs only after a leaf failed its check below a
 # node that asked for it; run whenever asked, it took U(5, 12)'s search from
 # 2.8 to 50 ms and the rank-3 counterexample's from 1.2 to 5.9 ms
 @pytest.mark.parametrize("name,runs", [("u36", False), ("ag32", True)])
