@@ -61,26 +61,16 @@ class PairFrame(Frozen):
         write(self, "shared", tuple(bits(s_basis & t_basis)))
 
 
-class DropWitness(Frozen):
+class DropWitness(NamedTuple):
     """Neighborhood data for one crossing drop u (a shared element whose
-    removal lets the S-side walk add t_elem directly). A Frozen record: its
-    fields cannot be assigned or deleted, and it compares and hashes by
-    value."""
+    removal lets the S-side walk add t_elem directly). Its constructor only
+    stores the fields, so it is a NamedTuple, like every such record."""
 
-    __slots__ = ("drop",           # the shared element u
-                 "ns_size",        # #N(S - u)
-                 "nt_size",        # #N(T - u)
-                 "overlap_size",   # #(N(S - u) ∩ N(T - u))
-                 "s_only_adds")    # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
-
-    def __init__(self, drop: int, ns_size: int, nt_size: int, overlap_size: int,
-                 s_only_adds: Mask):
-        write = object.__setattr__
-        write(self, "drop", drop)
-        write(self, "ns_size", ns_size)
-        write(self, "nt_size", nt_size)
-        write(self, "overlap_size", overlap_size)
-        write(self, "s_only_adds", s_only_adds)
+    drop: int              # the shared element u
+    ns_size: int           # #N(S - u)
+    nt_size: int           # #N(T - u)
+    overlap_size: int      # #(N(S - u) ∩ N(T - u))
+    s_only_adds: Mask      # (N(S - u) - t) \ N(T - u): S-side adds T cannot mirror
 
 
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:

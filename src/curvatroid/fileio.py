@@ -94,6 +94,15 @@ def _label(value: Any, where: str) -> str:
     raise ParseError(f"{where}: label must be a string, got {value!r}")
 
 
+def _element_label(value: Any, where: str) -> str:
+    # nonempty, no comma, no whitespace: it reads back from a --s/--t list and
+    # a space-joined CSV cell; a basis member must be one of these to build
+    label = _label(value, where)
+    if "," in label or label.split() != [label]:
+        raise ParseError(f"{where}: label {label!r} is empty or has a comma or whitespace")
+    return label
+
+
 def parse_matroid_obj(obj: Any) -> MatroidSpec:
     """Decode one already-parsed JSON object into a construction spec."""
     if not isinstance(obj, dict):
@@ -118,7 +127,7 @@ def parse_matroid_obj(obj: Any) -> MatroidSpec:
             if isinstance(a, bool) or isinstance(b, bool) \
                     or not isinstance(a, int) or not isinstance(b, int):
                 raise ParseError(f"{where}: endpoints must be integers")
-            edges.append((a, b, _label(lab, where)))
+            edges.append((a, b, _element_label(lab, where)))
         return GraphicSpec(vertex_count=vertices, edges=tuple(edges))
 
     if kind == "linear":
@@ -130,12 +139,12 @@ def parse_matroid_obj(obj: Any) -> MatroidSpec:
             matrix.append(tuple(parse_rational(x) for x in row))
         labels = None
         if "labels" in obj:
-            labels = tuple(_label(x, "linear labels")
+            labels = tuple(_element_label(x, "linear labels")
                            for x in _field(obj, "labels", list, "linear"))
         return LinearSpec(matrix=tuple(matrix), labels=labels)
 
     if kind == "explicit":
-        ground = tuple(_label(x, "explicit ground")
+        ground = tuple(_element_label(x, "explicit ground")
                        for x in _field(obj, "ground", list, "explicit"))
         raw = _field(obj, "bases", list, "explicit")
         bases = []

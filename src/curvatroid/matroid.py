@@ -37,7 +37,7 @@ from .errors import (
 
 Mask = int
 
-ENUMERATION_LIMIT = 2_000_000  # max C(n, k) _guard_enumeration allows; max audit pairs
+ENUMERATION_LIMIT = 2_000_000  # max C(n, k) subsets, audit pairs and `pairs` listed pairs
 WORK_LIMIT = 50_000_000  # max estimated steps of a construction (_guard_enumeration)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -16,10 +16,10 @@ with the validator's witness. basis_graph then returns every kernel row in
 a plain dict, cached nowhere; it keeps its name because the benchmark's
 walk.graph span traces it.
 
-Distribution, like the curvature module's PairFrame and DropWitness, is a
-Frozen record: a __slots__ class whose own __init__ writes each field once
-and whose fields can then be neither assigned nor deleted. No class code is
-generated at import, which keeps a one-pair command's start-up short.
+Distribution, like the curvature module's PairFrame, is a Frozen record: a
+__slots__ class whose own __init__ checks or derives its fields and writes
+each once, after which they can be neither assigned nor deleted. No class
+code is generated at import, which keeps a one-pair command's start-up short.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ def exchange_distance(x: Mask, y: Mask) -> int:
 
 
 class Frozen:
-    """Base of the immutable __slots__ records: a subclass's __init__ writes
-    each field once through object.__setattr__, after which assigning or
-    deleting a field raises AttributeError. Records compare and hash by
-    their fields, in __slots__ order, and the repr names every field.
-    """
+    """Base of the immutable records whose constructor checks or derives its
+    fields (a record that only stores them is a NamedTuple): __init__ writes
+    each slot once through object.__setattr__, and assigning or deleting one
+    raises AttributeError. Records compare and hash by their fields in
+    __slots__ order, and the repr names every field."""
 
     __slots__ = ()
 

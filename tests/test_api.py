@@ -176,6 +176,7 @@ RECORD_FIELDS = {
     cv.ValidationResult: ("ok", "detail", "witness"),
     cv.TransportProblem: ("row_keys", "col_keys", "supply", "demand", "cost", "scale"),
     cv.DownstepCoupling: ("frame", "drops"),
+    cv.DropWitness: ("drop", "ns_size", "nt_size", "overlap_size", "s_only_adds"),
     cv.PairReport: ("frame", "witness", "downstep_lb", "ub_forward", "ub_reverse",
                     "theorem_ub", "coupling_expected_distance", "kappa_exact"),
     cv.GlobalReport: ("kappa_exact", "argmin_pair", "theorem_lb", "downstep_lb",
@@ -204,7 +205,10 @@ def test_frozen_records_refuse_assignment_and_deletion():
     m, frame, witness = k6_frame_and_witness()
     distribution = cv.transition_distribution(m, frame.s_basis)
     for record in (frame, witness[0], distribution):
-        for name in type(record).__slots__:
+        # a NamedTuple's __slots__ is (), so its fields come from _fields
+        names = getattr(record, "_fields", type(record).__slots__)
+        assert names
+        for name in names:
             value = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
@@ -222,15 +226,24 @@ def test_pair_frame_and_drop_witness_are_values():
     again = cv.PairFrame(frame.s_basis, frame.t_basis)
     assert again is not frame and again == frame and hash(again) == hash(frame)
     assert cv.PairFrame(frame.t_basis, frame.s_basis) != frame
-    fields = [getattr(witness[0], name) for name in cv.DropWitness.__slots__]
+    fields = [getattr(witness[0], name) for name in cv.DropWitness._fields]
     twin = cv.DropWitness(*fields)
     assert twin == witness[0] and hash(twin) == hash(witness[0])
     assert cv.DropWitness(*fields[:-1], fields[-1] + 1) != witness[0]
-    assert witness[0] != tuple(fields) and frame != (frame.s_basis, frame.t_basis)
+    # a drop record is a NamedTuple, so it equals its field tuple; a frame is not a tuple
+    assert witness[0] == tuple(fields) and frame != (frame.s_basis, frame.t_basis)
     # copy and pickle rebuild the slots past the frozen __setattr__
     assert copy.copy(frame) == frame and pickle.loads(pickle.dumps(witness)) == witness
     assert repr(frame) == (f"PairFrame(s_basis={frame.s_basis}, t_basis={frame.t_basis}, "
                            f"s_elem={frame.s_elem}, t_elem={frame.t_elem}, "
                            f"shared={frame.shared!r})")
     assert repr(twin) == "DropWitness(" + ", ".join(
-        f"{name}={value!r}" for name, value in zip(cv.DropWitness.__slots__, fields)) + ")"
+        f"{name}={value!r}" for name, value in zip(cv.DropWitness._fields, fields)) + ")"
+
+
+def test_only_records_whose_constructor_checks_its_input_are_frozen():
+    # a record whose constructor only stores its fields is a NamedTuple
+    assert set(walk.Frozen.__subclasses__()) == {cv.PairFrame, cv.Distribution}
+    for record in walk.Frozen.__subclasses__():
+        assert "__init__" in vars(record), record
+    assert issubclass(cv.DropWitness, tuple)

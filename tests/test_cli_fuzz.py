@@ -6,10 +6,14 @@ family of k-sets, must make validate,
 curvature and pair exit 0, 1 or 2, print at most one error line and never
 a traceback. Values stay small, so a well-formed file builds in
 milliseconds; huge inputs have their own cases in test_io_cli.py.
+
+A file whose labels hold a comma or whitespace is refused at parse (exit
+2); any other family prints an argmin pair that `pair` reads back.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -63,6 +67,13 @@ files = st.one_of(
 )
 
 
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @hypothesis.given(files)
 @hypothesis.example(b"[" * 200_000 + b"]" * 200_000)  # nested past the recursion limit
@@ -72,12 +83,45 @@ def test_cli_exit_contract_on_random_files(data):
         with open(path, "wb") as fh:
             fh.write(data)
         for command in COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command[0], "--input", path, *command[1:]])
-            text = err.getvalue()
+            code, out, text = run([command[0], "--input", path, *command[1:]])
             assert code in (0, 1, 2), (command, data)
-            assert "Traceback" not in out.getvalue() + text, (command, data)
+            assert "Traceback" not in out + text, (command, data)
             assert text.count("error:") <= 1 and text.count("\n") <= 1, (command, data)
             assert code or text == "", (command, data)
             hypothesis.event(f"{command[0]} exit {code}")
+
+
+# uniform families U(k, n) whose last label may be one that contains a
+# comma or whitespace, or is empty
+AWKWARD_LABELS = [",", " ", "", "a,b", " a", "b c", "c\t", "\u00a0"]
+labelled_uniform = st.tuples(
+    st.lists(st.sampled_from("abcdefg7"), min_size=2, max_size=5, unique=True),
+    st.one_of(st.none(), st.sampled_from(AWKWARD_LABELS)),
+).flatmap(lambda drawn: st.tuples(
+    st.just(drawn[0][:-1] + [drawn[0][-1] if drawn[1] is None else drawn[1]]),
+    st.integers(1, len(drawn[0]) - 1)))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(labelled_uniform)
+@hypothesis.example((["a,b", "c", "d"], 2))
+def test_a_printed_argmin_names_its_pair_on_the_command_line(family):
+    ground, k = family
+    bases = [list(c) for c in itertools.combinations(ground, k)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"type": "explicit", "ground": ground, "bases": bases}, fh)
+        code, out, err = run(["curvature", "--input", path, "--exact"])
+        if code == 2:  # a label the command line cannot name is refused at parse
+            assert err.startswith("error: explicit ground: label ") and out == "", err
+            hypothesis.event("refused at parse")
+            return
+        assert code == 0, err
+        report = json.loads(out)
+        pair = report["argminPair"]
+        code, out, err = run(["pair", "--input", path, "--s", ",".join(pair["S"]),
+                              "--t", ",".join(pair["T"])])
+        assert code == 0, err
+        assert json.loads(out)["exactKappa"] == report["kappaExact"]
+        hypothesis.event("round trip")

@@ -105,6 +105,26 @@ def test_parse_matroid_obj_errors():
         cv.parse_matroid_obj({"type": "linear", "matrix": [["0.5"]]})
     with pytest.raises(cv.ParseError):
         cv.parse_matroid_obj(["not", "an", "object"])
+    for label in ("", "a b", "a\tb", "\u00a0", "a,"):  # str.strip drops any such space
+        with pytest.raises(cv.ParseError):
+            cv.parse_matroid_obj({"type": "explicit", "ground": [label], "bases": [[label]]})
+    # a basis member is checked against the ground set, not by the label rule
+    spec = cv.parse_matroid_obj({"type": "explicit", "ground": ["a"], "bases": [["a,b"]]})
+    assert spec.bases == (("a,b",),)
+
+
+@pytest.mark.parametrize("obj, where", [
+    ({"type": "explicit", "ground": ["a,b", "c"], "bases": [["a,b"], ["c"]]},
+     "explicit ground"),
+    ({"type": "graphic", "vertices": 2, "edges": [[0, 1, " e"]]}, "graphic edge 0"),
+    ({"type": "linear", "matrix": [["1", "1"]], "labels": ["x", ""]}, "linear labels"),
+])
+def test_a_label_that_the_command_line_cannot_name_is_a_parse_error(capsys, tmp_path,
+                                                                    obj, where):
+    path = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run_cli(capsys, "validate", "--input", path)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {where}: label ") and "comma or whitespace" in err
 
 
 def test_unknown_catalog_name_has_one_check_and_one_message(capsys, tmp_path):
