@@ -74,6 +74,8 @@ class DropWitness(NamedTuple):
 
 
 def _require_frame_bases(m: Matroid, frame: PairFrame) -> None:
+    """Run the matroid gate, then check that S and T are bases of m."""
+    m.require_matroid()
     if frame.s_basis not in m.bases or frame.t_basis not in m.bases:
         raise NotABasis("pair frame names a set that is not a basis")
 
@@ -91,7 +93,6 @@ def compute_pair_witness(m: Matroid, frame: PairFrame) -> tuple[DropWitness, ...
     store (Matroid._completions), which computes only the pair's own sets
     unless a sweep or the gate has filled it.
     """
-    m.require_matroid()
     _require_frame_bases(m, frame)
     table = m._completions
     s_basis, t_basis = frame.s_basis, frame.t_basis
@@ -264,7 +265,6 @@ def _coupling_drops(m: Matroid, frame: PairFrame):
     The completion sets N(S - u) and N(T - u) are read one at a time from
     the matroid's store (Matroid._completions), which they do not fill.
     """
-    m.require_matroid()
     _require_frame_bases(m, frame)
     table = m._completions
     k = m.rank
@@ -590,7 +590,9 @@ def global_curvature(m: Matroid, exact: bool = True,
     must agree with the adjacent-pair minimum. The audit needs exact=True,
     raises TooLarge before any work when the family has more than
     ENUMERATION_LIMIT pairs, and passes vacuously when there is only one
-    basis.
+    basis. The sweep raises TooLarge before it witnesses more than
+    ENUMERATION_LIMIT pairs: with no generators, as in every bounds-only
+    run, before it witnesses any.
     """
     if audit_all_pairs and not exact:
         raise CurvatroidError("the all-pairs audit needs exact values (exact=True)")
@@ -610,13 +612,22 @@ def global_curvature(m: Matroid, exact: bool = True,
     scale = bound_scale(m.rank, m.n)
     bounds_of: dict[tuple[tuple[int, int, int], ...], tuple[int, int]] = {}
     pair_count = 0
+    # pairs to witness, charged before any is witnessed: every pair when each
+    # key is its own orbit, else the first key's pairs, orbit by orbit
+    witnessed = 0 if images else sum(comb(members.bit_count(), 2) for members in table.values())
     seen: set[Mask] = set()
     kept = []  # exact: (lb, ub, S, T, Schreier rows of the orbit) per first-key pair
     for rest, members in table.items():
         if rest in seen:
             continue
         rows = _key_orbit(rest, images, seen)
-        pair_count += (len(rows) + 1) * comb(members.bit_count(), 2)
+        first = comb(members.bit_count(), 2)
+        pair_count += (len(rows) + 1) * first
+        if images:
+            witnessed += first
+        if witnessed > ENUMERATION_LIMIT:
+            raise TooLarge(f"the sweep would witness at least {witnessed} adjacent pairs, "
+                           f"over the enumeration limit of {ENUMERATION_LIMIT} pairs")
         for x, y in combinations([rest | 1 << e for e in bits(members)], 2):
             signature = tuple(sorted((d.ns_size, d.nt_size, d.overlap_size)
                                      for d in compute_pair_witness(m, PairFrame(x, y))))
@@ -631,16 +642,12 @@ def global_curvature(m: Matroid, exact: bool = True,
     ub_min = min((ub for _, ub in bounds_of.values()), default=None)
     bounds = (None, None) if not pair_count else (Fraction(lb_min, denominator),
                                                   Fraction(ub_min, denominator))
-    if not exact:
-        return GlobalReport(None, None, theorem_lb, *bounds, pair_count,
-                            degenerate=not pair_count)
-
-    candidates = [pair for pair in kept if pair[0] <= ub_min]
-    if pair_count:
+    kappa = argmin = None
+    if exact and pair_count:
+        candidates = [pair for pair in kept if pair[0] <= ub_min]
         kappa, argmin = _pruned_minimum(m, candidates, denominator, images)
-    else:
-        kappa, argmin = Fraction(1), None
-
+    elif exact:
+        kappa = Fraction(1)
     if audit_all_pairs:
         worst = _audit_minimum(m, images)
         if worst is not None and worst != kappa:

@@ -232,7 +232,7 @@ def _put_rational(obj: dict, key: str, value: Fraction | None,
 
 def pair_report_to_obj(m: Matroid, report: PairReport,
                        with_decimal: bool = False) -> dict:
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     obj["frame"] = frame_to_obj(m, report.frame)
     obj["witness"] = witness_to_obj(m, report.witness)
     _put_rational(obj, "exactKappa", report.kappa_exact, with_decimal)
@@ -249,7 +249,7 @@ def pair_report_to_obj(m: Matroid, report: PairReport,
 
 def global_report_to_obj(m: Matroid, report: GlobalReport,
                          with_decimal: bool = False) -> dict:
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     _put_rational(obj, "kappaExact", report.kappa_exact, with_decimal)
     if report.argmin_pair is None:
         obj["argminPair"] = None
@@ -277,7 +277,7 @@ def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
     distinct basis is built once. expectedDistance is the table's own
     integer sum.
     """
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     obj["frame"] = frame_to_obj(m, table.frame)
     labels = m.labels
     names: dict[Mask, list[str]] = {}
@@ -311,7 +311,7 @@ def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
 
 
 def validation_to_obj(m: Matroid, result: ValidationResult) -> dict:
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     obj["ok"] = result.ok
     obj["detail"] = result.detail
     if result.witness:
@@ -324,7 +324,7 @@ def validation_to_obj(m: Matroid, result: ValidationResult) -> dict:
 
 
 def bases_to_obj(m: Matroid) -> dict:
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     obj["n"] = m.n
     obj["rank"] = m.rank
     obj["count"] = len(m.bases)
@@ -333,7 +333,7 @@ def bases_to_obj(m: Matroid) -> dict:
 
 
 def pairs_to_obj(m: Matroid, pairs: list[tuple[Mask, Mask]]) -> dict:
-    obj: dict = dict(_meta(m))
+    obj = _meta(m)
     obj["pairCount"] = len(pairs)
     obj["pairs"] = [{"S": _labels(m, x), "T": _labels(m, y)} for x, y in pairs]
     return obj

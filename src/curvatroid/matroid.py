@@ -37,7 +37,9 @@ from .errors import (
 
 Mask = int
 
-ENUMERATION_LIMIT = 2_000_000  # max C(n, k) subsets, audit pairs and `pairs` listed pairs
+# max C(n, k) subsets of a construction, pairs of the all-pairs audit, pairs
+# of a `pairs` listing and pairs the curvature sweep witnesses
+ENUMERATION_LIMIT = 2_000_000
 WORK_LIMIT = 50_000_000  # max estimated steps of a construction (_guard_enumeration)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -231,9 +233,9 @@ class _CompletionSets(dict):
 
     A subscript computes N(R) at its first read, from the n - k + 1
     membership tests R + x in bases, and remembers it; a pair query reads
-    2k - 1 such sets. fill() adds every key in one pass over the bases,
-    visiting all |bases| * k (basis, element) pairs, and sets complete: the
-    store is then the completion table that whole-family passes iterate.
+    2k - 1 such sets. fill() adds every key by one pass over the bases
+    (_shadow) and sets complete: the store is then the completion table
+    that whole-family passes iterate.
     Keys read before the fill come first in iteration order, so those
     passes must not depend on key order. Subscript only with a (k-1)-subset
     of a basis: the table has no other keys.
@@ -263,17 +265,26 @@ class _CompletionSets(dict):
         return found
 
     def fill(self) -> None:
-        """Add every key in one pass over the bases: self[B - u] gets bit u
-        of each basis B; a key read before already holds every such bit."""
-        get = self.get  # dict.get: never calls __missing__
-        for b in self._bases:
-            rest = b
-            while rest:
-                low = rest & -rest
-                sub = b ^ low
-                self[sub] = get(sub, 0) | low
-                rest ^= low
+        """Add every key in one pass over the bases, the shadow of the
+        family (_shadow); a key read before already holds every bit."""
+        _shadow(self._bases, self)
         self.complete = True
+
+
+def _shadow(family: Iterable[Mask], into: dict[Mask, Mask]) -> dict[Mask, Mask]:
+    """OR bit u into into[S - u] for every set S of family and every u in S,
+    and return into. It reads with into.get, so a _CompletionSets target never
+    computes a key: the shadow of the bases is the completion table, and that
+    of the table's keys maps each (k-2)-set to the vertices of its H(sub)."""
+    get = into.get
+    for s in family:
+        rest = s
+        while rest:
+            low = rest & -rest
+            sub = s ^ low
+            into[sub] = get(sub, 0) | low
+            rest ^= low
+    return into
 
 
 # ── constructions ───────────────────────────────────────────────────────────
@@ -684,11 +695,12 @@ def validate_exchange_axiom(m: Matroid) -> ValidationResult:
     the completion table, so the work is linear in the family (times a
     power of the rank), never a scan over pairs of bases.
 
-    (a) A distance-two pair shares a (k-2)-set sub. On the graph H(sub) of
-    _stranded, the pair (sub + q + a, sub + c + d) fails for u = a exactly
-    when a is a neighbour of q and cd is an edge outside N(q) + q, so (a)
-    holds iff no vertex of any H(sub) is stranded. The witness is then the
-    least failing triple, ordered by the positions of B1 and B2 in
+    (a) A distance-two pair shares a (k-2)-set sub, and the shadow of the
+    table's keys (_shadow) maps sub to the vertices of H(sub) (_stranded)
+    with a neighbour. The pair (sub + q + a, sub + c + d) fails for u = a
+    exactly when a is a neighbour of q and cd is an edge outside N(q) + q,
+    so (a) holds iff no vertex of any H(sub) is stranded. The witness is
+    then the least failing triple, ordered by the positions of B1 and B2 in
     sorted_bases() and then by u.
 
     (b) Bases that share a (k-1)-set are pairwise adjacent, so a union-find
@@ -703,15 +715,8 @@ def validate_exchange_axiom(m: Matroid) -> ValidationResult:
     conditions hold by construction and are restated in the result detail.
     """
     table = m._completion_table()
-    active_by_sub: dict[Mask, Mask] = {}
-    for key in table:
-        rest = key
-        while rest:
-            low = rest & -rest
-            active_by_sub[key ^ low] = active_by_sub.get(key ^ low, 0) | low
-            rest ^= low
     failing = []
-    for sub, active in active_by_sub.items():
+    for sub, active in _shadow(table, {}).items():
         stranded = _stranded(table, sub, active)
         if stranded:
             failing.append((sub, active, stranded))

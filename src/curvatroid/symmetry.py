@@ -341,9 +341,8 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
                 for e in key:
                     containing[e].append(i)
         colour_of = colours.__getitem__
-        tuples = [tuple(sorted(map(colour_of, key))) for key in keys]
-        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
-        basis_colour = [rank[t] for t in tuples].__getitem__
+        basis_colour = _relabel([tuple(sorted(map(colour_of, key)))
+                                 for key in keys])[0].__getitem__
         return _relabel([(c, tuple(sorted(map(basis_colour, through))))
                          for c, through in zip(colours, containing)])
 

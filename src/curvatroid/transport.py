@@ -38,7 +38,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 from operator import sub
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CurvatroidError, UnbalancedMarginals, ValidationResult
 from .matroid import Mask
@@ -103,7 +103,7 @@ _INF = float("inf")
 
 
 def _solve_integer_transport(
-        supply: list[int], demand: list[int], cost: list[list[int]],
+        supply: Sequence[int], demand: Sequence[int], cost: list[list[int]],
 ) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
     """Min-cost flow for the balanced transportation problem, all integers.
 
@@ -124,8 +124,8 @@ def _solve_integer_transport(
     if pending != sum(demand):
         raise UnbalancedMarginals(
             f"supplies {pending} != demands {sum(demand)} after scaling")
-    left = supply[:]
-    need = demand[:]
+    left = list(supply)
+    need = list(demand)
     into = [[0] * m for _ in range(n)]  # into[j][i]: flow on cell (i, j)
     pot = [0] * m + list(map(min, zip(*cost)))
     col_nodes = range(m, m + n)
@@ -248,7 +248,7 @@ def _solve_integer_transport(
     return flow, [-p for p in pot[:m]], pot[m:]
 
 
-def verify_transport_certificate(supply: list[int], demand: list[int],
+def verify_transport_certificate(supply: Sequence[int], demand: Sequence[int],
                                  cost: list[list[int]],
                                  flow: Mapping[tuple[int, int], int],
                                  u: list[int], v: list[int]) -> ValidationResult:
@@ -308,9 +308,8 @@ def wasserstein1(p: TransportProblem) -> Fraction:
     The integer problem is certified on every call; a failed certificate
     raises CurvatroidError.
     """
-    supply, demand = list(p.supply), list(p.demand)
-    flow, u, v = _solve_integer_transport(supply, demand, p.cost)
-    check = verify_transport_certificate(supply, demand, p.cost, flow, u, v)
+    flow, u, v = _solve_integer_transport(p.supply, p.demand, p.cost)
+    check = verify_transport_certificate(p.supply, p.demand, p.cost, flow, u, v)
     if not check:
         raise CurvatroidError(f"transport certificate failed: {check.detail}")
     return Fraction(sum(f * p.cost[a][b] for (a, b), f in flow.items()), p.scale)

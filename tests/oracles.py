@@ -282,6 +282,17 @@ def cocircuits_by_subsets(m):
     return set(found)
 
 
+def shadow_by_subsets(family, n):
+    """The shadow of a family of j-sets, j >= 1, by its definition: every
+    (j-1)-subset R of a member, with the elements x of the n-element ground
+    set outside R such that R + x is a member."""
+    members = set(family)
+    subsets = {sum(1 << e for e in r) for s in members
+               for r in combinations(index_tuple(s), s.bit_count() - 1)}
+    return {r: sum(1 << x for x in range(n) if not r >> x & 1 and r | 1 << x in members)
+            for r in subsets}
+
+
 def failing_exchange_triples(bases):
     """Every failing (B1, B2, u) of the basis exchange axiom, in order.
 

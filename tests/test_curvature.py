@@ -710,6 +710,45 @@ def test_k8_exact():
         ("e02", "e13", "e24", "e35", "e46", "e57", "e67")]
 
 
+def witness_forbidden(m, frame):
+    raise AssertionError("a pair was witnessed")
+
+
+@pytest.mark.slow
+def test_k8_bounds_only_is_refused_before_any_witness(monkeypatch):
+    # no generators, so every one of K8's 8,498,784 pairs would get a witness
+    monkeypatch.setattr(curvature, "compute_pair_witness", witness_forbidden)
+    with pytest.raises(cv.TooLarge, match="witness at least 8498784 adjacent pairs"):
+        cv.global_curvature(complete_graph(8), exact=False)
+
+
+def test_the_exact_sweep_charges_each_key_orbit_before_its_witnesses(monkeypatch):
+    m = complete_graph(5)
+    calls = []
+    witness = curvature.compute_pair_witness
+    monkeypatch.setattr(curvature, "compute_pair_witness",
+                        lambda m, frame: calls.append(frame) or witness(m, frame))
+    report = cv.global_curvature(m)
+    witnessed = len(calls) - 1  # the argmin is witnessed once more, after the sweep
+    assert 0 < witnessed < report.pair_count == 930
+    # the limit bounds the pairs witnessed, not the pairs counted
+    monkeypatch.setattr(curvature, "ENUMERATION_LIMIT", witnessed)
+    assert cv.global_curvature(m) == report
+    calls.clear()
+    monkeypatch.setattr(curvature, "ENUMERATION_LIMIT", witnessed - 1)
+    with pytest.raises(cv.TooLarge, match="over the enumeration limit"):
+        cv.global_curvature(m)
+    # refused at a later orbit, after the first orbits' pairs, and never past the limit
+    assert 0 < len(calls) < witnessed
+    # a bounds-only run charges every pair before the first witness
+    monkeypatch.setattr(curvature, "ENUMERATION_LIMIT", report.pair_count)
+    assert cv.global_curvature(m, exact=False).pair_count == 930
+    monkeypatch.setattr(curvature, "ENUMERATION_LIMIT", report.pair_count - 1)
+    monkeypatch.setattr(curvature, "compute_pair_witness", witness_forbidden)
+    with pytest.raises(cv.TooLarge, match="witness at least 930 adjacent pairs"):
+        cv.global_curvature(m, exact=False)
+
+
 def test_audit_all_pairs():
     for m in (u42(), cv.build_named("k4"), cv.build_named("fano")):
         audited = cv.global_curvature(m, audit_all_pairs=True)

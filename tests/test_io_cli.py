@@ -699,3 +699,16 @@ def test_cli_pairs_over_the_limit_fails_fast(capsys, tmp_path):
                    "limit of 2000000 pairs\n")
     assert run_cli(capsys, *k4_argv("pairs"))[0] == 0
     assert len(cv.canonical_pairs(complete_graph(7))) == 365_085
+
+
+def test_cli_curvature_sweep_over_the_limit_fails_fast(capsys, tmp_path):
+    # U(1,2001)'s 2,001,000 adjacent pairs all lie on the empty key; the
+    # group search declines n * n > its budget, so both modes witness each pair
+    path = write_json(tmp_path, "u1-2001.json", {"type": "uniform", "n": 2001, "k": 1})
+    for flags in ((), ("--exact",)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "curvature", "--input", path, *flags)
+        assert time.perf_counter() - start < 1, flags
+        assert (code, out) == (1, ""), flags
+        assert err == ("error: the sweep would witness at least 2001000 adjacent pairs, "
+                       "over the enumeration limit of 2000000 pairs\n"), flags

@@ -2,19 +2,20 @@
 Fraction elimination, the graphic spanning-forest search and the linear
 minor pass against per-subset enumeration, the origin hash on labels that
 JSON escapes against json.dumps, the automorphism search's pair counts
-against a basis-by-basis count, and the completion-set store, read one set
-at a time and then filled, against a fresh completion table."""
+against a basis-by-basis count, the completion-set store, read one set at
+a time and then filled, against a fresh completion table, and the shadow
+routine against its definition."""
 
 from fractions import Fraction
 
 import pytest
 
 import curvatroid as cv
-from curvatroid.matroid import _integer_rank, _integer_rows
+from curvatroid.matroid import _integer_rank, _integer_rows, _shadow
 from curvatroid.symmetry import _pair_counts
 from oracles import (exchange_neighborhood, explicit_families, fraction_matrix_rank,
                      graphic_bases_by_subsets, linear_bases_by_subsets, origin_hash_by_sort,
-                     pair_counts_by_bases, small_specs)
+                     pair_counts_by_bases, shadow_by_subsets, small_specs)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -212,21 +213,47 @@ def test_pair_counts_and_hash_on_the_catalog_and_wide_ground_sets(spec):
     assert_canonical(m)
 
 
+catalog_specs = st.sampled_from([cv.NamedSpec(name) for name in cv.CATALOG_NAMES])
+
+
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.one_of(small_specs(), explicit_families()), st.data())
+@hypothesis.given(st.one_of(small_specs(), explicit_families(), catalog_specs), st.data())
 def test_completion_lookup_matches_the_table(spec, data):
     """Read one set at a time from the store, N(R) equals a fresh scan's
     entry for random keys R in a random order of first reads; filling the
-    store then gives exactly the fresh scan's keys and values."""
+    store then gives exactly the fresh scan's keys and values, and leaves
+    each key read before with the mask it had."""
     lazy = cv.build_matroid(spec)
     table = cv.build_matroid(spec)._completion_table()
     keys = data.draw(st.permutations(sorted(table)))
     keys = keys[:data.draw(st.integers(0, len(keys)))]
     store = lazy._completions
-    assert [store[key] for key in keys] == [table[key] for key in keys]
+    read = [store[key] for key in keys]
+    assert read == [table[key] for key in keys]
     assert list(store) == keys and not store.complete
     assert lazy._completion_table() is store and store.complete
     assert store == table
+    assert [store[key] for key in keys] == read
     for b in lazy.bases:
         for u in cv.bits(b):
             assert exchange_neighborhood(lazy, b, u) == table[b ^ 1 << u]
+
+
+class _NoMissing(dict):
+    """A dict that fails on any read of a missing key that is not a get."""
+
+    def __missing__(self, key):
+        raise AssertionError(f"missing key {key} read")
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(small_specs(), catalog_specs))
+def test_the_shadow_matches_its_definition(spec):
+    """The bases' shadow is the completion table, and the table keys' shadow
+    the validator's map of (k-2)-sets; both read their target only by get."""
+    m = cv.build_matroid(spec)
+    families = [m.bases] + ([list(m._completion_table())] if m.rank > 1 else [])
+    for family in families:
+        expected = shadow_by_subsets(family, m.n)
+        assert _shadow(family, {}) == expected, spec
+        assert _shadow(family, _NoMissing()) == expected, spec
