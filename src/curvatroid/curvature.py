@@ -28,37 +28,53 @@ from .errors import CurvatroidError, InvalidRank, NotABasis, NotAdjacent, TooLar
 from .matroid import ENUMERATION_LIMIT, Mask, Matroid, bits
 from .symmetry import automorphism_generators, mask_image, pair_orbit
 from .transport import TransportProblem, wasserstein1
-from .walk import Frozen, basis_graph, exchange_distance, transition_distribution
+from .walk import basis_graph, exchange_distance, transition_distribution
 
 
 # ── pair frame and witness ──────────────────────────────────────────────────
 
 
-class PairFrame(Frozen):
+class _PairFrameFields(NamedTuple):
+    s_basis: Mask
+    t_basis: Mask
+    s_elem: int
+    t_elem: int
+    shared: tuple[int, ...]
+
+
+class PairFrame(_PairFrameFields):
     """An adjacent basis pair S, T with the exchange made explicit.
 
     Built from the two sets alone: s_elem is the element of S - T, t_elem
     the element of T - S, and shared lists S ∩ T in canonical order. The
     constructor raises NotAdjacent unless S and T differ by exactly one
-    exchange, so every frame is consistent. It is the one way to build a
-    pair; every pair function takes (m, frame) and checks itself that S and
-    T are bases of m. A Frozen record: its fields cannot be assigned or
-    deleted, and two frames of the same pair are equal and hash equal.
+    exchange, and _make and _replace raise it for fields that S and T do
+    not derive. It is the one way to build a pair; every pair function
+    takes (m, frame) and checks that S and T are bases of m. A frame equals
+    its field tuple, never (S, T).
     """
 
-    __slots__ = ("s_basis", "t_basis", "s_elem", "t_elem", "shared")
+    __slots__ = ()
 
-    def __init__(self, s_basis: Mask, t_basis: Mask):
+    def __new__(cls, s_basis: Mask, t_basis: Mask):
         s_only = s_basis & ~t_basis
         t_only = t_basis & ~s_basis
         if s_only.bit_count() != 1 or t_only.bit_count() != 1:
             raise NotAdjacent("bases do not differ by a single exchange")
-        write = object.__setattr__
-        write(self, "s_basis", s_basis)
-        write(self, "t_basis", t_basis)
-        write(self, "s_elem", s_only.bit_length() - 1)
-        write(self, "t_elem", t_only.bit_length() - 1)
-        write(self, "shared", tuple(bits(s_basis & t_basis)))
+        return tuple.__new__(cls, (s_basis, t_basis, s_only.bit_length() - 1,
+                                   t_only.bit_length() - 1,
+                                   tuple(bits(s_basis & t_basis))))
+
+    @classmethod
+    def _make(cls, fields):
+        fields = tuple(fields)
+        frame = cls(*fields[:2])
+        if fields != frame:
+            raise NotAdjacent("frame fields are not the ones its two bases derive")
+        return frame
+
+    def __getnewargs__(self):
+        return self[:2]
 
 
 class DropWitness(NamedTuple):

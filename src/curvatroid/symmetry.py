@@ -307,9 +307,9 @@ def automorphism_generators(m: Matroid) -> tuple[Permutation, ...]:
     basis family, onto themselves.
 
     Raises NotAMatroid unless m is a matroid: the cocircuit check is a
-    theorem about matroids only. An empty tuple means no non-trivial
-    automorphism was found: the group is trivial, or the search ran out of
-    budget.
+    theorem about matroids only. A search out of SEARCH_BUDGET returns the
+    generators found so far, which generate a subgroup; only n * n >
+    SEARCH_BUDGET returns () before any search.
     """
     m.require_matroid()
     n = m.n

@@ -16,17 +16,16 @@ with the validator's witness. basis_graph then returns every kernel row in
 a plain dict, cached nowhere; it keeps its name because the benchmark's
 walk.graph span traces it.
 
-Distribution, like the curvature module's PairFrame, is a Frozen record: a
-__slots__ class whose own __init__ checks or derives its fields and writes
-each once, after which they can be neither assigned nor deleted. No class
-code is generated at import, which keeps a one-pair command's start-up short.
+Every value record of the package is a NamedTuple. One that checks its
+input, Distribution here and the curvature module's PairFrame, subclasses a
+private NamedTuple of its fields and checks in its own __new__.
 """
 
 from __future__ import annotations
 
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NotABasis
 from .matroid import Mask, Matroid, bits
@@ -37,56 +36,24 @@ def exchange_distance(x: Mask, y: Mask) -> int:
     return (x & ~y).bit_count()
 
 
-class Frozen:
-    """Base of the immutable records whose constructor checks or derives its
-    fields (a record that only stores them is a NamedTuple): __init__ writes
-    each slot once through object.__setattr__, and assigning or deleting one
-    raises AttributeError. Records compare and hash by their fields in
-    __slots__ order, and the repr names every field."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):  # copy and pickle restore the slots here
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+class _DistributionFields(NamedTuple):
+    weights: Mapping[Mask, int]
+    denominator: int
 
 
-class Distribution(Frozen):
+class Distribution(_DistributionFields):
     """Probability distribution over bases (masks): positive integer weights
     over a common denominator, so the mass of b is weights[b] / denominator.
 
-    A Frozen record whose weights are a read-only copy of the mapping
-    given. The weights need not be in lowest terms, so equality is
-    identity. A weight or denominator that is not an int (a float, a
-    Fraction) raises ValueError, like every other broken invariant.
+    __new__, which _make and _replace run too, keeps a read-only copy of the
+    weights. They need not be in lowest terms, so equality is identity, even
+    against a tuple of the same fields. A weight or denominator that is not
+    an int (a float, a Fraction) raises ValueError, like every other check.
     """
 
-    __slots__ = ("weights", "denominator")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ()
 
-    def __init__(self, weights: Mapping[Mask, int], denominator: int):
+    def __new__(cls, weights: Mapping[Mask, int], denominator: int):
         frozen = MappingProxyType(dict(weights))
         total = 0
         for b, w in frozen.items():
@@ -100,8 +67,19 @@ class Distribution(Frozen):
         if total != denominator or total <= 0:
             raise ValueError(f"weights sum to {total}, not the denominator "
                              f"{denominator}")
-        object.__setattr__(self, "weights", frozen)
-        object.__setattr__(self, "denominator", denominator)
+        return tuple.__new__(cls, (frozen, denominator))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
 
 def transition_distribution(m: Matroid, s: Mask) -> Distribution:

@@ -53,10 +53,13 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     for name in ("items_sorted", "mass", "masses", "support"):  # tests/oracles.py
         assert not hasattr(cv.Distribution, name), name
     assert not hasattr(curvature, "CouplingCell") and not hasattr(matroid, "matrix_rank")
-    # a distribution equals only itself: no second, mass-comparing route
-    assert cv.Distribution.__eq__ is object.__eq__
+    # a distribution equals only itself: no second, mass-comparing route, and
+    # no tuple equality with its fields
+    assert cv.Distribution.__hash__ is object.__hash__
     d = cv.Distribution({1: 1}, 1)
     assert d == d and d != cv.Distribution({1: 1}, 1)
+    for fields in (tuple(d), ({1: 1}, 1)):
+        assert d != fields and fields != d and not d == fields and not fields == d
     assert not hasattr(errors, "ElementNotInBasis")
     m = cv.build_named("k4")
     rows = cv.basis_graph(m)
@@ -166,7 +169,8 @@ def test_unreachable_pair_checks_and_metric_copies_are_gone():
 
 # the value records are NamedTuples: built by position (GlobalReport(None,
 # None, theorem_lb, *bounds, ...), TransportProblem(rows, cols, ...)) and
-# unpacked in this order
+# unpacked in this order; PairFrame and Distribution check their input in
+# __new__, so they are built from (s_basis, t_basis) and (weights, denominator)
 RECORD_FIELDS = {
     cv.UniformSpec: ("n", "k"),
     cv.GraphicSpec: ("vertex_count", "edges"),
@@ -175,6 +179,8 @@ RECORD_FIELDS = {
     cv.NamedSpec: ("name",),
     cv.ValidationResult: ("ok", "detail", "witness"),
     cv.TransportProblem: ("row_keys", "col_keys", "supply", "demand", "cost", "scale"),
+    cv.PairFrame: ("s_basis", "t_basis", "s_elem", "t_elem", "shared"),
+    cv.Distribution: ("weights", "denominator"),
     cv.DownstepCoupling: ("frame", "drops"),
     cv.DropWitness: ("drop", "ns_size", "nt_size", "overlap_size", "s_only_adds"),
     cv.PairReport: ("frame", "witness", "downstep_lb", "ub_forward", "ub_reverse",
@@ -205,10 +211,7 @@ def test_frozen_records_refuse_assignment_and_deletion():
     m, frame, witness = k6_frame_and_witness()
     distribution = cv.transition_distribution(m, frame.s_basis)
     for record in (frame, witness[0], distribution):
-        # a NamedTuple's __slots__ is (), so its fields come from _fields
-        names = getattr(record, "_fields", type(record).__slots__)
-        assert names
-        for name in names:
+        for name in record._fields:
             value = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
@@ -230,10 +233,13 @@ def test_pair_frame_and_drop_witness_are_values():
     twin = cv.DropWitness(*fields)
     assert twin == witness[0] and hash(twin) == hash(witness[0])
     assert cv.DropWitness(*fields[:-1], fields[-1] + 1) != witness[0]
-    # a drop record is a NamedTuple, so it equals its field tuple; a frame is not a tuple
-    assert witness[0] == tuple(fields) and frame != (frame.s_basis, frame.t_basis)
-    # copy and pickle rebuild the slots past the frozen __setattr__
-    assert copy.copy(frame) == frame and pickle.loads(pickle.dumps(witness)) == witness
+    # every record is a NamedTuple, so it equals its field tuple; a frame never (S, T)
+    assert witness[0] == tuple(fields) and frame == tuple(frame)
+    assert frame != (frame.s_basis, frame.t_basis)
+    # copy and pickle rebuild a frame from its two bases, through the check
+    for again in (copy.copy(frame), pickle.loads(pickle.dumps(frame))):
+        assert type(again) is cv.PairFrame and again == frame
+    assert pickle.loads(pickle.dumps(witness)) == witness
     assert repr(frame) == (f"PairFrame(s_basis={frame.s_basis}, t_basis={frame.t_basis}, "
                            f"s_elem={frame.s_elem}, t_elem={frame.t_elem}, "
                            f"shared={frame.shared!r})")
@@ -241,9 +247,40 @@ def test_pair_frame_and_drop_witness_are_values():
         f"{name}={value!r}" for name, value in zip(cv.DropWitness._fields, fields)) + ")"
 
 
-def test_only_records_whose_constructor_checks_its_input_are_frozen():
-    # a record whose constructor only stores its fields is a NamedTuple
-    assert set(walk.Frozen.__subclasses__()) == {cv.PairFrame, cv.Distribution}
-    for record in walk.Frozen.__subclasses__():
-        assert "__init__" in vars(record), record
-    assert issubclass(cv.DropWitness, tuple)
+def test_every_record_is_a_named_tuple_and_only_checked_ones_define_new():
+    for record in RECORD_FIELDS:
+        assert issubclass(record, tuple) and record._fields, record
+    assert not hasattr(walk, "Frozen")
+    # a record that only stores its fields keeps the __new__ that NamedTuple
+    # generates; one that checks its input defines its own
+    checked = {record for record in RECORD_FIELDS
+               if record.__new__.__module__ == record.__module__}
+    assert checked == {cv.PairFrame, cv.Distribution}
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in Path(cv.__file__).parent.glob("*.py"))
+    for name in ("Frozen", "__setattr__", "__delattr__", "__setstate__"):
+        assert not re.search(rf"\b{name}\b", source), name
+
+
+def test_checked_records_check_on_every_route():
+    m, frame, _ = k6_frame_and_witness()
+    assert frame._make(frame) == frame and frame._replace() == frame
+    for fields in ({"s_elem": frame.t_elem}, {"shared": frame.shared[1:]},
+                   {"t_basis": frame.s_basis}):
+        with pytest.raises(cv.NotAdjacent):
+            frame._replace(**fields)
+    with pytest.raises(cv.NotAdjacent):
+        cv.PairFrame._make((frame.s_basis, frame.t_basis, frame.t_elem, frame.s_elem,
+                            frame.shared))
+    d = cv.transition_distribution(m, frame.s_basis)
+    for again in (d._make(d), d._replace(), copy.copy(d)):
+        assert type(again) is cv.Distribution and again is not d
+        assert dict(again.weights) == dict(d.weights) and again.denominator == d.denominator
+        with pytest.raises(TypeError):  # each copy's weights are read-only too
+            again.weights[frame.s_basis] = 1
+    with pytest.raises(ValueError):
+        d._replace(denominator=d.denominator + 1)
+    with pytest.raises(ValueError):
+        d._replace(weights={**d.weights, frame.s_basis: 0})
+    with pytest.raises(ValueError):
+        cv.Distribution._make((d.weights, float(d.denominator)))

@@ -105,6 +105,20 @@ def test_parse_matroid_obj_errors():
         cv.parse_matroid_obj({"type": "linear", "matrix": [["0.5"]]})
     with pytest.raises(cv.ParseError):
         cv.parse_matroid_obj(["not", "an", "object"])
+    for obj, message in [
+        ({"type": "uniform", "n": 4}, "uniform: missing field 'k'"),
+        ({"type": "uniform", "n": True, "k": 2}, "uniform: field 'n' must be an integer"),
+        ({"type": "graphic", "vertices": 2, "edges": [[0, "1", "e"]]},
+         "graphic edge 0: endpoints must be integers"),
+        ({"type": "graphic", "vertices": 2, "edges": [[0, 1.0, "e"]]},
+         "graphic edge 0: endpoints must be integers"),
+        ({"type": "linear", "matrix": [["1"], "1"]}, "linear row 1: expected a list"),
+        ({"type": "explicit", "ground": ["a"], "bases": ["a"]},
+         "explicit basis 0: expected a list"),
+    ]:
+        with pytest.raises(cv.ParseError) as info:
+            cv.parse_matroid_obj(obj)
+        assert str(info.value) == message
     for label in ("", "a b", "a\tb", "\u00a0", "a,"):  # str.strip drops any such space
         with pytest.raises(cv.ParseError):
             cv.parse_matroid_obj({"type": "explicit", "ground": [label], "bases": [[label]]})
@@ -436,6 +450,9 @@ def test_cli_exit_codes(capsys, tmp_path):
                            "--s", "ab,bc,cd", "--t", "ac,bd,da")
     assert code == 1 and "exchange" in err
 
+    assert run_cli(capsys, "pair", "--input", "named:k4", "--s", ",", "--t", "bd,cd,da") == (
+        1, "", "error: --s needs comma-separated element labels\n")
+
     # the default mode has no flag: --bounds-only is unknown, as any other
     with pytest.raises(SystemExit) as exit_info:
         main(["curvature", "--input", "named:k4", "--all-pairs", "--bounds-only"])
@@ -456,6 +473,7 @@ MALFORMED_EXPLICIT = {
     "unknown-label": ("ab", ("az",), cv.UnknownElement,
                       "basis element 'z' not in the ground set"),
     "repeated-label": ("ab", ("aa",), cv.UnknownElement, "repeated element 'a' in a basis"),
+    "rank-zero": ("a", ("",), cv.EmptyBasisFamily, "rank-0 family (only the empty set)"),
     "unknown-label-and-unequal-sizes": ("abc", ("ab", "z"), cv.UnknownElement,
                                         "basis element 'z' not in the ground set"),
 }

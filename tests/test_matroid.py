@@ -81,6 +81,17 @@ def test_graphic_edge_outside_vertices():
         cv.build_matroid(cv.GraphicSpec(vertex_count=2, edges=((0, 2, "p"),)))
 
 
+def test_graphic_duplicate_edge_labels():
+    with pytest.raises(cv.UnknownElement, match="duplicate edge labels"):
+        cv.build_matroid(cv.GraphicSpec(vertex_count=2, edges=((0, 1, "p"), (1, 0, "p"))))
+
+
+def test_build_matroid_refuses_what_is_not_a_spec():
+    # a plain tuple of a spec's fields is not the spec
+    with pytest.raises(TypeError, match="not a matroid spec"):
+        cv.build_matroid((4, 2))
+
+
 def graphic(vertex_count, ends):
     return cv.GraphicSpec(vertex_count=vertex_count, edges=tuple(
         (a, b, f"e{i}") for i, (a, b) in enumerate(ends)))

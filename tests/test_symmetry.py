@@ -422,3 +422,55 @@ def test_the_audit_solves_one_pair_per_orbit(name, monkeypatch):
     monkeypatch.setattr(curvature, "wasserstein1", counted)
     cv.global_curvature(m, audit_all_pairs=True)
     assert len(solves) - len(sweep) == AUDIT_SOLVES[name]
+
+
+def search_to_first_generator(m, monkeypatch):
+    """The generators of an unpatched search, and the reads charged until its
+    first generator passed the leaf check: every read of the pass without
+    incidence rounds goes through _refine's charge."""
+    spent, at_first = 0, []
+    refine, check = symmetry._refine, symmetry._is_automorphism
+
+    def counting_refine(colours, pivot, weights, width, incidence, charge):
+        def counted(reads):
+            nonlocal spent
+            spent += reads
+            charge(reads)
+        return refine(colours, pivot, weights, width, incidence, counted)
+
+    def noting(perm, cocircuits):
+        verdict = check(perm, cocircuits)
+        if verdict and not at_first:
+            at_first.append(spent)
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_refine", counting_refine)
+        patch.setattr(symmetry, "_is_automorphism", noting)
+        generators = cv.automorphism_generators(m)
+    return generators, at_first[0]
+
+
+# families small enough for an exact sweep over the orbits of one generator
+BUDGET_FAMILIES = ("k4", "fano", "vamos", "w5", "u36")
+
+
+def test_an_exhausted_search_keeps_sound_generators_and_the_report(monkeypatch):
+    fewer = []
+    for name in BUDGET_FAMILIES:
+        m = FAMILIES[name]()
+        full, budget = search_to_first_generator(m, monkeypatch)
+        report = cv.global_curvature(m, exact=True)
+        with monkeypatch.context() as patch:
+            # the budget runs out at the first read after the first generator
+            patch.setattr(symmetry, "SEARCH_BUDGET", budget)
+            generators = cv.automorphism_generators(m)
+            cocircuits = frozenset(m._completion_table().values())
+            assert all(symmetry._is_automorphism(p, cocircuits) for p in generators), name
+            # a search that restarts charges incidence rounds the count misses,
+            # so it runs out before its first generator
+            assert generators in ((), full[:1]), name
+            assert cv.global_curvature(m, exact=True) == report, name
+        if len(generators) < len(full):
+            fewer.append(name)
+    assert fewer

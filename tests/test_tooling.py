@@ -53,8 +53,8 @@ print(code, sorted(name for name in ("dataclasses", "inspect") if name in sys.mo
 
 def test_a_pair_query_imports_no_class_generator():
     # dataclasses, and the inspect module it imports, take half the import
-    # of curvatroid.cli; a record is a NamedTuple, or a Frozen class when its
-    # constructor checks or derives its fields
+    # of curvatroid.cli; every record is a NamedTuple, and a record that
+    # checks its input does so in __new__
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))

@@ -109,8 +109,7 @@ def test_unbalanced_marginals_rejected():
     m = cv.build_matroid(cv.UniformSpec(n=4, k=2))
     mu = cv.transition_distribution(m, m.mask_from_labels(["a", "b"]))
     # a point mass tampered down to total 1/2 past the Distribution checks
-    half = cv.Distribution({m.mask_from_labels(["a", "b"]): 1}, 1)
-    object.__setattr__(half, "denominator", 2)
+    half = tuple.__new__(cv.Distribution, ({m.mask_from_labels(["a", "b"]): 1}, 2))
     with pytest.raises(cv.UnbalancedMarginals):
         cv.wasserstein1(cv.TransportProblem.from_distance(mu, half))
 
@@ -297,6 +296,19 @@ def test_certificate_rejects_tampering():
     # (1, 0) and 2 + 3 = 5 > 1 at (1, 1); the first in row-major order is named
     result = verify(supply, demand, cost, flow, [0, 2], v)
     assert not result.ok and result.witness == ("dual", 1, 0)
+
+    # a dual of the wrong size names no cell
+    assert verify(supply, demand, cost, flow, u, [1]) == (
+        False, "dual has 2 x 1 entries for a 2 x 2 problem", ())
+
+    # a negative entry, and one outside the table, before any sum is compared
+    for cell, f in (((0, 1), -1), ((2, 0), 1), ((0, -1), 1)):
+        result = verify(supply, demand, cost, {**flow, cell: f}, u, v)
+        assert not result.ok and result.witness == ("cell", *cell)
+
+    # every row ships its supply, but column 0 receives 2 for a demand of 1
+    result = verify(supply, demand, cost, {(0, 0): 2, (1, 1): 1}, u, v)
+    assert not result.ok and result.witness == ("column", 0)
 
 
 def test_warm_start_fills_a_tight_problem_without_dijkstra(monkeypatch):
