@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from collections.abc import Iterable
 
 from .curvature import (
     PairFrame,
@@ -27,13 +29,13 @@ from .errors import (
     UnknownElement,
 )
 from .fileio import (
-    bases_to_obj,
+    bases_text,
     catalog_to_obj,
-    coupling_table_to_obj,
+    coupling_text,
     global_report_to_obj,
     load_input,
     pair_report_to_obj,
-    pairs_to_obj,
+    pairs_text,
     render_csv,
     render_json,
     report_to_csv_rows,
@@ -117,35 +119,44 @@ def _pair_frame_from_args(m: Matroid, args: argparse.Namespace) -> PairFrame:
             "--s and --t must differ by exactly one exchange") from None
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, int]:
+def _render(args: argparse.Namespace, obj: dict) -> list[str]:
+    if args.format == "csv":
+        return [render_csv(report_to_csv_rows(args.command, obj))]
+    return [render_json(obj)]
+
+
+def _run(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    """The report's text, in pieces, and the exit status. Everything that
+    can fail runs here, before any piece is made: a listing (bases, pairs,
+    coupling) renders its rows as main writes them."""
     if args.command == "catalog":
-        return catalog_to_obj(), 0
+        return _render(args, catalog_to_obj()), 0
 
     m = load_input(args.input)
 
     if args.command == "validate":
         result = validate_exchange_axiom(m)
-        return validation_to_obj(m, result), 0 if result.ok else 1
+        return _render(args, validation_to_obj(m, result)), 0 if result.ok else 1
 
     if args.command == "bases":
-        return bases_to_obj(m), 0
+        return bases_text(m, args.format), 0
 
     if args.command == "pairs":
-        return pairs_to_obj(m, canonical_pairs(m)), 0
+        return pairs_text(m, canonical_pairs(m), args.format), 0
 
     if args.command == "curvature":
         exact = args.exact or args.all_pairs
         report = global_curvature(m, exact=exact, audit_all_pairs=args.all_pairs)
-        return global_report_to_obj(m, report, with_decimal=args.decimal), 0
+        return _render(args, global_report_to_obj(m, report, with_decimal=args.decimal)), 0
 
     if args.command == "pair":
         report = compute_pair_report(m, _pair_frame_from_args(m, args))
-        return pair_report_to_obj(m, report, with_decimal=args.decimal), 0
+        return _render(args, pair_report_to_obj(m, report, with_decimal=args.decimal)), 0
 
     if args.command == "coupling":
         frame = _pair_frame_from_args(m, args)
         table = downstep_coupling_table(m, frame)
-        return coupling_table_to_obj(m, table, with_decimal=args.decimal), 0
+        return coupling_text(m, table, args.format, with_decimal=args.decimal), 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
@@ -165,17 +176,24 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        obj, code = _run(args)
+        pieces, code = _run(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CurvatroidError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        sys.stdout.write(render_csv(report_to_csv_rows(args.command, obj)))
-    else:
-        sys.stdout.write(render_json(obj))
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (as `| head` does): drop the rest, and
+        # point stdout at the null device so the flush at exit has nowhere
+        # to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -245,8 +245,9 @@ class DownstepCoupling(NamedTuple):
     cell (add to S, add to T, X, Y, weight) with a positive integer weight
     over the drop's denominator.
 
-    The coupling report (fileio.coupling_table_to_obj) renders the integer
-    weights directly, and the expected distance is summed in integers.
+    The coupling report (fileio.coupling_text) writes one row per cell
+    straight from the integer weights, and the expected distance is summed
+    in integers.
     """
 
     frame: PairFrame

@@ -5,6 +5,12 @@ linear, explicit, named). Reports go out as JSON objects or CSV tables; every
 rational is rendered as a "p/q" string so values survive round trips exactly.
 An optional decimal mode appends 6-significant-digit approximations for
 human readers, clearly marked as approximate.
+
+The pair, curvature, validate and catalog reports are built as objects
+(*_to_obj) and rendered whole (render_json, render_csv). The listing reports,
+coupling, pairs and bases, grow with the family: they are written as text in
+pieces of CHUNK_ROWS rows straight from the library's integer records
+(coupling_text, pairs_text, bases_text), with no dict or label list per row.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import decimal
 import io
 import json
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Any
 
@@ -267,49 +275,6 @@ def global_report_to_obj(m: Matroid, report: GlobalReport,
     return obj
 
 
-def coupling_table_to_obj(m: Matroid, table: DownstepCoupling,
-                          with_decimal: bool = False) -> dict:
-    """The coupling report, rendered from the table's integer weights.
-
-    No Fraction per cell is built: each mass is the cell's weight over its
-    drop's denominator reduced by one gcd (the text of str(Fraction)), each
-    distance is exchange_distance, a popcount, and the label list of each
-    distinct basis is built once. expectedDistance is the table's own
-    integer sum.
-    """
-    obj = _meta(m)
-    obj["frame"] = frame_to_obj(m, table.frame)
-    labels = m.labels
-    names: dict[Mask, list[str]] = {}
-    cells = []
-    for drop_s, drop_t, denominator, drop_cells in table.drops:
-        for add_s, add_t, x, y, w in drop_cells:
-            if x not in names:
-                names[x] = _labels(m, x)
-            if y not in names:
-                names[y] = _labels(m, y)
-            g = gcd(w, denominator)
-            p, q = w // g, denominator // g
-            cell = {
-                "dropS": labels[drop_s],
-                "dropT": labels[drop_t],
-                "addS": labels[add_s],
-                "addT": labels[add_t],
-                "x": names[x],
-                "y": names[y],
-                "distance": exchange_distance(x, y),
-                "mass": f"{p}/{q}" if q != 1 else str(p),
-            }
-            if with_decimal:
-                cell["massApprox"] = approx_decimal(Fraction(p, q))
-            cells.append(cell)
-    obj["cells"] = cells
-    _put_rational(obj, "expectedDistance", table.expected_distance(), with_decimal)
-    if with_decimal:
-        obj["decimalsAreApproximate"] = True
-    return obj
-
-
 def validation_to_obj(m: Matroid, result: ValidationResult) -> dict:
     obj = _meta(m)
     obj["ok"] = result.ok
@@ -320,22 +285,6 @@ def validation_to_obj(m: Matroid, result: ValidationResult) -> dict:
                           "dropped": m.labels[u]}
     else:
         obj["witness"] = None
-    return obj
-
-
-def bases_to_obj(m: Matroid) -> dict:
-    obj = _meta(m)
-    obj["n"] = m.n
-    obj["rank"] = m.rank
-    obj["count"] = len(m.bases)
-    obj["bases"] = [_labels(m, b) for b in m.sorted_bases()]
-    return obj
-
-
-def pairs_to_obj(m: Matroid, pairs: list[tuple[Mask, Mask]]) -> dict:
-    obj = _meta(m)
-    obj["pairCount"] = len(pairs)
-    obj["pairs"] = [{"S": _labels(m, x), "T": _labels(m, y)} for x, y in pairs]
     return obj
 
 
@@ -381,16 +330,6 @@ def report_to_csv_rows(command: str, obj: dict) -> list[list[str]]:
             rows.append(["witness.dropped", w["dropped"]])
         return rows
 
-    if command == "bases":
-        rows = [["index", "elements"]]
-        rows += [[str(i), _join(b)] for i, b in enumerate(obj["bases"])]
-        return rows
-
-    if command == "pairs":
-        rows = [["S", "T"]]
-        rows += [[_join(p["S"]), _join(p["T"])] for p in obj["pairs"]]
-        return rows
-
     if command == "curvature":
         rows = _kv_rows(obj, ["kappaExact", "theoremLBGlobal", "downstepLBGlobal",
                               "theoremUBGlobal", "pairCount", "degenerate",
@@ -417,20 +356,6 @@ def report_to_csv_rows(command: str, obj: dict) -> list[list[str]]:
             rows.append([f"witness[{u}].sizeNT", str(e["sizeNT"])])
             rows.append([f"witness[{u}].sizeCap", str(e["sizeCap"])])
             rows.append([f"witness[{u}].A", _join(e["A"])])
-        return rows
-
-    if command == "coupling":
-        with_decimal = "massApprox" in obj["cells"][0] if obj["cells"] else False
-        header = ["dropS", "dropT", "addS", "addT", "x", "y", "mass", "distance"]
-        if with_decimal:
-            header.append("massApprox")
-        rows = [header]
-        for c in obj["cells"]:
-            row = [c["dropS"], c["dropT"], c["addS"], c["addT"],
-                   _join(c["x"]), _join(c["y"]), c["mass"], str(c["distance"])]
-            if with_decimal:
-                row.append(c["massApprox"])
-            rows.append(row)
         return rows
 
     if command == "catalog":
@@ -503,3 +428,161 @@ def render_json(obj: Any) -> str:
     basis's labels costs one quoting call per label.
     """
     return _json_text(obj, "\n") + "\n"
+
+
+# ── listing reports ─────────────────────────────────────────────────────────
+#
+# One row per coupling cell, adjacent pair or basis, written as the text
+# render_json or render_csv would write for the whole report. Each label is
+# quoted once per report, and the text of each basis a report names more
+# than once is built once (_Names).
+
+CHUNK_ROWS = 2048  # rows per piece of a listing's text
+
+
+class _Names(dict):
+    """Basis mask -> its text, built at the first lookup: the words of its
+    elements, lowest index first, joined by sep between the two ends. The
+    empty basis is the text empty."""
+
+    def __init__(self, words: Sequence[str], sep: str = " ",
+                 ends: tuple[str, str] = ("", ""), empty: str = ""):
+        super().__init__()
+        self.words, self.sep, self.ends, self.empty = words, sep, ends, empty
+
+    def text(self, mask: Mask) -> str:
+        if not mask:
+            return self.empty
+        words = self.words
+        out = []
+        while mask:  # the set bits, lowest first, as bits() yields them
+            low = mask & -mask
+            out.append(words[low.bit_length() - 1])
+            mask ^= low
+        return self.ends[0] + self.sep.join(out) + self.ends[1]
+
+    def __missing__(self, mask: Mask) -> str:
+        text = self[mask] = self.text(mask)
+        return text
+
+
+def _json_names(m: Matroid, newline: str) -> _Names:
+    """Each basis as _json_text writes the list of its labels, the list's
+    own line indented as newline; each label is quoted once."""
+    inner = newline + "  "
+    return _Names([_quote(label) for label in m.labels], "," + inner,
+                  ("[" + inner, newline + "]"), "[]")
+
+
+def _chunks(rows: Iterable) -> Iterator[list]:
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield chunk
+
+
+def _json_listing(head: dict, key: str, rows: Iterable[str],
+                  tail: dict) -> Iterator[str]:
+    """render_json's text of head's fields, then the list under key, then
+    tail's fields. Each row is the text of one list item, from the line
+    break before it."""
+    field = "\n  " + _quote(key) + ": "
+    # a line break and two spaces open only the line of a top-level field
+    before, _, after = _json_text({**head, key: [], **tail}, "\n").partition(field + "[]")
+    chunks = _chunks(rows)
+    first = next(chunks, None)
+    if first is None:
+        yield before + field + "[]" + after + "\n"
+        return
+    yield before + field + "[" + ",".join(first)
+    for chunk in chunks:
+        yield "," + ",".join(chunk)
+    yield "\n  ]" + after + "\n"
+
+
+def _csv_listing(header: list[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """render_csv's text of the header and the rows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for chunk in _chunks(rows):
+        writer.writerows(chunk)
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
+    yield out.getvalue()
+
+
+def _coupling_cells(table: DownstepCoupling, with_decimal: bool) -> Iterator[tuple]:
+    """(drop from S, drop from T, add to S, add to T, X, Y, distance, mass,
+    mass approximation or None) per cell. No Fraction per cell is built:
+    each mass is the cell's weight over its drop's denominator reduced by
+    one gcd (the text of str(Fraction)), and each distance is
+    exchange_distance, a popcount."""
+    for drop_s, drop_t, denominator, cells in table.drops:
+        for add_s, add_t, x, y, w in cells:
+            g = gcd(w, denominator)
+            p, q = w // g, denominator // g
+            yield (drop_s, drop_t, add_s, add_t, x, y, exchange_distance(x, y),
+                   f"{p}/{q}" if q != 1 else str(p),
+                   approx_decimal(Fraction(p, q)) if with_decimal else None)
+
+
+def coupling_text(m: Matroid, table: DownstepCoupling, fmt: str,
+                  with_decimal: bool = False) -> Iterator[str]:
+    """The coupling report in fmt ("json" or "csv"), cell by cell from the
+    table's integer weights. expectedDistance is the table's own integer
+    sum."""
+    labels = m.labels
+    cells = _coupling_cells(table, with_decimal)
+    if fmt == "csv":
+        names = _Names(labels)
+        header = ["dropS", "dropT", "addS", "addT", "x", "y", "mass", "distance"]
+        if with_decimal:
+            header.append("massApprox")
+        return _csv_listing(header, (
+            (labels[ds], labels[dt], labels[a_s], labels[a_t], names[x], names[y],
+             mass, distance) + (() if approx is None else (approx,))
+            for ds, dt, a_s, a_t, x, y, distance, mass, approx in cells))
+    names = _json_names(m, "\n      ")
+    quoted = names.words
+    head = _meta(m)
+    head["frame"] = frame_to_obj(m, table.frame)
+    tail: dict = {}
+    _put_rational(tail, "expectedDistance", table.expected_distance(), with_decimal)
+    if with_decimal:
+        tail["decimalsAreApproximate"] = True
+    return _json_listing(head, "cells", (
+        f'\n    {{\n      "dropS": {quoted[ds]},\n      "dropT": {quoted[dt]},'
+        f'\n      "addS": {quoted[a_s]},\n      "addT": {quoted[a_t]},'
+        f'\n      "x": {names[x]},\n      "y": {names[y]},'
+        f'\n      "distance": {distance},\n      "mass": "{mass}"'
+        + ("" if approx is None else f',\n      "massApprox": "{approx}"')
+        + "\n    }"
+        for ds, dt, a_s, a_t, x, y, distance, mass, approx in cells), tail)
+
+
+def pairs_text(m: Matroid, pairs: list[tuple[Mask, Mask]], fmt: str) -> Iterator[str]:
+    """The pairs report in fmt ("json" or "csv"), one row per (S, T)."""
+    if fmt == "csv":
+        names = _Names(m.labels)
+        return _csv_listing(["S", "T"], ((names[x], names[y]) for x, y in pairs))
+    names = _json_names(m, "\n      ")
+    head = _meta(m)
+    head["pairCount"] = len(pairs)
+    return _json_listing(head, "pairs", (
+        f'\n    {{\n      "S": {names[x]},\n      "T": {names[y]}\n    }}'
+        for x, y in pairs), {})
+
+
+def bases_text(m: Matroid, fmt: str) -> Iterator[str]:
+    """The bases report in fmt ("json" or "csv"), in canonical order. Each
+    basis is listed once, so its text is not kept."""
+    bases = m.sorted_bases()
+    if fmt == "csv":
+        text = _Names(m.labels).text
+        return _csv_listing(["index", "elements"],
+                            ((i, text(b)) for i, b in enumerate(bases)))
+    text = _json_names(m, "\n    ").text
+    head = _meta(m)
+    head.update(n=m.n, rank=m.rank, count=len(bases))
+    return _json_listing(head, "bases", ("\n    " + text(b) for b in bases), {})

@@ -16,12 +16,15 @@ from the symmetric difference of its two bases, matroid automorphisms
 by extending element maps one element at a time, the search's leaf check
 by mapping every basis element by element, cocircuits as the minimal sets
 that meet every basis, by a scan of all subsets, the closed-form
-pair bounds by Fraction sums over the witness's drops, and the coupling
-report by one Fraction per cell of the coupling's drops. The test-only
+pair bounds by Fraction sums over the witness's drops, the coupling
+report by one Fraction per cell of the coupling's drops, and the pairs and
+bases reports as objects from the quadratic adjacency and a fresh sort,
+each listing written out by json.dumps or csv.writer. The test-only
 helpers at the end (the unpruned exact sweep, the pruned sweep's solve
 order from the Fraction bounds, the distance proposition,
 the distribution rendering and masses, the random-matroid and
-explicit-family strategies, the
+explicit-family strategies and their relabelling by characters JSON
+escapes, the
 exchange distance between bases, basis membership by labels, one
 exchange neighbourhood by membership tests and the vector realization of
 the rank-3 catalog matroid) use the public library API, and
@@ -30,7 +33,9 @@ DISTINGUISHED_PAIRS names the catalog pairs the tests pin down.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from collections import namedtuple
 from fractions import Fraction
@@ -557,27 +562,32 @@ def fraction_coupling_cells(m, frame):
         for add_s, add_t, x, y, w in cells)
 
 
+def label_list(m, mask):
+    """The labels of a basis, read off its index tuple."""
+    return [m.labels[i] for i in index_tuple(mask)]
+
+
+def meta_obj(m):
+    return {"version": cv.__version__, "origin": m.origin, "originHash": m.origin_hash()}
+
+
 def fraction_coupling_report(m, frame, with_decimal=False):
     """(report object, expected distance) of the coupling command, built
     cell by cell from fraction_coupling_cells with str(Fraction) masses and
     labels read off index tuples. The expected distance is the Fraction sum
     of mass times distance over the cells, not the library's integer sum."""
     labels = m.labels
-
-    def names(mask):
-        return [labels[i] for i in index_tuple(mask)]
-
     cells = fraction_coupling_cells(m, frame)
     expected = sum((c.mass * c.distance for c in cells), Fraction(0))
-    obj = {"version": cv.__version__, "origin": m.origin, "originHash": m.origin_hash()}
-    obj["frame"] = {"S": names(frame.s_basis), "T": names(frame.t_basis),
+    obj = meta_obj(m)
+    obj["frame"] = {"S": label_list(m, frame.s_basis), "T": label_list(m, frame.t_basis),
                     "s": labels[frame.s_elem], "t": labels[frame.t_elem],
                     "shared": [labels[u] for u in frame.shared]}
     obj["cells"] = []
     for c in cells:
         cell = {"dropS": labels[c.drop_from_s], "dropT": labels[c.drop_from_t],
                 "addS": labels[c.add_to_s], "addT": labels[c.add_to_t],
-                "x": names(c.x), "y": names(c.y), "distance": c.distance,
+                "x": label_list(m, c.x), "y": label_list(m, c.y), "distance": c.distance,
                 "mass": str(c.mass)}
         if with_decimal:
             cell["massApprox"] = cv.approx_decimal(c.mass)
@@ -587,6 +597,57 @@ def fraction_coupling_report(m, frame, with_decimal=False):
         obj["expectedDistanceApprox"] = cv.approx_decimal(expected)
         obj["decimalsAreApproximate"] = True
     return obj, expected
+
+
+def pairs_report(m):
+    """The pairs command's report object: the adjacent pairs by the
+    quadratic definition, in sorted-index-tuple order."""
+    obj = meta_obj(m)
+    pairs = sorted_index_pairs(quadratic_adjacent_pairs(m.bases))
+    obj["pairCount"] = len(pairs)
+    obj["pairs"] = [{"S": label_list(m, x), "T": label_list(m, y)} for x, y in pairs]
+    return obj
+
+
+def bases_report(m):
+    """The bases command's report object, the bases in sorted-index-tuple
+    order."""
+    obj = meta_obj(m)
+    obj.update(n=m.n, rank=m.rank, count=len(m.bases))
+    obj["bases"] = [label_list(m, b) for b in sorted(m.bases, key=index_tuple)]
+    return obj
+
+
+def listing_csv(command, obj):
+    """The CSV text of a coupling, pairs or bases report object: one row per
+    cell, pair or basis, each basis its labels joined by spaces."""
+    def join(names):
+        return " ".join(names)
+
+    if command == "bases":
+        rows = [["index", "elements"]]
+        rows += [[str(i), join(b)] for i, b in enumerate(obj["bases"])]
+    elif command == "pairs":
+        rows = [["S", "T"]]
+        rows += [[join(p["S"]), join(p["T"])] for p in obj["pairs"]]
+    else:
+        with_decimal = "decimalsAreApproximate" in obj
+        rows = [["dropS", "dropT", "addS", "addT", "x", "y", "mass", "distance"]
+                + ["massApprox"] * with_decimal]
+        rows += [[c["dropS"], c["dropT"], c["addS"], c["addT"], join(c["x"]), join(c["y"]),
+                  c["mass"], str(c["distance"]), *([c["massApprox"]] if with_decimal else [])]
+                 for c in obj["cells"]]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def listing_text(command, obj, fmt):
+    """The text of a listing report object in fmt: json.dumps's, or
+    listing_csv's."""
+    if fmt == "csv":
+        return listing_csv(command, obj)
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def unpruned_global_curvature(m):
@@ -709,6 +770,28 @@ def explicit_families():
         return cv.ExplicitSpec(ground=ground, bases=tuple(bases))
 
     return families()
+
+
+# characters that JSON escapes (a quote, a backslash, a control character)
+# or writes as they are (ASCII and non-ASCII letters)
+ESCAPED_ALPHABET = 'a"qb\\\u00e9\u0001'
+
+
+def escaped_label_specs():
+    """Hypothesis strategy: a small_specs() matroid or an
+    explicit_families() family as an explicit spec on distinct labels of
+    one to three characters of ESCAPED_ALPHABET."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def specs(draw):
+        m = cv.build_matroid(draw(st.one_of(small_specs(), explicit_families())))
+        labels = draw(st.lists(st.text(ESCAPED_ALPHABET, min_size=1, max_size=3),
+                               min_size=m.n, max_size=m.n, unique=True))
+        return cv.ExplicitSpec(ground=tuple(labels), bases=tuple(
+            tuple(labels[i] for i in index_tuple(b)) for b in m.sorted_bases()))
+
+    return specs()
 
 
 def mass(dist, b):

@@ -49,7 +49,9 @@ def test_public_names_resolve_and_deleted_names_are_gone():
     for name in ("Coupling", "verify_coupling", "expected_distance"):
         assert not hasattr(transport, name), name
     assert not hasattr(curvature, "proposition_distance_check")
-    assert not hasattr(fileio, "distribution_to_obj")
+    for name in ("distribution_to_obj", "coupling_table_to_obj", "pairs_to_obj",
+                 "bases_to_obj"):  # tests/oracles.py builds these reports
+        assert not hasattr(fileio, name), name
     for name in ("items_sorted", "mass", "masses", "support"):  # tests/oracles.py
         assert not hasattr(cv.Distribution, name), name
     assert not hasattr(curvature, "CouplingCell") and not hasattr(matroid, "matrix_rank")

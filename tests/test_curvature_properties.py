@@ -25,11 +25,11 @@ of single completion sets and pair and coupling reports before the sweep
 fills the completion-set store change its key order, and the sweep in both
 modes and the exchange-axiom check must still print what they print on a
 fresh matroid. On random adjacent pairs the coupling table's cells and
-expected distance, and its report object, JSON and CSV with and without
-decimals, must equal the route that builds one Fraction per cell.
+expected distance, and its report text, JSON and CSV with and without
+decimals, must equal the route that builds one Fraction per cell and a
+report object, written by json.dumps and csv.writer.
 """
 
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,9 +37,8 @@ import pytest
 
 import curvatroid as cv
 from curvatroid import curvature
-from curvatroid.fileio import (coupling_table_to_obj, global_report_to_obj,
-                               pair_report_to_obj, render_csv, render_json,
-                               report_to_csv_rows, validation_to_obj)
+from curvatroid.fileio import (coupling_text, global_report_to_obj, pair_report_to_obj,
+                               render_json, validation_to_obj)
 from oracles import (
     explicit_families,
     fraction_cells,
@@ -49,6 +48,7 @@ from oracles import (
     fraction_kernel,
     fraction_theorem_ub_values,
     full_transport_problem,
+    listing_text,
     masses,
     network_simplex_value,
     permuted_explicit_specs,
@@ -212,7 +212,7 @@ def test_whole_family_passes_ignore_the_completion_key_order(spec, data):
         try:
             render_json(pair_report_to_obj(m, cv.compute_pair_report(m, cv.PairFrame(x, y))))
             table = cv.downstep_coupling_table(m, cv.PairFrame(y, x))
-            render_json(coupling_table_to_obj(m, table))
+            "".join(coupling_text(m, table, "json"))
         except cv.NotAMatroid:
             pass
     assert whole_family_text(m) == whole_family_text(cv.build_matroid(spec)), spec
@@ -256,9 +256,7 @@ def test_coupling_report_matches_the_fraction_route(spec, data):
         assert fraction_cells(table.cells) == fraction_coupling_cells(m, frame), where
         for with_decimal in (False, True):
             want, expected = fraction_coupling_report(m, frame, with_decimal)
-            got = coupling_table_to_obj(m, table, with_decimal)
-            assert got == want, where
-            assert render_json(got) == json.dumps(want, indent=2, ensure_ascii=False) + "\n"
-            assert render_csv(report_to_csv_rows("coupling", got)) == \
-                render_csv(report_to_csv_rows("coupling", want)), where
+            for fmt in ("json", "csv"):
+                assert "".join(coupling_text(m, table, fmt, with_decimal)) == \
+                    listing_text("coupling", want, fmt), (where, fmt, with_decimal)
             assert table.expected_distance() == expected, where

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,10 @@ from oracles import DISTINGUISHED_PAIRS
 
 GOLDENS = Path(__file__).parent / "goldens"
 
+# element labels that JSON escapes (a quote, a backslash, a control
+# character) or writes as they are (a non-ASCII letter)
+ESCAPED_LABELS = ('a"q', "b\\", "\u00e9", "\u0001")
+
 # one adjacent pair per catalog entry for the single-pair commands
 PAIRS = {
     **DISTINGUISHED_PAIRS,
@@ -33,6 +38,7 @@ PAIRS = {
     "linear-4x9": (("v1", "v3", "v4"), ("v2", "v3", "v4")),
     # downstepLB 1/3 < kappa = theoremUB = 11/30
     "linear-5x7": (("v0", "v1", "v2", "v3", "v4"), ("v0", "v1", "v2", "v3", "v5")),
+    "escapes": (ESCAPED_LABELS[:2], ESCAPED_LABELS[:3:2]),
 }
 
 # description files, written to a temporary file per render (a report's
@@ -67,6 +73,11 @@ FILES = {
                    [0, -1, 0, 0, -1, 1, 0],
                    [0, -1, 1, 0, -1, 2, 0],
                    [2, -1, -1, 1, -1, 1, 1]]},
+    # U(2,4) on ESCAPED_LABELS
+    "escapes": {"type": "explicit", "ground": list(ESCAPED_LABELS),
+                "bases": [list(b) for b in combinations(ESCAPED_LABELS, 2)]},
+    # one basis, so no adjacent pair
+    "u33": {"type": "uniform", "n": 3, "k": 3},
 }
 NON_MATROIDS = ("split", "two-triangles")
 
@@ -90,6 +101,9 @@ CASES = (
     + [(command, "linear-5x7", flags)
        for command, flags in (("bases", ()), ("curvature", ()),
                               ("curvature", ("--exact",)), ("pair", ()))]
+    + [("coupling", "k4", ("--decimal",))]
+    + [(command, "escapes", ()) for command in ("bases", "pairs", "coupling")]
+    + [("pairs", "u33", ())]
 )
 FORMATS = ("json", "csv")
 
