@@ -13,6 +13,12 @@ carries three closed-form certificates:
 
 Every quantity is an exact fraction. The closed-form pair bounds are
 integer numerators over one denominator per matroid (bound_scale).
+
+Every reported kappa is certified in integers. Where a pair's two bounds
+agree the pair needs no transport solve: the down-step coupling is a
+primal and an explicit test function of theoremUB a Kantorovich dual with
+equal objectives (_certify_equal_bounds). Elsewhere the transport solver
+checks its own LP certificate (transport.wasserstein1).
 """
 
 from __future__ import annotations
@@ -348,6 +354,103 @@ def _expected_distance(drops: Iterable[tuple]) -> Fraction:
                     common)
 
 
+def _pair_error(m: Matroid, x: Mask, y: Mask, detail: str) -> CurvatroidError:
+    """A CurvatroidError naming the pair (x, y) by its labels."""
+    return CurvatroidError(f"pair {m.labels_of(x)} / {m.labels_of(y)}: {detail}")
+
+
+def _checked_coupling(m: Matroid, frame: PairFrame, lb: Fraction,
+                      ) -> tuple[tuple[tuple, ...], Fraction]:
+    """The pair's coupling drops and their expected distance, which must be
+    1 - lb, lb the pair's closed-form down-step bound."""
+    drops = tuple(_coupling_drops(m, frame))
+    expected = _expected_distance(drops)
+    if lb != 1 - expected:
+        raise CurvatroidError("down-step bound disagrees with its coupling")
+    return drops, expected
+
+
+# ── the closed-form certificate ─────────────────────────────────────────────
+
+
+def _test_function(m: Matroid, frame: PairFrame, witness: tuple[DropWitness, ...],
+                   ) -> set[Mask]:
+    """The bases that theoremUB's test function of the orientation S -> T
+    raises by one: f(X) = [s in X] + [X in the returned set].
+
+    With R = S ∩ T and A_u = witness[u].s_only_adds, those are S - u + x
+    for each crossing drop u and x in A_u, and the lifted sets R + x for x
+    in N(R) and in some A_u. witness is compute_pair_witness(m, frame).
+    """
+    rest = frame.s_basis & frame.t_basis
+    adds = 0
+    raised = []
+    for d in witness:
+        sub = frame.s_basis ^ 1 << d.drop
+        adds |= d.s_only_adds
+        raised += [sub | 1 << x for x in bits(d.s_only_adds)]
+    raised += [rest | 1 << x for x in bits(m._completions[rest] & adds)]
+    return set(raised)
+
+
+def _certify_equal_bounds(m: Matroid, frame: PairFrame, witness: tuple[DropWitness, ...],
+                          drops: tuple[tuple, ...], numerators: tuple[int, int, int],
+                          denominator: int) -> None:
+    """Certify in integers that a pair whose bound numerators agree has
+    kappa = downstepLB = theoremUB, without a transport solve; raise
+    CurvatroidError, naming the pair, otherwise.
+
+    Primal: the down-step coupling's drops, whose expected distance the
+    caller has checked to be 1 - downstepLB (_checked_coupling), must have
+    positive weights and the two kernel rows mu = P(S,.) and nu = P(T,.)
+    as marginals, so W1 <= 1 - downstepLB. Dual: the test function f of
+    the orientation attaining theoremUB (_test_function; the reverse one
+    swaps S with T) takes values 0, 1 and 2 and must satisfy
+    f(X) - f(Y) <= |X - Y| on supp mu x supp nu. Distinct bases are at
+    least one apart, so only f(X) = 2, f(Y) = 0 can fail. Its objective
+    sum mu f - sum nu f must be 1 - theoremUB, so by weak duality
+    W1 >= 1 - theoremUB, and both bounds are kappa.
+    """
+    _, forward, reverse = numerators
+    x_basis, y_basis = frame.s_basis, frame.t_basis
+    mu, nu = (transition_distribution(m, b) for b in (frame.s_basis, frame.t_basis))
+    common = lcm(mu.denominator, nu.denominator, *(d for _, _, d, _ in drops))
+    x_sums: dict[Mask, int] = {}
+    y_sums: dict[Mask, int] = {}
+    for _, _, drop_denominator, cells in drops:
+        r = common // drop_denominator
+        for _, _, x, y, w in cells:
+            if w < 1:
+                raise _pair_error(m, x_basis, y_basis, f"coupling cell of weight {w}")
+            x_sums[x] = x_sums.get(x, 0) + w * r
+            y_sums[y] = y_sums.get(y, 0) + w * r
+    for sums, dist in ((x_sums, mu), (y_sums, nu)):
+        r = common // dist.denominator
+        if sums != {b: w * r for b, w in dist.weights.items()}:
+            raise _pair_error(m, x_basis, y_basis,
+                              "the down-step coupling's marginals are not the kernel rows")
+
+    if reverse < forward:
+        frame = PairFrame(frame.t_basis, frame.s_basis)
+        witness = compute_pair_witness(m, frame)
+        mu, nu = nu, mu
+    raised = _test_function(m, frame, witness)
+    s_elem = frame.s_elem
+    f_mu = {x: (x >> s_elem & 1) + (x in raised) for x in mu.weights}
+    f_nu = {y: (y >> s_elem & 1) + (y in raised) for y in nu.weights}
+    zeros = [y for y, value in f_nu.items() if not value]
+    if any((x & ~y).bit_count() < 2 for x, value in f_mu.items() if value == 2
+           for y in zeros):
+        raise _pair_error(m, x_basis, y_basis,
+                          "the test function of theoremUB is not 1-Lipschitz")
+    up = sum(w * f_mu[x] for x, w in mu.weights.items())
+    down = sum(w * f_nu[y] for y, w in nu.weights.items())
+    if ((up * nu.denominator - down * mu.denominator) * denominator
+            != (denominator - min(forward, reverse)) * mu.denominator * nu.denominator):
+        raise _pair_error(m, x_basis, y_basis,
+                          "the test function's objective is not 1 - theoremUB")
+
+
 # ── exact curvature ─────────────────────────────────────────────────────────
 
 
@@ -392,17 +495,22 @@ def compute_pair_report(m: Matroid, frame: PairFrame) -> PairReport:
     over k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
     divides. The closed-form down-step bound is cross-checked against the
     coupling's expected distance, summed in integer weights over the cells
-    of _coupling_drops (_expected_distance) without keeping them, and the
-    exact value is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
+    of _coupling_drops (_expected_distance). Where the bound numerators
+    agree, that value is kappa, certified by the coupling and theoremUB's
+    test function with no transport solve (_certify_equal_bounds). Any
+    other pair is solved, and its exact value, which the solver certifies,
+    is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
     """
     witness = compute_pair_witness(m, frame)
     numerators, denominator = _pair_numerators(m, witness)
     lb, forward, reverse = (Fraction(x, denominator) for x in numerators)
-    expected = _expected_distance(_coupling_drops(m, frame))
-    if lb != 1 - expected:
-        raise CurvatroidError("down-step bound disagrees with its coupling")
-    kappa = exact_pair_curvature(m, frame)
-    _check_sandwich(m, frame.s_basis, frame.t_basis, lb, kappa, min(forward, reverse))
+    drops, expected = _checked_coupling(m, frame, lb)
+    if numerators[0] == min(numerators[1:]):
+        _certify_equal_bounds(m, frame, witness, drops, numerators, denominator)
+        kappa = lb
+    else:
+        kappa = exact_pair_curvature(m, frame)
+        _check_sandwich(m, frame.s_basis, frame.t_basis, lb, kappa, min(forward, reverse))
     return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
                       expected, kappa)
 
@@ -435,9 +543,8 @@ def _check_sandwich(m: Matroid, x: Mask, y: Mask, lb: Fraction, value: Fraction,
                     ub: Fraction) -> None:
     """Raise CurvatroidError, naming the pair, unless lb <= value <= ub."""
     if not lb <= value <= ub:
-        raise CurvatroidError(
-            f"pair {m.labels_of(x)} / {m.labels_of(y)}: exact curvature "
-            f"{value} outside its bounds [{lb}, {ub}]")
+        raise _pair_error(m, x, y, f"exact curvature {value} outside its bounds "
+                                   f"[{lb}, {ub}]")
 
 
 def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, list]],
@@ -463,7 +570,9 @@ def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, lis
     none, and a solved value is recorded for every pair of its orbit
     (pair_orbit). The walk trusts lb to discard pairs, so every value is
     held to the pair's own bounds, and the argmin to its own witnessed
-    bounds, once, after the walk.
+    bounds, once, after the walk. An argmin whose bounds agree then gets
+    the closed-form certificate (_certify_equal_bounds), so the reported
+    kappa is certified whether or not it was solved.
     """
     position = {b: i for i, b in enumerate(m.sorted_bases())}
     known: dict[tuple[Mask, Mask], Fraction] = {}  # (smaller, larger) -> orbit value
@@ -488,10 +597,14 @@ def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, lis
             _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
         if kappa is None or value < kappa or (value == kappa and i < best):
             kappa, best, argmin = value, i, image
-    (lb_numerator, forward, reverse), denominator = _pair_numerators(
-        m, compute_pair_witness(m, PairFrame(*argmin)))
-    _check_sandwich(m, *argmin, Fraction(lb_numerator, denominator), kappa,
-                    Fraction(min(forward, reverse), denominator))
+    frame = PairFrame(*argmin)
+    witness = compute_pair_witness(m, frame)
+    numerators, denominator = _pair_numerators(m, witness)
+    lb, ub = Fraction(numerators[0], denominator), Fraction(min(numerators[1:]), denominator)
+    _check_sandwich(m, *argmin, lb, kappa, ub)
+    if lb == ub:
+        drops, _ = _checked_coupling(m, frame, lb)
+        _certify_equal_bounds(m, frame, witness, drops, numerators, denominator)
     return kappa, argmin
 
 

@@ -50,6 +50,7 @@ from .matroid import (
 from .walk import exchange_distance
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")  # not \d: it takes any Unicode digit
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 # ── rationals ───────────────────────────────────────────────────────────────
@@ -499,17 +500,40 @@ def _json_listing(head: dict, key: str, rows: Iterable[str],
     yield "\n  ]" + after + "\n"
 
 
-def _csv_listing(header: list[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    """render_csv's text of the header and the rows."""
+def _csv_field(text: str) -> str:
+    """text as csv.writer (the excel dialect) writes it as one field of a
+    row of more than one. Only a comma, a quote or a line break can make
+    csv quote a field, so any other text is the field as it is."""
+    if not _CSV_SPECIAL.search(text):
+        return text
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(out, lineterminator="\n").writerow((text, ""))
+    return out.getvalue()[:-2]
+
+
+class _CsvNames(_Names):
+    """_Names of CSV fields: each basis its labels joined by spaces, in
+    quotes with each quote doubled when csv quotes one of its labels. A
+    space makes csv quote nothing, so the joined text needs quotes exactly
+    when a label does. fields holds each label's own field."""
+
+    def __init__(self, labels: Sequence[str]):
+        super().__init__([label.replace('"', '""') for label in labels])
+        self.fields = [_csv_field(label) for label in labels]
+        self.quoted = sum(1 << e for e, label in enumerate(labels)
+                          if self.fields[e] != label)
+
+    def text(self, mask: Mask) -> str:
+        text = super().text(mask)
+        return '"' + text + '"' if mask & self.quoted else text
+
+
+def _csv_listing(header: list[str], rows: Iterable[str]) -> Iterator[str]:
+    """render_csv's text of the header and the rows, each row the text of
+    one line whose fields are quoted already (_CsvNames)."""
+    yield ",".join(header) + "\n"
     for chunk in _chunks(rows):
-        writer.writerows(chunk)
-        yield out.getvalue()
-        out.seek(0)
-        out.truncate()
-    yield out.getvalue()
+        yield "".join(chunk)
 
 
 def _coupling_cells(table: DownstepCoupling, with_decimal: bool) -> Iterator[tuple]:
@@ -535,13 +559,14 @@ def coupling_text(m: Matroid, table: DownstepCoupling, fmt: str,
     labels = m.labels
     cells = _coupling_cells(table, with_decimal)
     if fmt == "csv":
-        names = _Names(labels)
+        names = _CsvNames(labels)
+        fields = names.fields
         header = ["dropS", "dropT", "addS", "addT", "x", "y", "mass", "distance"]
         if with_decimal:
             header.append("massApprox")
         return _csv_listing(header, (
-            (labels[ds], labels[dt], labels[a_s], labels[a_t], names[x], names[y],
-             mass, distance) + (() if approx is None else (approx,))
+            f"{fields[ds]},{fields[dt]},{fields[a_s]},{fields[a_t]},{names[x]},{names[y]},"
+            f"{mass},{distance}" + ("\n" if approx is None else f",{approx}\n")
             for ds, dt, a_s, a_t, x, y, distance, mass, approx in cells))
     names = _json_names(m, "\n      ")
     quoted = names.words
@@ -564,8 +589,8 @@ def coupling_text(m: Matroid, table: DownstepCoupling, fmt: str,
 def pairs_text(m: Matroid, pairs: list[tuple[Mask, Mask]], fmt: str) -> Iterator[str]:
     """The pairs report in fmt ("json" or "csv"), one row per (S, T)."""
     if fmt == "csv":
-        names = _Names(m.labels)
-        return _csv_listing(["S", "T"], ((names[x], names[y]) for x, y in pairs))
+        names = _CsvNames(m.labels)
+        return _csv_listing(["S", "T"], (f"{names[x]},{names[y]}\n" for x, y in pairs))
     names = _json_names(m, "\n      ")
     head = _meta(m)
     head["pairCount"] = len(pairs)
@@ -579,9 +604,9 @@ def bases_text(m: Matroid, fmt: str) -> Iterator[str]:
     basis is listed once, so its text is not kept."""
     bases = m.sorted_bases()
     if fmt == "csv":
-        text = _Names(m.labels).text
+        text = _CsvNames(m.labels).text
         return _csv_listing(["index", "elements"],
-                            ((i, text(b)) for i, b in enumerate(bases)))
+                            (f"{i},{text(b)}\n" for i, b in enumerate(bases)))
     text = _json_names(m, "\n    ").text
     head = _meta(m)
     head.update(n=m.n, rank=m.rank, count=len(bases))

@@ -9,7 +9,8 @@ exchange axiom by the quadratic definitions, rank by Gaussian elimination
 over fractions, spanning forests by testing every k-subset of the edges
 with its own union-find, linear bases by ranking every k-subset of the
 columns (the construction's route before its minor pass), the origin hash
-by sorting the family afresh, the pair counts of the automorphism search
+by sorting the family afresh, theoremUB's test function from its
+definition on every basis, the pair counts of the automorphism search
 by testing two bits of every basis,
 pair order by comparing sorted index tuples, a pair frame's exchange
 from the symmetric difference of its two bases, matroid automorphisms
@@ -537,6 +538,30 @@ def fraction_theorem_ub_values(m, frame, witness):
         forward += Fraction(1, k * nt.bit_count()) - Fraction(s_only, k * ns.bit_count())
         reverse += Fraction(1, k * ns.bit_count()) - Fraction(t_only, k * nt.bit_count())
     return forward, reverse
+
+
+def theorem_ub_test_function(m, frame):
+    """theoremUB's test function of the orientation S -> T on every basis,
+    {basis: f(basis)}, from its definition.
+
+    With R = S ∩ T, a shared u is crossing when t is in N(S - u), and
+    A_u = N(S - u) - N(T - u) - t, each completion set found by membership
+    tests. f(X) = [s in X] + [X = S - u + x for a crossing u and x in A_u]
+    + [X = R + x for x in N(R) and in some A_u].
+    """
+    s, t = frame.s_elem, frame.t_elem
+    rest = frame.s_basis & frame.t_basis
+    raised, adds = set(), set()
+    for u in index_tuple(rest):
+        ns = exchange_neighborhood(m, frame.s_basis, u)
+        if not ns >> t & 1:
+            continue
+        nt = exchange_neighborhood(m, frame.t_basis, u)
+        only = [x for x in range(m.n) if ns >> x & 1 and not nt >> x & 1 and x != t]
+        adds.update(only)
+        raised.update(frame.s_basis & ~(1 << u) | 1 << x for x in only)
+    lifted = {rest | 1 << x for x in adds} & set(m.bases)
+    return {b: (b >> s & 1) + (b in raised) + (b in lifted) for b in m.bases}
 
 
 CouplingCell = namedtuple(

@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 
 import curvatroid as cv
-from curvatroid import cli, curvature
+from curvatroid import cli, curvature, transport
 from oracles import (DISTINGUISHED_PAIRS, as_permuted_explicit, cell_masses, coupling_cost,
                      distance, fraction_cells, fraction_downstep_lb,
                      fraction_theorem_ub_values, frame_by_symmetric_difference, masses,
@@ -333,8 +333,9 @@ def test_global_report_matches_pair_minima(sweep):
 def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, capsys):
     """The pruned sweep discards pairs on their down-step bound, so a solved
     value outside [downstepLB, theoremUB] must stop it, naming the pair. A
-    pair report holds its exact value to the same sandwich, and the pair
-    command reports the failure on one error line with exit status 1."""
+    pair report holds a solved value to the same sandwich, and the pair
+    command reports the failure on one error line with exit status 1. The
+    pair's bounds differ (11/40 and 5/16), so its report solves."""
     def outside(m, frame):
         if wrong == "below":
             return cv.downstep_lb_pair(m, frame) - 1
@@ -345,15 +346,123 @@ def test_exact_sweep_checks_the_sandwich_on_every_solve(wrong, monkeypatch, caps
     m = cv.build_named("vamos")
     with pytest.raises(cv.CurvatroidError, match=message):
         cv.global_curvature(m)
-    s, t = cv.canonical_pairs(m)[0]
+    frame = frame_of(m, ("a1", "a2", "b1", "c1"), ("a1", "b1", "b2", "c1"))
     with pytest.raises(cv.CurvatroidError, match=message):
-        cv.compute_pair_report(m, cv.PairFrame(s, t))
+        cv.compute_pair_report(m, frame)
     capsys.readouterr()
     code = cli.main(["pair", "--input", "named:vamos",
-                     "--s", ",".join(m.labels_of(s)), "--t", ",".join(m.labels_of(t))])
+                     "--s", "a1,a2,b1,c1", "--t", "a1,b1,b2,c1"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and re.match("error: " + message, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s, t, solves", [
+    (("ab", "cd", "da"), ("bd", "cd", "da"), 0),  # bounds 13/36 and 13/36
+    (("ab", "bc", "cd"), ("ab", "bc", "da"), 1),  # bounds 7/18 and 4/9
+])
+def test_pair_query_solves_only_where_the_bounds_differ(s, t, solves, monkeypatch, capsys):
+    solve = transport._solve_integer_transport
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "_solve_integer_transport", counted)
+    assert cli.main(["pair", "--input", "named:k4",
+                     "--s", ",".join(s), "--t", ",".join(t)]) == 0
+    assert len(calls) == solves
+
+
+def tampered_test_function(case):
+    """_test_function with one part of f made wrong: without its lifted
+    sets R + x, raised at S as well (claiming too much), or without its
+    raised sets S - u + x (claiming too little)."""
+    honest = curvature._test_function
+
+    def tampered(m, frame, witness):
+        raised = honest(m, frame, witness)
+        if case == "unlifted":
+            return {x for x in raised if x >> frame.s_elem & 1}
+        if case == "too much":
+            return raised | {frame.s_basis}
+        return {x for x in raised if not x >> frame.s_elem & 1}
+
+    return tampered
+
+
+def heavier_first_cell():
+    """_coupling_drops with one more unit on the first cell, at distance
+    zero, so the expected distance stays right and a marginal does not."""
+    honest = curvature._coupling_drops
+
+    def heavier(m, frame):
+        first, *rest = honest(m, frame)
+        drop_s, drop_t, denominator, ((add_s, add_t, x, y, w), *cells) = first
+        yield drop_s, drop_t, denominator, ((add_s, add_t, x, y, w + 1), *cells)
+        yield from rest
+
+    return heavier
+
+
+@pytest.mark.parametrize("case, message", [
+    ("weight", "the down-step coupling's marginals are not the kernel rows"),
+    ("unlifted", "the test function of theoremUB is not 1-Lipschitz"),
+    ("too much", "the test function of theoremUB is not 1-Lipschitz"),
+    ("too little", "the test function's objective is not 1 - theoremUB"),
+])
+def test_closed_form_certificate_stops_a_wrong_part(case, message, monkeypatch, capsys):
+    """A pair whose bounds agree is reported without a solve, so a wrong
+    coupling cell or a wrong test function must stop the report, naming the
+    pair, and the pair command reports it on one error line with exit
+    status 1. The pair's forward bound, 13/36, is below its reverse one,
+    15/36, and its f raises S - u + x sets and lifts an R + x."""
+    if case == "weight":
+        monkeypatch.setattr(curvature, "_coupling_drops", heavier_first_cell())
+    else:
+        monkeypatch.setattr(curvature, "_test_function", tampered_test_function(case))
+    m = cv.build_named("k4")
+    s, t = ("ab", "bc", "cd"), ("ab", "bc", "bd")
+    named = rf"pair {re.escape(str(s))} / {re.escape(str(t))}: "
+    with pytest.raises(cv.CurvatroidError, match=named + re.escape(message)):
+        cv.compute_pair_report(m, frame_of(m, s, t))
+    capsys.readouterr()
+    code = cli.main(["pair", "--input", "named:k4", "--s", ",".join(s), "--t", ",".join(t)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and re.match("error: " + named + re.escape(message), err)
+    assert "Traceback" not in err
+
+
+def test_exact_sweep_certifies_an_argmin_whose_bounds_agree(monkeypatch, capsys):
+    """Every Fano pair has equal bounds, so the sweep solves none and takes
+    kappa from the bounds; the reported argmin alone gets the closed-form
+    certificate, and a wrong test function stops the curvature command."""
+    def no_solve(m, frame):
+        raise AssertionError("transport solve")
+
+    certify = curvature._certify_equal_bounds
+    certified = []
+
+    def counted(m, frame, *rest):
+        certified.append((frame.s_basis, frame.t_basis))
+        return certify(m, frame, *rest)
+
+    monkeypatch.setattr(curvature, "exact_pair_curvature", no_solve)
+    monkeypatch.setattr(curvature, "_certify_equal_bounds", counted)
+    report = cv.global_curvature(cv.build_named("fano"))
+    assert certified == [report.argmin_pair]
+
+    monkeypatch.setattr(curvature, "_test_function", tampered_test_function("too much"))
+    with pytest.raises(cv.CurvatroidError, match="not 1-Lipschitz"):
+        cv.global_curvature(cv.build_named("fano"))
+    capsys.readouterr()
+    code = cli.main(["curvature", "--input", "named:fano", "--exact"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: pair ")
     assert "Traceback" not in err
 
 

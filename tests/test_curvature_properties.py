@@ -27,7 +27,12 @@ modes and the exchange-axiom check must still print what they print on a
 fresh matroid. On random adjacent pairs the coupling table's cells and
 expected distance, and its report text, JSON and CSV with and without
 decimals, must equal the route that builds one Fraction per cell and a
-report object, written by json.dumps and csv.writer.
+report object, written by json.dumps and csv.writer. On every adjacent
+pair, in both orientations, theoremUB's test function, built from its
+definition on the Fraction kernels, must be 1-Lipschitz on the two
+supports with objective 1 minus that orientation's bound, the library's
+copy of it must take the same values there, and a pair report whose bounds
+agree must give the solved value.
 """
 
 from fractions import Fraction
@@ -54,8 +59,11 @@ from oracles import (
     permuted_explicit_specs,
     pruned_solve_order,
     quadratic_adjacent_pairs,
+    set_difference_size,
     small_specs,
     sorted_index_pairs,
+    swapped,
+    theorem_ub_test_function,
     unpruned_global_curvature,
 )
 
@@ -260,3 +268,45 @@ def test_coupling_report_matches_the_fraction_route(spec, data):
                 assert "".join(coupling_text(m, table, fmt, with_decimal)) == \
                     listing_text("coupling", want, fmt), (where, fmt, with_decimal)
             assert table.expected_distance() == expected, where
+
+
+def assert_theorem_ub_test_functions(m, where):
+    """Each orientation's test function f (theorem_ub_test_function) is
+    1-Lipschitz on supp mu ∪ supp nu, sum mu f - sum nu f is 1 minus that
+    orientation's theoremUB, and the library's f takes the same values
+    there; a pair report whose bounds agree gives the solved value."""
+    kernels = {}
+    for x, y in cv.canonical_pairs(m):
+        frame = cv.PairFrame(x, y)
+        witness = cv.compute_pair_witness(m, frame)
+        forward, reverse = fraction_theorem_ub_values(m, frame, witness)
+        for oriented, ub in ((frame, forward), (swapped(frame), reverse)):
+            mu, nu = (kernels.get(b) or kernels.setdefault(b, fraction_kernel(m, b))
+                      for b in (oriented.s_basis, oriented.t_basis))
+            f = theorem_ub_test_function(m, oriented)
+            support = sorted(mu.keys() | nu.keys())
+            # distinct bases are at least one apart
+            assert all(abs(f[a] - f[b]) <= 1 or abs(f[a] - f[b]) <= set_difference_size(a, b)
+                       for a, b in combinations(support, 2)), where
+            assert (sum(p * f[b] for b, p in mu.items())
+                    - sum(q * f[b] for b, q in nu.items())) == 1 - ub, where
+            raised = curvature._test_function(m, oriented,
+                                              cv.compute_pair_witness(m, oriented))
+            assert {b: (b >> oriented.s_elem & 1) + (b in raised) for b in support} == \
+                {b: f[b] for b in support}, where
+        report = cv.compute_pair_report(m, frame)
+        if report.downstep_lb == report.theorem_ub:
+            assert report.kappa_exact == cv.exact_pair_curvature(m, frame), where
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_specs())
+def test_theorem_ub_test_function_is_a_dual_certificate(spec):
+    assert_theorem_ub_test_functions(cv.build_matroid(spec), spec)
+
+
+@pytest.mark.parametrize("name", ["vamos", "fano", "k4", "rank3-counterexample"])
+def test_theorem_ub_test_function_is_a_dual_certificate_on_the_catalog(name):
+    """Every catalog family but K6, whose 17,460 pairs the Fraction kernels
+    would take minutes over."""
+    assert_theorem_ub_test_functions(cv.build_named(name), name)
