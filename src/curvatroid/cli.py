@@ -76,7 +76,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = command("curvature", "global curvature report "
                              "(closed-form bounds only by default)", rationals=True)
     p.add_argument("--exact", action="store_true",
-                   help="solve optimal transport for every adjacent pair")
+                   help="exact minimum curvature: solve optimal transport only for "
+                        "pairs whose bounds differ and that can still reach the "
+                        "minimum, once per orbit")
     p.add_argument("--all-pairs", action="store_true",
                    help="audit: also minimize 1 - W/d over non-adjacent pairs "
                         "(implies --exact)")

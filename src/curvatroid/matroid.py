@@ -6,12 +6,14 @@ hot set algebra (exchange neighborhoods, symmetric differences) is integer
 arithmetic. Bases are enumerated explicitly, which is exact and
 comfortably fast at desk scale (n up to ~20): the uniform construction
 lists the k-subsets; the linear one computes every maximal minor in one
-Laplace pass over the rows, on the dual when 2k > n; the graphic one grows
-spanning forests edge by edge, by a depth-first search whose last level
-(a forest two edges short) runs as one flat loop. It grows no dead prefix:
-forest F plus edge i extends to a basis by later edges iff
-rank(F + E>=i) = k, since F + i + E>i is that same set. Every construction
-emits its family in canonical order, and origin_hash() digests that order.
+Laplace pass over the rows, on the dual when 2k > n; the graphic one first
+finds the coloops (the bridges, which every spanning forest holds), then
+grows spanning forests of the rest edge by edge, from the bridges
+contracted, by a depth-first search whose last level (a forest two edges
+short) runs as one flat loop. It grows no dead prefix: forest F plus edge
+i extends to a basis by later edges iff rank(F + E>=i) = k, since
+F + i + E>i is that same set. Every construction emits its family in
+canonical order, and origin_hash() digests that order.
 """
 
 from __future__ import annotations
@@ -371,23 +373,36 @@ def _build_graphic(spec: GraphicSpec, origin: str | None) -> Matroid:
     index = {x: i for i, x in enumerate(touched)}
     ends = [(index[a], index[b]) for a, b, _ in spec.edges]
     uf = _UnionFind(len(touched))
-    k = sum(uf.union(a, b) for a, b in ends)
+    forest = [uf.union(a, b) for a, b in ends]  # the greedy spanning forest
+    k = sum(forest)
     if k == 0:
         raise DegenerateGraph("no non-loop edges: spanning forests are empty")
 
     n = len(spec.edges)
     _guard_enumeration(n, k)
-    # k is the size of the greedy spanning forest above, so acyclic k-subsets
-    # are maximum forests, and at least one exists
-    bases = _spanning_forests(ends, len(touched), k)
+    # the forest has k edges, so acyclic k-subsets are maximum forests, and
+    # at least one exists
+    bases = _spanning_forests(ends, len(touched), forest)
     return Matroid(labels, bases, origin or f"graphic(vertices={v},edges={n})",
                    constructed=True)
 
 
 def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
-                      k: int) -> list[Mask]:
+                      forest: list[bool]) -> list[Mask]:
     """Masks of the acyclic k-subsets of the edges, in canonical order:
-    lexicographic on their index tuples.
+    lexicographic on their index tuples. forest[i] tells whether edge i is
+    in the forward greedy spanning forest, which has k edges.
+
+    Every basis holds the coloops C (_coloops), so the search starts from
+    C with its edges contracted and looks for the k - |C| edges still
+    needed among the rest: the edges that are no loop once C is
+    contracted, in index order, each read with its own mask (bit). Two sets
+    that share C compare as their other edges do, so the bases still come
+    in canonical order. The candidates _coloops tests are the edges of both
+    greedy forests, and the backward one is the root's backward scan; when
+    C = 0, as in every bridgeless graph, the root's children are pushed
+    from that scan, and the search reads every edge, as without the coloop
+    step.
 
     A depth-first search adds edges in increasing index order and expands a
     prefix forest F only by live edges: i joins two components of F and
@@ -402,14 +417,46 @@ def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
     limit.
     """
     n = len(ends)
-    if k == 1:
-        return [1 << j for j, (a, b) in enumerate(ends) if a != b]
     heads = [a for a, _ in ends]
     tails = [b for _, b in ends]
+    root = "".join(map(chr, range(vertex_count)))
+    k = sum(forest)
+    if k == 1:
+        return [1 << j for j in range(n) if heads[j] != tails[j]]
+    # the backward greedy forest, whose lowest edge is the root's last live
+    # one; candidates holds its edges that the forward one holds too
+    comp, last, unions, candidates = root, n, k, 0
+    while unions:
+        last -= 1
+        x, y = comp[heads[last]], comp[tails[last]]
+        if x != y:
+            unions -= 1
+            if forest[last]:
+                candidates |= 1 << last
+            comp = comp.replace(y, x)
+    coloops = _coloops(heads, tails, root, k, candidates)
+    need = k - coloops.bit_count()
+    if not need:  # a forest: C is the one basis
+        return [coloops]
+    rest = range(n)  # the edges searched
+    if coloops:  # contract C; the search reads the edges that are no loop then
+        for i in bits(coloops):
+            root = root.replace(root[tails[i]], root[heads[i]])
+        rest = [i for i in rest if root[heads[i]] != root[tails[i]]]
+        if need == 1:  # every basis is C plus one edge of the rest
+            return [coloops | 1 << i for i in rest]
+        heads = [heads[i] for i in rest]
+        tails = [tails[i] for i in rest]
+        n = len(rest)
+    bit = [1 << i for i in rest]  # the mask of each searched edge
     bases: list[Mask] = []
     # (next edge index, prefix mask, edges still needed, labels) of live
     # prefixes two or more edges short
-    stack = [(0, 0, k, "".join(map(chr, range(vertex_count))))]
+    if coloops or k == 2:
+        stack = [(0, coloops, need, root)]
+    else:  # the root's live children, as the loop below pushes them
+        stack = [(i + 1, bit[i], k - 1, root.replace(root[tails[i]], root[heads[i]]))
+                 for i in range(last, -1, -1) if root[heads[i]] != root[tails[i]]]
     pop, push = stack.pop, stack.append
     while stack:
         start, prefix, need, root = pop()
@@ -428,16 +475,76 @@ def _spanning_forests(ends: list[tuple[int, int]], vertex_count: int,
                 if x == y:
                     continue
                 child = root.replace(y, x)
-                mask = prefix | 1 << i
+                mask = prefix | bit[i]
                 for j in range(i + 1, n):
                     if child[heads[j]] != child[tails[j]]:
-                        bases.append(mask | 1 << j)
+                        bases.append(mask | bit[j])
         else:  # pushed largest index first, so the smallest is explored first
             for i in range(last, start - 1, -1):
                 x, y = root[heads[i]], root[tails[i]]
                 if x != y:
-                    push((i + 1, prefix | 1 << i, need - 1, root.replace(y, x)))
+                    push((i + 1, prefix | bit[i], need - 1, root.replace(y, x)))
     return bases
+
+
+def _coloops(heads: list[int], tails: list[int], labels: str, k: int,
+             candidates: Mask) -> Mask:
+    """Mask of the coloops, the edges in every spanning forest: the bridges
+    of a graph of rank k. candidates must hold every coloop.
+
+    A coloop is in every greedy forest, so the edges that the forward and
+    the backward one both keep will do, and in a bridgeless graph they are
+    often none (K_n in lexicographic edge order leaves one). The other
+    edges are merged first, and if they alone reach rank k no candidate is
+    a coloop. Otherwise contracting them keeps each candidate's status,
+    since contracting X leaves r(E - e) - r(E) unchanged for e outside X,
+    and the candidates that are bridges of the contracted multigraph are
+    found by Tarjan's lowlink pass (IPL 2, 1974), one depth-first search.
+    Edges are read from heads and tails, vertices as chars of labels.
+    """
+    if not candidates:
+        return 0
+    comp, unions = labels, k
+    for i in range(len(heads)):
+        if not candidates >> i & 1:
+            x, y = comp[heads[i]], comp[tails[i]]
+            if x != y:
+                unions -= 1
+                if not unions:
+                    return 0
+                comp = comp.replace(y, x)
+    adjacent: dict[str, list[tuple[str, int]]] = {}
+    for e in bits(candidates):  # a loop here is never a tree edge
+        x, y = comp[heads[e]], comp[tails[e]]
+        adjacent.setdefault(x, []).append((y, e))
+        adjacent.setdefault(y, []).append((x, e))
+    coloops = 0
+    order: dict[str, int] = {}  # preorder number of each visited vertex
+    low: dict[str, int] = {}  # least preorder number reached from its subtree
+    for top in adjacent:
+        if top in order:
+            continue
+        order[top] = low[top] = len(order)
+        stack = [(top, -1, iter(adjacent[top]))]
+        while stack:
+            v, via, edges = stack[-1]
+            for w, e in edges:
+                if e == via:  # the tree edge in; a parallel edge counts
+                    continue
+                if w in order:
+                    low[v] = min(low[v], order[w])
+                else:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, e, iter(adjacent[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > order[u]:  # nothing below v reaches above it
+                        coloops |= 1 << via
+    return coloops
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:

@@ -107,8 +107,15 @@ def graphic(vertex_count, ends):
     (graphic(2, [(0, 0), (0, 1), (1, 1), (1, 0), (0, 1), (0, 0)]), 1, 3),
     # two components and an untouched vertex (5)
     (graphic(7, [(0, 1), (1, 2), (2, 0), (3, 4), (6, 3), (4, 6), (0, 1)]), 4, 15),
+    # the exact-asymmetric bench shape: 7 vertices, 11 edges, a pendant edge last
+    (graphic(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 0),
+                 (2, 5), (6, 3)]), 6, 130),
+    # two triangles, interleaved, and the bridge between them (2-3) in the middle
+    (graphic(6, [(0, 1), (3, 4), (1, 2), (2, 3), (4, 5), (2, 0), (5, 3)]), 5, 9),
+    # bridgeless: both greedy forests keep edge 0-4, which is no coloop
+    (graphic(5, list(combinations(range(5), 2))), 4, 125),
 ], ids=["bridges-then-cycle", "bridges-then-k4-minus-an-edge", "tree", "rank-1",
-        "disconnected"])
+        "disconnected", "bridge-last", "bridge-between-cycles", "k5-bridgeless"])
 def test_graphic_fixed_families(spec, rank, count):
     """The search lists the per-subset oracle's family, in canonical order."""
     m = cv.build_matroid(spec)

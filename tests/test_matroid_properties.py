@@ -1,17 +1,22 @@
 """Property checks of the constructions: the integer (Bareiss) rank against
 Fraction elimination, the graphic spanning-forest search and the linear
-minor pass against per-subset enumeration, the origin hash on labels that
+minor pass against per-subset enumeration, the graphic coloop mask against
+the AND of the enumerated bases, the origin hash on labels that
 JSON escapes against json.dumps, the automorphism search's pair counts
 against a basis-by-basis count, the completion-set store, read one set at
 a time and then filled, against a fresh completion table, and the shadow
 routine against its definition."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
+from unittest import mock
 
 import pytest
 
 import curvatroid as cv
-from curvatroid.matroid import _integer_rank, _integer_rows, _shadow
+from curvatroid import matroid
+from curvatroid.matroid import _coloops, _integer_rank, _integer_rows, _shadow
 from curvatroid.symmetry import _pair_counts
 from oracles import (exchange_neighborhood, explicit_families, fraction_matrix_rank,
                      graphic_bases_by_subsets, linear_bases_by_subsets, origin_hash_by_sort,
@@ -84,6 +89,65 @@ def test_spanning_forest_search_matches_subset_enumeration(spec):
     assert explicit.sorted_bases() == expected
     assert_canonical(explicit)
     assert explicit.origin_hash() == m.origin_hash()
+
+
+@st.composite
+def bridged_multigraphs(draw):
+    """A random tree on 1..9 vertices, whose edges are all bridges, plus
+    1..5 edges drawn with replacement: loops, parallel edges and chords,
+    each chord closing a cycle through some tree edges. The rest stay
+    bridges, in pendant trees or between blocks, and the edges come in a
+    random order with random orientations, so a bridge can sit anywhere."""
+    vertices = draw(st.integers(1, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, vertices)]
+    extra = draw(st.lists(st.tuples(st.integers(0, vertices - 1),
+                                    st.integers(0, vertices - 1)), min_size=1, max_size=5))
+    ends = [(b, a) if draw(st.booleans()) else (a, b)
+            for a, b in draw(st.permutations(tree + extra))]
+    return cv.GraphicSpec(vertex_count=vertices,
+                          edges=tuple((a, b, f"e{i}") for i, (a, b) in enumerate(ends)))
+
+
+def greedy_forest(ends: list[tuple[int, int]]) -> int:
+    """Mask of the edges that join two components, scanned in index order."""
+    component = list(range(1 + max(max(e) for e in ends)))
+    forest = 0
+    for i, (a, b) in enumerate(ends):
+        x, y = component[a], component[b]
+        if x != y:
+            forest |= 1 << i
+            component = [x if c == y else c for c in component]
+    return forest
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(bridged_multigraphs())
+def test_coloops_are_the_bridges_and_the_search_keeps_them(spec):
+    """The coloop mask the search contracts, from the edges both greedy
+    forests keep, is the AND of the oracle's bases, as is the mask found
+    from every edge of the forward forest, and the search lists the
+    oracle's family in canonical order."""
+    expected = graphic_bases_by_subsets(spec)
+    if not expected:  # loops only
+        with pytest.raises(cv.DegenerateGraph):
+            cv.build_matroid(spec)
+        return
+    found = []
+
+    def recorded(*args):
+        found.append(_coloops(*args))
+        return found[-1]
+
+    with mock.patch.object(matroid, "_coloops", recorded):
+        m = cv.build_matroid(spec)
+    assert m.sorted_bases() == expected
+    assert_canonical(m)
+    coloops = reduce(and_, expected)
+    assert found == ([coloops] if m.rank > 1 else [])  # rank 1 lists its edges
+    ends = [(a, b) for a, b, _ in spec.edges]
+    assert _coloops([a for a, _ in ends], [b for _, b in ends],
+                    "".join(map(chr, range(spec.vertex_count))), m.rank,
+                    greedy_forest(ends)) == coloops
 
 
 # a quote, a backslash, control characters, non-ASCII and an astral
