@@ -83,15 +83,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                    help="audit: also minimize 1 - W/d over non-adjacent pairs "
                         "(implies --exact)")
 
-    p = command("pair", "full report for one adjacent pair", rationals=True)
-    p.add_argument("--s", required=True, metavar="LABELS",
-                   help="first basis, comma-separated element labels")
-    p.add_argument("--t", required=True, metavar="LABELS",
-                   help="second basis, comma-separated element labels")
-
-    p = command("coupling", "down-step coupling table for one pair", rationals=True)
-    p.add_argument("--s", required=True, metavar="LABELS")
-    p.add_argument("--t", required=True, metavar="LABELS")
+    for name, help in (("pair", "full report for one adjacent pair"),
+                       ("coupling", "down-step coupling table for one pair")):
+        p = command(name, help, rationals=True)
+        p.add_argument("--s", required=True, metavar="LABELS",
+                       help="first basis, comma-separated element labels")
+        p.add_argument("--t", required=True, metavar="LABELS",
+                       help="second basis, comma-separated element labels")
 
     command("catalog", "list built-in matroids", with_input=False)
 

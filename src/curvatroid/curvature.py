@@ -14,11 +14,13 @@ carries three closed-form certificates:
 Every quantity is an exact fraction. The closed-form pair bounds are
 integer numerators over one denominator per matroid (bound_scale).
 
-Every reported kappa is certified in integers. Where a pair's two bounds
-agree the pair needs no transport solve: the down-step coupling is a
-primal and an explicit test function of theoremUB a Kantorovich dual with
-equal objectives (_certify_equal_bounds). Elsewhere the transport solver
-checks its own LP certificate (transport.wasserstein1).
+Every reported kappa is certified in integers, a pair report's and the
+exact sweep's argmin's by one routine (_certified_report) that names the
+pair when a check fails. Where a pair's two bounds agree the pair needs no
+transport solve: the down-step coupling is a primal and an explicit test
+function of theoremUB a Kantorovich dual with equal objectives
+(_certify_equal_bounds). Elsewhere the transport solver checks its own LP
+certificate (transport.wasserstein1).
 """
 
 from __future__ import annotations
@@ -359,17 +361,6 @@ def _pair_error(m: Matroid, x: Mask, y: Mask, detail: str) -> CurvatroidError:
     return CurvatroidError(f"pair {m.labels_of(x)} / {m.labels_of(y)}: {detail}")
 
 
-def _checked_coupling(m: Matroid, frame: PairFrame, lb: Fraction,
-                      ) -> tuple[tuple[tuple, ...], Fraction]:
-    """The pair's coupling drops and their expected distance, which must be
-    1 - lb, lb the pair's closed-form down-step bound."""
-    drops = tuple(_coupling_drops(m, frame))
-    expected = _expected_distance(drops)
-    if lb != 1 - expected:
-        raise CurvatroidError("down-step bound disagrees with its coupling")
-    return drops, expected
-
-
 # ── the closed-form certificate ─────────────────────────────────────────────
 
 
@@ -401,7 +392,7 @@ def _certify_equal_bounds(m: Matroid, frame: PairFrame, witness: tuple[DropWitne
     CurvatroidError, naming the pair, otherwise.
 
     Primal: the down-step coupling's drops, whose expected distance the
-    caller has checked to be 1 - downstepLB (_checked_coupling), must have
+    caller has checked to be 1 - downstepLB (_certified_report), must have
     positive weights and the two kernel rows mu = P(S,.) and nu = P(T,.)
     as marginals, so W1 <= 1 - downstepLB. Dual: the test function f of
     the orientation attaining theoremUB (_test_function; the reverse one
@@ -487,32 +478,42 @@ class GlobalReport(NamedTuple):
 
 
 def compute_pair_report(m: Matroid, frame: PairFrame) -> PairReport:
-    """All per-pair quantities for one adjacent pair.
+    """All per-pair quantities for one adjacent pair, each checked
+    (_certified_report)."""
+    return _certified_report(m, frame)
 
-    The witness runs the matroid gate and then checks that both sets of
-    the frame are bases of m, so a non-matroid fails with the exchange
-    axiom's witness before any bound is computed. The bounds are integers
-    over k * L, L = lcm(1, ..., n - k + 1), which every #N(R) <= n - k + 1
-    divides. The closed-form down-step bound is cross-checked against the
-    coupling's expected distance, summed in integer weights over the cells
-    of _coupling_drops (_expected_distance). Where the bound numerators
-    agree, that value is kappa, certified by the coupling and theoremUB's
-    test function with no transport solve (_certify_equal_bounds). Any
-    other pair is solved, and its exact value, which the solver certifies,
-    is held to downstepLB <= kappa <= theoremUB (_check_sandwich).
+
+def _certified_report(m: Matroid, frame: PairFrame,
+                      kappa: Fraction | None = None) -> PairReport:
+    """The pair's report, its kappa certified in integers; raise
+    CurvatroidError, naming the pair, at the first check that fails.
+
+    kappa is the caller's exact value (the exact sweep's argmin), else the
+    common bound where the bound numerators agree and a transport solve,
+    which the solver certifies, elsewhere. In order: the witness, which runs
+    the matroid gate and checks that both sets are bases of m; the bounds,
+    integers over k * L, L = lcm(1, ..., n - k + 1); the down-step bound
+    against its coupling's expected distance, summed in integer weights
+    (_expected_distance); the value; downstepLB <= kappa <= theoremUB
+    (_check_sandwich); and where the bounds agree the closed-form
+    certificate (_certify_equal_bounds).
     """
+    x, y = frame.s_basis, frame.t_basis
     witness = compute_pair_witness(m, frame)
     numerators, denominator = _pair_numerators(m, witness)
-    lb, forward, reverse = (Fraction(x, denominator) for x in numerators)
-    drops, expected = _checked_coupling(m, frame, lb)
-    if numerators[0] == min(numerators[1:]):
+    lb, forward, reverse = (Fraction(v, denominator) for v in numerators)
+    ub = min(forward, reverse)
+    drops = tuple(_coupling_drops(m, frame))
+    expected = _expected_distance(drops)
+    if lb != 1 - expected:
+        raise _pair_error(m, x, y, "down-step bound disagrees with its coupling")
+    equal = numerators[0] == min(numerators[1:])
+    if kappa is None:
+        kappa = lb if equal else exact_pair_curvature(m, frame)
+    _check_sandwich(m, x, y, lb, kappa, ub)
+    if equal:
         _certify_equal_bounds(m, frame, witness, drops, numerators, denominator)
-        kappa = lb
-    else:
-        kappa = exact_pair_curvature(m, frame)
-        _check_sandwich(m, frame.s_basis, frame.t_basis, lb, kappa, min(forward, reverse))
-    return PairReport(frame, witness, lb, forward, reverse, min(forward, reverse),
-                      expected, kappa)
+    return PairReport(frame, witness, lb, forward, reverse, ub, expected, kappa)
 
 
 def canonical_pairs(m: Matroid) -> list[tuple[Mask, Mask]]:
@@ -569,10 +570,12 @@ def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, lis
     known: images are set maps of automorphisms of m (mask_image), possibly
     none, and a solved value is recorded for every pair of its orbit
     (pair_orbit). The walk trusts lb to discard pairs, so every value is
-    held to the pair's own bounds, and the argmin to its own witnessed
-    bounds, once, after the walk. An argmin whose bounds agree then gets
-    the closed-form certificate (_certify_equal_bounds), so the reported
-    kappa is certified whether or not it was solved.
+    held to the pair's own bounds. After the walk the argmin, with the
+    walk's kappa, goes once through the checks of a pair report
+    (_certified_report): its own witnessed bounds, the coupling
+    cross-check, the sandwich and, where its bounds agree, the closed-form
+    certificate, so the reported kappa is certified whether or not it was
+    solved.
     """
     position = {b: i for i, b in enumerate(m.sorted_bases())}
     known: dict[tuple[Mask, Mask], Fraction] = {}  # (smaller, larger) -> orbit value
@@ -597,14 +600,7 @@ def _pruned_minimum(m: Matroid, candidates: list[tuple[int, int, Mask, Mask, lis
             _check_sandwich(m, x, y, lb, value, Fraction(ub_numerator, denominator))
         if kappa is None or value < kappa or (value == kappa and i < best):
             kappa, best, argmin = value, i, image
-    frame = PairFrame(*argmin)
-    witness = compute_pair_witness(m, frame)
-    numerators, denominator = _pair_numerators(m, witness)
-    lb, ub = Fraction(numerators[0], denominator), Fraction(min(numerators[1:]), denominator)
-    _check_sandwich(m, *argmin, lb, kappa, ub)
-    if lb == ub:
-        drops, _ = _checked_coupling(m, frame, lb)
-        _certify_equal_bounds(m, frame, witness, drops, numerators, denominator)
+    _certified_report(m, PairFrame(*argmin), kappa)
     return kappa, argmin
 
 

@@ -443,17 +443,15 @@ CHUNK_ROWS = 2048  # rows per piece of a listing's text
 
 class _Names(dict):
     """Basis mask -> its text, built at the first lookup: the words of its
-    elements, lowest index first, joined by sep between the two ends. The
-    empty basis is the text empty."""
+    elements, lowest index first, joined by sep between the two ends. No
+    basis is empty: a Matroid has rank at least 1."""
 
     def __init__(self, words: Sequence[str], sep: str = " ",
-                 ends: tuple[str, str] = ("", ""), empty: str = ""):
+                 ends: tuple[str, str] = ("", "")):
         super().__init__()
-        self.words, self.sep, self.ends, self.empty = words, sep, ends, empty
+        self.words, self.sep, self.ends = words, sep, ends
 
     def text(self, mask: Mask) -> str:
-        if not mask:
-            return self.empty
         words = self.words
         out = []
         while mask:  # the set bits, lowest first, as bits() yields them
@@ -472,7 +470,7 @@ def _json_names(m: Matroid, newline: str) -> _Names:
     own line indented as newline; each label is quoted once."""
     inner = newline + "  "
     return _Names([_quote(label) for label in m.labels], "," + inner,
-                  ("[" + inner, newline + "]"), "[]")
+                  ("[" + inner, newline + "]"))
 
 
 def _chunks(rows: Iterable) -> Iterator[list]:

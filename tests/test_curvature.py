@@ -301,8 +301,9 @@ def test_pair_report_rejects_a_closed_form_off_by_one_unit(monkeypatch):
     monkeypatch.setattr(curvature, "bound_numerators", off_by_one)
     assert cv.downstep_lb_pair(m, cv.PairFrame(s, t)) == \
         honest.downstep_lb + F(1, denominator)
+    pair = f"pair {m.labels_of(s)} / {m.labels_of(t)}: "
     with pytest.raises(cv.CurvatroidError,
-                       match="down-step bound disagrees with its coupling"):
+                       match=re.escape(pair + "down-step bound disagrees with its coupling")):
         cv.compute_pair_report(m, cv.PairFrame(s, t))
 
 
@@ -762,21 +763,22 @@ def test_exact_sweep_solves_and_reports_only_witnessed_pairs(build, monkeypatch)
     assert events[-1] == ("witness", set(report.argmin_pair))
 
 
-def test_exact_sweep_holds_the_argmin_to_its_own_bounds(monkeypatch, capsys):
-    """A reported argmin whose own down-step bound lies above kappa stops the
-    run, naming the pair; the curvature command reports it on one error line
-    with exit status 1."""
+def _argmin_check_stops_the_run(monkeypatch, capsys, tamper, detail):
+    """Tamper with the argmin's own bound numerators (the walk reads
+    bound_numerators, so only the checks after it see the change) and
+    expect the run to stop on detail, naming the argmin; the curvature
+    command reports it on one error line with exit status 1."""
     m = cv.build_named("k6")
     x, y = cv.global_curvature(m).argmin_pair
     numerators = curvature._pair_numerators
 
-    def raised(m, witness):
+    def tampered(m, witness):
         (lb, forward, reverse), denominator = numerators(m, witness)
-        return (lb + denominator, forward, reverse), denominator
+        return tamper(lb, forward, reverse, denominator), denominator
 
-    monkeypatch.setattr(curvature, "_pair_numerators", raised)
+    monkeypatch.setattr(curvature, "_pair_numerators", tampered)
     message = (rf"pair {re.escape(str(m.labels_of(x)))} / {re.escape(str(m.labels_of(y)))}"
-               r": exact curvature -11/100 outside its bounds")
+               rf": {detail}")
     with pytest.raises(cv.CurvatroidError, match=message):
         cv.global_curvature(m)
     capsys.readouterr()
@@ -785,6 +787,25 @@ def test_exact_sweep_holds_the_argmin_to_its_own_bounds(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and re.match("error: " + message, err)
     assert "Traceback" not in err
+
+
+def test_exact_sweep_holds_the_argmin_to_its_own_bounds(monkeypatch, capsys):
+    """An argmin whose own down-step bound is raised by a whole unit fails
+    the coupling cross-check, the first check of its certificate."""
+    _argmin_check_stops_the_run(
+        monkeypatch, capsys,
+        lambda lb, forward, reverse, denominator: (lb + denominator, forward, reverse),
+        "down-step bound disagrees with its coupling")
+
+
+def test_exact_sweep_holds_the_argmin_below_its_own_upper_bound(monkeypatch, capsys):
+    """An argmin whose own theoremUB lies below kappa stops the run at the
+    sandwich; downstepLB is untouched, so the coupling cross-check passes."""
+    _argmin_check_stops_the_run(
+        monkeypatch, capsys,
+        lambda lb, forward, reverse, denominator: (lb, forward - denominator,
+                                                   reverse - denominator),
+        "exact curvature -11/100 outside its bounds")
 
 
 def complete_graph(v: int) -> cv.Matroid:
@@ -808,13 +829,18 @@ def test_k7_exact():
 K8_REPORT = (F(-232, 735), F(-248, 735), F(-40, 147), 8_498_784)
 
 
+@pytest.fixture(scope="module")
+def k8() -> cv.Matroid:
+    """One K8 for the tests that run on it, released with this module."""
+    return complete_graph(8)
+
+
 @pytest.mark.slow
-def test_k8_exact():
-    m = complete_graph(8)
-    report = cv.global_curvature(m)
+def test_k8_exact(k8):
+    report = cv.global_curvature(k8)
     assert (report.kappa_exact, report.downstep_lb, report.theorem_ub,
             report.pair_count) == K8_REPORT
-    assert [m.labels_of(b) for b in report.argmin_pair] == [
+    assert [k8.labels_of(b) for b in report.argmin_pair] == [
         ("e01", "e02", "e13", "e24", "e35", "e46", "e57"),
         ("e02", "e13", "e24", "e35", "e46", "e57", "e67")]
 
@@ -824,11 +850,11 @@ def witness_forbidden(m, frame):
 
 
 @pytest.mark.slow
-def test_k8_bounds_only_is_refused_before_any_witness(monkeypatch):
+def test_k8_bounds_only_is_refused_before_any_witness(k8, monkeypatch):
     # no generators, so every one of K8's 8,498,784 pairs would get a witness
     monkeypatch.setattr(curvature, "compute_pair_witness", witness_forbidden)
     with pytest.raises(cv.TooLarge, match="witness at least 8498784 adjacent pairs"):
-        cv.global_curvature(complete_graph(8), exact=False)
+        cv.global_curvature(k8, exact=False)
 
 
 def test_the_exact_sweep_charges_each_key_orbit_before_its_witnesses(monkeypatch):
